@@ -19,7 +19,6 @@ from .constellation import (
     Constellation,
     Diagnostics,
     Distribution,
-    expand_ring_mass,
     from_json,
     from_rings,
     make_constellation,
@@ -60,12 +59,7 @@ from .shaping import (
 from .shaping_ba import (
     MBAConfig,
     NewtonResult,
-    grid_init,
-    mc_integral,
-    mc_integrals,
-    multiplier_residuals,
     newton_solve,
-    q_update,
     run_mba,
 )
 
@@ -78,11 +72,10 @@ __all__ = [
     "RangeProfile", "RingSystem", "ShapingResult", "SymbolMatrix",
     "af_components", "af_samples", "af_sequence", "af_single", "air_total",
     "analytic_moments", "average_af", "calibrate_so_cfar", "derive_seed",
-    "detection_probability", "empirical_false_alarm_rate", "expand_ring_mass",
-    "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf", "grid_init",
-    "make_constellation", "mc_integral", "mc_integrals", "moment",
-    "multiplier_residuals", "mutual_information", "newton_solve", "pd_curve",
-    "q_update", "rate_curve", "ring_system", "run_mba", "sample_symbols",
+    "detection_probability", "empirical_false_alarm_rate",
+    "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf",
+    "make_constellation", "moment", "mutual_information", "newton_solve",
+    "pd_curve", "rate_curve", "ring_system", "run_mba", "sample_symbols",
     "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
     "solve_heuristic", "to_json", "trial_seed", "validate",
     "wilson_interval",

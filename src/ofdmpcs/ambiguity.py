@@ -15,10 +15,7 @@ All ``sinc`` factors follow the integral identity
     integral_{Tmin}^{Tmax} exp(j*2*pi*f*t) dt
         = T_diff * sinc(f*T_diff) * exp(j*2*pi*f*T_avg)
 
-with ``sinc(x) = sin(pi*x)/(pi*x)`` (numpy's convention).  An alternate
-variance convention that puts ``2*pi`` inside the sinc argument is available
-behind ``sinc_2pi=True`` for comparison; it does not follow from the identity
-above and disagrees with Monte-Carlo, so it is off by default.
+with ``sinc(x) = sin(pi*x)/(pi*x)`` (numpy's convention).
 """
 
 from __future__ import annotations
@@ -104,18 +101,12 @@ class AFGrid:
 # sampling
 
 
-def _choice_probs(d: Distribution) -> np.ndarray:
-    # tolerate the -1e-12 negative slack allowed by validation
-    p = np.maximum(np.asarray(d.per_point, dtype=float), 0.0)
-    return p / p.sum()
-
-
 def sample_symbols(c: Constellation, d: Distribution, cfg: OFDMConfig,
                    seed: int) -> SymbolMatrix:
     """Draw an (N, L) i.i.d. symbol matrix; identical seed, identical draw."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(c.size, size=(cfg.n_symbols, cfg.n_subcarriers),
-                     p=_choice_probs(d))
+                     p=d.choice_probs)
     return SymbolMatrix(values=c.points[idx], seed=seed,
                         constellation_id=c.digest(),
                         distribution_id=d.digest())
@@ -123,7 +114,7 @@ def sample_symbols(c: Constellation, d: Distribution, cfg: OFDMConfig,
 
 def _draw_flat(c, d, cfg, n_mc, seed) -> np.ndarray:
     """(n_mc, N*L) symbol draws; trial m uses seed XOR m."""
-    probs = _choice_probs(d)
+    probs = d.choice_probs
     points = c.points
     nl = cfg.n_symbols * cfg.n_subcarriers
     out = np.empty((n_mc, nl), dtype=complex)
@@ -301,7 +292,7 @@ class AFMoments:
 
 
 def _pair_sinc_sum(L: int, df: float, nu: float, t_diff: float,
-                   include_equal: bool, sinc_2pi: bool) -> float:
+                   include_equal: bool) -> float:
     """sum over subcarrier pairs of sinc(((l1-l2)*df - nu) * t_diff)**2.
 
     Uses the difference distribution: there are L - |d| ordered pairs at each
@@ -314,19 +305,15 @@ def _pair_sinc_sum(L: int, df: float, nu: float, t_diff: float,
     if not include_equal:
         counts = np.where(d == 0, 0, counts)
     arg = (d * df - nu) * t_diff
-    if sinc_2pi:
-        arg = 2.0 * np.pi * arg
     return float(np.sum(counts * np.sinc(arg) ** 2))
 
 
 def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
-                     tau: float, nu: float,
-                     sinc_2pi: bool = False) -> AFMoments:
+                     tau: float, nu: float) -> AFMoments:
     """Exact mean and variances of the AF at (tau, nu).
 
     The distribution enters only through the fourth moment (self-term
-    variance); the cross-term variance is distribution-free.  ``sinc_2pi``
-    selects the alternate variance convention (see module docstring).
+    variance); the cross-term variance is distribution-free.
     """
     _check_point(tau, nu)
     L, N = cfg.n_subcarriers, cfg.n_symbols
@@ -344,10 +331,9 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
         train = np.sum(np.exp(-2j * np.pi * np.arange(N) * nu * t_p))
         mean_self = (t_diff * np.sinc(nu * t_diff)
                      * np.exp(-2j * np.pi * nu * t_avg) * comb * train)
-        var_arg = 2.0 * np.pi * nu * t_diff if sinc_2pi else nu * t_diff
-        var_self = t_diff ** 2 * np.sinc(var_arg) ** 2 * L * (m4 - 1.0)
+        var_self = t_diff ** 2 * np.sinc(nu * t_diff) ** 2 * L * (m4 - 1.0)
         var_cross = t_diff ** 2 * _pair_sinc_sum(
-            L, df, nu, t_diff, include_equal=False, sinc_2pi=sinc_2pi)
+            L, df, nu, t_diff, include_equal=False)
 
     var_cross_train = N * var_cross
     for delta in range(-(N - 1), N):
@@ -358,7 +344,7 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
             continue
         # (N - |delta|) symbol pairs share this overlap geometry
         var_cross_train += (N - abs(delta)) * td ** 2 * _pair_sinc_sum(
-            L, df, nu, td, include_equal=True, sinc_2pi=sinc_2pi)
+            L, df, nu, td, include_equal=True)
 
     return AFMoments(mean_self=complex(mean_self),
                      var_self=float(var_self),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import warnings
@@ -66,9 +67,13 @@ def _get(cp, section, key, conv, default=None):
         raise ConfigError(f"missing config key [{section}] {key}")
     raw = cp.get(section, key)
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be a finite number, "
+                          f"got {raw!r}")
+    return value
 
 
 def _ladder(cp, section, prefix) -> np.ndarray:
@@ -313,7 +318,7 @@ def cmd_tradeoff(cp, args) -> int:
         all_converged = all_converged and opt.converged and heur.converged
 
         sc = _scenario(cp, c, opt.distribution, cfg)
-        pd_seed = derive_seed(seed, f"pd[{float(np.clip(c0, *feasible_c0_range(c))):.9g}]")
+        pd_seed = derive_seed(seed, f"pd[{float(c0):.9g}]")
         alpha = calibrate_so_cfar(sc, seed=pd_seed)
         curve = pd_curve(sc, [sc.snr_db], seed=pd_seed, alpha=alpha)
 
@@ -398,6 +403,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     warnings.filterwarnings("default")
     try:
+        if args.c0 is not None and not math.isfinite(args.c0):
+            raise ConfigError(f"--c0 must be a finite number, got {args.c0!r}")
         cp = _load_config(args.config)
         return _COMMANDS[args.command](cp, args)
     except ConfigError as exc:

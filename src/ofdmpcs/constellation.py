@@ -110,9 +110,6 @@ class Constellation:
         h.update(self.phases.tobytes())
         return h.hexdigest()[:12]
 
-    def from_rings_mass(self, masses) -> "Distribution":
-        return Distribution.from_ring_mass(self, masses)
-
 
 def make_constellation(family: str, order: int) -> Constellation:
     """Build a named constellation.
@@ -208,6 +205,7 @@ class Distribution:
 
     @classmethod
     def from_ring_mass(cls, c: Constellation, masses) -> "Distribution":
+        """Spread aggregate ring masses evenly over each ring's points."""
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (c.n_rings,):
             raise ValueError(f"expected {c.n_rings} ring masses, "
@@ -229,14 +227,19 @@ class Distribution:
         ring_mass = np.bincount(c.ring_index, weights=p, minlength=c.n_rings)
         return cls(per_point=p, ring_mass=ring_mass)
 
+    @property
+    def choice_probs(self) -> np.ndarray:
+        """Per-point probabilities for ``Generator.choice``.
+
+        Clips the -1e-12 negative slack that construction tolerates and
+        renormalizes.
+        """
+        p = np.maximum(np.asarray(self.per_point, dtype=float), 0.0)
+        return p / p.sum()
+
     def digest(self) -> str:
         h = hashlib.sha1(np.asarray(self.per_point, dtype=float).tobytes())
         return h.hexdigest()[:12]
-
-
-def expand_ring_mass(c: Constellation, masses) -> Distribution:
-    """Spread aggregate ring masses evenly over each ring's points."""
-    return Distribution.from_ring_mass(c, masses)
 
 
 def moment(c: Constellation, d: Distribution, order: int) -> float:

@@ -90,14 +90,9 @@ class RangeProfile:
         object.__setattr__(self, "values", v)
 
 
-def _choice_probs(d: Distribution) -> np.ndarray:
-    p = np.clip(np.asarray(d.per_point, dtype=float), 0.0, None)
-    return p / p.sum()
-
-
 def _simulate(sc: DetectionScenario, rng: np.random.Generator) -> np.ndarray:
     length = sc.cfg.n_subcarriers
-    probs = _choice_probs(sc.distribution)
+    probs = sc.distribution.choice_probs
     x = sc.constellation.points[rng.choice(sc.constellation.size, size=length,
                                            p=probs)]
     l_idx = np.arange(length)
@@ -173,7 +168,7 @@ def _batch_ratios(sc: DetectionScenario, n_rows: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Noise-only profile/statistic ratios, n_rows profiles at a time."""
     length = sc.cfg.n_subcarriers
-    probs = _choice_probs(sc.distribution)
+    probs = sc.distribution.choice_probs
     out = []
     for start in range(0, n_rows, _CAL_CHUNK_ROWS):
         rows = min(_CAL_CHUNK_ROWS, n_rows - start)

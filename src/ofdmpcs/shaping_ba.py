@@ -23,15 +23,15 @@ Numerical conventions:
 * Newton also stops on the residual norm: at the endpoints of the feasible
   moment interval the root lies at infinity and steps stop shrinking, while
   the residual still decays to zero.
-* By default one Monte-Carlo sample set, drawn under the uniform input, is
-  shared across all outer iterations.  The fixed-sample objective is then
+* One Monte-Carlo sample set, drawn under the uniform input, is the
+  estimator for every outer iteration.  The fixed-sample objective is then
   exactly alternately maximized, so its trace is non-decreasing to machine
-  precision.  ``resample_each_iter`` redraws under the current iterate
-  instead (the textbook estimator); the trace is then monotone only up to
-  Monte-Carlo noise.
+  precision.
 * Iterates are ring-symmetrized (the per-point integrals are averaged over
   each ring before the update), which is exact for the ring-uniform model
-  and lets the solver run on W ring masses instead of Q probabilities.
+  and lets the solver run on W ring masses instead of Q probabilities: the
+  points of ring ``w`` share one exponent, so the ring's weight carries
+  ``u_w + log count_w``.
 """
 
 from __future__ import annotations
@@ -48,18 +48,27 @@ from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range
 
 _NEG_INF = -np.inf
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
 EXIT_RESIDUAL_TOL = 1e-4
+
+# multiplier solve: a coarse grid scan over [GRID_LO, GRID_HI]^2 seeds a
+# Newton polish, which walks outside the grid freely
+GRID_LO = -20.0
+GRID_HI = 20.0
+GRID_STEP = 0.5
+NEWTON_STEP_TOL = 1e-18
+NEWTON_RESIDUAL_TOL = 1e-11
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class MBAConfig:
     """Settings for :func:`run_mba`.
 
-    ``outer_tol`` stops the outer loop on the squared change of the
-    per-point probability vector (and, secondarily, on a relative objective
-    plateau).  Grid parameters bound the multiplier scan; Newton walks
-    outside them freely.
+    ``n_mc`` is the size of the one fixed sample set that estimates the
+    update integrals in every outer iteration.  ``outer_tol`` stops the outer
+    loop on the squared change of the per-point probability vector (and,
+    secondarily, on a relative objective plateau).  ``air_n_mc`` sizes the
+    final rate estimate.
     """
 
     c0: float
@@ -67,14 +76,6 @@ class MBAConfig:
     n_mc: int = 10_000
     outer_tol: float = 1e-5
     max_outer: int = 300
-    newton_step_tol: float = 1e-18
-    newton_residual_tol: float = 1e-11
-    newton_max_iter: int = 200
-    grid_lo: float = -20.0
-    grid_hi: float = 20.0
-    grid_step: float = 0.5
-    resample_each_iter: bool = False
-    state: str = "rings"          # "rings" | "points"
     air_n_mc: int = 100_000
 
     def __post_init__(self):
@@ -82,18 +83,10 @@ class MBAConfig:
             raise ValueError("noise_power must be positive")
         if self.n_mc < 100:
             raise ValueError("n_mc too small to estimate the update integrals")
-        if self.state not in ("rings", "points"):
-            raise ValueError("state must be 'rings' or 'points'")
 
 
 # ---------------------------------------------------------------------------
-# channel tables
-
-
-def _per_point(p) -> np.ndarray:
-    if isinstance(p, Distribution):
-        return np.asarray(p.per_point, dtype=float)
-    return np.asarray(p, dtype=float)
+# update integrals
 
 
 def _log_likelihood(c: Constellation, samples: np.ndarray,
@@ -109,65 +102,72 @@ def _log_probs(p: np.ndarray) -> np.ndarray:
         return np.where(p > 0, np.log(np.maximum(p, 1e-300)), _NEG_INF)
 
 
-def q_update(c: Constellation, p, samples, spec: ChannelSpec) -> np.ndarray:
-    """Posterior table q(x | y_m) by Bayes' rule; columns sum to one."""
-    loglik = _log_likelihood(c, samples, spec.noise_power)
-    logp = _log_probs(_per_point(p))
-    num = logp[:, None] + loglik
-    return np.exp(num - logsumexp(num, axis=0, keepdims=True))
+def _importance_weights(loglik: np.ndarray, p_draw: np.ndarray) -> np.ndarray:
+    """(Q, M) weights p(y_m | x) / sum_x' p(y_m | x') p_draw(x').
 
-
-def mc_integrals(c: Constellation, p, q_table, samples,
-                 spec: ChannelSpec) -> np.ndarray:
-    """Monte-Carlo estimates of integral p(y|x) log q(x|y) dy, all x at once.
-
-    ``p`` must be the distribution the samples were drawn under (it forms
-    the importance weights ``p(y_m|x) / sum_x' p(y_m|x') p(x')``).  A point
-    whose posterior row is identically zero (zero prior mass) contributes
-    ``-inf`` wherever its weight is positive, matching the limit of the
-    exact integral; isolated zero cells are treated as underflow instead.
+    ``p_draw`` is the per-point distribution the samples were drawn under.
     """
-    loglik = _log_likelihood(c, samples, spec.noise_power)
-    logp_draw = _log_probs(_per_point(p))
-    log_mix = logsumexp(loglik + logp_draw[:, None], axis=0)
-    w = np.exp(loglik - log_mix[None, :])
-    q = np.asarray(q_table, dtype=float)
-    with np.errstate(divide="ignore"):
-        logq = np.where(q > 0, np.log(np.maximum(q, 1e-300)), _NEG_INF)
-    # a point is unreachable only if its posterior vanishes for EVERY
-    # sample (zero prior); scattered zeros are exponent underflow on far
-    # samples, where the true contribution w * log q vanishes (w shrinks
-    # faster than log q diverges), so those get a floored logarithm
-    dead_row = np.all(q == 0.0, axis=1, keepdims=True)
-    terms = w * np.where(np.isfinite(logq), logq, _LOG_TINY)
-    terms = np.where(dead_row & (w > 0.0), _NEG_INF, terms)
-    return np.mean(terms, axis=1)
+    log_mix = logsumexp(loglik + _log_probs(p_draw)[:, None], axis=0)
+    return np.exp(loglik - log_mix[None, :])
 
 
-def mc_integral(x: int, c: Constellation, p, q_table, samples,
-                spec: ChannelSpec) -> float:
-    """Single-point view of :func:`mc_integrals`."""
-    return float(mc_integrals(c, p, q_table, samples, spec)[x])
+def ring_integrals(c: Constellation, loglik: np.ndarray, weights: np.ndarray,
+                   p: np.ndarray) -> np.ndarray:
+    """Ring-averaged Monte-Carlo estimates of integral p(y|x) log q(x|y) dy.
+
+    ``loglik`` and ``weights`` come from one fixed sample set (see
+    :func:`_log_likelihood` and :func:`_importance_weights`); ``p`` is the
+    current per-point iterate, which enters through the Bayes posterior
+    ``q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x')``.  A point of zero mass
+    has a ``-inf`` integral, and so has its whole ring.
+    """
+    logp = _log_probs(p)
+    log_mix = logsumexp(loglik + logp[:, None], axis=0)
+    logq = logp[:, None] + loglik - log_mix[None, :]
+    dead = ~np.isfinite(logq)
+    terms = np.where(dead & (weights == 0.0), 0.0, weights * logq)
+    u_pt = np.where(p > 0, np.mean(terms, axis=1), _NEG_INF)
+    return _ring_means(u_pt, c.ring_index, c.n_rings)
+
+
+def _ring_means(values, ring_index, n_rings):
+    sums = np.bincount(ring_index, weights=np.where(np.isfinite(values),
+                                                    values, 0.0),
+                       minlength=n_rings)
+    counts = np.bincount(ring_index, minlength=n_rings)
+    means = sums / counts
+    has_dead = np.bincount(ring_index, weights=(~np.isfinite(values)).astype(float),
+                           minlength=n_rings) > 0
+    return np.where(has_dead, _NEG_INF, means)
 
 
 # ---------------------------------------------------------------------------
 # multiplier system
 
 
-def _residual_system(u, a2, a4, c0, lam1, lam2, scaled):
-    """Residuals (f1, f2) and Jacobian of the exponential-family update.
+def _tilt(u, a2, a4, lam1, lam2):
+    """Max-shifted weights g = exp(u - lam1 A**4 - lam2 A**2 - shift).
 
-    ``u`` may contain -inf (dead points); those contribute zero weight.
-    The shifted weights g are computed with the running maximum removed;
-    ``scaled`` divides by sum(g), turning residuals into literal moment
-    mismatches of the candidate distribution.
+    ``u`` may contain -inf (dead entries); those get zero weight.  Returns
+    ``(g, shift)``.
     """
     e = u - lam1 * a4 - lam2 * a2
     finite = np.isfinite(e)
     if not np.any(finite):
         raise ValueError("all update weights vanished; integrals are degenerate")
     shift = float(np.max(e[finite]))
-    g = np.where(finite, np.exp(e - shift), 0.0)
+    return np.where(finite, np.exp(e - shift), 0.0), shift
+
+
+def _residual_system(u, a2, a4, c0, lam1, lam2, scaled):
+    """Residuals (f1, f2) and Jacobian of the exponential-family update.
+
+    f1 drives the unit-power constraint, f2 the fourth-moment budget; both
+    are weighted sums of the tilted weights g (see :func:`_tilt`).
+    ``scaled`` divides by sum(g), turning residuals into literal moment
+    mismatches of the candidate distribution.
+    """
+    g, shift = _tilt(u, a2, a4, lam1, lam2)
     total = float(g.sum())
     f = np.array([np.dot(a2 - 1.0, g), np.dot(a4 - c0, g)])
     jac = -np.array([
@@ -185,52 +185,16 @@ def _residual_system(u, a2, a4, c0, lam1, lam2, scaled):
     return restored_f, restored_jac
 
 
-def multiplier_residuals(lam1: float, lam2: float, integrals, c: Constellation,
-                         c0: float, scaled: bool = False):
-    """Constraint residuals (f1, f2) and their 2x2 Jacobian in (lam1, lam2).
-
-    f1 drives the unit-power constraint, f2 the fourth-moment budget; both
-    are weighted sums of g_x = exp(u_x - lam1 A**4 - lam2 A**2) over points.
-    """
-    u = np.asarray(integrals, dtype=float)
-    a2 = c.amplitudes ** 2
-    a4 = a2 ** 2
-    if u.shape != a2.shape:
-        raise ValueError("need one integral per constellation point")
-    return _residual_system(u, a2, a4, c0, lam1, lam2, scaled)
-
-
-def grid_init(residual_fn, ranges, resolution: float):
-    """Coarse grid argmin of ||(f1, f2)|| over a rectangle of multipliers.
-
-    ``ranges`` is ((lo1, hi1), (lo2, hi2)).  Ties keep the first point in
-    scan order (lam1-major, lam2 within).  Returns ((lam1, lam2), norm).
-    """
-    (lo1, hi1), (lo2, hi2) = ranges
-    l1s = np.arange(lo1, hi1 + 0.5 * resolution, resolution)
-    l2s = np.arange(lo2, hi2 + 0.5 * resolution, resolution)
-    best, best_norm = None, np.inf
-    for l1 in l1s:
-        for l2 in l2s:
-            out = residual_fn(l1, l2)
-            f = np.asarray(out[0] if isinstance(out, tuple) else out,
-                           dtype=float)
-            norm = float(np.hypot(f[0], f[1]))
-            if norm < best_norm:
-                best, best_norm = (float(l1), float(l2)), norm
-    return best, best_norm
-
-
 @dataclass(frozen=True)
 class NewtonResult:
     lam: np.ndarray
     converged: bool
     iterations: int
-    used_damping: bool
 
 
-def newton_solve(residual_fn, lam0, step_tol: float = 1e-18,
-                 residual_tol: float = 1e-11, max_iter: int = 200,
+def newton_solve(residual_fn, lam0, step_tol: float = NEWTON_STEP_TOL,
+                 residual_tol: float = NEWTON_RESIDUAL_TOL,
+                 max_iter: int = NEWTON_MAX_ITER,
                  cond_limit: float = 1e12) -> NewtonResult:
     """Damped Newton iteration on the 2x2 residual system.
 
@@ -244,18 +208,16 @@ def newton_solve(residual_fn, lam0, step_tol: float = 1e-18,
     on the boundary of the feasible interval.
     """
     lam = np.array(lam0, dtype=float)
-    used_damping = False
     for it in range(1, max_iter + 1):
         f, jac = residual_fn(lam[0], lam[1])
         f = np.asarray(f, dtype=float)
         norm = float(np.hypot(f[0], f[1]))
         if not np.isfinite(norm):
-            return NewtonResult(lam, False, it, used_damping)
+            return NewtonResult(lam, False, it)
         if norm <= residual_tol:
-            return NewtonResult(lam, True, it, used_damping)
+            return NewtonResult(lam, True, it)
         jac = np.asarray(jac, dtype=float)
-        bad = not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > cond_limit
-        if bad:
+        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > cond_limit:
             step = -np.linalg.pinv(jac) @ f
         else:
             step = np.linalg.solve(jac, -f)
@@ -268,13 +230,12 @@ def newton_solve(residual_fn, lam0, step_tol: float = 1e-18,
                 break
             alpha *= 0.5
         if not ok:
-            return NewtonResult(lam, False, it, used_damping)
-        used_damping = used_damping or bad or alpha < 1.0
+            return NewtonResult(lam, False, it)
         step = alpha * step
         lam = lam + step
         if float(step @ step) <= step_tol:
-            return NewtonResult(lam, True, it, used_damping)
-    return NewtonResult(lam, False, max_iter, used_damping)
+            return NewtonResult(lam, True, it)
+    return NewtonResult(lam, False, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +254,7 @@ _OUTER_CAP = 512.0
 
 
 def _tilted_moments(u, a2, a4, lam1, lam2):
-    e = u - lam1 * a4 - lam2 * a2
-    finite = np.isfinite(e)
-    g = np.where(finite, np.exp(e - np.max(e[finite])), 0.0)
+    g, _ = _tilt(u, a2, a4, lam1, lam2)
     total = g.sum()
     return float(g @ a2) / total, float(g @ a4) / total
 
@@ -353,25 +312,21 @@ def _nested_multiplier_root(u, a2, a4, c0):
     return np.array([float(lam1), float(lam2)])
 
 
-def _match_multipliers(u, a2, a4, c0, cfg: MBAConfig):
+def _match_multipliers(u, a2, a4, c0):
     """Grid + Newton fast path, nested bisection as the robust fallback."""
-    lam0 = _init_multipliers(u, a2, a4, c0, cfg)
-
     def fn(l1, l2):
         return _residual_system(u, a2, a4, c0, l1, l2, scaled=True)
 
-    res = newton_solve(fn, lam0, step_tol=cfg.newton_step_tol,
-                       residual_tol=cfg.newton_residual_tol,
-                       max_iter=cfg.newton_max_iter)
+    res = newton_solve(fn, _init_multipliers(u, a2, a4, c0))
     lam = res.lam
     best = float(np.hypot(*np.asarray(fn(lam[0], lam[1])[0], dtype=float)))
-    if not res.converged or best > cfg.newton_residual_tol:
+    if not res.converged or best > NEWTON_RESIDUAL_TOL:
         alt = _nested_multiplier_root(u, a2, a4, c0)
         alt_norm = float(np.hypot(*np.asarray(fn(alt[0], alt[1])[0],
                                               dtype=float)))
         if alt_norm < best:
             lam = alt
-    return lam, res.iterations
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -394,28 +349,78 @@ def _grid_scan_vec(u, a2, a4, c0, l1s, l2s):
     return np.array([grid1[k], grid2[k]]), float(norms[k])
 
 
-def _init_multipliers(u, a2, a4, c0, cfg: MBAConfig):
-    coarse = np.arange(cfg.grid_lo, cfg.grid_hi + 0.5 * cfg.grid_step,
-                       cfg.grid_step)
+def _init_multipliers(u, a2, a4, c0):
+    """Coarse grid scan, then a ten times finer one around its argmin."""
+    coarse = np.arange(GRID_LO, GRID_HI + 0.5 * GRID_STEP, GRID_STEP)
     lam, _ = _grid_scan_vec(u, a2, a4, c0, coarse, coarse)
-    fine_step = cfg.grid_step / 10.0
-    f1s = np.arange(lam[0] - cfg.grid_step, lam[0] + cfg.grid_step + 0.5 * fine_step,
+    fine_step = GRID_STEP / 10.0
+    f1s = np.arange(lam[0] - GRID_STEP, lam[0] + GRID_STEP + 0.5 * fine_step,
                     fine_step)
-    f2s = np.arange(lam[1] - cfg.grid_step, lam[1] + cfg.grid_step + 0.5 * fine_step,
+    f2s = np.arange(lam[1] - GRID_STEP, lam[1] + GRID_STEP + 0.5 * fine_step,
                     fine_step)
     lam, _ = _grid_scan_vec(u, a2, a4, c0, f1s, f2s)
     return lam
 
 
-def _ring_means(values, ring_index, n_rings):
-    sums = np.bincount(ring_index, weights=np.where(np.isfinite(values),
-                                                    values, 0.0),
-                       minlength=n_rings)
-    counts = np.bincount(ring_index, minlength=n_rings)
-    means = sums / counts
-    has_dead = np.bincount(ring_index, weights=(~np.isfinite(values)).astype(float),
-                           minlength=n_rings) > 0
-    return np.where(has_dead, _NEG_INF, means)
+def _ring_update(u_sys, a2, a4, lam):
+    """Ring masses of the exponential-family update at multipliers ``lam``."""
+    g, _ = _tilt(u_sys, a2, a4, lam[0], lam[1])
+    return g / g.sum()
+
+
+def _objective(mass, u_ring, counts) -> float:
+    """F = sum_x p(x) (u_x - log p(x)), ring-collapsed; nats."""
+    alive = mass > 0
+    logp_ring = np.log(mass[alive] / counts[alive])
+    return float(np.dot(mass[alive], u_ring[alive] - logp_ring))
+
+
+def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
+    """The outer loop on one fixed sample set.
+
+    Returns ``(ring_mass, multipliers, trace, converged)``.  The (Q, n_mc)
+    tables live only in this scope, so they are freed before the caller's
+    final rate estimate.
+    """
+    rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
+    uniform = Distribution.uniform(c)
+    idx = rng.choice(c.size, size=cfg.n_mc, p=uniform.choice_probs)
+    sig = np.sqrt(cfg.noise_power / 2.0)
+    samples = c.points[idx] + rng.normal(scale=sig, size=cfg.n_mc) \
+        + 1j * rng.normal(scale=sig, size=cfg.n_mc)
+    loglik = _log_likelihood(c, samples, cfg.noise_power)
+    weights = _importance_weights(loglik, uniform.per_point)
+
+    ring_a2 = c.ring_amps ** 2
+    ring_a4 = ring_a2 ** 2
+    counts = c.ring_counts.astype(float)
+    log_counts = np.log(counts)
+
+    def point_probs(mass_vec):
+        return mass_vec[c.ring_index] / counts[c.ring_index]
+
+    mass = counts / float(c.size)              # ring masses, start uniform
+    u_ring = ring_integrals(c, loglik, weights, point_probs(mass))
+    trace: list[float] = []
+    converged = False
+    lam = np.zeros(2)
+    for _ in range(cfg.max_outer):
+        u_sys = u_ring + log_counts            # weights folded into exponents
+        lam = _match_multipliers(u_sys, ring_a2, ring_a4, c0)
+        mass_new = _ring_update(u_sys, ring_a2, ring_a4, lam)
+
+        # the integrals under the new iterate score it and feed the next update
+        u_ring = ring_integrals(c, loglik, weights, point_probs(mass_new))
+        f_val = _objective(mass_new, u_ring, counts)
+        plateau = bool(trace) and abs(f_val - trace[-1]) <= cfg.outer_tol * abs(trace[-1])
+        trace.append(f_val)
+
+        delta = point_probs(mass_new) - point_probs(mass)
+        mass = mass_new
+        if float(delta @ delta) <= cfg.outer_tol or plateau:
+            converged = True
+            break
+    return mass, lam, trace, converged
 
 
 def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
@@ -425,7 +430,7 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
     with the multiplier-matched exponential input update, and stops when the
     probability vector settles (or the objective plateaus).  The recorded
     trace holds the sample objective (nats) after each input update; with
-    shared samples it is non-decreasing by construction.
+    the fixed sample set it is non-decreasing by construction.
 
     Raises ``ValueError`` when ``c0`` lies outside the feasible moment range.
     """
@@ -434,102 +439,19 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
         raise ValueError(f"fourth-moment target {cfg.c0} outside the feasible "
                          f"range [{lo:.6f}, {hi:.6f}]")
     c0 = float(np.clip(cfg.c0, lo, hi))
-    spec = ChannelSpec(cfg.noise_power)
-    rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
-
-    ring_a2 = c.ring_amps ** 2
-    ring_a4 = ring_a2 ** 2
-    counts = c.ring_counts.astype(float)
-    log_counts = np.log(counts)
-    W = c.n_rings
-
-    def draw(dist_pt: np.ndarray):
-        idx = rng.choice(c.size, size=cfg.n_mc, p=dist_pt / dist_pt.sum())
-        sig = np.sqrt(cfg.noise_power / 2.0)
-        y = c.points[idx] + rng.normal(scale=sig, size=cfg.n_mc) \
-            + 1j * rng.normal(scale=sig, size=cfg.n_mc)
-        return y
-
-    uniform_pt = np.full(c.size, 1.0 / c.size)
-    samples = draw(uniform_pt)
-    loglik = _log_likelihood(c, samples, cfg.noise_power)
-    log_mix_draw = logsumexp(loglik + _log_probs(uniform_pt)[:, None], axis=0)
-
-    mass = counts / float(c.size)              # ring masses, start uniform
-    trace: list[float] = []
-    newton_iters = 0
-    converged_outer = False
-    lam = np.zeros(2)
-
-    def point_probs(mass_vec):
-        return mass_vec[c.ring_index] / counts[c.ring_index]
-
-    def sym_integrals(mass_vec):
-        """Ring-averaged update integrals under the current iterate."""
-        logp = _log_probs(point_probs(mass_vec))
-        log_mix_now = logsumexp(loglik + logp[:, None], axis=0)
-        logq = logp[:, None] + loglik - log_mix_now[None, :]
-        w = np.exp(loglik - log_mix_draw[None, :])
-        dead = ~np.isfinite(logq)
-        terms = np.where(dead & (w == 0.0), 0.0, w * logq)
-        u_pt = np.mean(terms, axis=1)
-        u_pt = np.where(point_probs(mass_vec) > 0, u_pt, _NEG_INF)
-        return _ring_means(u_pt, c.ring_index, W)
-
-    def objective(mass_vec, u_ring):
-        # F = sum_x p(x) (u_x - log p(x)), ring-collapsed; nats
-        alive = mass_vec > 0
-        logp_ring = np.log(mass_vec[alive] / counts[alive])
-        return float(np.dot(mass_vec[alive], u_ring[alive] - logp_ring))
-
-    for outer in range(1, cfg.max_outer + 1):
-        if cfg.resample_each_iter and outer > 1:
-            samples = draw(point_probs(mass))
-            loglik = _log_likelihood(c, samples, cfg.noise_power)
-            log_mix_draw = logsumexp(
-                loglik + _log_probs(point_probs(mass))[:, None], axis=0)
-
-        u_ring = sym_integrals(mass)
-        if cfg.state == "rings":
-            u_sys = u_ring + log_counts        # weights folded into exponents
-            a2_sys, a4_sys = ring_a2, ring_a4
-        else:
-            u_sys = u_ring[c.ring_index]
-            a2_sys = c.amplitudes ** 2
-            a4_sys = a2_sys ** 2
-
-        lam, n_it = _match_multipliers(u_sys, a2_sys, a4_sys, c0, cfg)
-        newton_iters += n_it
-
-        e = u_sys - lam[0] * a4_sys - lam[1] * a2_sys
-        finite = np.isfinite(e)
-        g = np.where(finite, np.exp(e - np.max(e[finite])), 0.0)
-        if cfg.state == "rings":
-            mass_new = g / g.sum()
-        else:
-            p_new = g / g.sum()
-            mass_new = np.bincount(c.ring_index, weights=p_new, minlength=W)
-
-        u_new = sym_integrals(mass_new)
-        f_val = objective(mass_new, u_new)
-        plateau = bool(trace) and abs(f_val - trace[-1]) <= cfg.outer_tol * abs(trace[-1])
-        trace.append(f_val)
-
-        delta = point_probs(mass_new) - point_probs(mass)
-        mass = mass_new
-        if float(delta @ delta) <= cfg.outer_tol or plateau:
-            converged_outer = True
-            break
+    mass, lam, trace, converged_outer = _iterate(c, cfg, c0, seed)
 
     mass = np.maximum(mass, 0.0)
     mass = mass / mass.sum()
     dist = Distribution.from_ring_mass(c, mass)
-    m4 = float(np.dot(mass, ring_a4))
+    ring_a2 = c.ring_amps ** 2
+    m4 = float(np.dot(mass, ring_a2 ** 2))
     residuals = (abs(m4 - c0), abs(float(np.dot(mass, ring_a2)) - 1.0),
                  abs(float(mass.sum()) - 1.0))
     feasible = max(residuals) <= EXIT_RESIDUAL_TOL
 
-    air = mutual_information(c, dist, spec, n_mc=cfg.air_n_mc,
+    air = mutual_information(c, dist, ChannelSpec(cfg.noise_power),
+                             n_mc=cfg.air_n_mc,
                              seed=derive_seed(seed, "mba-air"))
     return ShapingResult(
         c0=float(cfg.c0), method="optimal",

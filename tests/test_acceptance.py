@@ -14,16 +14,16 @@ from scipy.special import erfc
 
 from ofdmpcs.ambiguity import (OFDMConfig, af_samples, analytic_moments,
                                average_af)
-from ofdmpcs.constellation import (Distribution, expand_ring_mass,
-                                   make_constellation, moment)
+from ofdmpcs.constellation import Distribution, make_constellation, moment
 from ofdmpcs.detection import (DetectionScenario, calibrate_so_cfar,
                                detection_probability)
 from ofdmpcs.rates import ChannelSpec, mutual_information
 from ofdmpcs.seeds import derive_seed
 from ofdmpcs.shaping import feasible_c0_range, solve_heuristic
-from ofdmpcs.shaping_ba import (MBAConfig, grid_init, mc_integrals,
-                                multiplier_residuals, newton_solve, q_update,
-                                run_mba)
+from ofdmpcs.shaping_ba import (GRID_HI, GRID_LO, GRID_STEP, MBAConfig,
+                                _grid_scan_vec, _importance_weights,
+                                _log_likelihood, _residual_system,
+                                newton_solve, ring_integrals, run_mba)
 
 QAM16 = make_constellation("qam", 16)
 QAM64 = make_constellation("qam", 64)
@@ -209,7 +209,8 @@ def test_criterion_06_rate_endpoints(announce):
         ("uniform 16-QAM", QAM16, Distribution.uniform(QAM16), 4.00,
          "c6-16qam"),
         ("middle-ring 16-QAM", QAM16,
-         expand_ring_mass(QAM16, [0.0, 1.0, 0.0]), 3.00, "c6-p8psk"),
+         Distribution.from_ring_mass(QAM16, [0.0, 1.0, 0.0]), 3.00,
+         "c6-p8psk"),
         ("uniform 64-QAM", QAM64, Distribution.uniform(QAM64), 6.00,
          "c6-64qam"),
     ]
@@ -262,8 +263,9 @@ def test_criterion_07_ascent_and_feasibility(announce):
 
 
 def test_criterion_08_newton_vs_dense_grid(announce):
+    # the shaper's first update: ring integrals under the uniform draw, ring
+    # counts folded into the exponents, ring amplitudes
     sigma2 = 0.01
-    spec = ChannelSpec(noise_power=sigma2)
     rng = np.random.default_rng(derive_seed(2024, "criterion8"))
     p0 = Distribution.uniform(QAM16)
     n = 20_000
@@ -271,14 +273,19 @@ def test_criterion_08_newton_vs_dense_grid(announce):
     noise = np.sqrt(sigma2 / 2.0) * (rng.normal(size=n)
                                      + 1j * rng.normal(size=n))
     samples = QAM16.points[idx] + noise
-    q = q_update(QAM16, p0, samples, spec)
-    u = mc_integrals(QAM16, p0, q, samples, spec)
+    loglik = _log_likelihood(QAM16, samples, sigma2)
+    weights = _importance_weights(loglik, p0.per_point)
+    u = ring_integrals(QAM16, loglik, weights, p0.per_point)
     assert np.all(np.isfinite(u))
+    u = u + np.log(QAM16.ring_counts)
+    a2 = QAM16.ring_amps ** 2
+    a4 = a2 ** 2
 
     def fn(l1, l2):
-        return multiplier_residuals(l1, l2, u, QAM16, 1.1, scaled=True)
+        return _residual_system(u, a2, a4, 1.1, l1, l2, scaled=True)
 
-    lam0, _ = grid_init(fn, ((-20.0, 20.0), (-20.0, 20.0)), 0.5)
+    coarse = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
+    lam0, _ = _grid_scan_vec(u, a2, a4, 1.1, coarse, coarse)
     sol = newton_solve(fn, lam0)
     f_root, _ = fn(*sol.lam)
     root_norm = float(np.hypot(*f_root))
@@ -300,15 +307,15 @@ def test_criterion_08_newton_vs_dense_grid(announce):
     h = 1e-5
     worst_rel = 0.0
     for lam in (tuple(sol.lam), (0.0, 0.0), (1.3, -0.7)):
-        _, jac = multiplier_residuals(*lam, u, QAM16, 1.1, scaled=False)
+        _, jac = _residual_system(u, a2, a4, 1.1, *lam, scaled=False)
         fd = np.empty((2, 2))
         for a in range(2):
             dl = np.zeros(2)
             dl[a] = h
-            f_hi, _ = multiplier_residuals(*(np.add(lam, dl)), u, QAM16, 1.1,
-                                           scaled=False)
-            f_lo, _ = multiplier_residuals(*(np.subtract(lam, dl)), u, QAM16,
-                                           1.1, scaled=False)
+            f_hi, _ = _residual_system(u, a2, a4, 1.1, *np.add(lam, dl),
+                                       scaled=False)
+            f_lo, _ = _residual_system(u, a2, a4, 1.1, *np.subtract(lam, dl),
+                                       scaled=False)
             fd[:, a] = (np.asarray(f_hi) - np.asarray(f_lo)) / (2.0 * h)
         rel = np.abs(fd - jac) / np.maximum(np.abs(jac), 1e-30)
         worst_rel = max(worst_rel, float(rel.max()))
@@ -330,7 +337,8 @@ def test_criterion_09_detection_ordering(announce):
     cfg = OFDMConfig(n_subcarriers=64)
     u64 = Distribution.uniform(QAM64)
     upsk = Distribution.uniform(PSK64)
-    shaped = expand_ring_mass(QAM64, solve_heuristic(QAM64, 1.2).ring_mass)
+    shaped = Distribution.from_ring_mass(QAM64,
+                                         solve_heuristic(QAM64, 1.2).ring_mass)
     # 18 dB puts the uniform-QAM detection probability near 0.5 at this
     # false-alarm target, which is where the curves separate most
     base = DetectionScenario(constellation=QAM64, distribution=u64, cfg=cfg,
@@ -368,12 +376,12 @@ def test_criterion_10_tradeoff_dominance(announce):
                                        n_mc=8000), seed=seed)
         assert opt.converged, f"shaper diverged at c0={c0}"
         heur = solve_heuristic(QAM64, float(c0))
-        mi_o = mutual_information(QAM64, expand_ring_mass(QAM64,
-                                                          opt.ring_mass),
+        mi_o = mutual_information(QAM64, Distribution.from_ring_mass(
+                                      QAM64, opt.ring_mass),
                                   spec, n_mc=20_000,
                                   seed=derive_seed(seed, f"air-opt-{i}"))
-        mi_h = mutual_information(QAM64, expand_ring_mass(QAM64,
-                                                          heur.ring_mass),
+        mi_h = mutual_information(QAM64, Distribution.from_ring_mass(
+                                      QAM64, heur.ring_mass),
                                   spec, n_mc=20_000,
                                   seed=derive_seed(seed, f"air-heur-{i}"))
         opt_col.append(mi_o.mi_bits)

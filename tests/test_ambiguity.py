@@ -245,14 +245,6 @@ class TestAnalyticMoments:
         assert four.var_self_train == pytest.approx(4 * one.var_self, rel=1e-12)
         assert one.var_self_train == pytest.approx(one.var_self, rel=1e-12)
 
-    def test_sinc_convention_flag(self, qam16, uniform16, ofdm64):
-        base = analytic_moments(qam16, uniform16, ofdm64, 0.1, 0.5)
-        alt = analytic_moments(qam16, uniform16, ofdm64, 0.1, 0.5, sinc_2pi=True)
-        assert alt.var_self != base.var_self
-        same = analytic_moments(qam16, uniform16, ofdm64, 0.1, 0.0)
-        same_alt = analytic_moments(qam16, uniform16, ofdm64, 0.1, 0.0, sinc_2pi=True)
-        assert same_alt.var_self == pytest.approx(same.var_self, rel=1e-12)
-
 
 def _split_samples(c, d, cfg, tau, nu, n_mc, seed):
     """(self, cross) sample arrays via per-draw component evaluation."""

@@ -108,6 +108,23 @@ class TestExitCodes:
         rc = run_cli("shape", "--config", str(starved), "--out", str(tmp_path / "o"))
         assert rc == EXIT_NONCONVERGED
 
+    def test_non_finite_numbers_rejected_at_parse(self, config, tmp_path,
+                                                  capsys):
+        # each value once reached the library and came back as numpy or
+        # linprog text; the message must name the offending key instead
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("snr_db_max = 20", "snr_db_max = inf"))
+        cases = [(("air", "--config", str(bad)), "snr_db_max"),
+                 (("shape", "--config", str(config), "--method", "heuristic",
+                   "--c0", "nan"), "--c0")]
+        for argv, key in cases:
+            rc = run_cli(*argv, "--out", str(tmp_path / "o"))
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG, argv
+            assert err.startswith("config error:") and key in err, err
+            assert "finite" in err, err
+            assert "linprog" not in err and "Maximum allowed" not in err, err
+
 
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ofdmpcs import (
     Constellation,
     Distribution,
-    expand_ring_mass,
     from_json,
     from_rings,
     make_constellation,
@@ -121,7 +120,7 @@ class TestDistribution:
         np.testing.assert_allclose(uniform16.per_point, np.full(16, 1 / 16))
 
     def test_expand_ring_mass_splits_equally(self, qam16):
-        d = expand_ring_mass(qam16, [0.5, 0.25, 0.25])
+        d = Distribution.from_ring_mass(qam16, [0.5, 0.25, 0.25])
         for w, amp in enumerate(qam16.ring_amps):
             idx = qam16.ring_index == w
             np.testing.assert_allclose(d.per_point[idx], d.ring_mass[w] / np.sum(idx), atol=1e-15)

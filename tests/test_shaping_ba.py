@@ -1,9 +1,12 @@
 """Rate-maximizing shaper: solver pieces and end-to-end behavior.
 
-The multiplier system has its Jacobian checked against finite differences,
-the Newton iteration is exercised on a known root, the posterior update is
-compared with a hand-computed Bayes rule, and the Monte-Carlo integrals are
-validated against Gauss-Hermite quadrature.  End-to-end runs are pinned to
+Every piece is the code ``run_mba`` runs.  The multiplier system has its
+Jacobian checked against finite differences, the Newton iteration is
+exercised on a known root, the grid scan is compared with a scalar loop,
+the ring-folded update is compared with the per-point exponential-family
+update, the posterior inside the update integrals is compared with a
+hand-computed Bayes rule, and the Monte-Carlo integrals are validated against
+Gauss-Hermite quadrature.  End-to-end runs are pinned to
 the cases with independently known answers: the uniform fourth moment must
 return the uniform distribution, the lower endpoint must collapse to the
 unit-power rings, and the objective trace must never decrease.
@@ -17,19 +20,37 @@ from ofdmpcs import (
     ChannelSpec,
     Distribution,
     MBAConfig,
-    grid_init,
-    make_constellation,
-    mc_integral,
-    mc_integrals,
+    from_rings,
     moment,
-    multiplier_residuals,
     mutual_information,
     newton_solve,
-    q_update,
     run_mba,
     solve_heuristic,
 )
-from ofdmpcs.shaping_ba import EXIT_RESIDUAL_TOL, _residual_system
+from ofdmpcs.shaping_ba import (
+    EXIT_RESIDUAL_TOL,
+    _grid_scan_vec,
+    _importance_weights,
+    _log_likelihood,
+    _match_multipliers,
+    _residual_system,
+    _ring_update,
+    ring_integrals,
+)
+
+
+def ring_system(c):
+    """Squared and fourth-power ring amplitudes and log ring counts."""
+    a2 = c.ring_amps ** 2
+    return a2, a2 ** 2, np.log(c.ring_counts.astype(float))
+
+
+def integrals_at(c, p, y, sigma2, p_draw=None):
+    """Ring integrals under per-point ``p`` for samples ``y`` drawn under
+    ``p_draw`` (default ``p``)."""
+    loglik = _log_likelihood(c, y, sigma2)
+    w = _importance_weights(loglik, p if p_draw is None else p_draw)
+    return ring_integrals(c, loglik, w, p)
 
 
 def quadratic_system(lam1, lam2):
@@ -80,21 +101,38 @@ class TestNewton:
 
 
 class TestGridInit:
-    def test_finds_coarse_minimum(self):
-        def resid(l1, l2):
-            return np.array([l1 - 0.32, l2 + 0.54])
+    def test_finds_coarse_minimum(self, qam16):
+        # plant the root: tilting u back by lam* gives the heuristic masses,
+        # which meet both moments at c0 exactly
+        c0, lam_star = 1.2, (0.32, -0.54)
+        a2, a4, _ = ring_system(qam16)
+        mass = solve_heuristic(qam16, c0).ring_mass
+        u = np.log(mass) + lam_star[0] * a4 + lam_star[1] * a2
+        axis = np.arange(-1.0, 1.0 + 0.05, 0.1)
+        lam, norm = _grid_scan_vec(u, a2, a4, c0, axis, axis)
 
-        (l1, l2), norm = grid_init(resid, ((-1.0, 1.0), (-1.0, 1.0)), 0.1)
-        assert abs(l1 - 0.32) <= 0.05 + 1e-12
-        assert abs(l2 + 0.54) <= 0.05 + 1e-12
-        assert norm == pytest.approx(np.hypot(l1 - 0.32, l2 + 0.54))
+        # scalar oracle: the moment mismatch of each tilted candidate
+        best, best_norm = None, np.inf
+        for l1 in axis:
+            for l2 in axis:
+                g = np.exp(u - l1 * a4 - l2 * a2)
+                g /= g.sum()
+                r = np.hypot(g @ a2 - 1.0, g @ a4 - c0)
+                if r < best_norm:
+                    best, best_norm = (l1, l2), r
+        assert tuple(lam) == best
+        assert norm == pytest.approx(best_norm, rel=1e-9)
+        assert np.all(np.abs(lam - lam_star) <= 0.1 + 1e-12)
 
-    def test_tie_breaks_to_first_scan_point(self):
-        def flat(l1, l2):
-            return np.array([1.0, 0.0])
-
-        (l1, l2), _ = grid_init(flat, ((-2.0, 2.0), (-1.0, 1.0)), 0.5)
-        assert (l1, l2) == (-2.0, -1.0)
+    def test_tie_breaks_to_first_scan_point(self, qam16):
+        # one live ring: every tilt gives the same point mass, so every grid
+        # point ties and the scan must keep the first one
+        a2, a4, _ = ring_system(qam16)
+        u = np.array([0.0, -np.inf, -np.inf])
+        lam, norm = _grid_scan_vec(u, a2, a4, 1.2, np.arange(-2.0, 2.25, 0.5),
+                                   np.arange(-1.0, 1.25, 0.5))
+        assert tuple(lam) == (-2.0, -1.0)
+        assert norm == pytest.approx(np.hypot(a2[0] - 1.0, a4[0] - 1.2))
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +144,8 @@ def realistic_u(qam16):
     s = np.sqrt(spec.noise_power / 2)
     y = qam16.points[idx] + rng.normal(scale=s, size=4000) + 1j * rng.normal(
         scale=s, size=4000)
-    q = q_update(qam16, d.per_point, y, spec)
-    return mc_integrals(qam16, d.per_point, q, y, spec)
+    _, _, log_counts = ring_system(qam16)
+    return integrals_at(qam16, d.per_point, y, spec.noise_power) + log_counts
 
 
 class TestMultiplierSystem:
@@ -115,8 +153,7 @@ class TestMultiplierSystem:
         # the raw pair (f, J) is derivative-consistent; the scaled variant
         # divides both by the same normalizer purely to keep the Newton
         # step well-conditioned, so the check runs on the raw system
-        a2 = np.abs(qam16.points) ** 2
-        a4 = a2**2
+        a2, a4, _ = ring_system(qam16)
         for lam in [(0.0, 0.0), (1.3, -0.7), (-2.0, 4.0)]:
             f0, jac = _residual_system(realistic_u, a2, a4, 1.1, lam[0], lam[1], scaled=False)
             h = 1e-5
@@ -132,96 +169,118 @@ class TestMultiplierSystem:
 
     def test_scaled_residuals_are_tilt_invariant(self, qam16, realistic_u):
         # adding a constant to u rescales raw residuals but not scaled ones
-        f_raw, _ = multiplier_residuals(0.4, -0.2, realistic_u, qam16, 1.2)
-        f_shift, _ = multiplier_residuals(0.4, -0.2, realistic_u + 2.5, qam16, 1.2)
+        a2, a4, _ = ring_system(qam16)
+        u = realistic_u
+        f_raw, _ = _residual_system(u, a2, a4, 1.2, 0.4, -0.2, scaled=False)
+        f_shift, _ = _residual_system(u + 2.5, a2, a4, 1.2, 0.4, -0.2,
+                                      scaled=False)
         np.testing.assert_allclose(f_shift, np.exp(2.5) * f_raw, rtol=1e-9)
 
-        s_raw, _ = multiplier_residuals(0.4, -0.2, realistic_u, qam16, 1.2, scaled=True)
-        s_shift, _ = multiplier_residuals(0.4, -0.2, realistic_u + 2.5, qam16, 1.2, scaled=True)
+        s_raw, _ = _residual_system(u, a2, a4, 1.2, 0.4, -0.2, scaled=True)
+        s_shift, _ = _residual_system(u + 2.5, a2, a4, 1.2, 0.4, -0.2,
+                                      scaled=True)
         np.testing.assert_allclose(s_shift, s_raw, rtol=1e-9)
 
     def test_scaled_residuals_are_moment_mismatches(self, qam16, realistic_u):
         # at any multipliers, scaled residuals equal (E[A^2]-1, E[A^4]-c0)
         # under the tilted distribution
-        a2 = np.abs(qam16.points) ** 2
+        a2, a4, _ = ring_system(qam16)
         lam1, lam2, c0 = -0.9, 1.7, 1.25
         g = np.exp(realistic_u - lam1 * a2**2 - lam2 * a2)
         g /= g.sum()
-        f, _ = multiplier_residuals(lam1, lam2, realistic_u, qam16, c0, scaled=True)
+        f, _ = _residual_system(realistic_u, a2, a4, c0, lam1, lam2, scaled=True)
         assert f[0] == pytest.approx(np.sum(a2 * g) - 1.0, rel=1e-9)
         assert f[1] == pytest.approx(np.sum(a2**2 * g) - c0, rel=1e-9)
 
     def test_raw_residuals_overflow_guard(self, qam16, realistic_u):
+        a2, a4, _ = ring_system(qam16)
         with pytest.raises(OverflowError):
-            multiplier_residuals(-500.0, -500.0, realistic_u, qam16, 1.2)
+            _residual_system(realistic_u, a2, a4, 1.2, -500.0, -500.0,
+                             scaled=False)
+
+    def test_ring_update_equals_per_point_update(self, qam16, realistic_u):
+        # the solver folds each ring's point count into its exponent and
+        # works on ring amplitudes; unfolded, the same multipliers must solve
+        # the per-point system, and the per-point update summed per ring must
+        # give the ring update
+        c0 = 1.18
+        a2, a4, log_counts = ring_system(qam16)
+        lam = _match_multipliers(realistic_u, a2, a4, c0)
+        mass = _ring_update(realistic_u, a2, a4, lam)
+
+        u_pt = (realistic_u - log_counts)[qam16.ring_index]
+        a2_pt = qam16.amplitudes ** 2
+        p = np.exp(u_pt - lam[0] * a2_pt**2 - lam[1] * a2_pt)
+        p /= p.sum()
+        assert p @ a2_pt == pytest.approx(1.0, abs=1e-10)
+        assert p @ a2_pt**2 == pytest.approx(c0, abs=1e-10)
+        np.testing.assert_allclose(
+            mass, np.bincount(qam16.ring_index, weights=p), rtol=1e-12)
 
 
 class TestPosterior:
     def test_bayes_rule_by_hand(self, qam16, uniform16):
-        spec = ChannelSpec(0.3)
-        y = np.array([0.1 + 0.2j, -0.7 - 0.7j, 2.0 + 0.0j])
-        q = q_update(qam16, uniform16.per_point, y, spec)
-        lik = np.exp(-np.abs(qam16.points[:, None] - y[None, :]) ** 2 / 0.3)
-        want = (uniform16.per_point[:, None] * lik)
-        want /= want.sum(axis=0, keepdims=True)
-        np.testing.assert_allclose(q, want, rtol=1e-12)
-        np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
+        # one sample at unit weight: the ring integral is the ring mean of
+        # log q(x | y) itself
+        sigma2 = 0.3
+        p = uniform16.per_point
+        for y in (0.1 + 0.2j, -0.7 - 0.7j, 2.0 + 0.0j):
+            loglik = _log_likelihood(qam16, [y], sigma2)
+            u = ring_integrals(qam16, loglik, np.ones_like(loglik), p)
+            lik = np.exp(-np.abs(qam16.points - y) ** 2 / sigma2)
+            q = p * lik / np.sum(p * lik)
+            assert q.sum() == pytest.approx(1.0, abs=1e-12)
+            want = np.bincount(qam16.ring_index, weights=np.log(q)) \
+                / qam16.ring_counts
+            np.testing.assert_allclose(u, want, rtol=1e-12)
 
     def test_zero_prior_never_resurrects(self, qam16):
         d = Distribution.from_ring_mass(qam16, [0.0, 1.0, 0.0])
-        spec = ChannelSpec(0.5)
         y = qam16.points[:4] + 0.01  # near the (zeroed) inner ring
-        q = q_update(qam16, d.per_point, y, spec)
-        assert np.all(q[d.per_point == 0.0] == 0.0)
+        u = integrals_at(qam16, d.per_point, y, 0.5)
+        # -inf integrals give the zeroed rings zero weight in every update
+        assert np.isneginf(u[0]) and np.isneginf(u[2])
+        assert np.isfinite(u[1])
 
 
 class TestMonteCarloIntegrals:
-    def test_point_mass_posterior_gives_zero(self, qam16):
-        # if all mass sits on one point, q(x|y) = 1 there and the integral
-        # of log q vanishes
-        p = np.zeros(16)
-        p[5] = 1.0
-        spec = ChannelSpec(0.2)
+    def test_point_mass_posterior_gives_zero(self):
+        # all mass on the lone centre point: q(x|y) = 1 there and the
+        # integral of log q vanishes; the ring it does not reach is -inf
+        c = from_rings([0.0, 1.0], [1, 4])
+        p = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         rng = np.random.default_rng(3)
         s = np.sqrt(0.1)
-        y = qam16.points[5] + rng.normal(scale=s, size=500) + 1j * rng.normal(scale=s, size=500)
-        q = q_update(qam16, p, y, spec)
-        u = mc_integrals(qam16, p, q, y, spec)
-        assert u[5] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.isinf(u[np.arange(16) != 5]))
+        y = rng.normal(scale=s, size=500) + 1j * rng.normal(scale=s, size=500)
+        u = integrals_at(c, p, y, 0.2)
+        assert u[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isneginf(u[1])
 
     def test_matches_quadrature(self, qam16, uniform16):
-        # E_{y|x} log q(x|y) via Gauss-Hermite against the importance-
-        # weighted Monte-Carlo route, for the uniform sampler
-        spec = ChannelSpec(0.15)
-        sigma2 = spec.noise_power
+        # E_{y|x} log q(x|y) via Gauss-Hermite, averaged over each ring,
+        # against the importance-weighted Monte-Carlo route, for the uniform
+        # sampler
+        sigma2 = 0.15
         n = 60_000
         rng = np.random.default_rng(17)
         idx = rng.choice(16, n, p=uniform16.per_point)
         s = np.sqrt(sigma2 / 2)
         y = qam16.points[idx] + rng.normal(scale=s, size=n) + 1j * rng.normal(scale=s, size=n)
-        q = q_update(qam16, uniform16.per_point, y, spec)
-        u_mc = mc_integrals(qam16, uniform16.per_point, q, y, spec)
+        u_mc = integrals_at(qam16, uniform16.per_point, y, sigma2)
 
         z, w = np.polynomial.hermite_e.hermegauss(80)
         w = w / np.sqrt(2 * np.pi)
         noise = np.sqrt(sigma2 / 2) * (z[:, None] + 1j * z[None, :]).ravel()
         ww = (w[:, None] * w[None, :]).ravel()
-        for x in (0, 5, 12):
+        want = np.empty(16)
+        for x in range(16):
             yq = qam16.points[x] + noise
             lik = np.exp(-np.abs(qam16.points[:, None] - yq[None, :]) ** 2 / sigma2)
             qq = uniform16.per_point[:, None] * lik
             qq /= qq.sum(axis=0, keepdims=True)
-            want = np.sum(ww * np.log(qq[x]))
-            assert u_mc[x] == pytest.approx(want, abs=0.01)
-
-    def test_single_point_view(self, qam16, uniform16):
-        spec = ChannelSpec(0.2)
-        rng = np.random.default_rng(9)
-        y = rng.normal(size=300) + 1j * rng.normal(size=300)
-        q = q_update(qam16, uniform16.per_point, y, spec)
-        u = mc_integrals(qam16, uniform16.per_point, q, y, spec)
-        assert mc_integral(7, qam16, uniform16.per_point, q, y, spec) == u[7]
+            want[x] = np.sum(ww * np.log(qq[x]))
+        want = np.bincount(qam16.ring_index, weights=want) / qam16.ring_counts
+        np.testing.assert_allclose(u_mc, want, atol=0.01)
 
 
 class TestRunMba:
@@ -260,12 +319,6 @@ class TestRunMba:
         for w in range(3):
             ring = per_point[qam16.ring_index == w]
             np.testing.assert_allclose(ring, ring[0], rtol=1e-12)
-
-    def test_point_state_agrees_with_ring_state(self, qam16):
-        kw = dict(c0=1.2, noise_power=0.05, n_mc=2000, air_n_mc=2000)
-        a = run_mba(qam16, MBAConfig(state="rings", **kw), seed=6)
-        b = run_mba(qam16, MBAConfig(state="points", **kw), seed=6)
-        np.testing.assert_allclose(a.ring_mass, b.ring_mass, atol=1e-6)
 
     def test_infeasible_target_rejected(self, qam16):
         with pytest.raises(ValueError, match="feasible"):
@@ -323,7 +376,3 @@ class TestConfigValidation:
     def test_small_sample_count(self):
         with pytest.raises(ValueError):
             MBAConfig(c0=1.2, noise_power=0.1, n_mc=10)
-
-    def test_bad_state(self):
-        with pytest.raises(ValueError):
-            MBAConfig(c0=1.2, noise_power=0.1, state="bogus")
