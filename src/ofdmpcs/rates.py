@@ -17,11 +17,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constellation import Constellation, Distribution
 
 LN2 = float(np.log(2.0))
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a), axis)) of a real array, max-shifted.
+
+    The m entries equal to the slice maximum are taken out of the sum,
+    which is then ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
+    ``exp(a - max)`` over the rest (Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 41(4), 2021).  A slice that is all ``-inf`` gives ``-inf``.
+    """
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    with np.errstate(invalid="ignore"):     # -inf - -inf in all-dead slices
+        e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    m = np.count_nonzero(at_max, axis=axis)
+    s = np.sum(e, axis=axis)
+    return np.log1p(s / m) + np.log(m) + np.squeeze(a_max, axis=axis)
 
 
 @dataclass(frozen=True)

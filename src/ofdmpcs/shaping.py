@@ -17,21 +17,21 @@ affine-projection / nonnegativity-clip pass iterated to a fixed point.  No
 secondary objective is imposed, but starting at the uniform loading keeps
 the solution interior and smooth in ``c0``.  When that alternation cannot
 settle — the feasible set thins to a sliver or a single vertex at the
-endpoints of the feasible range — an exact active-set solve (zero-objective
-linear program) takes over, which terminates unconditionally with
-machine-precision residuals.
+endpoints of the feasible range — an exact vertex enumeration takes over,
+which terminates unconditionally with machine-precision residuals.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .constellation import Constellation, Distribution, moment
+from .constellation import (CONSTRUCTION_TOL, Constellation, Distribution,
+                            moment)
 
 RESIDUAL_TOL = 1e-10
 MASS_SLACK = 1e-12
@@ -86,17 +86,22 @@ def ring_system(c: Constellation, c0: float) -> RingSystem:
 
 
 def feasible_c0_range(c: Constellation) -> tuple[float, float]:
-    """Attainable fourth-moment interval under unit power, via two LPs."""
-    a2 = c.ring_amps ** 2
-    a4 = a2 ** 2
-    a_eq = np.vstack([a2, np.ones_like(a2)])
-    b_eq = np.array([1.0, 1.0])
-    lo = linprog(a4, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    hi = linprog(-a4, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not (lo.success and hi.success):
-        raise ValueError("fourth-moment range LP failed; is the constellation "
-                         "unit power?")
-    return float(lo.fun), float(-hi.fun)
+    """Attainable fourth-moment interval under unit power.
+
+    The ring masses range over the polytope {m >= 0, sum m = 1,
+    sum m A**2 = 1}.  With two equality rows its vertices load at most two
+    rings, one on each side of unit power, and a linear objective is
+    extremal at a vertex.  With ``d = 1 - A**2``, the vertex on rings
+    ``d_i >= 0 >= d_j`` has fourth moment ``1 - d_i d_j`` (a ring at unit
+    power, ``d = 0``, is a vertex on its own), so the range is the extent of
+    that table.  Unit mean power, which the constellation holds to within
+    ``CONSTRUCTION_TOL``, puts a ring on each side once ``d`` is rounded to
+    zero within that tolerance.
+    """
+    d = 1.0 - c.ring_amps ** 2
+    d = np.where(np.abs(d) <= CONSTRUCTION_TOL, 0.0, d)
+    m4 = 1.0 - np.outer(d[d >= 0.0], d[d <= 0.0])
+    return float(m4.min()), float(m4.max())
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +166,39 @@ def _pgd_match(matrix, rhs, start, max_outer: int = 500,
 
 
 def _lp_match(matrix, rhs):
-    """Any nonnegative mass vector satisfying all three moment equalities.
+    """A nonnegative mass vector satisfying all three moment equalities.
 
-    A zero-objective linear program; the simplex route lands on a vertex
-    with machine-precision residuals and, crucially, terminates even when
+    The solutions form a polytope cut by three equality rows, so each of
+    its vertices loads at most three rings.  Distinct ring amplitudes make
+    every three-ring system a nonsingular Vandermonde matrix: all of them
+    are solved in one batch, and the nonnegative solution with the smallest
+    residual is returned (fewer than three rings give one least-squares
+    candidate).  Unlike the projected descent, this terminates even when
     the feasible set degenerates to a single point (c0 at an endpoint of
     the feasible range).  No secondary objective is imposed.
     """
-    res = linprog(np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=rhs,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        # nudge a borderline endpoint target into the interior and retry
-        for sign in (1.0, -1.0):
-            rhs_adj = rhs.copy()
-            rhs_adj[0] += sign * 1e-11
-            res = linprog(np.zeros(matrix.shape[1]), A_eq=matrix,
-                          b_eq=rhs_adj, bounds=(0, None), method="highs")
-            if res.success:
-                break
-    if not res.success:
-        raise RuntimeError("no feasible ring loading for fourth moment "
-                           f"{rhs[0]!r}: {res.message}")
-    return np.maximum(res.x, 0.0), int(res.nit)
+    n_rings = matrix.shape[1]
+    if n_rings >= 3:
+        supports = np.array(list(itertools.combinations(range(n_rings), 3)))
+        blocks = np.moveaxis(matrix[:, supports], 1, 0)      # (K, 3, 3)
+        loads = np.linalg.solve(blocks, np.broadcast_to(
+            rhs[:, None], blocks.shape[:2] + (1,)))[..., 0]
+    else:
+        supports = np.arange(n_rings)[None, :]
+        blocks = matrix[None]
+        loads = np.linalg.lstsq(matrix, rhs, rcond=None)[0][None, :]
+    nonneg = np.all(loads >= -MASS_SLACK, axis=1)
+    loads = np.maximum(loads, 0.0)
+    residual = np.max(np.abs(np.einsum("kij,kj->ki", blocks, loads) - rhs),
+                      axis=1)
+    ok = nonneg & (residual <= RESIDUAL_TOL)
+    if not np.any(ok):
+        raise RuntimeError("no nonnegative ring loading meets fourth moment "
+                           f"{rhs[0]!r} under unit power")
+    best = np.flatnonzero(ok)[np.argmin(residual[ok])]
+    masses = np.zeros(n_rings)
+    masses[supports[best]] = loads[best]
+    return masses
 
 
 def solve_heuristic(c: Constellation, c0: float,
@@ -222,7 +238,7 @@ def solve_heuristic(c: Constellation, c0: float,
         if sol is not None:
             masses, iterations = sol
         else:
-            masses, iterations = _lp_match(sys_.matrix, sys_.rhs)
+            masses = _lp_match(sys_.matrix, sys_.rhs)
 
     dist = Distribution.from_ring_mass(c, np.maximum(masses, 0.0))
     m4 = moment(c, dist, 4)

@@ -39,11 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .constellation import Constellation, Distribution
-from .rates import ChannelSpec, mutual_information
+from .rates import ChannelSpec, logsumexp, mutual_information
 from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range
 
@@ -83,6 +81,12 @@ class MBAConfig:
             raise ValueError("noise_power must be positive")
         if self.n_mc < 100:
             raise ValueError("n_mc too small to estimate the update integrals")
+        if self.max_outer < 1:
+            raise ValueError(
+                f"max_outer must be at least 1, got {self.max_outer}")
+        if self.outer_tol < 0:
+            raise ValueError(
+                f"outer_tol must be nonnegative, got {self.outer_tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +257,25 @@ def newton_solve(residual_fn, lam0, step_tol: float = NEWTON_STEP_TOL,
 _OUTER_CAP = 512.0
 
 
+def _bisect(f, lo, hi, xtol):
+    """Root of a decreasing ``f`` bracketed by ``f(lo) > 0 > f(hi)``.
+
+    Halves the bracket until it is ``xtol`` wide, its midpoint rounds onto
+    an end, or ``f`` vanishes at the midpoint, and returns the midpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _tilted_moments(u, a2, a4, lam1, lam2):
     g, _ = _tilt(u, a2, a4, lam1, lam2)
     total = g.sum()
@@ -282,7 +305,7 @@ def _power_balance_root(u, a2, a4, lam1):
         return hi
     if flo < 0.0 or fhi > 0.0:          # root beyond the cap: take the endpoint
         return lo if abs(flo) <= abs(fhi) else hi
-    return brentq(f, lo, hi, xtol=1e-13, maxiter=300)
+    return _bisect(f, lo, hi, xtol=1e-13)
 
 
 def _nested_multiplier_root(u, a2, a4, c0):
@@ -307,7 +330,7 @@ def _nested_multiplier_root(u, a2, a4, c0):
         if hlo < 0.0 or hhi > 0.0:
             lam1 = lo if abs(hlo) <= abs(hhi) else hi
         else:
-            lam1 = brentq(h, lo, hi, xtol=1e-12, maxiter=300)
+            lam1 = _bisect(h, lo, hi, xtol=1e-12)
     lam2 = _power_balance_root(u, a2, a4, lam1)
     return np.array([float(lam1), float(lam2)])
 

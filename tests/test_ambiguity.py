@@ -18,7 +18,6 @@ import pytest
 from scipy.integrate import simpson
 
 from ofdmpcs import (
-    AFMoments,
     Distribution,
     OFDMConfig,
     af_components,
@@ -28,7 +27,6 @@ from ofdmpcs import (
     analytic_moments,
     average_af,
     make_constellation,
-    moment,
     sample_symbols,
     trial_seed,
 )

@@ -125,6 +125,22 @@ class TestExitCodes:
             assert "finite" in err, err
             assert "linprog" not in err and "Maximum allowed" not in err, err
 
+    @pytest.mark.parametrize("key,value", [("max_outer", "0"),
+                                           ("outer_tol", "-1e-5")])
+    def test_bad_outer_loop_settings_rejected(self, tmp_path, capsys, key,
+                                              value):
+        # unchecked, max_outer = 0 writes the uniform masses and a negative
+        # outer_tol runs every iteration; both then exit 3 with no message
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("[shaping]",
+                                           f"[shaping]\n{key} = {value}"))
+        out = tmp_path / "o"
+        rc = run_cli("shape", "--config", str(bad), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and key in err, err
+        assert not (out / "shape_optimal.json").exists()
+
 
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):
@@ -275,3 +291,33 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-m", "ofdmpcs.cli"],
                               capture_output=True, text=True)
         assert proc.returncode != EXIT_OK
+
+
+# Runs in a fresh interpreter: the heuristic solve, then the optimal one at
+# the 16-QAM lower endpoint c0 = 1.0, where Newton stalls and the nested
+# bisection fallback runs (counted to prove it did).
+_SCIPY_FREE_SCRIPT = """\
+import sys
+import ofdmpcs.cli
+import ofdmpcs.shaping_ba as ba
+
+config, out = sys.argv[1:]
+calls = []
+nested = ba._nested_multiplier_root
+ba._nested_multiplier_root = lambda *a: calls.append(1) or nested(*a)
+for flags in (["--method", "heuristic"], ["--c0", "1.0"]):
+    rc = ofdmpcs.cli.main(["shape", "--config", config, "--out", out, *flags])
+    assert rc == 0, (flags, rc)
+assert calls, "the nested fallback did not run"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+"""
+
+
+class TestRuntimeDependencies:
+    def test_cli_runs_without_scipy(self, config, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(config),
+             str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

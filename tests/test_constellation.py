@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmpcs import (
-    Constellation,
     Distribution,
     from_json,
     from_rings,

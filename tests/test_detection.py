@@ -15,7 +15,6 @@ import pytest
 from ofdmpcs import (
     DetectionScenario,
     Distribution,
-    OFDMConfig,
     RangeProfile,
     calibrate_so_cfar,
     detection_probability,

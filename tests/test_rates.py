@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from ofdmpcs import (
     ChannelSpec,
     Distribution,
     air_total,
     gm_log_pdf,
-    make_constellation,
     mutual_information,
     rate_curve,
 )
 from ofdmpcs.constellation import entropy_bits
-from ofdmpcs.rates import rate_curve_csv
+from ofdmpcs.rates import logsumexp, rate_curve_csv
+from ofdmpcs.shaping_ba import _log_likelihood
 
 LN2 = np.log(2.0)
 
@@ -46,6 +47,58 @@ def gh_mutual_information(c, d, sigma2, n_nodes=96):
         y = c.points[q] + noise
         h_y -= d.per_point[q] * np.sum(ww * naive_log_mix(y, c, d, sigma2))
     return (h_y - np.log(np.pi * np.e * sigma2)) / LN2
+
+
+class TestLogSumExp:
+    """``logsumexp`` against scipy's, bit for bit, on its callers' tables."""
+
+    @staticmethod
+    def caller_tables(c, rng, sigma2=0.05, n=400):
+        # outer ring dead: its points are -inf in both layouts
+        d = Distribution.from_ring_mass(c, [0.3, 0.7, 0.0])
+        with np.errstate(divide="ignore"):
+            logp = np.log(d.per_point)
+        y = c.points[rng.integers(c.size, size=n)] \
+            + np.sqrt(sigma2 / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        rates_table = logp[None, :] - np.abs(y[:, None] - c.points[None, :]) ** 2 / sigma2
+        shaper_table = _log_likelihood(c, y, sigma2) + logp[:, None]
+        return {"rates (M, Q)": rates_table, "shaper (Q, M)": shaper_table}
+
+    @staticmethod
+    def with_ties(table):
+        # copy each slice maximum onto a second live entry of that slice
+        t = table.copy()
+        live_row = int(np.argmax(np.isfinite(t).all(axis=1)))
+        live_col = int(np.argmax(np.isfinite(t).all(axis=0)))
+        t[live_row, :] = np.max(t, axis=0)
+        t[:, live_col] = np.max(t, axis=1)
+        return t
+
+    def test_bitwise_equal_to_scipy(self, qam16, rng):
+        for name, table in self.caller_tables(qam16, rng).items():
+            for t in (table, self.with_ties(table)):
+                for axis in (0, 1):
+                    got = logsumexp(t, axis=axis)
+                    want = scipy_logsumexp(t, axis=axis)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (name, axis)
+                    # the cases covered: all -inf slices (dead points) along
+                    # one axis, and ties at the maximum in the tied copy
+                    dead = np.isneginf(t).all(axis=axis)
+                    assert np.isneginf(got[dead]).all()
+                    assert np.isfinite(got[~dead]).all()
+            ties = self.with_ties(table)
+            for axis in (0, 1):
+                at_max = ties == np.max(ties, axis=axis, keepdims=True)
+                assert (np.isfinite(ties) & at_max).sum(axis=axis).max() >= 2
+            assert np.isneginf(table).all(axis=0).any() \
+                or np.isneginf(table).all(axis=1).any(), name
+
+    def test_equal_entries(self):
+        a = np.array([[0.5, 0.5, 0.5], [-np.inf, -np.inf, -np.inf]])
+        got = logsumexp(a, axis=1)
+        assert got[0] == pytest.approx(0.5 + np.log(3.0), abs=1e-15)
+        assert got[1] == -np.inf
 
 
 class TestLogMixtureDensity:

@@ -20,6 +20,7 @@ from ofdmpcs import (
     ring_system,
     solve_heuristic,
 )
+from ofdmpcs.shaping import _lp_match
 
 
 def vertex_values(c):
@@ -138,6 +139,33 @@ class TestHeuristic:
         r = solve_heuristic(c, c0)
         assert abs(r.moment4 - c0) <= 1e-8
         assert np.all(r.ring_mass >= -1e-12)
+
+
+class TestLpMatch:
+    """The enumerated fallback: at most three loaded rings, exact moments."""
+
+    @pytest.mark.parametrize("order", [64, 256])
+    def test_endpoints_and_interior(self, order):
+        c = make_constellation("qam", order)
+        lo, hi = feasible_c0_range(c)
+        for c0 in (lo, 0.5 * (lo + hi), hi):
+            sys_ = ring_system(c, c0)
+            masses = _lp_match(sys_.matrix, sys_.rhs)
+            assert masses.shape == (c.n_rings,)
+            assert np.count_nonzero(masses) <= 3
+            assert np.all(masses >= 0.0)
+            assert np.max(np.abs(sys_.matrix @ masses - sys_.rhs)) <= 1e-10
+
+    def test_single_unit_ring(self, psk64):
+        sys_ = ring_system(psk64, 1.0)
+        masses = _lp_match(sys_.matrix, sys_.rhs)
+        np.testing.assert_allclose(masses, [1.0], atol=1e-15)
+
+    def test_infeasible_target_raises(self, qam64):
+        _, hi = feasible_c0_range(qam64)
+        sys_ = ring_system(qam64, hi + 1e-3)
+        with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
+            _lp_match(sys_.matrix, sys_.rhs)
 
 
 class TestRingSystem:
