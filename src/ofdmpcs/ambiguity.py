@@ -105,8 +105,7 @@ def sample_symbols(c: Constellation, d: Distribution, cfg: OFDMConfig,
                    seed: int) -> SymbolMatrix:
     """Draw an (N, L) i.i.d. symbol matrix; identical seed, identical draw."""
     rng = np.random.default_rng(seed)
-    idx = rng.choice(c.size, size=(cfg.n_symbols, cfg.n_subcarriers),
-                     p=d.choice_probs)
+    idx = d.draw(rng, (cfg.n_symbols, cfg.n_subcarriers))
     return SymbolMatrix(values=c.points[idx], seed=seed,
                         constellation_id=c.digest(),
                         distribution_id=d.digest())
@@ -114,13 +113,12 @@ def sample_symbols(c: Constellation, d: Distribution, cfg: OFDMConfig,
 
 def _draw_flat(c, d, cfg, n_mc, seed) -> np.ndarray:
     """(n_mc, N*L) symbol draws; trial m uses seed XOR m."""
-    probs = d.choice_probs
     points = c.points
     nl = cfg.n_symbols * cfg.n_subcarriers
     out = np.empty((n_mc, nl), dtype=complex)
     for m in range(n_mc):
         rng = np.random.default_rng(trial_seed(seed, m))
-        out[m] = points[rng.choice(c.size, size=nl, p=probs)]
+        out[m] = points[d.draw(rng, nl)]
     return out
 
 

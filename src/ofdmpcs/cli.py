@@ -31,7 +31,8 @@ import numpy as np
 from .ambiguity import OFDMConfig, analytic_moments, average_af
 from .constellation import Constellation, Distribution, make_constellation
 from .detection import DetectionScenario, calibrate_so_cfar, pd_curve
-from .rates import ChannelSpec, mutual_information, rate_curve, rate_curve_csv
+from .rates import (MIN_MI_SAMPLES, ChannelSpec, mutual_information,
+                    rate_curve, rate_curve_csv)
 from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range, solve_heuristic
 from .shaping_ba import MBAConfig, run_mba
@@ -124,6 +125,21 @@ def _out_dir(cp, args) -> str:
     return out
 
 
+def _n_mc(cp, args, section, default) -> int:
+    """``--n-mc`` when given, else ``[section] n_mc``."""
+    if args.n_mc is not None:
+        return args.n_mc
+    return _get(cp, section, "n_mc", int, default)
+
+
+def _air_n_mc(cp) -> int:
+    n_mc = _get(cp, "shaping", "air_n_mc", int, 100_000)
+    if n_mc < MIN_MI_SAMPLES:
+        raise ConfigError(f"[shaping] air_n_mc must be >= {MIN_MI_SAMPLES} "
+                          f"for a usable standard error, got {n_mc}")
+    return n_mc
+
+
 def _clamp_c0(c: Constellation, c0: float) -> float:
     lo, hi = feasible_c0_range(c)
     if c0 < lo - 1e-12 or c0 > hi + 1e-12:
@@ -144,17 +160,17 @@ def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
     return res.distribution
 
 
-def _mba_config(cp, args, c0, sigma2) -> MBAConfig:
-    n_mc = args.n_mc or _get(cp, "shaping", "n_mc", int, 10_000)
+def _mba_config(cp, args, c0, sigma2, air_n_mc) -> MBAConfig:
     return MBAConfig(
-        c0=c0, noise_power=sigma2, n_mc=n_mc,
+        c0=c0, noise_power=sigma2, n_mc=_n_mc(cp, args, "shaping", 10_000),
         outer_tol=_get(cp, "shaping", "outer_tol", float, 1e-5),
         max_outer=_get(cp, "shaping", "max_outer", int, 300),
-        air_n_mc=_get(cp, "shaping", "air_n_mc", int, 100_000))
+        air_n_mc=air_n_mc)
 
 
 def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingResult:
     """One shaping solve at c0 with a per-c0 sub-seed (composition-stable)."""
+    air_n_mc = _air_n_mc(cp)
     c0 = _clamp_c0(c, c0)
     sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
     if args.method == "heuristic":
@@ -162,11 +178,12 @@ def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingRe
         if with_air:
             air = mutual_information(
                 c, res.distribution, ChannelSpec(sigma2),
-                n_mc=_get(cp, "shaping", "air_n_mc", int, 100_000),
+                n_mc=air_n_mc,
                 seed=derive_seed(sub_seed, "mba-air"))
             res.air_bits = float(air.mi_bits)
         return res
-    return run_mba(c, _mba_config(cp, args, c0, sigma2), seed=sub_seed)
+    return run_mba(c, _mba_config(cp, args, c0, sigma2, air_n_mc),
+                   seed=sub_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +209,8 @@ def cmd_air(cp, args) -> int:
     snrs = _ladder(cp, "channel", "snr_db")
     sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
-    n_mc = args.n_mc or _get(cp, "channel", "n_mc", int, 100_000)
-    estimates = rate_curve(c, d, snrs, n_mc=n_mc,
+    estimates = rate_curve(c, d, snrs,
+                           n_mc=_n_mc(cp, args, "channel", 100_000),
                            seed=derive_seed(seed, "air-curve"))
     out = os.path.join(_out_dir(cp, args), "air_curve.csv")
     rate_curve_csv(out, snrs, estimates)
@@ -207,7 +224,7 @@ def cmd_af(cp, args) -> int:
     seed = _master_seed(cp, args)
     sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
-    n_mc = args.n_mc or _get(cp, "af", "n_mc", int, 5000)
+    n_mc = _n_mc(cp, args, "af", 5000)
     t_p = cfg.symbol_duration
     d_f = cfg.subcarrier_spacing
     tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0) * t_p,
@@ -405,6 +422,8 @@ def main(argv=None) -> int:
     try:
         if args.c0 is not None and not math.isfinite(args.c0):
             raise ConfigError(f"--c0 must be a finite number, got {args.c0!r}")
+        if args.n_mc is not None and args.n_mc < 1:
+            raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
         cp = _load_config(args.config)
         return _COMMANDS[args.command](cp, args)
     except ConfigError as exc:

@@ -40,7 +40,7 @@ from .seeds import derive_seed, trial_seed
 WILSON_Z95 = 1.959963984540054
 MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
-_CAL_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 4096          # rows per batch of profiles
 
 
 @dataclass(frozen=True)
@@ -90,32 +90,61 @@ class RangeProfile:
         object.__setattr__(self, "values", v)
 
 
-def _simulate(sc: DetectionScenario, rng: np.random.Generator) -> np.ndarray:
+def _draw_trials(sc: DetectionScenario,
+                 seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols and received rows ``(x, y)``, one row per generator seed.
+
+    Row i draws from its own ``default_rng(seeds[i])`` in a fixed order: the
+    symbol indices, the SI phase (if SI is on), the target phase (if the
+    target is on), the real noise, then the imaginary noise.  So a row is
+    the same however the seeds are batched; everything after the draws runs
+    on whole (rows, L) arrays.
+    """
     length = sc.cfg.n_subcarriers
-    probs = sc.distribution.choice_probs
-    x = sc.constellation.points[rng.choice(sc.constellation.size, size=length,
-                                           p=probs)]
-    l_idx = np.arange(length)
-    y = np.zeros(length, dtype=complex)
+    rows = len(seeds)
     si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
-    if si_lin > 0.0:
-        phase = np.exp(2j * np.pi * rng.uniform())
-        y += np.sqrt(si_lin) * phase * x * np.exp(-2j * np.pi * l_idx * sc.si_cell / length)
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
+    scale = np.sqrt(0.5)
+    idx = np.empty((rows, length), dtype=np.intp)
+    si_u = np.empty(rows)
+    tg_u = np.empty(rows)
+    noise_re = np.empty((rows, length))
+    noise_im = np.empty((rows, length))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        idx[i] = sc.distribution.draw(rng, length)
+        if si_lin > 0.0:
+            si_u[i] = rng.uniform()
+        if snr_lin > 0.0:
+            tg_u[i] = rng.uniform()
+        noise_re[i] = rng.normal(scale=scale, size=length)
+        noise_im[i] = rng.normal(scale=scale, size=length)
+
+    x = sc.constellation.points[idx]
+    l_idx = np.arange(length)
+    y = np.zeros((rows, length), dtype=complex)
+    if si_lin > 0.0:
+        phase = np.exp(2j * np.pi * si_u)
+        y += (np.sqrt(si_lin) * phase)[:, None] * x * np.exp(
+            -2j * np.pi * l_idx * sc.si_cell / length)
     if snr_lin > 0.0:
-        phase = np.exp(2j * np.pi * rng.uniform())
-        y += np.sqrt(snr_lin / length) * phase * x * np.exp(
+        phase = np.exp(2j * np.pi * tg_u)
+        y += (np.sqrt(snr_lin / length) * phase)[:, None] * x * np.exp(
             -2j * np.pi * l_idx * sc.target_cell / length)
-    y += rng.normal(scale=np.sqrt(0.5), size=length) \
-        + 1j * rng.normal(scale=np.sqrt(0.5), size=length)
-    z = length * np.fft.ifft(y * np.conj(x))
+    y += noise_re + 1j * noise_im
+    return x, y
+
+
+def _profiles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matched-filter powers ``|L * ifft(y * conj x)|^2``, row by row."""
+    z = x.shape[1] * np.fft.ifft(y * np.conj(x), axis=1)
     return np.abs(z) ** 2
 
 
 def simulate_profile(sc: DetectionScenario, seed: int = 0) -> RangeProfile:
     """One Monte-Carlo draw of the matched-filter range profile."""
-    rng = np.random.default_rng(seed)
-    return RangeProfile(values=_simulate(sc, rng), seed=seed)
+    power = _profiles(*_draw_trials(sc, [seed]))
+    return RangeProfile(values=power[0], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +158,17 @@ def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
     profile picks up NaN padding, its plain mean goes NaN, and ``fmin``
     falls back to the other (complete) side.  Partial windows would let a
     lone edge cell act as a one-sample noise estimate and blow up the
-    false-alarm tail.
+    false-alarm tail.  One pass takes the mean of every window of the
+    padded rows: cell k leads with window k and lags with window
+    k + ref + 2*guard + 1.
     """
     rows, length = profiles.shape
     pad = ref + guard
     arr = np.concatenate([np.full((rows, pad), np.nan), profiles,
                           np.full((rows, pad), np.nan)], axis=1)
-    win = sliding_window_view(arr, ref, axis=1)
-    lead = np.mean(win[:, :length, :], axis=2)
-    lagg = np.mean(win[:, ref + 2 * guard + 1:ref + 2 * guard + 1 + length, :],
-                   axis=2)
-    return np.fmin(lead, lagg)
+    means = np.mean(sliding_window_view(arr, ref, axis=1), axis=2)
+    lag = ref + 2 * guard + 1
+    return np.fmin(means[:, :length], means[:, lag:lag + length])
 
 
 def so_cfar_statistic(profile, ref_cells: int = 16,
@@ -168,16 +197,13 @@ def _batch_ratios(sc: DetectionScenario, n_rows: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Noise-only profile/statistic ratios, n_rows profiles at a time."""
     length = sc.cfg.n_subcarriers
-    probs = sc.distribution.choice_probs
     out = []
-    for start in range(0, n_rows, _CAL_CHUNK_ROWS):
-        rows = min(_CAL_CHUNK_ROWS, n_rows - start)
-        idx = rng.choice(sc.constellation.size, size=(rows, length), p=probs)
-        x = sc.constellation.points[idx]
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n_rows - start)
+        x = sc.constellation.points[sc.distribution.draw(rng, (rows, length))]
         noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
             + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
-        z = length * np.fft.ifft(noise * np.conj(x), axis=1)
-        power = np.abs(z) ** 2
+        power = _profiles(x, noise)
         stat = _side_means(power, sc.ref_cells, sc.guard_cells)
         out.append((power / stat).ravel())
     return np.concatenate(out)
@@ -251,13 +277,19 @@ class PdCurve:
 
 def detection_probability(sc: DetectionScenario, alpha: float,
                           seed: int = 0) -> tuple[float, float, float]:
-    """P_d with Wilson bounds at the scenario's own SNR, n_trials trials."""
+    """P_d with Wilson bounds at the scenario's own SNR, n_trials trials.
+
+    Trial t draws from ``default_rng(trial_seed(seed, t))``; the trials run
+    in batches of rows, so P_d does not depend on the batch size.
+    """
+    cell = sc.target_cell
     hits = 0
-    for t in range(sc.n_trials):
-        rng = np.random.default_rng(trial_seed(seed, t))
-        prof = _simulate(sc, rng)
-        det = so_cfar_detect(prof, alpha, sc.ref_cells, sc.guard_cells)
-        hits += bool(det[sc.target_cell])
+    for start in range(0, sc.n_trials, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, sc.n_trials)
+        power = _profiles(*_draw_trials(
+            sc, [trial_seed(seed, t) for t in range(start, stop)]))
+        stat = _side_means(power, sc.ref_cells, sc.guard_cells)
+        hits += int(np.count_nonzero(power[:, cell] > alpha * stat[:, cell]))
     lo, hi = wilson_interval(hits, sc.n_trials)
     return hits / sc.n_trials, lo, hi
 

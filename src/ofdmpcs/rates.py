@@ -21,6 +21,7 @@ import numpy as np
 from .constellation import Constellation, Distribution
 
 LN2 = float(np.log(2.0))
+MIN_MI_SAMPLES = 1000       # smallest n_mc with a usable standard error
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -103,12 +104,11 @@ def mutual_information(c: Constellation, d: Distribution, spec: ChannelSpec,
     converted to bits.  The estimate is clipped at zero (pure estimator
     noise can otherwise push it slightly negative at very low SNR).
     """
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000 for a usable standard error")
+    if n_mc < MIN_MI_SAMPLES:
+        raise ValueError(f"n_mc must be >= {MIN_MI_SAMPLES} for a usable "
+                         "standard error")
     rng = np.random.default_rng(seed)
-    p = np.maximum(np.asarray(d.per_point, dtype=float), 0.0)
-    p = p / p.sum()
-    idx = rng.choice(c.size, size=n_mc, p=p)
+    idx = d.draw(rng, n_mc)
     sigma = np.sqrt(spec.noise_power / 2.0)
     noise = rng.normal(scale=sigma, size=n_mc) \
         + 1j * rng.normal(scale=sigma, size=n_mc)

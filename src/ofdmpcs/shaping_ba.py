@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, Distribution
-from .rates import ChannelSpec, logsumexp, mutual_information
+from .rates import MIN_MI_SAMPLES, ChannelSpec, logsumexp, mutual_information
 from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range
 
@@ -87,6 +87,9 @@ class MBAConfig:
         if self.outer_tol < 0:
             raise ValueError(
                 f"outer_tol must be nonnegative, got {self.outer_tol!r}")
+        if self.air_n_mc < MIN_MI_SAMPLES:
+            raise ValueError(f"air_n_mc must be >= {MIN_MI_SAMPLES}, "
+                             f"got {self.air_n_mc}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +410,7 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
     """
     rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
     uniform = Distribution.uniform(c)
-    idx = rng.choice(c.size, size=cfg.n_mc, p=uniform.choice_probs)
+    idx = uniform.draw(rng, cfg.n_mc)
     sig = np.sqrt(cfg.noise_power / 2.0)
     samples = c.points[idx] + rng.normal(scale=sig, size=cfg.n_mc) \
         + 1j * rng.normal(scale=sig, size=cfg.n_mc)

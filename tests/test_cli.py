@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from ofdmpcs import cli
 from ofdmpcs.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
 
 BASE_CONFIG = """\
@@ -140,6 +141,40 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert err.startswith("config error:") and key in err, err
         assert not (out / "shape_optimal.json").exists()
+
+
+    @pytest.mark.parametrize("method", ["optimal", "heuristic"])
+    def test_small_air_n_mc_rejected_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch, method):
+        # it was checked only by the final rate estimate, after the whole
+        # solve, and the message named the shaper's n_mc instead
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "run_mba", no_solve)
+        monkeypatch.setattr(cli, "solve_heuristic", no_solve)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("air_n_mc = 2000", "air_n_mc = 10"))
+        out = tmp_path / "o"
+        rc = run_cli("shape", "--config", str(bad), "--method", method,
+                     "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and "air_n_mc" in err, err
+        assert not list(out.glob("shape_*.json"))
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_n_mc_flag_below_one_rejected(self, config, tmp_path, capsys,
+                                          value):
+        # 0 used to fall back to the config's n_mc and exit 0; a negative
+        # value exited 2 with a library message that did not name the flag
+        out = tmp_path / "o"
+        rc = run_cli("air", "--config", str(config), f"--n-mc={value}",
+                     "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and "--n-mc" in err, err
+        assert not (out / "air_curve.csv").exists()
 
 
 class TestShape:

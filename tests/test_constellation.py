@@ -141,6 +141,53 @@ class TestDistribution:
             Distribution.from_ring_mass(qam16, [1.2, -0.2, 0.0])
 
 
+def choice_probs(d):
+    """What the draw sites handed to ``Generator.choice`` before ``draw``."""
+    p = np.maximum(np.asarray(d.per_point, dtype=float), 0.0)
+    return p / p.sum()
+
+
+class TestDraw:
+    """``Distribution.draw`` against ``Generator.choice(p=...)``, bit for bit."""
+
+    @pytest.mark.parametrize("size", [64, 1000, (4, 64), (2, 3, 16)])
+    def test_bitwise_equal_to_choice(self, qam16, qam64, size):
+        masses = np.zeros(qam64.n_rings)
+        masses[[0, 2, 8]] = [0.5, 0.3, 0.2]       # exactly-zero rings
+        cases = [(qam16, Distribution.uniform(qam16)),
+                 (qam64, Distribution.from_ring_mass(qam64, masses))]
+        for c, d in cases:
+            p = choice_probs(d)
+            for seed in range(40):
+                rng_got = np.random.default_rng(seed)
+                rng_want = np.random.default_rng(seed)
+                got = d.draw(rng_got, size)
+                want = rng_want.choice(c.size, size=size, p=p)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                # both leave the generator at the same place in its stream
+                assert rng_got.random() == rng_want.random()
+            if c is qam64:
+                assert not np.any(masses[c.ring_index[got]] == 0.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "zeros"])
+    def test_invalid_probabilities_raise(self, qam16, bad):
+        p = np.full(16, 1.0 / 16)
+        if bad == "nan":
+            p[3] = np.nan
+        elif bad == "inf":
+            p[3] = np.inf
+        elif bad == "negative":
+            p[3], p[4] = -0.1, p[4] + 0.1
+        else:
+            p[:] = 0.0
+        d = Distribution.from_per_point(qam16, p)
+        with pytest.raises(ValueError, match="symbol probabilities"):
+            d.draw(np.random.default_rng(0), 16)
+        with pytest.raises(ValueError):     # as Generator.choice refuses p
+            np.random.default_rng(0).choice(16, size=16, p=p)
+
+
 class TestSerialization:
     def test_round_trip_bytes(self, qam64):
         d = Distribution.from_ring_mass(qam64, np.ones(9) / 9)

@@ -11,12 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ofdmpcs import (
     DetectionScenario,
     Distribution,
     RangeProfile,
     calibrate_so_cfar,
+    derive_seed,
+    detection,
     detection_probability,
     empirical_false_alarm_rate,
     make_constellation,
@@ -24,6 +27,7 @@ from ofdmpcs import (
     simulate_profile,
     so_cfar_detect,
     so_cfar_statistic,
+    trial_seed,
     wilson_interval,
 )
 
@@ -234,6 +238,125 @@ class TestPdCurve:
         cols = lines[1].split(",")
         assert float(cols[0]) == 12.0
         assert float(cols[1]) == pytest.approx(curve.pd[0], rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# per-trial oracle: one trial at a time, two-pass SO-CFAR window means and
+# Generator.choice draws; the batched simulator must match it bit for bit
+
+
+def oracle_probs(sc):
+    p = np.maximum(np.asarray(sc.distribution.per_point, dtype=float), 0.0)
+    return p / p.sum()
+
+
+def oracle_simulate(sc, rng):
+    length = sc.cfg.n_subcarriers
+    x = sc.constellation.points[rng.choice(sc.constellation.size,
+                                           size=length, p=oracle_probs(sc))]
+    l_idx = np.arange(length)
+    y = np.zeros(length, dtype=complex)
+    si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
+    if si_lin > 0.0:
+        phase = np.exp(2j * np.pi * rng.uniform())
+        y += np.sqrt(si_lin) * phase * x * np.exp(
+            -2j * np.pi * l_idx * sc.si_cell / length)
+    snr_lin = 10.0 ** (sc.snr_db / 10.0)
+    if snr_lin > 0.0:
+        phase = np.exp(2j * np.pi * rng.uniform())
+        y += np.sqrt(snr_lin / length) * phase * x * np.exp(
+            -2j * np.pi * l_idx * sc.target_cell / length)
+    y += rng.normal(scale=np.sqrt(0.5), size=length) \
+        + 1j * rng.normal(scale=np.sqrt(0.5), size=length)
+    z = length * np.fft.ifft(y * np.conj(x))
+    return np.abs(z) ** 2
+
+
+def oracle_side_means(profiles, ref, guard):
+    rows, length = profiles.shape
+    pad = ref + guard
+    arr = np.concatenate([np.full((rows, pad), np.nan), profiles,
+                          np.full((rows, pad), np.nan)], axis=1)
+    win = sliding_window_view(arr, ref, axis=1)
+    lead = np.mean(win[:, :length, :], axis=2)
+    lagg = np.mean(win[:, ref + 2 * guard + 1:ref + 2 * guard + 1 + length, :],
+                   axis=2)
+    return np.fmin(lead, lagg)
+
+
+def oracle_hits(sc, alpha, seed):
+    hits = 0
+    for t in range(sc.n_trials):
+        prof = oracle_simulate(sc, np.random.default_rng(trial_seed(seed, t)))
+        stat = oracle_side_means(prof[None, :], sc.ref_cells,
+                                 sc.guard_cells)[0]
+        hits += bool((prof > alpha * stat)[sc.target_cell])
+    return hits
+
+
+def oracle_alpha(sc, n_cal, seed, chunk):
+    length = sc.cfg.n_subcarriers
+    n_rows = int(np.ceil(n_cal / length))
+    rng = np.random.default_rng(derive_seed(seed, "cfar-calibration"))
+    out = []
+    for start in range(0, n_rows, chunk):
+        rows = min(chunk, n_rows - start)
+        idx = rng.choice(sc.constellation.size, size=(rows, length),
+                         p=oracle_probs(sc))
+        x = sc.constellation.points[idx]
+        noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
+            + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
+        power = np.abs(length * np.fft.ifft(noise * np.conj(x), axis=1)) ** 2
+        stat = oracle_side_means(power, sc.ref_cells, sc.guard_cells)
+        out.append((power / stat).ravel())
+    return float(np.quantile(np.concatenate(out), 1.0 - sc.p_fa))
+
+
+class TestBatchedSimulatorOracle:
+    """The batched simulator against the per-trial oracle, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 13-row batches put chunk boundaries inside every trial count below
+        monkeypatch.setattr(detection, "_CHUNK_ROWS", 13)
+
+    @pytest.mark.parametrize("family,order", [("qam", 16), ("qam", 64),
+                                              ("psk", 64)])
+    @pytest.mark.parametrize("target", [True, False])
+    @pytest.mark.parametrize("si", [True, False])
+    def test_hits_and_profiles(self, ofdm64, family, order, target, si):
+        c = make_constellation(family, order)
+        sc = DetectionScenario(c, Distribution.uniform(c), ofdm64,
+                               snr_db=12.0 if target else float("-inf"),
+                               si_to_noise_db=10.0 if si else float("-inf"),
+                               p_fa=1e-2, n_trials=40)
+        for seed in (0, 5):
+            got = simulate_profile(sc, seed=seed).values
+            want = oracle_simulate(sc, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+        counts = []
+        for alpha in (1.5, 4.0, 10.0):
+            pd, _, _ = detection_probability(sc, alpha, seed=3)
+            hits = oracle_hits(sc, alpha, seed=3)
+            assert pd * sc.n_trials == hits
+            counts.append(hits)
+        assert max(counts) > 0       # the comparison saw detections
+
+    def test_calibration_matches_two_pass_means(self, qam64, ofdm64):
+        d = Distribution.from_ring_mass(
+            qam64, np.r_[0.4, np.zeros(7), 0.6])
+        sc = DetectionScenario(qam64, d, ofdm64, p_fa=1e-2)
+        for seed in (0, 9):
+            got = calibrate_so_cfar(sc, n_cal=3000, seed=seed)
+            assert got == oracle_alpha(sc, 3000, seed, chunk=13)
+
+    def test_statistic_matches_two_pass_means(self, rng):
+        profiles = rng.exponential(size=(5, 48))
+        for ref, guard in [(16, 2), (4, 0), (3, 5)]:
+            got = np.stack([so_cfar_statistic(p, ref, guard)
+                            for p in profiles])
+            want = oracle_side_means(profiles, ref, guard)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestWilson:

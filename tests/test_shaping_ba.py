@@ -376,3 +376,7 @@ class TestConfigValidation:
     def test_small_sample_count(self):
         with pytest.raises(ValueError):
             MBAConfig(c0=1.2, noise_power=0.1, n_mc=10)
+
+    def test_small_rate_sample_count(self):
+        with pytest.raises(ValueError, match="air_n_mc"):
+            MBAConfig(c0=1.2, noise_power=0.1, air_n_mc=999)
