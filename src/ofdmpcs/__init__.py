@@ -50,18 +50,15 @@ from .rates import (
 )
 from .seeds import derive_seed, trial_seed
 from .shaping import (
+    NewtonResult,
     RingSystem,
     ShapingResult,
     feasible_c0_range,
+    newton_solve,
     ring_system,
     solve_heuristic,
 )
-from .shaping_ba import (
-    MBAConfig,
-    NewtonResult,
-    newton_solve,
-    run_mba,
-)
+from .shaping_ba import MBAConfig, run_mba
 
 __version__ = "0.1.0"
 

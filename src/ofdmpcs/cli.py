@@ -35,7 +35,7 @@ from .rates import (MIN_MI_SAMPLES, ChannelSpec, mutual_information,
                     rate_curve, rate_curve_csv)
 from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range, solve_heuristic
-from .shaping_ba import MBAConfig, run_mba
+from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig, run_mba
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,11 +125,17 @@ def _out_dir(cp, args) -> str:
     return out
 
 
-def _n_mc(cp, args, section, default) -> int:
-    """``--n-mc`` when given, else ``[section] n_mc``."""
+def _n_mc(cp, args, section, default, minimum=1) -> int:
+    """``--n-mc`` when given, else ``[section] n_mc``; at least ``minimum``,
+    the smallest sample count its consumer accepts."""
     if args.n_mc is not None:
-        return args.n_mc
-    return _get(cp, section, "n_mc", int, default)
+        n_mc, name = args.n_mc, "--n-mc"
+    else:
+        n_mc = _get(cp, section, "n_mc", int, default)
+        name = f"[{section}] n_mc"
+    if n_mc < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {n_mc}")
+    return n_mc
 
 
 def _air_n_mc(cp) -> int:
@@ -162,7 +168,8 @@ def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
 
 def _mba_config(cp, args, c0, sigma2, air_n_mc) -> MBAConfig:
     return MBAConfig(
-        c0=c0, noise_power=sigma2, n_mc=_n_mc(cp, args, "shaping", 10_000),
+        c0=c0, noise_power=sigma2,
+        n_mc=_n_mc(cp, args, "shaping", 10_000, MIN_UPDATE_SAMPLES),
         outer_tol=_get(cp, "shaping", "outer_tol", float, 1e-5),
         max_outer=_get(cp, "shaping", "max_outer", int, 300),
         air_n_mc=air_n_mc)
@@ -208,9 +215,9 @@ def cmd_air(cp, args) -> int:
     seed = _master_seed(cp, args)
     snrs = _ladder(cp, "channel", "snr_db")
     sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
+    n_mc = _n_mc(cp, args, "channel", 100_000, MIN_MI_SAMPLES)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
-    estimates = rate_curve(c, d, snrs,
-                           n_mc=_n_mc(cp, args, "channel", 100_000),
+    estimates = rate_curve(c, d, snrs, n_mc=n_mc,
                            seed=derive_seed(seed, "air-curve"))
     out = os.path.join(_out_dir(cp, args), "air_curve.csv")
     rate_curve_csv(out, snrs, estimates)

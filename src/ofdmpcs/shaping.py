@@ -1,4 +1,4 @@
-"""Moment-matching heuristic shaper over ring masses.
+"""Ring masses under the moment constraints: the maximum-entropy heuristic.
 
 Shaping a constellation for sensing boils down to hitting a target fourth
 moment ``c0`` of the amplitude distribution while keeping unit mean power.
@@ -8,17 +8,25 @@ In ring-mass coordinates that is the linear system
     sum_w mass_w * A_w**2 = 1       (unit power)
     sum_w mass_w          = 1       (probability)
 
-For three rings the system is square and solved exactly.  Otherwise the
-system is under-determined and the squared fourth-moment mismatch is driven
-to zero by projected gradient descent from the uniform loading: each step
-is an exact line minimization along the fourth-moment row projected into
-the power/probability affine subspace, followed by an alternating
-affine-projection / nonnegativity-clip pass iterated to a fixed point.  No
-secondary objective is imposed, but starting at the uniform loading keeps
-the solution interior and smooth in ``c0``.  When that alternation cannot
-settle — the feasible set thins to a sliver or a single vertex at the
-endpoints of the feasible range — an exact vertex enumeration takes over,
-which terminates unconditionally with machine-precision residuals.
+The heuristic picks, among the inputs meeting these rows, the one of maximum
+entropy.  Its points follow the Maxwell-Boltzmann-type family
+
+    p(x)  proportional to  exp{ u(x) - lam1 * A_x**4 - lam2 * A_x**2 }
+
+with ``u = 0``.  The rate-optimal shaper (:mod:`.shaping_ba`) takes its
+steps in the same family with ``u`` its channel integrals, so one matcher,
+:func:`match_ring_masses`, serves both solvers.  It works on ring masses:
+the points of ring ``w`` share one exponent, so the ring's weight carries
+``u_w + log count_w``.
+
+The multipliers are found by a coarse grid scan and a Newton polish with
+the analytic 2x2 Jacobian; residuals are normalized by ``sum g`` so they
+are literal moment mismatches of the candidate distribution (raw residuals
+vanish spuriously for large multipliers, where every weight underflows
+together).  A nested bisection is the globally convergent fallback.  At an
+endpoint of the feasible range the feasible set is a single vertex and the
+multipliers run off to infinity; when the tilt misses any constraint row,
+the vertex found by enumeration is returned instead.
 """
 
 from __future__ import annotations
@@ -35,6 +43,15 @@ from .constellation import (CONSTRUCTION_TOL, Constellation, Distribution,
 
 RESIDUAL_TOL = 1e-10
 MASS_SLACK = 1e-12
+
+# multiplier solve: a coarse grid scan over [GRID_LO, GRID_HI]^2 seeds a
+# Newton polish, which walks outside the grid freely
+GRID_LO = -20.0
+GRID_HI = 20.0
+GRID_STEP = 0.5
+NEWTON_STEP_TOL = 1e-18
+NEWTON_RESIDUAL_TOL = 1e-11
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -104,67 +121,6 @@ def feasible_c0_range(c: Constellation) -> tuple[float, float]:
     return float(m4.min()), float(m4.max())
 
 
-# ---------------------------------------------------------------------------
-# under-determined systems
-
-
-def _pgd_match(matrix, rhs, start, max_outer: int = 500,
-               max_inner: int = 20_000):
-    """Projected gradient descent on the squared fourth-moment mismatch.
-
-    The two equality rows (power, probability) span an affine subspace; the
-    objective gradient always points along the fourth-moment row, so its
-    in-subspace component is a fixed direction and every step is an exact
-    line minimization.  After each step the iterate returns to the mass
-    polytope by alternating the exact affine projection with a clip onto
-    the nonnegative box until the pair stops moving.  Returns ``None`` when
-    that alternation cannot settle within the iteration budget, which
-    happens when the polytope thins towards an endpoint of the feasible
-    range — the caller then falls back to the exact active-set solve.
-    """
-    a4 = matrix[0]
-    eq = matrix[1:]
-    eq_rhs = rhs[1:]
-    # pseudo-inverse tolerates rank-deficient constraint rows (1-2 rings)
-    eq_pinv = np.linalg.pinv(eq)
-
-    def to_affine(x):
-        return x - eq_pinv @ (eq @ x - eq_rhs)
-
-    def to_polytope(x):
-        for _ in range(max_inner):
-            y = np.clip(to_affine(x), 0.0, None)
-            if np.max(np.abs(y - x)) <= 1e-15:
-                if np.max(np.abs(eq @ y - eq_rhs)) <= 1e-11:
-                    return y
-                return None
-            x = y
-        return None
-
-    direction = a4 - eq_pinv @ (eq @ a4)
-    slope = float(direction @ a4)
-
-    p = to_polytope(np.asarray(start, dtype=float))
-    if p is None:
-        return None
-    if slope <= 1e-14:
-        # fourth moment is constant on the feasible set (PSK, two rings)
-        residual = float(a4 @ p - rhs[0])
-        return (p, 0) if abs(residual) <= RESIDUAL_TOL else None
-    for outer in range(1, max_outer + 1):
-        residual = float(a4 @ p - rhs[0])
-        if abs(residual) <= RESIDUAL_TOL:
-            return p, outer - 1
-        stepped = p - (residual / slope) * direction
-        p_new = to_polytope(stepped)
-        if p_new is None:
-            return None
-        if np.max(np.abs(p_new - p)) <= 1e-16:
-            return None  # stalled short of the target moment
-        p = p_new
-    return None
-
-
 def _lp_match(matrix, rhs):
     """A nonnegative mass vector satisfying all three moment equalities.
 
@@ -173,9 +129,8 @@ def _lp_match(matrix, rhs):
     every three-ring system a nonsingular Vandermonde matrix: all of them
     are solved in one batch, and the nonnegative solution with the smallest
     residual is returned (fewer than three rings give one least-squares
-    candidate).  Unlike the projected descent, this terminates even when
-    the feasible set degenerates to a single point (c0 at an endpoint of
-    the feasible range).  No secondary objective is imposed.
+    candidate).  This terminates even when the feasible set degenerates to
+    a single point (c0 at an endpoint of the feasible range).
     """
     n_rings = matrix.shape[1]
     if n_rings >= 3:
@@ -201,16 +156,271 @@ def _lp_match(matrix, rhs):
     return masses
 
 
-def solve_heuristic(c: Constellation, c0: float,
-                    start: np.ndarray | None = None) -> ShapingResult:
-    """Find ring masses with fourth moment c0 under unit power.
+# ---------------------------------------------------------------------------
+# multiplier system
 
-    Targets outside the feasible range are clamped to the nearest endpoint
-    with a warning.  Three-ring constellations use the exact linear solve;
-    otherwise projected gradient descent from ``start`` (uniform loading by
-    default) drives the moment mismatch to zero, falling back to an exact
-    active-set solve near degenerate endpoints.  Different starts may reach
-    different mass vectors — only the achieved moment is contractual.
+
+def _tilt(u, a2, a4, lam1, lam2):
+    """Max-shifted weights g = exp(u - lam1 A**4 - lam2 A**2 - shift).
+
+    ``u`` may contain -inf (dead entries); those get zero weight.  Returns
+    ``(g, shift)``.
+    """
+    e = u - lam1 * a4 - lam2 * a2
+    finite = np.isfinite(e)
+    if not np.any(finite):
+        raise ValueError("all update weights vanished; integrals are degenerate")
+    shift = float(np.max(e[finite]))
+    return np.where(finite, np.exp(e - shift), 0.0), shift
+
+
+def _residual_system(u, a2, a4, c0, lam1, lam2, scaled):
+    """Residuals (f1, f2) and Jacobian of the exponential-family update.
+
+    f1 drives the unit-power constraint, f2 the fourth-moment budget; both
+    are weighted sums of the tilted weights g (see :func:`_tilt`).
+    ``scaled`` divides by sum(g), turning residuals into literal moment
+    mismatches of the candidate distribution.
+    """
+    g, shift = _tilt(u, a2, a4, lam1, lam2)
+    total = float(g.sum())
+    f = np.array([np.dot(a2 - 1.0, g), np.dot(a4 - c0, g)])
+    jac = -np.array([
+        [np.dot((a2 - 1.0) * a4, g), np.dot((a2 - 1.0) * a2, g)],
+        [np.dot((a4 - c0) * a4, g), np.dot((a4 - c0) * a2, g)],
+    ])
+    if scaled:
+        return f / total, jac / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        back = np.exp(shift)
+        restored_f, restored_jac = f * back, jac * back
+    if not np.isfinite(back) or not np.all(np.isfinite(restored_f)):
+        raise OverflowError(
+            f"residuals overflow despite stabilization at lambda=({lam1}, {lam2})")
+    return restored_f, restored_jac
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    lam: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def newton_solve(residual_fn, lam0, step_tol: float = NEWTON_STEP_TOL,
+                 residual_tol: float = NEWTON_RESIDUAL_TOL,
+                 max_iter: int = NEWTON_MAX_ITER,
+                 cond_limit: float = 1e12) -> NewtonResult:
+    """Damped Newton iteration on the 2x2 residual system.
+
+    Stops when the squared step norm falls below ``step_tol`` or the
+    residual norm below ``residual_tol``.  Every step is line-searched (the
+    Newton direction is always a descent direction for ||f||, so halving
+    finds a decrease near regular roots and full steps keep the quadratic
+    rate); ill-conditioned Jacobians switch to a pseudo-inverse direction.
+    Failure to decrease the residual ends the iteration unconverged — this
+    happens when the root sits at infinity, e.g. for a fourth-moment target
+    on the boundary of the feasible interval.
+    """
+    lam = np.array(lam0, dtype=float)
+    for it in range(1, max_iter + 1):
+        f, jac = residual_fn(lam[0], lam[1])
+        f = np.asarray(f, dtype=float)
+        norm = float(np.hypot(f[0], f[1]))
+        if not np.isfinite(norm):
+            return NewtonResult(lam, False, it)
+        if norm <= residual_tol:
+            return NewtonResult(lam, True, it)
+        jac = np.asarray(jac, dtype=float)
+        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > cond_limit:
+            step = -np.linalg.pinv(jac) @ f
+        else:
+            step = np.linalg.solve(jac, -f)
+        alpha, ok = 1.0, False
+        while alpha > 2.0 ** -30:
+            f_try, _ = residual_fn(*(lam + alpha * step))
+            f_try = np.asarray(f_try, dtype=float)
+            if np.all(np.isfinite(f_try)) and float(np.hypot(*f_try)) < norm:
+                ok = True
+                break
+            alpha *= 0.5
+        if not ok:
+            return NewtonResult(lam, False, it)
+        step = alpha * step
+        lam = lam + step
+        if float(step @ step) <= step_tol:
+            return NewtonResult(lam, True, it)
+    return NewtonResult(lam, False, max_iter)
+
+
+# ---------------------------------------------------------------------------
+# bisection fallback for the multiplier system
+#
+# The normalized moments of the tilted weights g = exp(u - l1*A^4 - l2*A^2)
+# are strictly monotone: sum(g A^2)/sum(g) decreases in l2 at fixed l1
+# (its derivative is -Var(A^2) under the tilt), and on the manifold where
+# that moment equals one, sum(g A^4)/sum(g) decreases in l1 (Cauchy-Schwarz).
+# Nested scalar root finding is therefore globally convergent, including
+# targets at the feasible boundary where the root runs off to infinity and
+# Newton stalls; there the bracket expansion caps out and the cap yields the
+# boundary distribution to within exp(-cap)-level residuals.
+
+_OUTER_CAP = 512.0
+
+
+def _bisect(f, lo, hi, xtol):
+    """Root of a decreasing ``f`` bracketed by ``f(lo) > 0 > f(hi)``.
+
+    Halves the bracket until it is ``xtol`` wide, its midpoint rounds onto
+    an end, or ``f`` vanishes at the midpoint, and returns the midpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _tilted_moments(u, a2, a4, lam1, lam2):
+    g, _ = _tilt(u, a2, a4, lam1, lam2)
+    total = g.sum()
+    return float(g @ a2) / total, float(g @ a4) / total
+
+
+def _power_balance_root(u, a2, a4, lam1):
+    """lam2 making the tilted mean-square amplitude equal one, at fixed lam1."""
+    def f(lam2):
+        return _tilted_moments(u, a2, a4, lam1, lam2)[0] - 1.0
+
+    # |lam2| needed to balance any |lam1| <= cap is at most ~2 max(a2) cap
+    inner_cap = 8.0 * max(1.0, float(np.max(a2))) * _OUTER_CAP
+    lo, hi = -1.0, 1.0
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 and fhi == 0.0:       # constant-modulus support
+        return 0.0
+    while flo < 0.0 and lo > -inner_cap:
+        lo *= 2.0
+        flo = f(lo)
+    while fhi > 0.0 and hi < inner_cap:
+        hi *= 2.0
+        fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo < 0.0 or fhi > 0.0:          # root beyond the cap: take the endpoint
+        return lo if abs(flo) <= abs(fhi) else hi
+    return _bisect(f, lo, hi, xtol=1e-13)
+
+
+def _nested_multiplier_root(u, a2, a4, c0):
+    """Globally convergent (lam1, lam2) solve by nested bisection."""
+    def h(lam1):
+        lam2 = _power_balance_root(u, a2, a4, lam1)
+        return _tilted_moments(u, a2, a4, lam1, lam2)[1] - c0
+
+    lo, hi = -1.0, 1.0
+    hlo, hhi = h(lo), h(hi)
+    if hlo == 0.0:
+        lam1 = lo
+    elif hhi == 0.0:
+        lam1 = hi
+    else:
+        while hlo < 0.0 and lo > -_OUTER_CAP:
+            lo *= 2.0
+            hlo = h(lo)
+        while hhi > 0.0 and hi < _OUTER_CAP:
+            hi *= 2.0
+            hhi = h(hi)
+        if hlo < 0.0 or hhi > 0.0:
+            lam1 = lo if abs(hlo) <= abs(hhi) else hi
+        else:
+            lam1 = _bisect(h, lo, hi, xtol=1e-12)
+    lam2 = _power_balance_root(u, a2, a4, lam1)
+    return np.array([float(lam1), float(lam2)])
+
+
+def _match_multipliers(u, a2, a4, c0):
+    """Grid + Newton fast path, nested bisection as the robust fallback."""
+    def fn(l1, l2):
+        return _residual_system(u, a2, a4, c0, l1, l2, scaled=True)
+
+    res = newton_solve(fn, _init_multipliers(u, a2, a4, c0))
+    lam = res.lam
+    best = float(np.hypot(*np.asarray(fn(lam[0], lam[1])[0], dtype=float)))
+    if not res.converged or best > NEWTON_RESIDUAL_TOL:
+        alt = _nested_multiplier_root(u, a2, a4, c0)
+        alt_norm = float(np.hypot(*np.asarray(fn(alt[0], alt[1])[0],
+                                              dtype=float)))
+        if alt_norm < best:
+            lam = alt
+    return lam
+
+
+def _grid_scan_vec(u, a2, a4, c0, l1s, l2s):
+    """Vectorized scaled-residual scan; returns argmin in scan order."""
+    grid1 = np.repeat(l1s, l2s.size)
+    grid2 = np.tile(l2s, l1s.size)
+    e = u[None, :] - grid1[:, None] * a4[None, :] - grid2[:, None] * a2[None, :]
+    e = np.where(np.isfinite(e), e, -np.inf)
+    shift = np.max(e, axis=1, keepdims=True)
+    g = np.exp(e - shift)
+    total = g.sum(axis=1)
+    f1 = g @ (a2 - 1.0) / total
+    f2 = g @ (a4 - c0) / total
+    norms = np.hypot(f1, f2)
+    k = int(np.argmin(norms))          # argmin keeps the first minimum
+    return np.array([grid1[k], grid2[k]]), float(norms[k])
+
+
+def _init_multipliers(u, a2, a4, c0):
+    """Coarse grid scan, then a ten times finer one around its argmin."""
+    coarse = np.arange(GRID_LO, GRID_HI + 0.5 * GRID_STEP, GRID_STEP)
+    lam, _ = _grid_scan_vec(u, a2, a4, c0, coarse, coarse)
+    fine_step = GRID_STEP / 10.0
+    f1s = np.arange(lam[0] - GRID_STEP, lam[0] + GRID_STEP + 0.5 * fine_step,
+                    fine_step)
+    f2s = np.arange(lam[1] - GRID_STEP, lam[1] + GRID_STEP + 0.5 * fine_step,
+                    fine_step)
+    lam, _ = _grid_scan_vec(u, a2, a4, c0, f1s, f2s)
+    return lam
+
+
+def match_ring_masses(c: Constellation, u: np.ndarray, c0: float):
+    """Ring masses of the tilt of ``u`` that meets the moment rows at ``c0``.
+
+    ``u`` holds one exponent per ring, point count folded in (``-inf`` for a
+    dead ring).  Returns ``(ring_mass, multipliers)``: the masses
+    proportional to ``exp(u - lam1 A**4 - lam2 A**2)`` at the matched
+    multipliers, or, when that tilt misses any row of :func:`ring_system` by
+    more than ``RESIDUAL_TOL``, the enumerated vertex of :func:`_lp_match`.
+    The vertex is the answer at the endpoints of the feasible range, where
+    the feasible set is that one point and the multipliers diverge.
+    """
+    sys_ = ring_system(c, c0)
+    a4, a2 = sys_.matrix[0], sys_.matrix[1]
+    lam = _match_multipliers(u, a2, a4, c0)
+    g, _ = _tilt(u, a2, a4, lam[0], lam[1])
+    mass = g / g.sum()
+    if np.max(np.abs(sys_.matrix @ mass - sys_.rhs)) > RESIDUAL_TOL:
+        mass = _lp_match(sys_.matrix, sys_.rhs)
+    return mass, lam
+
+
+def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
+    """Maximum-entropy ring masses with fourth moment c0 under unit power.
+
+    The maximum-entropy input under the three moment rows has point
+    probabilities proportional to ``exp(-lam1 A**4 - lam2 A**2)``; it does
+    not involve the channel.  Targets outside the feasible range are clamped
+    to the nearest endpoint with a warning; at an endpoint the feasible set
+    is a single vertex, which is returned.
     """
     lo, hi = feasible_c0_range(c)
     c0_target = float(c0)
@@ -221,29 +431,11 @@ def solve_heuristic(c: Constellation, c0: float,
         c0_target = clamped
     c0_target = min(max(c0_target, lo), hi)
 
-    sys_ = ring_system(c, c0_target)
-    iterations = 0
-    masses = None
-    if c.n_rings == 3:
-        try:
-            cand = np.linalg.solve(sys_.matrix, sys_.rhs)
-        except np.linalg.LinAlgError:
-            cand = None
-        if cand is not None and np.all(cand >= -MASS_SLACK):
-            masses = cand
-    if masses is None:
-        if start is None:
-            start = c.ring_counts / c.size
-        sol = _pgd_match(sys_.matrix, sys_.rhs, start)
-        if sol is not None:
-            masses, iterations = sol
-        else:
-            masses = _lp_match(sys_.matrix, sys_.rhs)
-
-    dist = Distribution.from_ring_mass(c, np.maximum(masses, 0.0))
+    masses, _ = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
+                                  c0_target)
+    dist = Distribution.from_ring_mass(c, masses)
     m4 = moment(c, dist, 4)
     converged = abs(m4 - c0_target) <= 1e-8
-    return ShapingResult(c0=float(c0), method="heuristic",
-                         ring_mass=np.asarray(masses, dtype=float),
+    return ShapingResult(c0=float(c0), method="heuristic", ring_mass=masses,
                          distribution=dist, moment4=m4,
-                         converged=converged, iterations=iterations)
+                         converged=converged, iterations=0)

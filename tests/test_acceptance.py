@@ -19,11 +19,11 @@ from ofdmpcs.detection import (DetectionScenario, calibrate_so_cfar,
                                detection_probability)
 from ofdmpcs.rates import ChannelSpec, mutual_information
 from ofdmpcs.seeds import derive_seed
-from ofdmpcs.shaping import feasible_c0_range, solve_heuristic
-from ofdmpcs.shaping_ba import (GRID_HI, GRID_LO, GRID_STEP, MBAConfig,
-                                _grid_scan_vec, _importance_weights,
-                                _log_likelihood, _residual_system,
-                                newton_solve, ring_integrals, run_mba)
+from ofdmpcs.shaping import (GRID_HI, GRID_LO, GRID_STEP, _grid_scan_vec,
+                             _residual_system, feasible_c0_range,
+                             newton_solve, solve_heuristic)
+from ofdmpcs.shaping_ba import (MBAConfig, _importance_weights,
+                                _log_likelihood, ring_integrals, run_mba)
 
 QAM16 = make_constellation("qam", 16)
 QAM64 = make_constellation("qam", 64)

@@ -176,6 +176,33 @@ class TestExitCodes:
         assert err.startswith("config error:") and "--n-mc" in err, err
         assert not (out / "air_curve.csv").exists()
 
+    @pytest.mark.parametrize("command,flags,old,new,name", [
+        ("shape", ("--n-mc", "50"), "", "", "--n-mc"),
+        ("air", ("--n-mc", "50"), "", "", "--n-mc"),
+        ("shape", (), "n_mc = 2000\nair_n_mc", "n_mc = 50\nair_n_mc",
+         "[shaping] n_mc"),
+        ("air", (), "snr_db_step = 10\nn_mc = 2000",
+         "snr_db_step = 10\nn_mc = 50", "[channel] n_mc"),
+    ], ids=["shape-flag", "air-flag", "shaping-key", "channel-key"])
+    def test_n_mc_below_consumer_minimum_rejected(self, tmp_path, capsys,
+                                                  monkeypatch, command, flags,
+                                                  old, new, name):
+        # a count between 1 and the consumer's own minimum (100 for the
+        # shaper's update integrals, 1000 for a rate) used to exit 2 with a
+        # library message naming neither the flag nor the key
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "run_mba", no_solve)
+        monkeypatch.setattr(cli, "rate_curve", no_solve)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace(old, new) if old else BASE_CONFIG)
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(bad), *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and name in err, err
+        assert not out.exists() or not any(out.iterdir())
 
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):
@@ -334,12 +361,12 @@ class TestConsoleScript:
 _SCIPY_FREE_SCRIPT = """\
 import sys
 import ofdmpcs.cli
-import ofdmpcs.shaping_ba as ba
+import ofdmpcs.shaping as sh
 
 config, out = sys.argv[1:]
 calls = []
-nested = ba._nested_multiplier_root
-ba._nested_multiplier_root = lambda *a: calls.append(1) or nested(*a)
+nested = sh._nested_multiplier_root
+sh._nested_multiplier_root = lambda *a: calls.append(1) or nested(*a)
 for flags in (["--method", "heuristic"], ["--c0", "1.0"]):
     rc = ofdmpcs.cli.main(["shape", "--config", config, "--out", out, *flags])
     assert rc == 0, (flags, rc)

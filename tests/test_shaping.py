@@ -1,9 +1,10 @@
-"""Moment-matching heuristic and feasibility against vertex enumeration.
+"""Maximum-entropy heuristic and feasibility against vertex enumeration.
 
 The feasible set {p >= 0, sum p = 1, sum p*a2 = 1} is a polytope whose
 extreme points load at most two rings, so the attainable fourth-moment range
 can be found exactly by enumerating ring pairs.  That enumeration is the
-oracle for the LP-based range and for the mass pattern at the endpoints.
+oracle for the range and for the masses both solvers return at the
+endpoints.
 """
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmpcs import (
-     Distribution,
+    Distribution,
+    MBAConfig,
     feasible_c0_range,
     make_constellation,
     moment,
     ring_system,
+    run_mba,
     solve_heuristic,
 )
 from ofdmpcs.shaping import _lp_match
@@ -92,7 +95,7 @@ class TestHeuristic:
         r = solve_heuristic(qam16, 1.32)
         np.testing.assert_allclose(r.ring_mass, uniform16.ring_mass, atol=1e-10)
 
-    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("order", [16, 64, 256])
     def test_moment_matched_on_grid(self, order):
         c = make_constellation("qam", order)
         lo, hi = feasible_c0_range(c)
@@ -113,14 +116,6 @@ class TestHeuristic:
         np.testing.assert_allclose(sorted(a2[keep] * 42), [34.0, 50.0], atol=1e-9)
         np.testing.assert_allclose(r.ring_mass[keep], [0.5, 0.5], atol=1e-6)
 
-    def test_start_does_not_change_achieved_moment(self, qam64, rng):
-        lo, hi = feasible_c0_range(qam64)
-        c0 = 0.5 * (lo + hi)
-        for _ in range(6):
-            start = rng.dirichlet(np.ones(9))
-            r = solve_heuristic(qam64, c0, start=start)
-            assert abs(r.moment4 - c0) <= 1e-8
-
     def test_clamps_and_warns_above(self, qam16):
         with pytest.warns(UserWarning, match="clamped"):
             r = solve_heuristic(qam16, 5.0)
@@ -139,6 +134,48 @@ class TestHeuristic:
         r = solve_heuristic(c, c0)
         assert abs(r.moment4 - c0) <= 1e-8
         assert np.all(r.ring_mass >= -1e-12)
+
+
+class TestMaxEntropy:
+    """The heuristic is the maximum-entropy input under the moment rows.
+
+    Stationarity of entropy minus the three multiplied rows puts every
+    loaded point at p = exp(-lam1 A^4 - lam2 A^2 - lam0): on the support,
+    log(p_w / count_w) is affine in (A_w^4, A_w^2).
+    """
+
+    @pytest.mark.parametrize("order", [64, 256])
+    def test_kkt_log_mass_affine_in_moments(self, order):
+        c = make_constellation("qam", order)
+        lo, hi = feasible_c0_range(c)
+        a2 = c.ring_amps**2
+        for c0 in np.linspace(lo, hi, 7)[1:-1]:
+            r = solve_heuristic(c, float(c0))
+            keep = r.ring_mass > 0
+            assert np.count_nonzero(keep) >= 3
+            log_pt = np.log(r.ring_mass[keep] / c.ring_counts[keep])
+            basis = np.column_stack([a2[keep]**2, a2[keep], np.ones(keep.sum())])
+            coef = np.linalg.lstsq(basis, log_pt, rcond=None)[0]
+            assert np.max(np.abs(basis @ coef - log_pt)) <= 1e-9
+
+
+class TestEndpoints:
+    """At either end of the feasible range the feasible set is one vertex."""
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_both_solvers_return_the_vertex(self, order, end):
+        c = make_constellation("qam", order)
+        lo, hi = feasible_c0_range(c)
+        c0 = lo if end == "lower" else hi
+        pick = min if end == "lower" else max
+        value, oracle = pick(vertex_values(c), key=lambda t: t[0])
+        assert value == pytest.approx(c0, abs=1e-12)
+        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000, air_n_mc=1000)
+        for r in (solve_heuristic(c, c0), run_mba(c, cfg, seed=1)):
+            assert r.converged, r.method
+            assert abs(r.moment4 - c0) <= 1e-10, r.method
+            np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
 
 
 class TestLpMatch:

@@ -27,14 +27,11 @@ from ofdmpcs import (
     run_mba,
     solve_heuristic,
 )
+from ofdmpcs.shaping import _grid_scan_vec, _residual_system, match_ring_masses
 from ofdmpcs.shaping_ba import (
     EXIT_RESIDUAL_TOL,
-    _grid_scan_vec,
     _importance_weights,
     _log_likelihood,
-    _match_multipliers,
-    _residual_system,
-    _ring_update,
     ring_integrals,
 )
 
@@ -205,8 +202,7 @@ class TestMultiplierSystem:
         # give the ring update
         c0 = 1.18
         a2, a4, log_counts = ring_system(qam16)
-        lam = _match_multipliers(realistic_u, a2, a4, c0)
-        mass = _ring_update(realistic_u, a2, a4, lam)
+        mass, lam = match_ring_masses(qam16, realistic_u, c0)
 
         u_pt = (realistic_u - log_counts)[qam16.ring_index]
         a2_pt = qam16.amplitudes ** 2
