@@ -77,6 +77,13 @@ def _get(cp, section, key, conv, default=None):
     return value
 
 
+def _sigma2(cp, default=None) -> float:
+    sigma2 = _get(cp, "channel", "sigma2", float, default)
+    if sigma2 <= 0:
+        raise ConfigError(f"[channel] sigma2 must be positive, got {sigma2!r}")
+    return sigma2
+
+
 def _ladder(cp, section, prefix) -> np.ndarray:
     lo = _get(cp, section, f"{prefix}_min", float)
     hi = _get(cp, section, f"{prefix}_max", float)
@@ -199,7 +206,7 @@ def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingRe
 
 def cmd_shape(cp, args) -> int:
     c = _build_constellation(cp)
-    sigma2 = _get(cp, "channel", "sigma2", float)
+    sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
     seed = _master_seed(cp, args)
     res = _solve_one(c, cp, args, float(c0), sigma2, seed)
@@ -214,7 +221,7 @@ def cmd_air(cp, args) -> int:
     c = _build_constellation(cp)
     seed = _master_seed(cp, args)
     snrs = _ladder(cp, "channel", "snr_db")
-    sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
+    sigma2_ref = _sigma2(cp, 0.01)
     n_mc = _n_mc(cp, args, "channel", 100_000, MIN_MI_SAMPLES)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
     estimates = rate_curve(c, d, snrs, n_mc=n_mc,
@@ -229,7 +236,7 @@ def cmd_af(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
-    sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
+    sigma2_ref = _sigma2(cp, 0.01)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
     n_mc = _n_mc(cp, args, "af", 5000)
     t_p = cfg.symbol_duration
@@ -283,7 +290,7 @@ def cmd_detect(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
-    sigma2_ref = _get(cp, "channel", "sigma2", float, 0.01)
+    sigma2_ref = _sigma2(cp, 0.01)
     d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
     sc = _scenario(cp, c, d, cfg)
     snrs = _ladder(cp, "detection", "snr_db")
@@ -326,7 +333,7 @@ def _c0_sweep(cp, c: Constellation) -> np.ndarray:
 def cmd_tradeoff(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
-    sigma2 = _get(cp, "channel", "sigma2", float)
+    sigma2 = _sigma2(cp)
     seed = _master_seed(cp, args)
     sweep = _c0_sweep(cp, c)
     out_dir = _out_dir(cp, args)
@@ -376,7 +383,7 @@ def cmd_lut_export(cp, args) -> int:
         return EXIT_OK
 
     c = _build_constellation(cp)
-    sigma2 = _get(cp, "channel", "sigma2", float)
+    sigma2 = _sigma2(cp)
     seed = _master_seed(cp, args)
     sweep = _c0_sweep(cp, c)
     if sweep.size == 0:

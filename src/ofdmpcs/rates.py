@@ -42,6 +42,12 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log1p(s / m) + np.log(m) + np.squeeze(a_max, axis=axis)
 
 
+def log_probs(p: np.ndarray) -> np.ndarray:
+    """Elementwise ``log p``, ``-inf`` exactly where ``p`` is zero."""
+    with np.errstate(divide="ignore"):
+        return np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Complex AWGN channel; ``noise_power`` is the total variance sigma2."""
@@ -81,8 +87,7 @@ def gm_log_pdf(y, c: Constellation, d: Distribution,
     p = np.asarray(d.per_point, dtype=float)
     if not np.any(p > 0):
         raise ValueError("distribution has no support")
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+    logp = log_probs(p)
     # terms (M, Q): log p_q - |y - x_q|^2 / sigma2
     out = np.empty(y_flat.size)
     chunk = max(1, int(2_000_000 // max(c.size, 1)))

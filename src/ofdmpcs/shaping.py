@@ -20,13 +20,15 @@ the points of ring ``w`` share one exponent, so the ring's weight carries
 ``u_w + log count_w``.
 
 The multipliers are found by a coarse grid scan and a Newton polish with
-the analytic 2x2 Jacobian; residuals are normalized by ``sum g`` so they
-are literal moment mismatches of the candidate distribution (raw residuals
-vanish spuriously for large multipliers, where every weight underflows
-together).  A nested bisection is the globally convergent fallback.  At an
-endpoint of the feasible range the feasible set is a single vertex and the
-multipliers run off to infinity; when the tilt misses any constraint row,
-the vertex found by enumeration is returned instead.
+the analytic 2x2 Jacobian, or by Newton alone from a caller's warm start
+when that meets the residual tolerance.  Residuals are normalized by
+``sum g`` so they are literal moment mismatches of the candidate
+distribution (raw residuals vanish spuriously for large multipliers, where
+every weight underflows together).  A nested bisection is the globally
+convergent fallback.  At an endpoint of the feasible range the feasible set
+is a single vertex and the multipliers run off to infinity; when the tilt
+misses any constraint row, the vertex found by enumeration is returned
+instead, without multipliers.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class ShapingResult:
     """Outcome of a shaping solve (heuristic or rate-optimal).
 
     ``multipliers`` and a meaningful ``trace`` exist only for the optimal
-    method; ``air_bits`` is filled when a rate estimate was requested.
+    method, and ``multipliers`` is ``None`` at an endpoint of the feasible
+    range, where they diverge; ``air_bits`` is filled when a rate estimate
+    was requested.
     """
 
     c0: float
@@ -84,7 +88,8 @@ class ShapingResult:
     def to_json(self) -> str:
         payload = {"c0": self.c0}
         if self.method == "optimal":
-            payload["lambda"] = list(self.multipliers)
+            payload["lambda"] = (None if self.multipliers is None
+                                 else list(self.multipliers))
         payload["ring_mass"] = [float(v) for v in self.ring_mass]
         payload["air_bits"] = self.air_bits
         payload["converged"] = bool(self.converged)
@@ -346,19 +351,25 @@ def _nested_multiplier_root(u, a2, a4, c0):
     return np.array([float(lam1), float(lam2)])
 
 
-def _match_multipliers(u, a2, a4, c0):
-    """Grid + Newton fast path, nested bisection as the robust fallback."""
+def _match_multipliers(u, a2, a4, c0, warm=None):
+    """Newton from ``warm`` when given; else, or when that Newton misses,
+    grid + Newton, with nested bisection as the robust fallback."""
     def fn(l1, l2):
         return _residual_system(u, a2, a4, c0, l1, l2, scaled=True)
 
+    def norm(lam):
+        return float(np.hypot(*np.asarray(fn(lam[0], lam[1])[0], dtype=float)))
+
+    if warm is not None:
+        res = newton_solve(fn, warm)
+        if res.converged and norm(res.lam) <= NEWTON_RESIDUAL_TOL:
+            return res.lam
     res = newton_solve(fn, _init_multipliers(u, a2, a4, c0))
     lam = res.lam
-    best = float(np.hypot(*np.asarray(fn(lam[0], lam[1])[0], dtype=float)))
+    best = norm(lam)
     if not res.converged or best > NEWTON_RESIDUAL_TOL:
         alt = _nested_multiplier_root(u, a2, a4, c0)
-        alt_norm = float(np.hypot(*np.asarray(fn(alt[0], alt[1])[0],
-                                              dtype=float)))
-        if alt_norm < best:
+        if norm(alt) < best:
             lam = alt
     return lam
 
@@ -392,7 +403,8 @@ def _init_multipliers(u, a2, a4, c0):
     return lam
 
 
-def match_ring_masses(c: Constellation, u: np.ndarray, c0: float):
+def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
+                      warm=None):
     """Ring masses of the tilt of ``u`` that meets the moment rows at ``c0``.
 
     ``u`` holds one exponent per ring, point count folded in (``-inf`` for a
@@ -402,14 +414,19 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float):
     more than ``RESIDUAL_TOL``, the enumerated vertex of :func:`_lp_match`.
     The vertex is the answer at the endpoints of the feasible range, where
     the feasible set is that one point and the multipliers diverge.
+
+    ``multipliers`` is ``None`` at the vertex.  ``warm``, the multipliers
+    of a nearby match such as the previous outer iteration's, starts Newton
+    there and skips the grid scan when that Newton meets
+    ``NEWTON_RESIDUAL_TOL``.
     """
     sys_ = ring_system(c, c0)
     a4, a2 = sys_.matrix[0], sys_.matrix[1]
-    lam = _match_multipliers(u, a2, a4, c0)
+    lam = _match_multipliers(u, a2, a4, c0, warm)
     g, _ = _tilt(u, a2, a4, lam[0], lam[1])
     mass = g / g.sum()
     if np.max(np.abs(sys_.matrix @ mass - sys_.rhs)) > RESIDUAL_TOL:
-        mass = _lp_match(sys_.matrix, sys_.rhs)
+        return _lp_match(sys_.matrix, sys_.rhs), None
     return mass, lam
 
 

@@ -20,9 +20,15 @@ Numerical conventions:
   estimator for every outer iteration.  The fixed-sample objective is then
   exactly alternately maximized, so its trace is non-decreasing to machine
   precision.
-* Iterates are ring-symmetrized (the per-point integrals are averaged over
+* Iterates are ring-uniform (the per-point integrals are averaged over
   each ring before the update), which is exact for the ring-uniform model
-  and lets the solver run on W ring masses instead of Q probabilities.
+  and lets the solver run on W ring masses instead of Q probabilities.  The
+  sample set is therefore reduced once, per call, to W x M ring tables
+  (:class:`RingTables`, M samples), and each outer iteration evaluates the
+  integrals on them at W x M cost instead of Q x M.
+* Each multiplier match starts Newton from the previous iteration's
+  multipliers; the grid scan runs on the first match, and again only when
+  that warm start misses.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, Distribution
-from .rates import MIN_MI_SAMPLES, ChannelSpec, logsumexp, mutual_information
+from .rates import (MIN_MI_SAMPLES, ChannelSpec, log_probs, logsumexp,
+                    mutual_information)
 from .seeds import derive_seed
 from .shaping import ShapingResult, feasible_c0_range, match_ring_masses
 
@@ -45,11 +52,14 @@ MIN_UPDATE_SAMPLES = 100     # smallest n_mc that estimates the update integrals
 class MBAConfig:
     """Settings for :func:`run_mba`.
 
-    ``n_mc`` is the size of the one fixed sample set that estimates the
-    update integrals in every outer iteration.  ``outer_tol`` stops the outer
+    ``n_mc`` is the size M of the one fixed sample set that estimates the
+    update integrals in every outer iteration; it is reduced once to the
+    W x M ring tables the iterations run on.  ``outer_tol`` stops the outer
     loop on the squared change of the per-point probability vector (and,
     secondarily, on a relative objective plateau).  ``air_n_mc`` sizes the
-    final rate estimate.
+    final rate estimate.  The warm-started multiplier match takes no
+    setting: the multipliers pass from one iteration to the next inside
+    :func:`run_mba`.
     """
 
     c0: float
@@ -80,57 +90,81 @@ class MBAConfig:
 # update integrals
 
 
-def _log_likelihood(c: Constellation, samples: np.ndarray,
+def _log_likelihood(points: np.ndarray, samples: np.ndarray,
                     sigma2: float) -> np.ndarray:
-    """(Q, M) table of log p(y_m | x_q) for the AWGN channel."""
+    """(len(points), M) table of log p(y_m | x) for the AWGN channel."""
     y = np.asarray(samples, dtype=complex).ravel()
-    d2 = np.abs(c.points[:, None] - y[None, :]) ** 2
+    d2 = np.abs(points[:, None] - y[None, :]) ** 2
     return -d2 / sigma2 - np.log(np.pi * sigma2)
 
 
-def _log_probs(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0, np.log(np.maximum(p, 1e-300)), _NEG_INF)
+@dataclass(frozen=True)
+class RingTables:
+    """Ring-level reductions of one fixed sample set ``y_1 .. y_M``.
 
+    The samples are drawn under the uniform input, so point ``q`` weighs
+    sample ``m`` by ``W_qm = p(y_m | x_q) / (1/Q) sum_q' p(y_m | x_q')``.
+    Every table has one row per ring ``w``:
 
-def _importance_weights(loglik: np.ndarray, p_draw: np.ndarray) -> np.ndarray:
-    """(Q, M) weights p(y_m | x) / sum_x' p(y_m | x') p_draw(x').
-
-    ``p_draw`` is the per-point distribution the samples were drawn under.
+    * ``log_lik[w, m]``: ``L_wm = log sum_{q in w} p(y_m | x_q)``;
+    * ``weight[w, m]``: ``B_wm``, the mean of ``W_qm`` over ring ``w``;
+    * ``weight_mean[w]``: the mean of ``B_wm`` over the samples;
+    * ``weighted_log_lik[w]``: ``A_w``, the mean over samples and ring
+      points of ``W_qm log p(y_m | x_q)``.
     """
-    log_mix = logsumexp(loglik + _log_probs(p_draw)[:, None], axis=0)
-    return np.exp(loglik - log_mix[None, :])
+
+    counts: np.ndarray
+    log_lik: np.ndarray
+    weight: np.ndarray
+    weight_mean: np.ndarray
+    weighted_log_lik: np.ndarray
 
 
-def ring_integrals(c: Constellation, loglik: np.ndarray, weights: np.ndarray,
-                   p: np.ndarray) -> np.ndarray:
+def ring_tables(c: Constellation, samples: np.ndarray,
+                sigma2: float) -> RingTables:
+    """:class:`RingTables` of ``samples``, drawn under the uniform input.
+
+    Built ring by ring, so no (Q, M) table is ever held: the second pass
+    recomputes each ring's likelihoods once the uniform mixture is known.
+    """
+    rings = [c.points[c.ring_index == w] for w in range(c.n_rings)]
+    log_lik = np.stack([logsumexp(_log_likelihood(pts, samples, sigma2),
+                                  axis=0) for pts in rings])
+    log_mix = logsumexp(log_lik, axis=0) - np.log(c.size)
+    weight = np.empty_like(log_lik)
+    weighted_log_lik = np.empty(c.n_rings)
+    for w, pts in enumerate(rings):
+        loglik = _log_likelihood(pts, samples, sigma2)
+        weights = np.exp(loglik - log_mix)
+        weight[w] = weights.mean(axis=0)
+        weighted_log_lik[w] = np.mean(weights * loglik)
+    return RingTables(counts=c.ring_counts.astype(float), log_lik=log_lik,
+                      weight=weight, weight_mean=weight.mean(axis=1),
+                      weighted_log_lik=weighted_log_lik)
+
+
+def ring_integrals(tables: RingTables, mass: np.ndarray) -> np.ndarray:
     """Ring-averaged Monte-Carlo estimates of integral p(y|x) log q(x|y) dy.
 
-    ``loglik`` and ``weights`` come from one fixed sample set (see
-    :func:`_log_likelihood` and :func:`_importance_weights`); ``p`` is the
-    current per-point iterate, which enters through the Bayes posterior
-    ``q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x')``.  A point of zero mass
-    has a ``-inf`` integral, and so has its whole ring.
+    ``mass`` is the current ring-uniform iterate, which enters through the
+    Bayes posterior ``q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x')``.  With
+    ``p_w`` the point mass on ring ``w`` and ``log mix_m = log sum_w p_w
+    exp(L_wm)`` the output log-density, the ring integral is
+
+        u_w = log p_w * mean_m B_wm + A_w - mean_m (B_wm log mix_m),
+
+    the per-point integral averaged over the ring and reassociated onto the
+    ring tables, so it costs W x M per call.  A ring of zero mass has a
+    ``-inf`` integral.
     """
-    logp = _log_probs(p)
-    log_mix = logsumexp(loglik + logp[:, None], axis=0)
-    logq = logp[:, None] + loglik - log_mix[None, :]
-    # a dead entry the sample cannot reach contributes 0, not 0 * -inf
-    reached = np.isfinite(logq) | (weights != 0.0)
-    terms = np.multiply(weights, logq, out=np.zeros_like(logq), where=reached)
-    u_pt = np.where(p > 0, np.mean(terms, axis=1), _NEG_INF)
-    return _ring_means(u_pt, c.ring_index, c.n_rings)
-
-
-def _ring_means(values, ring_index, n_rings):
-    sums = np.bincount(ring_index, weights=np.where(np.isfinite(values),
-                                                    values, 0.0),
-                       minlength=n_rings)
-    counts = np.bincount(ring_index, minlength=n_rings)
-    means = sums / counts
-    has_dead = np.bincount(ring_index, weights=(~np.isfinite(values)).astype(float),
-                           minlength=n_rings) > 0
-    return np.where(has_dead, _NEG_INF, means)
+    log_pt = log_probs(mass / tables.counts)
+    live = np.isfinite(log_pt)
+    log_mix = logsumexp(tables.log_lik[live] + log_pt[live, None], axis=0)
+    u = np.full(mass.shape, _NEG_INF)
+    u[live] = (log_pt[live] * tables.weight_mean[live]
+               + tables.weighted_log_lik[live]
+               - tables.weight[live] @ log_mix / log_mix.size)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +181,34 @@ def _objective(mass, u_ring, counts) -> float:
 def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
     """The outer loop on one fixed sample set.
 
-    Returns ``(ring_mass, multipliers, trace, converged)``.  The (Q, n_mc)
-    tables live only in this scope, so they are freed before the caller's
-    final rate estimate.
+    Returns ``(ring_mass, multipliers, trace, converged)``; ``multipliers``
+    is ``None`` when the last match ended on the endpoint vertex.
     """
     rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
-    uniform = Distribution.uniform(c)
-    idx = uniform.draw(rng, cfg.n_mc)
+    idx = Distribution.uniform(c).draw(rng, cfg.n_mc)
     sig = np.sqrt(cfg.noise_power / 2.0)
     samples = c.points[idx] + rng.normal(scale=sig, size=cfg.n_mc) \
         + 1j * rng.normal(scale=sig, size=cfg.n_mc)
-    loglik = _log_likelihood(c, samples, cfg.noise_power)
-    weights = _importance_weights(loglik, uniform.per_point)
+    tables = ring_tables(c, samples, cfg.noise_power)
 
-    counts = c.ring_counts.astype(float)
+    counts = tables.counts
     log_counts = np.log(counts)
 
     def point_probs(mass_vec):
         return mass_vec[c.ring_index] / counts[c.ring_index]
 
     mass = counts / float(c.size)              # ring masses, start uniform
-    u_ring = ring_integrals(c, loglik, weights, point_probs(mass))
+    u_ring = ring_integrals(tables, mass)
     trace: list[float] = []
     converged = False
-    lam = np.zeros(2)
+    lam = None
     for _ in range(cfg.max_outer):
-        # ring counts folded into the exponents
-        mass_new, lam = match_ring_masses(c, u_ring + log_counts, c0)
+        # ring counts folded into the exponents; the last multipliers seed
+        # the match, which falls back to its grid scan when they miss
+        mass_new, lam = match_ring_masses(c, u_ring + log_counts, c0, lam)
 
         # the integrals under the new iterate score it and feed the next update
-        u_ring = ring_integrals(c, loglik, weights, point_probs(mass_new))
+        u_ring = ring_integrals(tables, mass_new)
         f_val = _objective(mass_new, u_ring, counts)
         plateau = bool(trace) and abs(f_val - trace[-1]) <= cfg.outer_tol * abs(trace[-1])
         trace.append(f_val)
@@ -216,6 +248,10 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
                  abs(float(mass.sum()) - 1.0))
     feasible = max(residuals) <= EXIT_RESIDUAL_TOL
 
+    # the vertex has no multipliers, and at an endpoint they diverge: there
+    # the finite pair the last match stopped at describes nothing
+    multipliers = (None if lam is None or c0 in (lo, hi)
+                   else (float(lam[0]), float(lam[1])))
     air = mutual_information(c, dist, ChannelSpec(cfg.noise_power),
                              n_mc=cfg.air_n_mc,
                              seed=derive_seed(seed, "mba-air"))
@@ -225,5 +261,5 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
         converged=bool(converged_outer and feasible),
         iterations=len(trace),
         air_bits=float(air.mi_bits),
-        multipliers=(float(lam[0]), float(lam[1])),
+        multipliers=multipliers,
         trace=trace)

@@ -204,6 +204,32 @@ class TestExitCodes:
         assert err.startswith("config error:") and name in err, err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", ["0", "-0.05"])
+    @pytest.mark.parametrize("command,flags", [
+        ("shape", ()), ("tradeoff", ()), ("air", ("--c0", "1.2")),
+    ], ids=["shape", "tradeoff", "air-c0"])
+    def test_nonpositive_sigma2_rejected_at_parse(self, tmp_path, capsys,
+                                                  monkeypatch, command, flags,
+                                                  value):
+        # it reached the library, whose message named neither the section
+        # nor the key: "noise_power must be positive"
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("run_mba", "solve_heuristic", "rate_curve"):
+            monkeypatch.setattr(cli, name, no_solve)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("sigma2 = 0.01",
+                                           f"sigma2 = {value}"))
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(bad), *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and "[channel] sigma2" in err, err
+        assert "noise_power" not in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

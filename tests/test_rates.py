@@ -22,7 +22,7 @@ from ofdmpcs import (
     solve_heuristic,
 )
 from ofdmpcs.constellation import entropy_bits
-from ofdmpcs.rates import logsumexp, rate_curve_csv
+from ofdmpcs.rates import log_probs, logsumexp, rate_curve_csv
 from ofdmpcs.shaping_ba import _log_likelihood
 
 LN2 = np.log(2.0)
@@ -62,7 +62,7 @@ class TestLogSumExp:
         y = c.points[rng.integers(c.size, size=n)] \
             + np.sqrt(sigma2 / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
         rates_table = logp[None, :] - np.abs(y[:, None] - c.points[None, :]) ** 2 / sigma2
-        shaper_table = _log_likelihood(c, y, sigma2) + logp[:, None]
+        shaper_table = _log_likelihood(c.points, y, sigma2) + logp[:, None]
         return {"rates (M, Q)": rates_table, "shaper (Q, M)": shaper_table}
 
     @staticmethod
@@ -103,6 +103,15 @@ class TestLogSumExp:
 
 
 class TestLogMixtureDensity:
+    def test_log_probs(self, qam16):
+        # the one log-probability helper: bitwise np.log on live entries,
+        # -inf without a warning on dead ones
+        p = Distribution.from_ring_mass(qam16, [0.3, 0.7, 0.0]).per_point
+        got = log_probs(p)
+        live = p > 0
+        np.testing.assert_array_equal(got[live], np.log(p[live]))
+        assert np.isneginf(got[~live]).all()
+
     def test_matches_direct_sum(self, qam16, uniform16, rng):
         spec = ChannelSpec(noise_power=0.2)
         y = rng.normal(size=50) + 1j * rng.normal(size=50)

@@ -4,36 +4,38 @@ Every piece is the code ``run_mba`` runs.  The multiplier system has its
 Jacobian checked against finite differences, the Newton iteration is
 exercised on a known root, the grid scan is compared with a scalar loop,
 the ring-folded update is compared with the per-point exponential-family
-update, the posterior inside the update integrals is compared with a
-hand-computed Bayes rule, and the Monte-Carlo integrals are validated against
-Gauss-Hermite quadrature.  End-to-end runs are pinned to
-the cases with independently known answers: the uniform fourth moment must
-return the uniform distribution, the lower endpoint must collapse to the
-unit-power rings, and the objective trace must never decrease.
+update, the warm-started match is compared with the cold one, the
+ring-table integrals are compared with a per-point (Q, M) oracle, the
+posterior inside them with a hand-computed Bayes rule, and the Monte-Carlo
+integrals are validated against Gauss-Hermite quadrature.  End-to-end runs
+are pinned to the cases with independently known answers: the uniform
+fourth moment must return the uniform distribution, the lower endpoint must
+collapse to the unit-power rings, and the objective trace must never
+decrease.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from ofdmpcs import (
     ChannelSpec,
     Distribution,
     MBAConfig,
+    feasible_c0_range,
     from_rings,
+    make_constellation,
     moment,
     mutual_information,
     newton_solve,
     run_mba,
+    shaping,
     solve_heuristic,
 )
-from ofdmpcs.shaping import _grid_scan_vec, _residual_system, match_ring_masses
-from ofdmpcs.shaping_ba import (
-    EXIT_RESIDUAL_TOL,
-    _importance_weights,
-    _log_likelihood,
-    ring_integrals,
-)
+from ofdmpcs.shaping import (RESIDUAL_TOL, _grid_scan_vec, _residual_system,
+                             match_ring_masses, ring_system as moment_rows)
+from ofdmpcs.shaping_ba import EXIT_RESIDUAL_TOL, ring_integrals, ring_tables
 
 
 def ring_system(c):
@@ -42,12 +44,40 @@ def ring_system(c):
     return a2, a2 ** 2, np.log(c.ring_counts.astype(float))
 
 
-def integrals_at(c, p, y, sigma2, p_draw=None):
-    """Ring integrals under per-point ``p`` for samples ``y`` drawn under
-    ``p_draw`` (default ``p``)."""
-    loglik = _log_likelihood(c, y, sigma2)
-    w = _importance_weights(loglik, p if p_draw is None else p_draw)
-    return ring_integrals(c, loglik, w, p)
+def integrals_at(c, mass, y, sigma2):
+    """Ring integrals under ring masses ``mass`` for samples ``y`` drawn under
+    the uniform input."""
+    return ring_integrals(ring_tables(c, y, sigma2), np.asarray(mass, float))
+
+
+def per_point_integrals(c, mass, y, sigma2):
+    """Oracle: the same integrals point by point on (Q, M) tables.
+
+    Each point's importance-weighted mean of log q(x | y) over the samples,
+    then its ring's mean, with no reassociation onto ring tables.
+    """
+    y = np.asarray(y, dtype=complex).ravel()
+    p = (np.asarray(mass, float) / c.ring_counts)[c.ring_index]
+    loglik = -np.abs(c.points[:, None] - y[None, :]) ** 2 / sigma2 \
+        - np.log(np.pi * sigma2)
+    weights = np.exp(loglik - scipy_logsumexp(loglik, axis=0, b=1.0 / c.size))
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    log_mix = scipy_logsumexp(loglik + logp[:, None], axis=0)
+    logq = logp[:, None] + loglik - log_mix[None, :]
+    # a dead entry the sample cannot reach contributes 0, not 0 * -inf
+    reached = np.isfinite(logq) | (weights != 0.0)
+    terms = np.multiply(weights, logq, out=np.zeros_like(logq), where=reached)
+    u_pt = np.where(p > 0, np.mean(terms, axis=1), -np.inf)
+    return np.array([np.mean(u_pt[c.ring_index == w])
+                     for w in range(c.n_rings)])
+
+
+def uniform_samples(c, sigma2, n, seed):
+    rng = np.random.default_rng(seed)
+    s = np.sqrt(sigma2 / 2)
+    return c.points[rng.integers(c.size, size=n)] \
+        + rng.normal(scale=s, size=n) + 1j * rng.normal(scale=s, size=n)
 
 
 def quadratic_system(lam1, lam2):
@@ -142,7 +172,7 @@ def realistic_u(qam16):
     y = qam16.points[idx] + rng.normal(scale=s, size=4000) + 1j * rng.normal(
         scale=s, size=4000)
     _, _, log_counts = ring_system(qam16)
-    return integrals_at(qam16, d.per_point, y, spec.noise_power) + log_counts
+    return integrals_at(qam16, d.ring_mass, y, spec.noise_power) + log_counts
 
 
 class TestMultiplierSystem:
@@ -214,26 +244,64 @@ class TestMultiplierSystem:
             mass, np.bincount(qam16.ring_index, weights=p), rtol=1e-12)
 
 
+class TestRingTables:
+    @pytest.mark.parametrize("order,sigma2", [(16, 0.1), (64, 0.05),
+                                              (256, 0.02)])
+    def test_matches_per_point_oracle(self, order, sigma2):
+        # the ring tables reassociate the per-point sums; at uniform, shaped
+        # and dead-ring masses they must give the oracle's integrals
+        c = make_constellation("qam", order)
+        y = uniform_samples(c, sigma2, 600, seed=order)
+        tables = ring_tables(c, y, sigma2)
+        shaped = solve_heuristic(c, 1.15).ring_mass
+        dead = shaped.copy()
+        dead[[0, c.n_rings - 1]] = 0.0
+        dead /= dead.sum()
+        for mass in (c.ring_counts / c.size, shaped, dead):
+            got = ring_integrals(tables, mass)
+            want = per_point_integrals(c, mass, y, sigma2)
+            np.testing.assert_array_equal(np.isneginf(got), mass == 0)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_tables_are_ring_reductions(self, qam64):
+        # each table row reduces its ring's points, and nothing else
+        sigma2 = 0.05
+        y = uniform_samples(qam64, sigma2, 300, seed=5)
+        t = ring_tables(qam64, y, sigma2)
+        lik = np.exp(-np.abs(qam64.points[:, None] - y[None, :]) ** 2
+                     / sigma2) / (np.pi * sigma2)
+        w = lik / lik.mean(axis=0)
+        for r in range(qam64.n_rings):
+            pts = qam64.ring_index == r
+            np.testing.assert_allclose(t.log_lik[r],
+                                       np.log(lik[pts].sum(axis=0)),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(t.weight[r], w[pts].mean(axis=0),
+                                       rtol=1e-12)
+            assert t.weighted_log_lik[r] == pytest.approx(
+                np.mean(w[pts] * np.log(lik[pts])), rel=1e-12)
+        assert t.log_lik.shape == t.weight.shape == (qam64.n_rings, 300)
+
+
 class TestPosterior:
     def test_bayes_rule_by_hand(self, qam16, uniform16):
-        # one sample at unit weight: the ring integral is the ring mean of
-        # log q(x | y) itself
+        # one sample: the ring integral is the ring mean of the importance
+        # weight times log q(x | y)
         sigma2 = 0.3
         p = uniform16.per_point
         for y in (0.1 + 0.2j, -0.7 - 0.7j, 2.0 + 0.0j):
-            loglik = _log_likelihood(qam16, [y], sigma2)
-            u = ring_integrals(qam16, loglik, np.ones_like(loglik), p)
+            u = integrals_at(qam16, uniform16.ring_mass, [y], sigma2)
             lik = np.exp(-np.abs(qam16.points - y) ** 2 / sigma2)
             q = p * lik / np.sum(p * lik)
             assert q.sum() == pytest.approx(1.0, abs=1e-12)
-            want = np.bincount(qam16.ring_index, weights=np.log(q)) \
+            weight = lik / np.mean(lik)
+            want = np.bincount(qam16.ring_index, weights=weight * np.log(q)) \
                 / qam16.ring_counts
             np.testing.assert_allclose(u, want, rtol=1e-12)
 
     def test_zero_prior_never_resurrects(self, qam16):
-        d = Distribution.from_ring_mass(qam16, [0.0, 1.0, 0.0])
         y = qam16.points[:4] + 0.01  # near the (zeroed) inner ring
-        u = integrals_at(qam16, d.per_point, y, 0.5)
+        u = integrals_at(qam16, [0.0, 1.0, 0.0], y, 0.5)
         # -inf integrals give the zeroed rings zero weight in every update
         assert np.isneginf(u[0]) and np.isneginf(u[2])
         assert np.isfinite(u[1])
@@ -244,11 +312,10 @@ class TestMonteCarloIntegrals:
         # all mass on the lone centre point: q(x|y) = 1 there and the
         # integral of log q vanishes; the ring it does not reach is -inf
         c = from_rings([0.0, 1.0], [1, 4])
-        p = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         rng = np.random.default_rng(3)
         s = np.sqrt(0.1)
         y = rng.normal(scale=s, size=500) + 1j * rng.normal(scale=s, size=500)
-        u = integrals_at(c, p, y, 0.2)
+        u = integrals_at(c, [1.0, 0.0], y, 0.2)
         assert u[0] == pytest.approx(0.0, abs=1e-12)
         assert np.isneginf(u[1])
 
@@ -262,7 +329,7 @@ class TestMonteCarloIntegrals:
         idx = rng.choice(16, n, p=uniform16.per_point)
         s = np.sqrt(sigma2 / 2)
         y = qam16.points[idx] + rng.normal(scale=s, size=n) + 1j * rng.normal(scale=s, size=n)
-        u_mc = integrals_at(qam16, uniform16.per_point, y, sigma2)
+        u_mc = integrals_at(qam16, uniform16.ring_mass, y, sigma2)
 
         z, w = np.polynomial.hermite_e.hermegauss(80)
         w = w / np.sqrt(2 * np.pi)
@@ -277,6 +344,98 @@ class TestMonteCarloIntegrals:
             want[x] = np.sum(ww * np.log(qq[x]))
         want = np.bincount(qam16.ring_index, weights=want) / qam16.ring_counts
         np.testing.assert_allclose(u_mc, want, atol=0.01)
+
+
+@pytest.fixture
+def grid_scans(monkeypatch):
+    """Arguments of every grid scan the multiplier match runs."""
+    calls = []
+    scan = shaping._init_multipliers
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(shaping, "_init_multipliers", counted)
+    return calls
+
+
+class TestWarmStart:
+    C0 = 1.25
+    SIGMA2 = 0.05
+
+    @pytest.fixture(scope="class")
+    def channel_u(self, qam64):
+        # the shaper's first exponents on 64-QAM: integrals under the
+        # uniform input, ring counts folded in
+        y = uniform_samples(qam64, self.SIGMA2, 2000, seed=21)
+        _, _, log_counts = ring_system(qam64)
+        return integrals_at(qam64, qam64.ring_counts / qam64.size, y,
+                            self.SIGMA2) + log_counts
+
+    def test_warm_match_agrees_with_cold(self, qam64, channel_u, grid_scans):
+        cold_mass, cold_lam = match_ring_masses(qam64, channel_u, self.C0)
+        assert len(grid_scans) == 1
+        warm_mass, warm_lam = match_ring_masses(
+            qam64, channel_u, self.C0, cold_lam + np.array([0.3, -0.4]))
+        assert len(grid_scans) == 1            # Newton alone from the warm start
+        rows = moment_rows(qam64, self.C0)
+        assert np.max(np.abs(rows.matrix @ warm_mass - rows.rhs)) \
+            <= RESIDUAL_TOL
+        np.testing.assert_allclose(warm_mass, cold_mass, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(warm_lam, cold_lam, rtol=0, atol=1e-9)
+
+    def test_unusable_warm_start_takes_the_cold_path(self, qam64, channel_u,
+                                                     grid_scans):
+        # far out every weight sits on the inner ring: the residual is flat
+        # there and Newton stalls at once
+        cold_mass, cold_lam = match_ring_masses(qam64, channel_u, self.C0)
+        mass, lam = match_ring_masses(qam64, channel_u, self.C0,
+                                      np.array([1e3, 0.0]))
+        assert len(grid_scans) == 2
+        np.testing.assert_array_equal(mass, cold_mass)
+        np.testing.assert_array_equal(lam, cold_lam)
+
+    def test_interior_run_scans_the_grid_once(self, qam64, grid_scans):
+        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=2000, outer_tol=1e-9,
+                        air_n_mc=1000)
+        res = run_mba(qam64, cfg, seed=0)
+        assert res.converged and res.iterations > 10
+        assert len(grid_scans) == 1
+
+
+class TestEndpointMultipliers:
+    @pytest.mark.parametrize("order,n_mc", [(16, 2000), (256, 300)])
+    def test_lower_endpoint_reports_no_multipliers(self, order, n_mc):
+        # the multipliers diverge at an endpoint: whatever finite pair the
+        # match stopped at (a grid corner on 256-QAM) is not reported
+        import json
+
+        c = make_constellation("qam", order)
+        lo, _ = feasible_c0_range(c)
+        res = run_mba(c, MBAConfig(c0=lo, noise_power=0.01, n_mc=n_mc,
+                                   air_n_mc=1000), seed=3)
+        assert res.converged
+        assert res.multipliers is None
+        assert json.loads(res.to_json())["lambda"] is None
+
+    def test_vertex_fallback_returns_no_multipliers(self):
+        c = make_constellation("qam", 256)
+        lo, _ = feasible_c0_range(c)
+        mass, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
+                                      lo)
+        assert lam is None
+        assert np.count_nonzero(mass) == 1
+
+    @pytest.mark.parametrize("order,c0", [(16, 1.2), (64, 1.3), (256, 1.2)])
+    def test_interior_solves_report_two_finite_multipliers(self, order, c0):
+        import json
+
+        c = make_constellation("qam", order)
+        res = run_mba(c, MBAConfig(c0=c0, noise_power=0.02, n_mc=500,
+                                   air_n_mc=1000), seed=4)
+        lam = json.loads(res.to_json())["lambda"]
+        assert len(lam) == 2 and np.all(np.isfinite(lam))
 
 
 class TestRunMba:
