@@ -40,10 +40,8 @@ from .detection import (
     wilson_interval,
 )
 from .rates import (
-    AirReport,
     ChannelSpec,
     MIEstimate,
-    air_total,
     gm_log_pdf,
     mutual_information,
     rate_curve,
@@ -63,11 +61,11 @@ from .shaping_ba import MBAConfig, run_mba
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid", "AFMoments", "AirReport", "ChannelSpec", "CheckResult",
+    "AFGrid", "AFMoments", "ChannelSpec", "CheckResult",
     "Constellation", "DetectionScenario", "Diagnostics", "Distribution",
     "MBAConfig", "MIEstimate", "NewtonResult", "OFDMConfig", "PdCurve",
     "RangeProfile", "RingSystem", "ShapingResult", "SymbolMatrix",
-    "af_components", "af_samples", "af_sequence", "af_single", "air_total",
+    "af_components", "af_samples", "af_sequence", "af_single",
     "analytic_moments", "average_af", "calibrate_so_cfar", "derive_seed",
     "detection_probability", "empirical_false_alarm_rate",
     "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf",

@@ -7,9 +7,18 @@ mutual information estimator is the standard Monte-Carlo one,
     h(Y)   ~= -(1/M) sum_m log p(y_m),   y_m ~ p(y),
     h(Y|X) = log(pi * e * sigma2),
 
-with the mixture density evaluated in log space throughout (a max-shifted
-log-sum-exp), so nothing underflows even at very high SNR.  Internals are in
-nats; everything reported is in bits.
+with the mixture density evaluated in log space throughout, so nothing
+underflows even at very high SNR.  Internals are in nats; everything
+reported is in bits.
+
+``gm_log_pdf`` evaluates log p(y) = log sum_q p_q N_c(y; x_q, sigma2) with
+the distance expanded, |y - x|^2 = |y|^2 - 2 Re(y conj x) + |x|^2.  The
+|y|^2 / sigma2 term does not depend on q and is subtracted once per sample;
+the rest is one real (m, 2) @ (2, Q) product per chunk of m samples plus a
+per-point bias log p_q - |x_q|^2 / sigma2, reduced by a max-shifted sum.
+Zero-mass points are dropped first.  Chunks hold at most ``_CHUNK_ELEMS``
+table entries, so a call's temporaries stay cache-sized whatever the number
+of samples or points.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .constellation import Constellation, Distribution
 
 LN2 = float(np.log(2.0))
 MIN_MI_SAMPLES = 1000       # smallest n_mc with a usable standard error
+_CHUNK_ELEMS = 65_536       # gm_log_pdf's (samples, points) table: 512 KB
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -31,6 +41,8 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     which is then ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
     ``exp(a - max)`` over the rest (Blanchard, Higham & Higham, IMA J.
     Numer. Anal. 41(4), 2021).  A slice that is all ``-inf`` gives ``-inf``.
+    It is bitwise equal to scipy's; the shaper's ring tables (``shaping_ba``)
+    go through it, ``gm_log_pdf`` does not need the tie count.
     """
     a_max = np.max(a, axis=axis, keepdims=True)
     at_max = a == a_max
@@ -85,17 +97,29 @@ def gm_log_pdf(y, c: Constellation, d: Distribution,
     y_flat = np.atleast_1d(y_arr).ravel()
     sigma2 = spec.noise_power
     p = np.asarray(d.per_point, dtype=float)
-    if not np.any(p > 0):
+    live = p > 0
+    if not np.any(live):
         raise ValueError("distribution has no support")
-    logp = log_probs(p)
-    # terms (M, Q): log p_q - |y - x_q|^2 / sigma2
+    x = c.points[live]
+    # -|y - x_q|^2 / sigma2 = [Re y, Im y] @ gain + bias_q - |y|^2 / sigma2
+    gain = (2.0 / sigma2) * np.stack([x.real, x.imag])
+    bias = np.log(p[live]) - (x.real ** 2 + x.imag ** 2) / sigma2
+    y_ri = y_flat.view(float).reshape(-1, 2)     # [Re y, Im y], no copy
     out = np.empty(y_flat.size)
-    chunk = max(1, int(2_000_000 // max(c.size, 1)))
-    for start in range(0, y_flat.size, chunk):
-        yk = y_flat[start:start + chunk]
-        t = logp[None, :] - np.abs(yk[:, None] - c.points[None, :]) ** 2 / sigma2
-        out[start:start + chunk] = logsumexp(t, axis=1)
-    out -= np.log(np.pi * sigma2)
+    rows = max(1, _CHUNK_ELEMS // x.size)
+    # one table for every chunk: a fresh one per chunk measured 1.2 MB more
+    # peak RSS on a 256-QAM shape run
+    table = np.empty((min(rows, y_flat.size), x.size))
+    for start in range(0, y_flat.size, rows):
+        t = table[:min(rows, y_flat.size - start)]
+        np.matmul(y_ri[start:start + rows], gain, out=t)
+        t += bias
+        t_max = np.max(t, axis=1)
+        t -= t_max[:, None]
+        np.exp(t, out=t)                    # the max term is exactly 1
+        out[start:start + rows] = np.log(np.sum(t, axis=1)) + t_max
+    out -= (y_flat.real ** 2 + y_flat.imag ** 2) / sigma2 \
+        + np.log(np.pi * sigma2)
     if scalar:
         return float(out[0])
     return out.reshape(y_arr.shape)
@@ -126,25 +150,6 @@ def mutual_information(c: Constellation, d: Distribution, spec: ChannelSpec,
     return MIEstimate(mi_bits=max(0.0, mi_nats / LN2),
                       std_error=se_nats / LN2,
                       n_mc=n_mc, noise_power=spec.noise_power)
-
-
-@dataclass(frozen=True)
-class AirReport:
-    """Achievable information rate of an L-subcarrier OFDM symbol."""
-
-    bits_per_symbol: float
-    per_subchannel: MIEstimate
-
-
-def air_total(c: Constellation, d: Distribution, spec: ChannelSpec,
-              n_subcarriers: int, n_mc: int = 100_000,
-              seed: int = 0) -> AirReport:
-    """Total rate: L times the per-subchannel mutual information."""
-    if n_subcarriers < 1:
-        raise ValueError("need at least one subcarrier")
-    mi = mutual_information(c, d, spec, n_mc=n_mc, seed=seed)
-    return AirReport(bits_per_symbol=n_subcarriers * mi.mi_bits,
-                     per_subchannel=mi)
 
 
 def rate_curve(c: Constellation, d: Distribution, snr_db_values,

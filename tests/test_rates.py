@@ -8,6 +8,8 @@ log-sum-exp path to machine precision at benign noise levels.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -15,12 +17,13 @@ from scipy.special import logsumexp as scipy_logsumexp
 from ofdmpcs import (
     ChannelSpec,
     Distribution,
-    air_total,
     gm_log_pdf,
+    make_constellation,
     mutual_information,
     rate_curve,
     solve_heuristic,
 )
+from ofdmpcs import rates
 from ofdmpcs.constellation import entropy_bits
 from ofdmpcs.rates import log_probs, logsumexp, rate_curve_csv
 from ofdmpcs.shaping_ba import _log_likelihood
@@ -51,7 +54,12 @@ def gh_mutual_information(c, d, sigma2, n_nodes=96):
 
 
 class TestLogSumExp:
-    """``logsumexp`` against scipy's, bit for bit, on its callers' tables."""
+    """``logsumexp`` against scipy's, bit for bit, on (Q, M) and (M, Q) tables.
+
+    The shaper's ring tables go through it; ``gm_log_pdf`` takes a plain
+    max-shifted sum (see its oracle test).  The (M, Q) table checks the
+    other layout.
+    """
 
     @staticmethod
     def caller_tables(c, rng, sigma2=0.05, n=400):
@@ -147,6 +155,58 @@ class TestLogMixtureDensity:
         )
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @staticmethod
+    def oracle_log_mix(y, c, d, sigma2):
+        # the direct per-point evaluation: |y - x|^2 for every point, then
+        # scipy's log-sum-exp with dead points as -inf columns
+        with np.errstate(divide="ignore"):
+            logp = np.log(d.per_point)
+        t = logp[None, :] - np.abs(y[:, None] - c.points[None, :]) ** 2 / sigma2
+        return scipy_logsumexp(t, axis=1) - np.log(np.pi * sigma2)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("family,order,ring_mass", [
+        ("qam", 16, None), ("qam", 64, None), ("qam", 256, None),
+        ("psk", 64, None),
+        ("qam", 64, [0.2, 0.0, 0.3, 0.1, 0.0, 0.25, 0.15, 0.0, 0.0]),
+    ], ids=["qam16", "qam64", "qam256", "psk64", "qam64-dead-rings"])
+    def test_matches_per_point_oracle(self, family, order, ring_mass, sigma2,
+                                      monkeypatch):
+        c = make_constellation(family, order)
+        d = Distribution.uniform(c) if ring_mass is None \
+            else Distribution.from_ring_mass(c, ring_mass)
+        rng = np.random.default_rng(order + int(-np.log10(sigma2)))
+        n = 301
+        y = c.points[d.draw(rng, n)] + np.sqrt(sigma2 / 2.0) \
+            * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        # and outputs away from every point, out to |y| ~ 4
+        y[:20] = 3.0 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
+        # a few rows per chunk, so chunk boundaries fall inside the samples
+        monkeypatch.setattr(rates, "_CHUNK_ELEMS", 1000)
+        got = gm_log_pdf(y, c, d, ChannelSpec(sigma2))
+        want = self.oracle_log_mix(y, c, d, sigma2)
+        # the expansion cancels terms of size (|y|^2 + |x|^2) / sigma2
+        eps = np.finfo(float).eps
+        bound = 16 * eps * (1 + (np.abs(y) ** 2 + np.max(np.abs(c.points) ** 2)) / sigma2)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_bounded_temporaries(self):
+        # 256-QAM at the shaper's air_n_mc: one call holds a cache-sized
+        # table, not a (samples, points) one (40 MB of float64 here)
+        c = make_constellation("qam", 256)
+        d = Distribution.uniform(c)
+        rng = np.random.default_rng(5)
+        n = 20_000
+        y = c.points[d.draw(rng, n)] + np.sqrt(0.005) \
+            * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            gm_log_pdf(y, c, d, ChannelSpec(0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
 
 class TestEstimator:
     def test_naive_twin_identical_draws(self, qam16, uniform16):
@@ -236,13 +296,6 @@ class TestHeuristicRate:
 
 
 class TestAirAndCurves:
-    def test_air_total_scales_with_subcarriers(self, qam16, uniform16):
-        spec = ChannelSpec(0.1)
-        rep = air_total(qam16, uniform16, spec, n_subcarriers=64, n_mc=2000, seed=12)
-        assert rep.bits_per_symbol == pytest.approx(64 * rep.per_subchannel.mi_bits, rel=1e-12)
-        with pytest.raises(ValueError):
-            air_total(qam16, uniform16, spec, n_subcarriers=0, n_mc=2000)
-
     def test_rate_curve_monotone_in_snr(self, qam16, uniform16):
         ests = rate_curve(qam16, uniform16, [0.0, 10.0, 20.0], n_mc=20_000, seed=13)
         assert ests[0].mi_bits < ests[1].mi_bits < ests[2].mi_bits
