@@ -12,6 +12,7 @@ from .ambiguity import (
     af_single,
     analytic_moments,
     average_af,
+    exact_af,
     sample_symbols,
 )
 from .constellation import (
@@ -67,7 +68,7 @@ __all__ = [
     "RangeProfile", "RingSystem", "ShapingResult", "SymbolMatrix",
     "af_components", "af_samples", "af_sequence", "af_single",
     "analytic_moments", "average_af", "calibrate_so_cfar", "derive_seed",
-    "detection_probability", "empirical_false_alarm_rate",
+    "detection_probability", "empirical_false_alarm_rate", "exact_af",
     "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf",
     "make_constellation", "moment", "mutual_information", "newton_solve",
     "pd_curve", "rate_curve", "ring_system", "run_mba", "sample_symbols",

@@ -1,14 +1,21 @@
 """Ambiguity function of OFDM symbols carrying random data.
 
-Exact single-symbol and symbol-train values, Monte-Carlo averages over the
-data distribution, and closed-form moments (mean of the self term, variances
-of the self and cross terms).
+Exact single-symbol and symbol-train values, closed-form moments (mean of
+the self term, variances of the self and cross terms), the exact average
+surface E|AF|^2 built from them, and the Monte-Carlo average that serves as
+its oracle.
 
 The delay-Doppler response of one OFDM symbol splits into a "self" part
 (subcarrier paired with itself, carrying only symbol energies ``A**2``) and a
 "cross" part (distinct subcarrier pairs).  With unit-power data the self-term
 variance is ``T_diff**2 * sinc(nu*T_diff)**2 * L * (E[A**4] - 1)``, which is
 why the fourth moment of the constellation drives sidelobe fluctuation.
+For zero-mean i.i.d. data the two parts are uncorrelated, so
+
+    E|AF|^2 = |E AF|^2 + var_self + var_cross
+
+holds exactly; only the cross variance sees the pseudo-variance E[x^2],
+which is nonzero for improper inputs such as BPSK.
 
 All ``sinc`` factors follow the integral identity
 
@@ -229,19 +236,39 @@ def af_samples(c: Constellation, d: Distribution, cfg: OFDMConfig,
     return np.sum(X * (np.conj(X) @ K.T), axis=1)
 
 
-def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
-               tau_axis, nu_axis, n_mc: int, seed: int,
-               normalize: bool = True) -> AFGrid:
-    """Mean squared-magnitude AF over the data distribution, in dB.
-
-    Axes are normalized (delay / T_p, Doppler / spacing).  One set of n_mc
-    symbol draws is shared across the whole grid; trial m is seeded with
-    ``seed XOR m``.  With ``normalize`` the surface peak is shifted to 0 dB.
-    """
+def _grid_axes(tau_axis, nu_axis) -> tuple[np.ndarray, np.ndarray]:
     tau_axis = np.asarray(tau_axis, dtype=float)
     nu_axis = np.asarray(nu_axis, dtype=float)
     if tau_axis.size == 0 or nu_axis.size == 0:
         raise ValueError("grid axes must be nonempty")
+    return tau_axis, nu_axis
+
+
+def _db_grid(tau_axis, nu_axis, mean_pow: np.ndarray,
+             normalize: bool) -> AFGrid:
+    """AFGrid in dB of a linear power surface, peak at 0 dB if ``normalize``."""
+    if normalize:
+        peak = mean_pow.max()
+        if peak <= 0:
+            raise ValueError("grid contains no energy; cannot normalize")
+        mean_pow = mean_pow / peak
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(mean_pow)
+    return AFGrid(tau_axis=tau_axis, nu_axis=nu_axis, values=db, units="db")
+
+
+def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
+               tau_axis, nu_axis, n_mc: int, seed: int,
+               normalize: bool = True) -> AFGrid:
+    """Monte-Carlo mean squared-magnitude AF over the data distribution, in dB.
+
+    Axes are normalized (delay / T_p, Doppler / spacing).  One set of n_mc
+    symbol draws is shared across the whole grid; trial m is seeded with
+    ``seed XOR m``.  With ``normalize`` the surface peak is shifted to 0 dB.
+    The oracle of :func:`exact_af`, which gives the same surface without
+    sampling error.
+    """
+    tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     X = _draw_flat(c, d, cfg, n_mc, seed)
@@ -257,14 +284,7 @@ def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
             K = _kernel(cfg, tau, nu)
             lam = np.sum(X * (Xc @ K.T), axis=1)
             mean_pow[i, j] = float(np.mean(np.abs(lam) ** 2))
-    if normalize:
-        peak = mean_pow.max()
-        if peak <= 0:
-            raise ValueError("grid contains no energy; cannot normalize")
-        mean_pow = mean_pow / peak
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(mean_pow)
-    return AFGrid(tau_axis=tau_axis, nu_axis=nu_axis, values=db, units="db")
+    return _db_grid(tau_axis, nu_axis, mean_pow, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +308,43 @@ class AFMoments:
     var_self_train: float
     var_cross_train: float
 
+    @property
+    def mean_power(self) -> float:
+        """E|AF|^2 of the N-symbol train: squared mean plus both variances."""
+        return (abs(self.mean_self) ** 2 + self.var_self_train
+                + self.var_cross_train)
 
-def _pair_sinc_sum(L: int, df: float, nu: float, t_diff: float,
-                   include_equal: bool) -> float:
-    """sum over subcarrier pairs of sinc(((l1-l2)*df - nu) * t_diff)**2.
 
-    Uses the difference distribution: there are L - |d| ordered pairs at each
-    l1 - l2 = d.  ``include_equal`` keeps the d = 0 diagonal.
+def _pair_sincs(L: int, df: float, nu: float,
+                t_diff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts and sincs over the subcarrier differences d = l1 - l2.
+
+    There are L - |d| ordered pairs at each d in [-(L-1), L-1]; the sinc is
+    sinc((d*df - nu) * t_diff).  Reversing either array maps d to -d.
     """
-    if t_diff <= 0.0:
-        return 0.0
     d = np.arange(-(L - 1), L)
-    counts = L - np.abs(d)
-    if not include_equal:
-        counts = np.where(d == 0, 0, counts)
-    arg = (d * df - nu) * t_diff
-    return float(np.sum(counts * np.sinc(arg) ** 2))
+    return L - np.abs(d), np.sinc((d * df - nu) * t_diff)
 
 
 def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
                      tau: float, nu: float) -> AFMoments:
     """Exact mean and variances of the AF at (tau, nu).
 
-    The distribution enters only through the fourth moment (self-term
-    variance); the cross-term variance is distribution-free.
+    Holds for any zero-mean i.i.d. data of unit power.  The self-term
+    variance depends on the distribution through the fourth moment E[A^4].
+    The cross-term variance is sum_{i!=j} |K_ij|^2 plus
+    |E[x^2]|^2 * sum_{i!=j} K_ij conj(K_ji), with K the kernel of
+    :func:`af_sequence`: it is the same for every proper input (QAM, PSK of
+    order >= 3, any ring-symmetric shaping) and differs for improper ones
+    such as BPSK, where it doubles at zero Doppler.  The pseudo-variance sum pairs a block with its
+    transpose, whose window is empty unless the two symbols coincide, so
+    it only has within-symbol terms and scales by N over a train.
     """
     _check_point(tau, nu)
     L, N = cfg.n_subcarriers, cfg.n_symbols
     df, t_p = cfg.subcarrier_spacing, cfg.symbol_duration
     m4 = moment(c, d, 4)
+    pseudo = abs(np.dot(d.per_point, c.points ** 2)) ** 2
 
     t_diff, t_avg = _window(tau, 0, t_p)
     if t_diff <= 0.0:
@@ -330,8 +358,11 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
         mean_self = (t_diff * np.sinc(nu * t_diff)
                      * np.exp(-2j * np.pi * nu * t_avg) * comb * train)
         var_self = t_diff ** 2 * np.sinc(nu * t_diff) ** 2 * L * (m4 - 1.0)
-        var_cross = t_diff ** 2 * _pair_sinc_sum(
-            L, df, nu, t_diff, include_equal=False)
+        counts, s = _pair_sincs(L, df, nu, t_diff)
+        counts[L - 1] = 0                        # d = 0 is the self term
+        # K_ji carries the sinc at -d and, since df * T_p = 1, the same phase
+        var_cross = t_diff ** 2 * float(np.sum(counts * s ** 2)
+                                        + pseudo * np.sum(counts * s * s[::-1]))
 
     var_cross_train = N * var_cross
     for delta in range(-(N - 1), N):
@@ -341,11 +372,31 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
         if td <= 0.0:
             continue
         # (N - |delta|) symbol pairs share this overlap geometry
-        var_cross_train += (N - abs(delta)) * td ** 2 * _pair_sinc_sum(
-            L, df, nu, td, include_equal=True)
+        counts, s = _pair_sincs(L, df, nu, td)
+        var_cross_train += (N - abs(delta)) * td ** 2 * float(
+            np.sum(counts * s ** 2))
 
     return AFMoments(mean_self=complex(mean_self),
                      var_self=float(var_self),
                      var_cross=float(var_cross),
                      var_self_train=float(N * var_self),
                      var_cross_train=float(var_cross_train))
+
+
+def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
+             tau_axis, nu_axis,
+             normalize: bool = True) -> tuple[AFGrid, list[list[AFMoments]]]:
+    """Exact mean squared-magnitude AF over the data distribution, in dB.
+
+    Each cell is :attr:`AFMoments.mean_power` of :func:`analytic_moments`;
+    the moments come back too, ``moments[i][j]`` for
+    ``(tau_axis[i], nu_axis[j])``.  Axes are normalized (delay / T_p,
+    Doppler / spacing) as in :func:`average_af`, whose Monte-Carlo surface
+    this is without sampling error.  No draws, so no seed.
+    """
+    tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
+    moments = [[analytic_moments(c, d, cfg, float(tn * cfg.symbol_duration),
+                                 float(vn * cfg.subcarrier_spacing))
+                for vn in nu_axis] for tn in tau_axis]
+    mean_pow = np.array([[m.mean_power for m in row] for row in moments])
+    return _db_grid(tau_axis, nu_axis, mean_pow, normalize), moments

@@ -4,15 +4,20 @@ Subcommands
 -----------
 ``shape``       one shaping solve (heuristic or moment-matched BA), JSON out
 ``air``         mutual-information-vs-SNR curve, CSV out
-``af``          average ambiguity surface + zero-Doppler slice, CSV out
+``af``          exact average ambiguity surface + zero-Doppler slice, CSV out
 ``detect``      detection-probability-vs-SNR curve, CSV out
 ``tradeoff``    c0 sweep: both solvers + detection point per c0, CSV + LUT
 ``lut-export``  shaped-probability look-up table, JSON out
 
 Every command is a pure function of (config file, flags, seed): reruns emit
 byte-identical artifacts.  All randomness flows from the single ``seed`` key;
-sub-seeds are derived by hashing (seed, purpose string).  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical non-convergence.
+sub-seeds are derived by hashing (seed, purpose string).  ``af`` draws
+nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
+var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
+through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
+units of T_p and of the subcarrier spacing, as the key names say.  Exit
+codes: 0 on success, 2 for configuration errors, 3 for numerical
+non-convergence.
 Clamping of out-of-range moment targets is reported on stderr, never silent.
 """
 
@@ -28,7 +33,7 @@ import warnings
 
 import numpy as np
 
-from .ambiguity import OFDMConfig, analytic_moments, average_af
+from .ambiguity import OFDMConfig, exact_af
 from .constellation import Constellation, Distribution, make_constellation
 from .detection import DetectionScenario, calibrate_so_cfar, pd_curve
 from .rates import (MIN_MI_SAMPLES, ChannelSpec, mutual_information,
@@ -235,32 +240,26 @@ def cmd_air(cp, args) -> int:
 def cmd_af(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
-    seed = _master_seed(cp, args)
     sigma2_ref = _sigma2(cp, 0.01)
-    d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
-    n_mc = _n_mc(cp, args, "af", 5000)
-    t_p = cfg.symbol_duration
-    d_f = cfg.subcarrier_spacing
-    tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0) * t_p,
-                      _get(cp, "af", "tau_max_tp", float, 0.5) * t_p,
+    d = _shaped_distribution(c, cp, args, sigma2_ref, _master_seed(cp, args))
+    tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0),
+                      _get(cp, "af", "tau_max_tp", float, 0.5),
                       _get(cp, "af", "n_tau", int, 33))
-    nu = np.linspace(_get(cp, "af", "nu_min_df", float, 0.0) * d_f,
-                     _get(cp, "af", "nu_max_df", float, 0.0) * d_f,
+    nu = np.linspace(_get(cp, "af", "nu_min_df", float, 0.0),
+                     _get(cp, "af", "nu_max_df", float, 0.0),
                      _get(cp, "af", "n_nu", int, 1))
     out_dir = _out_dir(cp, args)
 
-    grid = average_af(c, d, cfg, tau, nu, n_mc=n_mc,
-                      seed=derive_seed(seed, "af-grid"))
+    grid, _ = exact_af(c, d, cfg, tau, nu)
     grid_path = os.path.join(out_dir, "af_grid.csv")
     grid.to_csv(grid_path)
 
-    zero = average_af(c, d, cfg, tau, np.array([0.0]), n_mc=n_mc,
-                      seed=derive_seed(seed, "af-slice"))
+    zero, moments = exact_af(c, d, cfg, tau, [0.0])
     slice_path = os.path.join(out_dir, "af_slice.csv")
     lines = ["tau,value_db,var_self,var_cross"]
     for i, t in enumerate(tau):
-        mom = analytic_moments(c, d, cfg, float(t), 0.0)
-        lines.append(f"{t / t_p:.9g},{zero.values[i, 0]:.9g},"
+        mom = moments[i][0]
+        lines.append(f"{t:.9g},{zero.values[i, 0]:.9g},"
                      f"{mom.var_self:.9g},{mom.var_cross:.9g}")
     with open(slice_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -28,6 +28,7 @@ scale-free, so the calibration transfers across noise levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,8 @@ WILSON_Z95 = 1.959963984540054
 MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
 _CHUNK_ROWS = 4096          # rows per batch of profiles
+_SUB_ROWS = 256             # rows per block of noise-only ratios
+_ELIDE_BYTES = 256 * 1024   # numpy's in-place temporary threshold
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,24 @@ def _draw_trials(sc: DetectionScenario,
     return x, y
 
 
-def _profiles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matched-filter powers ``|L * ifft(y * conj x)|^2``, row by row."""
-    z = x.shape[1] * np.fft.ifft(y * np.conj(x), axis=1)
+def _profiles(x: np.ndarray, y: np.ndarray,
+              batch_rows: int | None = None) -> np.ndarray:
+    """Matched-filter powers ``|L * ifft(y * conj x)|^2``, row by row.
+
+    Complex products round differently with their operands swapped, and
+    numpy forms ``y * conj(x)`` as ``conj(x) * y`` (in place, in the
+    temporary) once that temporary spans ``_ELIDE_BYTES``.  The order is
+    therefore explicit and follows the same size rule, applied to the batch
+    the rows belong to: ``batch_rows`` rows, by default these.  So a batch
+    gives the bits it always gave, also when split into sub-blocks.
+    """
+    rows = x.shape[0] if batch_rows is None else batch_rows
+    conj_x = np.conj(x)
+    if rows * x.shape[1] * conj_x.itemsize >= _ELIDE_BYTES:
+        prod = np.multiply(conj_x, y)
+    else:
+        prod = np.multiply(y, conj_x)
+    z = x.shape[1] * np.fft.ifft(prod, axis=1)
     return np.abs(z) ** 2
 
 
@@ -193,20 +211,62 @@ def _noise_only(sc: DetectionScenario) -> DetectionScenario:
     return replace(sc, snr_db=-np.inf, si_to_noise_db=-np.inf)
 
 
-def _batch_ratios(sc: DetectionScenario, n_rows: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Noise-only profile/statistic ratios, n_rows profiles at a time."""
+def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
+                       rng: np.random.Generator):
+    """Noise-only profile/statistic ratios, yielded a few hundred rows at a time.
+
+    Each chunk of ``_CHUNK_ROWS`` rows draws its symbol indices, then the
+    real noise, then the imaginary noise; the profiles and ratios follow in
+    sub-blocks of ``_SUB_ROWS`` rows, so no chunk-sized complex array is
+    held.  Every sub-block forms its products in the whole chunk's operand
+    order (see :func:`_profiles`), so the ratios are bitwise those of the
+    whole chunk.
+    """
+    sc = _noise_only(sc)
     length = sc.cfg.n_subcarriers
-    out = []
+    points = sc.constellation.points
+    scale = np.sqrt(0.5)
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, n_rows - start)
-        x = sc.constellation.points[sc.distribution.draw(rng, (rows, length))]
-        noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
-            + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
-        power = _profiles(x, noise)
-        stat = _side_means(power, sc.ref_cells, sc.guard_cells)
-        out.append((power / stat).ravel())
-    return np.concatenate(out)
+        idx = sc.distribution.draw(rng, (rows, length))
+        noise_re = rng.normal(scale=scale, size=(rows, length))
+        noise_im = rng.normal(scale=scale, size=(rows, length))
+        for sub in range(0, rows, _SUB_ROWS):
+            part = slice(sub, sub + _SUB_ROWS)
+            power = _profiles(points[idx[part]],
+                              noise_re[part] + 1j * noise_im[part], rows)
+            stat = _side_means(power, sc.ref_cells, sc.guard_cells)
+            yield (power / stat).ravel()
+        del idx, noise_re, noise_im     # free this chunk before the next draw
+
+
+def _upper_quantile(blocks, n: int, q: float) -> float:
+    """``np.quantile(all blocks, q)`` (linear rule) from the top few values.
+
+    The linear rule reads the order statistics at ``lo = floor(v)`` and
+    ``lo + 1`` of the n values, v = (n - 1) * q < n - 1, so only the n - lo
+    largest matter.  They are kept in a running set: a block enters it through
+    ``np.partition`` once it holds values above the set's minimum.  The two
+    order statistics are then interpolated as numpy does, a + (b - a) * t,
+    or b - (b - a) * (1 - t) when t >= 0.5, so the result is bitwise
+    numpy's.
+    """
+    v = (n - 1) * q
+    lo = math.floor(v)
+    keep = n - lo
+    top = np.empty(0)
+    for block in blocks:
+        if top.size == keep:
+            block = block[block > top[0]]
+            if block.size == 0:
+                continue
+        top = np.concatenate((top, block))
+        if top.size >= keep:                     # top[0] is the set minimum
+            top = np.partition(top, top.size - keep)[top.size - keep:]
+    a, b = np.partition(top, 1)[:2]
+    t = v - lo
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
 def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
@@ -216,7 +276,9 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
     ``n_cal`` counts noise-only cell evaluations (default 100/P_fa, at least
     10/P_fa required); alpha is the (1 - P_fa) quantile of the cell-power /
     smallest-of-statistic ratio, which is distribution- and noise-level-free
-    up to the weak cell coupling induced by the random symbol power.
+    up to the weak cell coupling induced by the random symbol power.  Only
+    the largest ~P_fa * n_cal ratios are kept while the rest stream past;
+    alpha is bitwise ``np.quantile`` over all of them.
     """
     if n_cal is None:
         n_cal = int(np.ceil(DEFAULT_CAL_FACTOR / sc.p_fa))
@@ -227,8 +289,8 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
     length = sc.cfg.n_subcarriers
     n_rows = int(np.ceil(n_cal / length))
     rng = np.random.default_rng(derive_seed(seed, "cfar-calibration"))
-    ratios = _batch_ratios(_noise_only(sc), n_rows, rng)
-    return float(np.quantile(ratios, 1.0 - sc.p_fa))
+    return _upper_quantile(_noise_only_ratios(sc, n_rows, rng),
+                           n_rows * length, 1.0 - sc.p_fa)
 
 
 def empirical_false_alarm_rate(sc: DetectionScenario, alpha: float,
@@ -237,8 +299,9 @@ def empirical_false_alarm_rate(sc: DetectionScenario, alpha: float,
     length = sc.cfg.n_subcarriers
     n_rows = int(np.ceil(n_cells / length))
     rng = np.random.default_rng(derive_seed(seed, "cfar-evaluation"))
-    ratios = _batch_ratios(_noise_only(sc), n_rows, rng)
-    return float(np.mean(ratios > alpha))
+    crossings = sum(int(np.count_nonzero(r > alpha))
+                    for r in _noise_only_ratios(sc, n_rows, rng))
+    return crossings / (n_rows * length)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,13 @@ from ofdmpcs import (
     af_single,
     analytic_moments,
     average_af,
+    exact_af,
     make_constellation,
     sample_symbols,
     trial_seed,
 )
+from ofdmpcs.ambiguity import _kernel
+from ofdmpcs.constellation import moment
 
 
 def oracle_closed(x: np.ndarray, cfg: OFDMConfig, tau: float, nu: float) -> complex:
@@ -219,6 +222,7 @@ class TestAnalyticMoments:
             assert mom.var_self_train == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_variance_is_distribution_free(self, qam64, ofdm64):
+        # free of the distribution among proper inputs (E[x^2] = 0)
         uni = Distribution.uniform(qam64)
         shaped = Distribution.from_ring_mass(
             qam64, np.array([4, 0, 4, 0, 8, 12, 0, 0, 4], dtype=float) / 32
@@ -242,6 +246,131 @@ class TestAnalyticMoments:
         four = analytic_moments(qam16, uniform16, OFDMConfig(8, n_symbols=4), 0.12, 0.3)
         assert four.var_self_train == pytest.approx(4 * one.var_self, rel=1e-12)
         assert one.var_self_train == pytest.approx(one.var_self, rel=1e-12)
+
+
+def kernel_mean_power(c, d, cfg, tau, nu):
+    """E|AF|^2 summed over the kernel matrix entry by entry.
+
+    With i.i.d. zero-mean x of unit power, E[x_i conj(x_j) conj(x_k) x_l]
+    is nonzero only for i=j=k=l (E|x|^4), i=j != k=l or i=k != j=l (1) and
+    i=l != j=k (|E x^2|^2).
+    """
+    if abs(tau) >= cfg.n_symbols * cfg.symbol_duration:
+        return 0.0
+    K = _kernel(cfg, tau, nu)
+    diag = np.diag(K)
+    off = K - np.diag(diag)
+    pseudo = abs(np.dot(d.per_point, c.points ** 2)) ** 2
+    return float(abs(diag.sum()) ** 2
+                 + (moment(c, d, 4) - 1.0) * np.sum(np.abs(diag) ** 2)
+                 + np.sum(np.abs(off) ** 2)
+                 + pseudo * np.real(np.sum(off * np.conj(off.T))))
+
+
+SURFACE_CASES = {
+    "qam16": ("qam", 16, None),
+    "qam16-shaped": ("qam", 16, [0.4, 0.2, 0.4]),
+    "psk64": ("psk", 64, None),
+    "bpsk": ("psk", 2, None),
+    "qpsk": ("psk", 4, None),
+}
+
+
+def _case(name):
+    family, order, mass = SURFACE_CASES[name]
+    c = make_constellation(family, order)
+    d = (Distribution.uniform(c) if mass is None
+         else Distribution.from_ring_mass(c, np.asarray(mass, dtype=float)))
+    return c, d
+
+
+class TestMeanPower:
+    @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
+    @pytest.mark.parametrize("n_symbols", [1, 2, 3])
+    def test_matches_kernel_sum(self, name, n_symbols):
+        c, d = _case(name)
+        for cfg in (OFDMConfig(6, n_symbols=n_symbols),
+                    OFDMConfig(5, subcarrier_spacing=2.0, symbol_duration=0.5,
+                               n_symbols=n_symbols)):
+            t_p, d_f = cfg.symbol_duration, cfg.subcarrier_spacing
+            for tn, vn in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.7), (-0.45, 0.2),
+                           (1.3, 0.1), (-1.7, -0.6), (0.9, 1.5), (2.4, 0.3)]:
+                tau, nu = tn * t_p, vn * d_f
+                got = analytic_moments(c, d, cfg, tau, nu).mean_power
+                want = kernel_mean_power(c, d, cfg, tau, nu)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n_symbols,tau,nu", [(1, 0.1, 0.0),
+                                                  (1, 0.3, 0.2),
+                                                  (2, 0.15, 0.0),
+                                                  (2, -0.6, 0.1)])
+    def test_improper_cross_variance_matches_monte_carlo(self, n_symbols,
+                                                         tau, nu):
+        # BPSK: E[x^2] = 1 adds sum_{i!=j} K_ij conj(K_ji) to the cross
+        # variance; a proper formula would miss it by a factor of ~2
+        bpsk = make_constellation("psk", 2)
+        d = Distribution.uniform(bpsk)
+        cfg = OFDMConfig(16, n_symbols=n_symbols)
+        n = 3000
+        _, v = _split_samples(bpsk, d, cfg, tau, nu, n, seed=4321)
+        mom = analytic_moments(bpsk, d, cfg, tau, nu)
+        want = mom.var_cross if n_symbols == 1 else mom.var_cross_train
+        dev = np.abs(v - np.mean(v)) ** 2
+        se = np.std(dev) / np.sqrt(n)
+        assert abs(np.mean(dev) - want) <= 4 * se
+        # the proper-input value (that of QPSK) is rejected by the same draws
+        qpsk = make_constellation("psk", 4)
+        proper = analytic_moments(qpsk, Distribution.uniform(qpsk), cfg,
+                                  tau, nu)
+        proper = proper.var_cross if n_symbols == 1 else proper.var_cross_train
+        assert abs(np.mean(dev) - proper) > 4 * se
+
+
+class TestExactSurface:
+    @pytest.mark.parametrize("name,n_symbols", [
+        ("qam16", 1), ("qam16-shaped", 1), ("psk64", 1), ("bpsk", 1),
+        ("qam16", 2),
+    ])
+    def test_agrees_with_monte_carlo_oracle(self, name, n_symbols):
+        c, d = _case(name)
+        cfg = OFDMConfig(16, n_symbols=n_symbols)
+        taus = [0.05, 0.2, 0.45] + ([1.3] if n_symbols == 2 else [])
+        nus = [0.0, 0.3]
+        n, seed = 2000, 606
+        exact, _ = exact_af(c, d, cfg, taus, nus, normalize=False)
+        mc = average_af(c, d, cfg, taus, nus, n_mc=n, seed=seed,
+                        normalize=False)
+        for i, tau in enumerate(taus):
+            for j, nu in enumerate(nus):
+                power = np.abs(af_samples(c, d, cfg, tau, nu, n, seed)) ** 2
+                se = np.std(power) / np.sqrt(n)
+                got = 10.0 ** (exact.values[i, j] / 10.0)
+                want = 10.0 ** (mc.values[i, j] / 10.0)
+                assert want == pytest.approx(np.mean(power), rel=1e-9)
+                assert abs(got - want) <= 4 * se, (tau, nu, got, want, se)
+
+    def test_grid_cells_are_moment_mean_power(self, qam16, uniform16):
+        cfg = OFDMConfig(8, subcarrier_spacing=2.0, symbol_duration=0.5)
+        taus, nus = [0.0, 0.25, 1.0], [0.0, 0.5]
+        grid, moments = exact_af(qam16, uniform16, cfg, taus, nus,
+                                 normalize=False)
+        for i, tn in enumerate(taus):
+            for j, vn in enumerate(nus):
+                mom = analytic_moments(qam16, uniform16, cfg, tn * 0.5,
+                                       vn * 2.0)
+                assert moments[i][j] == mom
+                with np.errstate(divide="ignore"):
+                    assert grid.values[i, j] == 10.0 * np.log10(mom.mean_power)
+        assert grid.values[2, 0] == -np.inf      # no overlap at one T_p
+
+    def test_peak_normalized_at_origin(self, qam16, uniform16, ofdm8):
+        g, _ = exact_af(qam16, uniform16, ofdm8, [0.0, 0.1, 0.2], [0.0, 0.5])
+        assert g.values[0, 0] == 0.0
+        assert g.values.max() == 0.0
+
+    def test_empty_axes_rejected(self, qam16, uniform16, ofdm8):
+        with pytest.raises(ValueError):
+            exact_af(qam16, uniform16, ofdm8, [0.0], [])
 
 
 def _split_samples(c, d, cfg, tau, nu, n_mc, seed):

@@ -290,6 +290,60 @@ class TestAf:
         assert float(first[2]) == pytest.approx(64 * 0.32, rel=1e-6)
         assert float(first[3]) == pytest.approx(0.0, abs=1e-9)
 
+    def _af_bytes(self, tmp_path, name, text, *flags):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        out = tmp_path / name
+        assert run_cli("af", "--config", str(path), "--out", str(out),
+                       *flags) == EXIT_OK
+        return [(out / f).read_bytes() for f in ("af_grid.csv",
+                                                  "af_slice.csv")]
+
+    def test_exact_surface_draws_nothing(self, tmp_path):
+        # the surface is closed-form: neither the seed nor [af] n_mc moves a byte
+        base = self._af_bytes(tmp_path, "base", BASE_CONFIG)
+        assert self._af_bytes(tmp_path, "s1", BASE_CONFIG, "--seed", "1") == base
+        assert self._af_bytes(tmp_path, "s2", BASE_CONFIG, "--seed", "2") == base
+        assert self._af_bytes(tmp_path, "n7", BASE_CONFIG.replace(
+            "n_mc = 50", "n_mc = 7")) == base
+        assert self._af_bytes(tmp_path, "none", BASE_CONFIG.replace(
+            "n_mc = 50\n", "")) == base
+
+    def test_surface_matches_closed_form(self, config, tmp_path):
+        from ofdmpcs import OFDMConfig, analytic_moments
+        from ofdmpcs import Distribution, make_constellation
+        out = tmp_path / "af"
+        assert run_cli("af", "--config", str(config), "--out", str(out)) == EXIT_OK
+        c = make_constellation("qam", 16)
+        d = Distribution.uniform(c)
+        cfg = OFDMConfig(64)
+        peak = analytic_moments(c, d, cfg, 0.0, 0.0).mean_power
+        grid = (out / "af_grid.csv").read_text().strip().split("\n")[1:]
+        for line in grid:
+            tau, nu, value = map(float, line.split(","))
+            power = analytic_moments(c, d, cfg, tau, nu).mean_power
+            assert value == pytest.approx(10 * np.log10(power / peak),
+                                          abs=1e-7)
+
+    def test_axes_in_symbol_and_spacing_units(self, tmp_path):
+        # halving T_p and doubling the spacing rescales the AF by T_p only:
+        # the peak-normalized surface over normalized axes stays the same,
+        # and the variance columns shrink by T_p^2
+        unit = self._af_bytes(tmp_path, "unit", BASE_CONFIG)
+        scaled = self._af_bytes(tmp_path, "scaled", BASE_CONFIG.replace(
+            "n_subcarriers = 64\n",
+            "n_subcarriers = 64\nsubcarrier_spacing = 2.0\n"
+            "symbol_duration = 0.5\n"))
+        assert scaled[0] == unit[0]
+        rows = [[line.split(b",") for line in text.split(b"\n")[1:-1]]
+                for text in (unit[1], scaled[1])]
+        assert len(rows[0]) == 3
+        for u, v in zip(*rows):
+            assert u[:2] == v[:2]
+            assert float(v[2]) == pytest.approx(float(u[2]) / 4, rel=1e-8)
+            assert float(v[3]) == pytest.approx(float(u[3]) / 4, rel=1e-8,
+                                                abs=1e-12)
+
 
 class TestDetect:
     def test_pd_curve_artifact_and_determinism(self, config, tmp_path):

@@ -7,6 +7,7 @@ against their design levels with seed-pinned Monte-Carlo.
 """
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ofdmpcs import (
     DetectionScenario,
     Distribution,
+    OFDMConfig,
     RangeProfile,
     calibrate_so_cfar,
     derive_seed,
@@ -294,10 +296,10 @@ def oracle_hits(sc, alpha, seed):
     return hits
 
 
-def oracle_alpha(sc, n_cal, seed, chunk):
+def oracle_ratios(sc, n_cells, rng, chunk):
+    """Every noise-only profile/statistic ratio, in one array."""
     length = sc.cfg.n_subcarriers
-    n_rows = int(np.ceil(n_cal / length))
-    rng = np.random.default_rng(derive_seed(seed, "cfar-calibration"))
+    n_rows = int(np.ceil(n_cells / length))
     out = []
     for start in range(0, n_rows, chunk):
         rows = min(chunk, n_rows - start)
@@ -309,7 +311,13 @@ def oracle_alpha(sc, n_cal, seed, chunk):
         power = np.abs(length * np.fft.ifft(noise * np.conj(x), axis=1)) ** 2
         stat = oracle_side_means(power, sc.ref_cells, sc.guard_cells)
         out.append((power / stat).ravel())
-    return float(np.quantile(np.concatenate(out), 1.0 - sc.p_fa))
+    return np.concatenate(out)
+
+
+def oracle_alpha(sc, n_cal, seed, chunk):
+    rng = np.random.default_rng(derive_seed(seed, "cfar-calibration"))
+    ratios = oracle_ratios(sc, n_cal, rng, chunk)
+    return float(np.quantile(ratios, 1.0 - sc.p_fa))
 
 
 class TestBatchedSimulatorOracle:
@@ -357,6 +365,59 @@ class TestBatchedSimulatorOracle:
                             for p in profiles])
             want = oracle_side_means(profiles, ref, guard)
             assert got.tobytes() == want.tobytes()
+
+
+class TestStreamedCalibration:
+    """The streamed quantile against np.quantile over every ratio at once."""
+
+    @pytest.mark.parametrize("sub_rows", [7, None])
+    @pytest.mark.parametrize("p_fa,n_cal,length,seeds", [
+        # t = 0.93; at seed 53 a + (b - a) t and b - (b - a)(1 - t) differ
+        (1e-2, 3_000, 64, (0, 53)),
+        # t = 0.05; at seed 24 the two forms differ
+        (0.05, 2_000, 40, (3, 24)),
+        (1e-3, 300_000, 64, (0,)),       # two 4096-row chunks
+        (1e-4, 100_000, 48, (0, 3)),
+        (0.25, 185, 37, (0, 3)),         # (n - 1) q = 138 exactly
+        (0.5, 37 * 4097, 37, (0,)),      # (n - 1) q = 75794, two chunks
+    ])
+    def test_alpha_bitwise_equal_to_full_quantile(self, monkeypatch, qam16,
+                                                  p_fa, n_cal, length, seeds,
+                                                  sub_rows):
+        if sub_rows is not None:
+            monkeypatch.setattr(detection, "_SUB_ROWS", sub_rows)
+        sc = DetectionScenario(qam16, Distribution.uniform(qam16),
+                               OFDMConfig(length), p_fa=p_fa)
+        n = int(np.ceil(n_cal / length)) * length
+        if p_fa >= 0.25:
+            assert ((n - 1) * (1.0 - p_fa)).is_integer()
+        for seed in seeds:
+            got = calibrate_so_cfar(sc, n_cal=n_cal, seed=seed)
+            want = oracle_alpha(sc, n_cal, seed, chunk=detection._CHUNK_ROWS)
+            assert got == want
+
+    def test_false_alarm_rate_bitwise_equal_to_full_count(self, monkeypatch,
+                                                          qam64, uniform64,
+                                                          ofdm64):
+        monkeypatch.setattr(detection, "_SUB_ROWS", 100)
+        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
+        for alpha, n_cells in [(3.0, 300_000), (8.0, 50_000), (0.5, 1_000)]:
+            got = empirical_false_alarm_rate(sc, alpha, n_cells, seed=2)
+            rng = np.random.default_rng(derive_seed(2, "cfar-evaluation"))
+            ratios = oracle_ratios(sc, n_cells, rng, detection._CHUNK_ROWS)
+            assert got == float(np.mean(ratios > alpha))
+
+    def test_bounded_memory(self, qam16):
+        sc = DetectionScenario(qam16, Distribution.uniform(qam16),
+                               OFDMConfig(64), p_fa=1e-4)
+        calibrate_so_cfar(sc, n_cal=100_000, seed=0)     # warm the imports
+        tracemalloc.start()
+        try:
+            calibrate_so_cfar(sc, seed=0)                # 10^6 cells
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestWilson:
