@@ -49,11 +49,8 @@ from .rates import (
 )
 from .seeds import derive_seed, trial_seed
 from .shaping import (
-    NewtonResult,
-    RingSystem,
     ShapingResult,
     feasible_c0_range,
-    newton_solve,
     ring_system,
     solve_heuristic,
 )
@@ -62,17 +59,15 @@ from .shaping_ba import MBAConfig, run_mba
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid", "AFMoments", "ChannelSpec", "CheckResult",
-    "Constellation", "DetectionScenario", "Diagnostics", "Distribution",
-    "MBAConfig", "MIEstimate", "NewtonResult", "OFDMConfig", "PdCurve",
-    "RangeProfile", "RingSystem", "ShapingResult", "SymbolMatrix",
-    "af_components", "af_samples", "af_sequence", "af_single",
+    "AFGrid", "AFMoments", "ChannelSpec", "CheckResult", "Constellation",
+    "DetectionScenario", "Diagnostics", "Distribution", "MBAConfig",
+    "MIEstimate", "OFDMConfig", "PdCurve", "RangeProfile", "ShapingResult",
+    "SymbolMatrix", "af_components", "af_samples", "af_sequence", "af_single",
     "analytic_moments", "average_af", "calibrate_so_cfar", "derive_seed",
     "detection_probability", "empirical_false_alarm_rate", "exact_af",
     "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf",
-    "make_constellation", "moment", "mutual_information", "newton_solve",
-    "pd_curve", "rate_curve", "ring_system", "run_mba", "sample_symbols",
+    "make_constellation", "moment", "mutual_information", "pd_curve",
+    "rate_curve", "ring_system", "run_mba", "sample_symbols",
     "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
-    "solve_heuristic", "to_json", "trial_seed", "validate",
-    "wilson_interval",
+    "solve_heuristic", "to_json", "trial_seed", "validate", "wilson_interval",
 ]

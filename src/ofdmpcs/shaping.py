@@ -19,15 +19,11 @@ steps in the same family with ``u`` its channel integrals, so one matcher,
 the points of ring ``w`` share one exponent, so the ring's weight carries
 ``u_w + log count_w``.
 
-The multipliers are found by a coarse grid scan and a Newton polish with
-the analytic 2x2 Jacobian, or by Newton alone from a caller's warm start
-when that meets the residual tolerance.  Residuals are normalized by
-``sum g`` so they are literal moment mismatches of the candidate
-distribution (raw residuals vanish spuriously for large multipliers, where
-every weight underflows together).  A nested bisection is the globally
-convergent fallback.  At an endpoint of the feasible range the feasible set
-is a single vertex and the multipliers run off to infinity; when the tilt
-misses any constraint row, the vertex found by enumeration is returned
+The multipliers minimize the convex moment dual of the maximum-entropy
+problem (see :func:`_moment_dual`); one damped Newton iteration on it,
+from a caller's warm start or from zero, finds them.  At an endpoint of
+the feasible range the feasible set is a single vertex and the multipliers
+run off to infinity, so the vertex found by enumeration is returned
 instead, without multipliers.
 """
 
@@ -45,15 +41,6 @@ from .constellation import (CONSTRUCTION_TOL, Constellation, Distribution,
 
 RESIDUAL_TOL = 1e-10
 MASS_SLACK = 1e-12
-
-# multiplier solve: a coarse grid scan over [GRID_LO, GRID_HI]^2 seeds a
-# Newton polish, which walks outside the grid freely
-GRID_LO = -20.0
-GRID_HI = 20.0
-GRID_STEP = 0.5
-NEWTON_STEP_TOL = 1e-18
-NEWTON_RESIDUAL_TOL = 1e-11
-NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -162,245 +149,80 @@ def _lp_match(matrix, rhs):
 
 
 # ---------------------------------------------------------------------------
-# multiplier system
-
-
-def _tilt(u, a2, a4, lam1, lam2):
-    """Max-shifted weights g = exp(u - lam1 A**4 - lam2 A**2 - shift).
-
-    ``u`` may contain -inf (dead entries); those get zero weight.  Returns
-    ``(g, shift)``.
-    """
-    e = u - lam1 * a4 - lam2 * a2
-    finite = np.isfinite(e)
-    if not np.any(finite):
-        raise ValueError("all update weights vanished; integrals are degenerate")
-    shift = float(np.max(e[finite]))
-    return np.where(finite, np.exp(e - shift), 0.0), shift
-
-
-def _residual_system(u, a2, a4, c0, lam1, lam2, scaled):
-    """Residuals (f1, f2) and Jacobian of the exponential-family update.
-
-    f1 drives the unit-power constraint, f2 the fourth-moment budget; both
-    are weighted sums of the tilted weights g (see :func:`_tilt`).
-    ``scaled`` divides by sum(g), turning residuals into literal moment
-    mismatches of the candidate distribution.
-    """
-    g, shift = _tilt(u, a2, a4, lam1, lam2)
-    total = float(g.sum())
-    f = np.array([np.dot(a2 - 1.0, g), np.dot(a4 - c0, g)])
-    jac = -np.array([
-        [np.dot((a2 - 1.0) * a4, g), np.dot((a2 - 1.0) * a2, g)],
-        [np.dot((a4 - c0) * a4, g), np.dot((a4 - c0) * a2, g)],
-    ])
-    if scaled:
-        return f / total, jac / total
-    with np.errstate(over="ignore", invalid="ignore"):
-        back = np.exp(shift)
-        restored_f, restored_jac = f * back, jac * back
-    if not np.isfinite(back) or not np.all(np.isfinite(restored_f)):
-        raise OverflowError(
-            f"residuals overflow despite stabilization at lambda=({lam1}, {lam2})")
-    return restored_f, restored_jac
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    lam: np.ndarray
-    converged: bool
-    iterations: int
-
-
-def newton_solve(residual_fn, lam0, step_tol: float = NEWTON_STEP_TOL,
-                 residual_tol: float = NEWTON_RESIDUAL_TOL,
-                 max_iter: int = NEWTON_MAX_ITER,
-                 cond_limit: float = 1e12) -> NewtonResult:
-    """Damped Newton iteration on the 2x2 residual system.
-
-    Stops when the squared step norm falls below ``step_tol`` or the
-    residual norm below ``residual_tol``.  Every step is line-searched (the
-    Newton direction is always a descent direction for ||f||, so halving
-    finds a decrease near regular roots and full steps keep the quadratic
-    rate); ill-conditioned Jacobians switch to a pseudo-inverse direction.
-    Failure to decrease the residual ends the iteration unconverged — this
-    happens when the root sits at infinity, e.g. for a fourth-moment target
-    on the boundary of the feasible interval.
-    """
-    lam = np.array(lam0, dtype=float)
-    for it in range(1, max_iter + 1):
-        f, jac = residual_fn(lam[0], lam[1])
-        f = np.asarray(f, dtype=float)
-        norm = float(np.hypot(f[0], f[1]))
-        if not np.isfinite(norm):
-            return NewtonResult(lam, False, it)
-        if norm <= residual_tol:
-            return NewtonResult(lam, True, it)
-        jac = np.asarray(jac, dtype=float)
-        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > cond_limit:
-            step = -np.linalg.pinv(jac) @ f
-        else:
-            step = np.linalg.solve(jac, -f)
-        alpha, ok = 1.0, False
-        while alpha > 2.0 ** -30:
-            f_try, _ = residual_fn(*(lam + alpha * step))
-            f_try = np.asarray(f_try, dtype=float)
-            if np.all(np.isfinite(f_try)) and float(np.hypot(*f_try)) < norm:
-                ok = True
-                break
-            alpha *= 0.5
-        if not ok:
-            return NewtonResult(lam, False, it)
-        step = alpha * step
-        lam = lam + step
-        if float(step @ step) <= step_tol:
-            return NewtonResult(lam, True, it)
-    return NewtonResult(lam, False, max_iter)
-
-
-# ---------------------------------------------------------------------------
-# bisection fallback for the multiplier system
+# multipliers: Newton on the maximum-entropy moment dual
 #
-# The normalized moments of the tilted weights g = exp(u - l1*A^4 - l2*A^2)
-# are strictly monotone: sum(g A^2)/sum(g) decreases in l2 at fixed l1
-# (its derivative is -Var(A^2) under the tilt), and on the manifold where
-# that moment equals one, sum(g A^4)/sum(g) decreases in l1 (Cauchy-Schwarz).
-# Nested scalar root finding is therefore globally convergent, including
-# targets at the feasible boundary where the root runs off to infinity and
-# Newton stalls; there the bracket expansion caps out and the cap yields the
-# boundary distribution to within exp(-cap)-level residuals.
+# The tilt of u with multipliers lam = (lam1, lam2) minimizes the dual
+#
+#     phi(lam) = log sum_w exp(u_w - lam1 A**4_w - lam2 A**2_w) + lam1 c0 + lam2,
+#
+# a smooth convex function whose gradient is (c0, 1) minus the tilted
+# moments of (A**4, A**2) and whose Hessian is their tilted covariance
+# (Mead & Papanicolaou, J. Math. Phys. 25, 1984; Boyd & Vandenberghe,
+# Convex Optimization, 5.2.4 and 9.5).  For a target inside the feasible
+# range phi is strictly convex and coercive on three or more live rings, so
+# damped Newton converges from any start.
 
-_OUTER_CAP = 512.0
+_DUAL_MAX_STEPS = 200
+_ARMIJO_FRACTION = 0.25
+# below this Newton decrement the dual's own decrease is rounding noise:
+# take full steps, which converge quadratically there
+_FULL_STEP_DECREMENT = 1e-12
 
 
-def _bisect(f, lo, hi, xtol):
-    """Root of a decreasing ``f`` bracketed by ``f(lo) > 0 > f(hi)``.
+def _moment_dual(u, a2, a4, c0, lam):
+    """The moment dual at ``lam``: ``(phi, masses, gradient, Hessian)``.
 
-    Halves the bracket until it is ``xtol`` wide, its midpoint rounds onto
-    an end, or ``f`` vanishes at the midpoint, and returns the midpoint.
+    ``u`` holds live (finite) exponents only; ``masses`` are the tilted
+    weights, normalized.  The sum is max-shifted, so no multipliers
+    overflow it.
     """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _tilted_moments(u, a2, a4, lam1, lam2):
-    g, _ = _tilt(u, a2, a4, lam1, lam2)
-    total = g.sum()
-    return float(g @ a2) / total, float(g @ a4) / total
-
-
-def _power_balance_root(u, a2, a4, lam1):
-    """lam2 making the tilted mean-square amplitude equal one, at fixed lam1."""
-    def f(lam2):
-        return _tilted_moments(u, a2, a4, lam1, lam2)[0] - 1.0
-
-    # |lam2| needed to balance any |lam1| <= cap is at most ~2 max(a2) cap
-    inner_cap = 8.0 * max(1.0, float(np.max(a2))) * _OUTER_CAP
-    lo, hi = -1.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 and fhi == 0.0:       # constant-modulus support
-        return 0.0
-    while flo < 0.0 and lo > -inner_cap:
-        lo *= 2.0
-        flo = f(lo)
-    while fhi > 0.0 and hi < inner_cap:
-        hi *= 2.0
-        fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo < 0.0 or fhi > 0.0:          # root beyond the cap: take the endpoint
-        return lo if abs(flo) <= abs(fhi) else hi
-    return _bisect(f, lo, hi, xtol=1e-13)
-
-
-def _nested_multiplier_root(u, a2, a4, c0):
-    """Globally convergent (lam1, lam2) solve by nested bisection."""
-    def h(lam1):
-        lam2 = _power_balance_root(u, a2, a4, lam1)
-        return _tilted_moments(u, a2, a4, lam1, lam2)[1] - c0
-
-    lo, hi = -1.0, 1.0
-    hlo, hhi = h(lo), h(hi)
-    if hlo == 0.0:
-        lam1 = lo
-    elif hhi == 0.0:
-        lam1 = hi
-    else:
-        while hlo < 0.0 and lo > -_OUTER_CAP:
-            lo *= 2.0
-            hlo = h(lo)
-        while hhi > 0.0 and hi < _OUTER_CAP:
-            hi *= 2.0
-            hhi = h(hi)
-        if hlo < 0.0 or hhi > 0.0:
-            lam1 = lo if abs(hlo) <= abs(hhi) else hi
-        else:
-            lam1 = _bisect(h, lo, hi, xtol=1e-12)
-    lam2 = _power_balance_root(u, a2, a4, lam1)
-    return np.array([float(lam1), float(lam2)])
-
-
-def _match_multipliers(u, a2, a4, c0, warm=None):
-    """Newton from ``warm`` when given; else, or when that Newton misses,
-    grid + Newton, with nested bisection as the robust fallback."""
-    def fn(l1, l2):
-        return _residual_system(u, a2, a4, c0, l1, l2, scaled=True)
-
-    def norm(lam):
-        return float(np.hypot(*np.asarray(fn(lam[0], lam[1])[0], dtype=float)))
-
-    if warm is not None:
-        res = newton_solve(fn, warm)
-        if res.converged and norm(res.lam) <= NEWTON_RESIDUAL_TOL:
-            return res.lam
-    res = newton_solve(fn, _init_multipliers(u, a2, a4, c0))
-    lam = res.lam
-    best = norm(lam)
-    if not res.converged or best > NEWTON_RESIDUAL_TOL:
-        alt = _nested_multiplier_root(u, a2, a4, c0)
-        if norm(alt) < best:
-            lam = alt
-    return lam
-
-
-def _grid_scan_vec(u, a2, a4, c0, l1s, l2s):
-    """Vectorized scaled-residual scan; returns argmin in scan order."""
-    grid1 = np.repeat(l1s, l2s.size)
-    grid2 = np.tile(l2s, l1s.size)
-    e = u[None, :] - grid1[:, None] * a4[None, :] - grid2[:, None] * a2[None, :]
-    e = np.where(np.isfinite(e), e, -np.inf)
-    shift = np.max(e, axis=1, keepdims=True)
+    feats = np.stack([a4, a2])
+    target = np.array([c0, 1.0])
+    e = u - lam @ feats
+    shift = np.max(e)
     g = np.exp(e - shift)
-    total = g.sum(axis=1)
-    f1 = g @ (a2 - 1.0) / total
-    f2 = g @ (a4 - c0) / total
-    norms = np.hypot(f1, f2)
-    k = int(np.argmin(norms))          # argmin keeps the first minimum
-    return np.array([grid1[k], grid2[k]]), float(norms[k])
+    total = g.sum()
+    p = g / total
+    mean = feats @ p
+    centred = feats - mean[:, None]
+    return (shift + np.log(total) + lam @ target, p, target - mean,
+            (centred * p) @ centred.T)
 
 
-def _init_multipliers(u, a2, a4, c0):
-    """Coarse grid scan, then a ten times finer one around its argmin."""
-    coarse = np.arange(GRID_LO, GRID_HI + 0.5 * GRID_STEP, GRID_STEP)
-    lam, _ = _grid_scan_vec(u, a2, a4, c0, coarse, coarse)
-    fine_step = GRID_STEP / 10.0
-    f1s = np.arange(lam[0] - GRID_STEP, lam[0] + GRID_STEP + 0.5 * fine_step,
-                    fine_step)
-    f2s = np.arange(lam[1] - GRID_STEP, lam[1] + GRID_STEP + 0.5 * fine_step,
-                    fine_step)
-    lam, _ = _grid_scan_vec(u, a2, a4, c0, f1s, f2s)
-    return lam
+def _dual_newton(u, a2, a4, c0, lam):
+    """Newton with Armijo backtracking on the moment dual, from ``lam``.
+
+    Iterates until the largest moment mismatch (the gradient) is within
+    ``RESIDUAL_TOL`` and stops shrinking, so every start ends at the
+    rounding floor, and returns the multipliers and masses of the best
+    iterate seen.  A stalled iteration (a flat dual, e.g. fewer than three
+    live rings, or a start so far out that the tilt sits on one ring)
+    returns the best iterate as it stands.
+    """
+    lam = np.array(lam, dtype=float)
+    phi, p, grad, hess = _moment_dual(u, a2, a4, c0, lam)
+    best_mismatch, best_lam, best_p = np.inf, lam, p
+    for _ in range(_DUAL_MAX_STEPS):
+        mismatch = float(np.max(np.abs(grad)))
+        if best_mismatch <= RESIDUAL_TOL and mismatch >= best_mismatch:
+            break
+        if mismatch < best_mismatch:
+            best_mismatch, best_lam, best_p = mismatch, lam, p
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = float(-grad @ step)
+        if not decrement > 0.0:
+            break
+        t = 1.0
+        trial = _moment_dual(u, a2, a4, c0, lam + step)
+        if decrement > _FULL_STEP_DECREMENT:
+            while not trial[0] <= phi - _ARMIJO_FRACTION * t * decrement:
+                t *= 0.5
+                if t < 2.0 ** -40:
+                    return best_lam, best_p
+                trial = _moment_dual(u, a2, a4, c0, lam + t * step)
+        lam = lam + t * step
+        phi, p, grad, hess = trial
+    return best_lam, best_p
 
 
 def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
@@ -409,25 +231,33 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
 
     ``u`` holds one exponent per ring, point count folded in (``-inf`` for a
     dead ring).  Returns ``(ring_mass, multipliers)``: the masses
-    proportional to ``exp(u - lam1 A**4 - lam2 A**2)`` at the matched
-    multipliers, or, when that tilt misses any row of :func:`ring_system` by
-    more than ``RESIDUAL_TOL``, the enumerated vertex of :func:`_lp_match`.
-    The vertex is the answer at the endpoints of the feasible range, where
-    the feasible set is that one point and the multipliers diverge.
+    proportional to ``exp(u - lam1 A**4 - lam2 A**2)`` at the multipliers
+    minimizing the moment dual, found by Newton from ``warm`` (the
+    multipliers of a nearby match, such as the previous outer iteration's)
+    or from zero.
 
-    ``multipliers`` is ``None`` at the vertex.  ``warm``, the multipliers
-    of a nearby match such as the previous outer iteration's, starts Newton
-    there and skips the grid scan when that Newton meets
-    ``NEWTON_RESIDUAL_TOL``.
+    At an endpoint of :func:`feasible_c0_range` the feasible set is one
+    vertex and the multipliers diverge, so the vertex of :func:`_lp_match`
+    is returned with ``None`` for the multipliers.  The same happens when
+    the tilt misses any row of :func:`ring_system` by more than
+    ``RESIDUAL_TOL`` from both starts, which guards degenerate inputs such
+    as fewer than three live rings.
     """
     sys_ = ring_system(c, c0)
-    a4, a2 = sys_.matrix[0], sys_.matrix[1]
-    lam = _match_multipliers(u, a2, a4, c0, warm)
-    g, _ = _tilt(u, a2, a4, lam[0], lam[1])
-    mass = g / g.sum()
-    if np.max(np.abs(sys_.matrix @ mass - sys_.rhs)) > RESIDUAL_TOL:
+    if c0 in feasible_c0_range(c):
         return _lp_match(sys_.matrix, sys_.rhs), None
-    return mass, lam
+    live = np.isfinite(u)
+    if not np.any(live):
+        raise ValueError("all update weights vanished; integrals are degenerate")
+    a4, a2 = sys_.matrix[0], sys_.matrix[1]
+    starts = [np.zeros(2)] if warm is None else [warm, np.zeros(2)]
+    for start in starts:
+        lam, p = _dual_newton(u[live], a2[live], a4[live], c0, start)
+        mass = np.zeros(u.shape)
+        mass[live] = p
+        if np.max(np.abs(sys_.matrix @ mass - sys_.rhs)) <= RESIDUAL_TOL:
+            return mass, lam
+    return _lp_match(sys_.matrix, sys_.rhs), None
 
 
 def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:

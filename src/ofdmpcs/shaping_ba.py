@@ -26,9 +26,8 @@ Numerical conventions:
   sample set is therefore reduced once, per call, to W x M ring tables
   (:class:`RingTables`, M samples), and each outer iteration evaluates the
   integrals on them at W x M cost instead of Q x M.
-* Each multiplier match starts Newton from the previous iteration's
-  multipliers; the grid scan runs on the first match, and again only when
-  that warm start misses.
+* Each multiplier match starts its Newton iteration on the moment dual
+  from the previous iteration's multipliers (the first from zero).
 """
 
 from __future__ import annotations
@@ -172,10 +171,15 @@ def ring_integrals(tables: RingTables, mass: np.ndarray) -> np.ndarray:
 
 
 def _objective(mass, u_ring, counts) -> float:
-    """F = sum_x p(x) (u_x - log p(x)), ring-collapsed; nats."""
-    alive = mass > 0
-    logp_ring = np.log(mass[alive] / counts[alive])
-    return float(np.dot(mass[alive], u_ring[alive] - logp_ring))
+    """F = sum_x p(x) (u_x - log p(x)), ring-collapsed; nats.
+
+    A ring counts where its point log-probability is finite, the rule by
+    which :func:`ring_integrals` gives it a finite integral (a positive
+    mass can still underflow to a zero point probability).
+    """
+    logp_ring = log_probs(mass / counts)
+    alive = np.isfinite(logp_ring)
+    return float(np.dot(mass[alive], u_ring[alive] - logp_ring[alive]))
 
 
 def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
@@ -204,7 +208,7 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
     lam = None
     for _ in range(cfg.max_outer):
         # ring counts folded into the exponents; the last multipliers seed
-        # the match, which falls back to its grid scan when they miss
+        # the match (None, after an endpoint vertex, starts it from zero)
         mass_new, lam = match_ring_masses(c, u_ring + log_counts, c0, lam)
 
         # the integrals under the new iterate score it and feed the next update

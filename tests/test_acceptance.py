@@ -19,9 +19,8 @@ from ofdmpcs.detection import (DetectionScenario, calibrate_so_cfar,
                                detection_probability)
 from ofdmpcs.rates import ChannelSpec, mutual_information
 from ofdmpcs.seeds import derive_seed
-from ofdmpcs.shaping import (GRID_HI, GRID_LO, GRID_STEP, _grid_scan_vec,
-                             _residual_system, feasible_c0_range,
-                             newton_solve, solve_heuristic)
+from ofdmpcs.shaping import (_moment_dual, feasible_c0_range,
+                             match_ring_masses, solve_heuristic)
 from ofdmpcs.shaping_ba import (MBAConfig, ring_integrals, ring_tables,
                                 run_mba)
 
@@ -278,55 +277,51 @@ def test_criterion_08_newton_vs_dense_grid(announce):
     u = u + np.log(QAM16.ring_counts)
     a2 = QAM16.ring_amps ** 2
     a4 = a2 ** 2
+    c0 = 1.1
 
-    def fn(l1, l2):
-        return _residual_system(u, a2, a4, 1.1, l1, l2, scaled=True)
+    def dual(lam):
+        return _moment_dual(u, a2, a4, c0, np.asarray(lam, dtype=float))
 
-    coarse = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
-    lam0, _ = _grid_scan_vec(u, a2, a4, 1.1, coarse, coarse)
-    sol = newton_solve(fn, lam0)
-    f_root, _ = fn(*sol.lam)
-    root_norm = float(np.hypot(*f_root))
+    _, lam = match_ring_masses(QAM16, u, c0)
+    assert lam is not None
+    root_grad = float(np.max(np.abs(dual(lam)[2])))
 
-    # independent check: dense scan (step 0.02) of a box around the coarse
-    # scan's own argmin, wide enough to contain the true basin minimum
+    # independent check: the dual phi(lam) = log sum exp(u - lam1 A^4 -
+    # lam2 A^2) + lam1 c0 + lam2 on a dense grid (step 0.02) over a box
+    # around the root's nearest integer point, wide enough to contain it
     step = 0.02
-    l1s = np.arange(lam0[0] - 1.5, lam0[0] + 1.5 + step / 2, step)
-    l2s = np.arange(lam0[1] - 1.5, lam0[1] + 1.5 + step / 2, step)
-    norms = np.empty((l1s.size, l2s.size))
-    for i, l1 in enumerate(l1s):
-        for j, l2 in enumerate(l2s):
-            f, _ = fn(l1, l2)
-            norms[i, j] = np.hypot(*f)
-    i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    offset = max(abs(l1s[i] - sol.lam[0]), abs(l2s[j] - sol.lam[1]))
+    l1s = np.round(lam[0]) + np.arange(-75, 76) * step
+    l2s = np.round(lam[1]) + np.arange(-75, 76) * step
+    e = (u[None, None, :] - l1s[:, None, None] * a4
+         - l2s[None, :, None] * a2)
+    top = e.max(axis=2)
+    phi = (top + np.log(np.exp(e - top[..., None]).sum(axis=2))
+           + l1s[:, None] * c0 + l2s[None, :])
+    i, j = np.unravel_index(int(np.argmin(phi)), phi.shape)
+    offset = max(abs(l1s[i] - lam[0]), abs(l2s[j] - lam[1]))
 
-    # analytic Jacobian of the raw residual system vs central differences
+    # analytic Hessian vs central differences of the analytic gradient
     h = 1e-5
     worst_rel = 0.0
-    for lam in (tuple(sol.lam), (0.0, 0.0), (1.3, -0.7)):
-        _, jac = _residual_system(u, a2, a4, 1.1, *lam, scaled=False)
+    for point in (tuple(lam), (0.0, 0.0), (1.3, -0.7)):
+        hess = dual(point)[3]
         fd = np.empty((2, 2))
         for a in range(2):
             dl = np.zeros(2)
             dl[a] = h
-            f_hi, _ = _residual_system(u, a2, a4, 1.1, *np.add(lam, dl),
-                                       scaled=False)
-            f_lo, _ = _residual_system(u, a2, a4, 1.1, *np.subtract(lam, dl),
-                                       scaled=False)
-            fd[:, a] = (np.asarray(f_hi) - np.asarray(f_lo)) / (2.0 * h)
-        rel = np.abs(fd - jac) / np.maximum(np.abs(jac), 1e-30)
+            fd[:, a] = (dual(np.add(point, dl))[2]
+                        - dual(np.subtract(point, dl))[2]) / (2.0 * h)
+        rel = np.abs(fd - hess) / np.maximum(np.abs(hess), 1e-30)
         worst_rel = max(worst_rel, float(rel.max()))
 
-    ok = (sol.converged and root_norm <= 1e-9
-          and offset <= step + 1e-9 and worst_rel <= 1e-4)
+    ok = root_grad <= 1e-9 and offset <= step + 1e-9 and worst_rel <= 1e-4
     announce(8, ok,
-             f"multiplier root {np.round(sol.lam, 6).tolist()} with residual "
-             f"{root_norm:.1e}; dense-grid argmin offset {offset:.4f} "
-             f"(≤ one {step} cell); Jacobian vs central differences "
-             f"(h = 1e-5) worst relative error {worst_rel:.2e} (≤ 1e-4)")
-    assert sol.converged
-    assert root_norm <= 1e-9
+             f"dual Newton root {np.round(lam, 6).tolist()} with gradient "
+             f"{root_grad:.1e}; dense-grid argmin of the dual offset "
+             f"{offset:.4f} (≤ one {step} cell); Hessian vs central "
+             f"differences (h = 1e-5) worst relative error {worst_rel:.2e} "
+             f"(≤ 1e-4)")
+    assert root_grad <= 1e-9
     assert offset <= step + 1e-9
     assert worst_rel <= 1e-4
 

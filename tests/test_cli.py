@@ -436,8 +436,8 @@ class TestConsoleScript:
 
 
 # Runs in a fresh interpreter: the heuristic solve, then the optimal one at
-# the 16-QAM lower endpoint c0 = 1.0, where Newton stalls and the nested
-# bisection fallback runs (counted to prove it did).
+# the 16-QAM lower endpoint c0 = 1.0, where the match returns the enumerated
+# vertex (counted to prove it did).
 _SCIPY_FREE_SCRIPT = """\
 import sys
 import ofdmpcs.cli
@@ -445,12 +445,12 @@ import ofdmpcs.shaping as sh
 
 config, out = sys.argv[1:]
 calls = []
-nested = sh._nested_multiplier_root
-sh._nested_multiplier_root = lambda *a: calls.append(1) or nested(*a)
+vertex = sh._lp_match
+sh._lp_match = lambda *a: calls.append(1) or vertex(*a)
 for flags in (["--method", "heuristic"], ["--c0", "1.0"]):
     rc = ofdmpcs.cli.main(["shape", "--config", config, "--out", out, *flags])
     assert rc == 0, (flags, rc)
-assert calls, "the nested fallback did not run"
+assert calls, "the endpoint vertex was not taken"
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 """

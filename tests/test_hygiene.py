@@ -1,0 +1,80 @@
+"""Source hygiene by static inspection, with the standard library's ``ast``.
+
+Three checks over ``src/ofdmpcs``: every import a module makes is used in
+it, every module-level private (``_name``) function or class is referenced
+somewhere in the package beyond its own definition, and every name in
+``ofdmpcs.__all__`` resolves.  A deleted code path leaves no orphaned
+helper or dangling import behind.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ofdmpcs
+
+SRC = Path(ofdmpcs.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere in ``tree``, as bare names or attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__``, if any."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    used = referenced_names(tree) | exported_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"{path.name} imports unused {unused}"
+
+
+def test_private_helpers_are_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    orphans = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+def test_all_entries_resolve():
+    missing = [name for name in ofdmpcs.__all__
+               if not hasattr(ofdmpcs, name)]
+    assert not missing, missing
+    assert len(set(ofdmpcs.__all__)) == len(ofdmpcs.__all__)

@@ -23,7 +23,10 @@ from ofdmpcs import (
     run_mba,
     solve_heuristic,
 )
-from ofdmpcs.shaping import _lp_match
+from ofdmpcs.constellation import entropy_bits
+from ofdmpcs.rates import ChannelSpec, mutual_information
+from ofdmpcs.seeds import derive_seed
+from ofdmpcs.shaping import _lp_match, match_ring_masses
 
 
 def vertex_values(c):
@@ -176,6 +179,43 @@ class TestEndpoints:
             assert r.converged, r.method
             assert abs(r.moment4 - c0) <= 1e-10, r.method
             np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
+
+
+class TestNearEndpoint:
+    """Just inside the 256-QAM lower endpoint the tilt needs |lam1| in the
+    thousands; both solvers must still return it, not the 3-ring vertex."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        c = make_constellation("qam", 256)
+        lo, _ = feasible_c0_range(c)
+        c0 = lo + 1e-4
+        sys_ = ring_system(c, c0)
+        return c, c0, _lp_match(sys_.matrix, sys_.rhs)
+
+    def test_heuristic_loads_more_than_the_vertex(self, case):
+        c, c0, vertex = case
+        r = solve_heuristic(c, c0)
+        mass, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
+                                      c0)
+        np.testing.assert_array_equal(r.ring_mass, mass)
+        assert lam is not None and np.all(np.isfinite(lam))
+        assert r.converged
+        assert np.count_nonzero(r.ring_mass) > 3
+        assert entropy_bits(r.distribution) > entropy_bits(
+            Distribution.from_ring_mass(c, vertex)) + 0.1
+
+    def test_optimal_rate_beats_the_vertex(self, case):
+        c, c0, vertex = case
+        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000, air_n_mc=2000)
+        r = run_mba(c, cfg, seed=0)
+        assert r.converged and r.multipliers is not None
+        assert np.count_nonzero(r.ring_mass) > 3
+        # the vertex's rate, estimated from the same seed as air_bits
+        at_vertex = mutual_information(
+            c, Distribution.from_ring_mass(c, vertex), ChannelSpec(0.01),
+            n_mc=cfg.air_n_mc, seed=derive_seed(0, "mba-air"))
+        assert r.air_bits > at_vertex.mi_bits + 0.05
 
 
 class TestLpMatch:

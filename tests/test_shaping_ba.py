@@ -1,17 +1,14 @@
 """Rate-maximizing shaper: solver pieces and end-to-end behavior.
 
-Every piece is the code ``run_mba`` runs.  The multiplier system has its
-Jacobian checked against finite differences, the Newton iteration is
-exercised on a known root, the grid scan is compared with a scalar loop,
-the ring-folded update is compared with the per-point exponential-family
-update, the warm-started match is compared with the cold one, the
-ring-table integrals are compared with a per-point (Q, M) oracle, the
-posterior inside them with a hand-computed Bayes rule, and the Monte-Carlo
-integrals are validated against Gauss-Hermite quadrature.  End-to-end runs
-are pinned to the cases with independently known answers: the uniform
-fourth moment must return the uniform distribution, the lower endpoint must
-collapse to the unit-power rings, and the objective trace must never
-decrease.
+Every piece is the code ``run_mba`` runs.  The ring-folded update is
+compared with the per-point exponential-family update, the warm-started
+match is compared with the cold one, the ring-table integrals are compared
+with a per-point (Q, M) oracle, the posterior inside them with a
+hand-computed Bayes rule, and the Monte-Carlo integrals are validated
+against Gauss-Hermite quadrature.  End-to-end runs are pinned to the cases
+with independently known answers: the uniform fourth moment must return the
+uniform distribution, the lower endpoint must collapse to the unit-power
+rings, and the objective trace must never decrease.
 """
 from __future__ import annotations
 
@@ -28,13 +25,12 @@ from ofdmpcs import (
     make_constellation,
     moment,
     mutual_information,
-    newton_solve,
     run_mba,
     shaping,
     solve_heuristic,
 )
-from ofdmpcs.shaping import (RESIDUAL_TOL, _grid_scan_vec, _residual_system,
-                             match_ring_masses, ring_system as moment_rows)
+from ofdmpcs.shaping import (RESIDUAL_TOL, match_ring_masses,
+                             ring_system as moment_rows)
 from ofdmpcs.shaping_ba import EXIT_RESIDUAL_TOL, ring_integrals, ring_tables
 
 
@@ -80,88 +76,6 @@ def uniform_samples(c, sigma2, n, seed):
         + rng.normal(scale=s, size=n) + 1j * rng.normal(scale=s, size=n)
 
 
-def quadratic_system(lam1, lam2):
-    f = np.array([lam1**2 - 2.0, lam2**2 - 3.0])
-    jac = np.array([[2.0 * lam1, 0.0], [0.0, 2.0 * lam2]])
-    return f, jac
-
-
-def linear_system(lam1, lam2):
-    m = np.array([[3.0, 1.0], [1.0, 2.0]])
-    target = np.array([0.4, -1.1])
-    f = m @ (np.array([lam1, lam2]) - target)
-    return f, m
-
-
-class TestNewton:
-    def test_quadratic_root(self):
-        res = newton_solve(quadratic_system, (1.0, 1.0))
-        assert res.converged
-        assert res.iterations <= 12
-        np.testing.assert_allclose(res.lam, [np.sqrt(2.0), np.sqrt(3.0)], atol=1e-10)
-
-    def test_linear_system_immediate(self):
-        res = newton_solve(linear_system, (5.0, -7.0))
-        assert res.converged
-        assert res.iterations <= 3
-        np.testing.assert_allclose(res.lam, [0.4, -1.1], atol=1e-12)
-
-    def test_line_search_keeps_residual_monotone(self):
-        # start far out on a steep quartic: raw Newton overshoots wildly
-        def quartic(l1, l2):
-            f = np.array([l1**4 - 1.0, l2**4 - 16.0])
-            jac = np.array([[4.0 * l1**3, 0.0], [0.0, 4.0 * l2**3]])
-            return f, jac
-
-        res = newton_solve(quartic, (9.0, 0.3))
-        assert res.converged
-        np.testing.assert_allclose(np.abs(res.lam), [1.0, 2.0], atol=1e-9)
-
-    def test_reports_failure_on_rootless_system(self):
-        def hopeless(l1, l2):
-            f = np.array([np.exp(-l1**2) + 1.0, l2])
-            jac = np.array([[-2.0 * l1 * np.exp(-l1**2), 0.0], [0.0, 1.0]])
-            return f, jac
-
-        res = newton_solve(hopeless, (1.0, 1.0), max_iter=40)
-        assert not res.converged
-
-
-class TestGridInit:
-    def test_finds_coarse_minimum(self, qam16):
-        # plant the root: tilting u back by lam* gives the heuristic masses,
-        # which meet both moments at c0 exactly
-        c0, lam_star = 1.2, (0.32, -0.54)
-        a2, a4, _ = ring_system(qam16)
-        mass = solve_heuristic(qam16, c0).ring_mass
-        u = np.log(mass) + lam_star[0] * a4 + lam_star[1] * a2
-        axis = np.arange(-1.0, 1.0 + 0.05, 0.1)
-        lam, norm = _grid_scan_vec(u, a2, a4, c0, axis, axis)
-
-        # scalar oracle: the moment mismatch of each tilted candidate
-        best, best_norm = None, np.inf
-        for l1 in axis:
-            for l2 in axis:
-                g = np.exp(u - l1 * a4 - l2 * a2)
-                g /= g.sum()
-                r = np.hypot(g @ a2 - 1.0, g @ a4 - c0)
-                if r < best_norm:
-                    best, best_norm = (l1, l2), r
-        assert tuple(lam) == best
-        assert norm == pytest.approx(best_norm, rel=1e-9)
-        assert np.all(np.abs(lam - lam_star) <= 0.1 + 1e-12)
-
-    def test_tie_breaks_to_first_scan_point(self, qam16):
-        # one live ring: every tilt gives the same point mass, so every grid
-        # point ties and the scan must keep the first one
-        a2, a4, _ = ring_system(qam16)
-        u = np.array([0.0, -np.inf, -np.inf])
-        lam, norm = _grid_scan_vec(u, a2, a4, 1.2, np.arange(-2.0, 2.25, 0.5),
-                                   np.arange(-1.0, 1.25, 0.5))
-        assert tuple(lam) == (-2.0, -1.0)
-        assert norm == pytest.approx(np.hypot(a2[0] - 1.0, a4[0] - 1.2))
-
-
 @pytest.fixture(scope="module")
 def realistic_u(qam16):
     d = Distribution.uniform(qam16)
@@ -176,55 +90,6 @@ def realistic_u(qam16):
 
 
 class TestMultiplierSystem:
-    def test_jacobian_matches_finite_differences(self, qam16, realistic_u):
-        # the raw pair (f, J) is derivative-consistent; the scaled variant
-        # divides both by the same normalizer purely to keep the Newton
-        # step well-conditioned, so the check runs on the raw system
-        a2, a4, _ = ring_system(qam16)
-        for lam in [(0.0, 0.0), (1.3, -0.7), (-2.0, 4.0)]:
-            f0, jac = _residual_system(realistic_u, a2, a4, 1.1, lam[0], lam[1], scaled=False)
-            h = 1e-5
-            fd = np.empty((2, 2))
-            for k in range(2):
-                lp, lm = list(lam), list(lam)
-                lp[k] += h
-                lm[k] -= h
-                fp, _ = _residual_system(realistic_u, a2, a4, 1.1, lp[0], lp[1], scaled=False)
-                fm, _ = _residual_system(realistic_u, a2, a4, 1.1, lm[0], lm[1], scaled=False)
-                fd[:, k] = (fp - fm) / (2 * h)
-            np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-12)
-
-    def test_scaled_residuals_are_tilt_invariant(self, qam16, realistic_u):
-        # adding a constant to u rescales raw residuals but not scaled ones
-        a2, a4, _ = ring_system(qam16)
-        u = realistic_u
-        f_raw, _ = _residual_system(u, a2, a4, 1.2, 0.4, -0.2, scaled=False)
-        f_shift, _ = _residual_system(u + 2.5, a2, a4, 1.2, 0.4, -0.2,
-                                      scaled=False)
-        np.testing.assert_allclose(f_shift, np.exp(2.5) * f_raw, rtol=1e-9)
-
-        s_raw, _ = _residual_system(u, a2, a4, 1.2, 0.4, -0.2, scaled=True)
-        s_shift, _ = _residual_system(u + 2.5, a2, a4, 1.2, 0.4, -0.2,
-                                      scaled=True)
-        np.testing.assert_allclose(s_shift, s_raw, rtol=1e-9)
-
-    def test_scaled_residuals_are_moment_mismatches(self, qam16, realistic_u):
-        # at any multipliers, scaled residuals equal (E[A^2]-1, E[A^4]-c0)
-        # under the tilted distribution
-        a2, a4, _ = ring_system(qam16)
-        lam1, lam2, c0 = -0.9, 1.7, 1.25
-        g = np.exp(realistic_u - lam1 * a2**2 - lam2 * a2)
-        g /= g.sum()
-        f, _ = _residual_system(realistic_u, a2, a4, c0, lam1, lam2, scaled=True)
-        assert f[0] == pytest.approx(np.sum(a2 * g) - 1.0, rel=1e-9)
-        assert f[1] == pytest.approx(np.sum(a2**2 * g) - c0, rel=1e-9)
-
-    def test_raw_residuals_overflow_guard(self, qam16, realistic_u):
-        a2, a4, _ = ring_system(qam16)
-        with pytest.raises(OverflowError):
-            _residual_system(realistic_u, a2, a4, 1.2, -500.0, -500.0,
-                             scaled=False)
-
     def test_ring_update_equals_per_point_update(self, qam16, realistic_u):
         # the solver folds each ring's point count into its exponent and
         # works on ring amplitudes; unfolded, the same multipliers must solve
@@ -346,20 +211,6 @@ class TestMonteCarloIntegrals:
         np.testing.assert_allclose(u_mc, want, atol=0.01)
 
 
-@pytest.fixture
-def grid_scans(monkeypatch):
-    """Arguments of every grid scan the multiplier match runs."""
-    calls = []
-    scan = shaping._init_multipliers
-
-    def counted(*args):
-        calls.append(args)
-        return scan(*args)
-
-    monkeypatch.setattr(shaping, "_init_multipliers", counted)
-    return calls
-
-
 class TestWarmStart:
     C0 = 1.25
     SIGMA2 = 0.05
@@ -373,35 +224,51 @@ class TestWarmStart:
         return integrals_at(qam64, qam64.ring_counts / qam64.size, y,
                             self.SIGMA2) + log_counts
 
-    def test_warm_match_agrees_with_cold(self, qam64, channel_u, grid_scans):
+    def test_warm_match_agrees_with_cold(self, qam64, channel_u):
+        # both starts run the dual to its rounding floor, so the start
+        # leaves no trace in the masses
         cold_mass, cold_lam = match_ring_masses(qam64, channel_u, self.C0)
-        assert len(grid_scans) == 1
         warm_mass, warm_lam = match_ring_masses(
             qam64, channel_u, self.C0, cold_lam + np.array([0.3, -0.4]))
-        assert len(grid_scans) == 1            # Newton alone from the warm start
         rows = moment_rows(qam64, self.C0)
         assert np.max(np.abs(rows.matrix @ warm_mass - rows.rhs)) \
             <= RESIDUAL_TOL
-        np.testing.assert_allclose(warm_mass, cold_mass, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(warm_mass, cold_mass, rtol=0, atol=1e-14)
         np.testing.assert_allclose(warm_lam, cold_lam, rtol=0, atol=1e-9)
 
-    def test_unusable_warm_start_takes_the_cold_path(self, qam64, channel_u,
-                                                     grid_scans):
-        # far out every weight sits on the inner ring: the residual is flat
-        # there and Newton stalls at once
+    def test_unusable_warm_start_takes_the_cold_path(self, qam64, channel_u):
+        # far out every weight sits on the inner ring and the dual is flat
+        # to rounding: the match starts again from zero
         cold_mass, cold_lam = match_ring_masses(qam64, channel_u, self.C0)
         mass, lam = match_ring_masses(qam64, channel_u, self.C0,
                                       np.array([1e3, 0.0]))
-        assert len(grid_scans) == 2
-        np.testing.assert_array_equal(mass, cold_mass)
-        np.testing.assert_array_equal(lam, cold_lam)
+        np.testing.assert_allclose(mass, cold_mass, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(lam, cold_lam, rtol=0, atol=1e-9)
 
-    def test_interior_run_scans_the_grid_once(self, qam64, grid_scans):
+    @pytest.mark.parametrize("warm", [None, (0.3, -0.2), (-1.0, 2.0)])
+    def test_three_ring_masses_do_not_depend_on_the_start(self, qam16,
+                                                          realistic_u, warm):
+        # on three rings the moment rows fix the masses: (1/8, 3/4, 1/8) at
+        # c0 = 1.16, to the last digits from any start and for any exponents
+        for u in (np.log(qam16.ring_counts.astype(float)), realistic_u,
+                  np.array([-2.1, 0.4, -0.9])):
+            mass, lam = match_ring_masses(qam16, u, 1.16, warm)
+            assert lam is not None
+            np.testing.assert_allclose(mass, [0.125, 0.75, 0.125], rtol=0,
+                                       atol=1e-15)
+
+    def test_interior_run_converges_on_warm_starts(self, qam64,
+                                                   monkeypatch):
+        # every match of the run is a tilt: none falls back to the vertex
+        vertices = []
+        lp_match = shaping._lp_match
+        monkeypatch.setattr(shaping, "_lp_match",
+                            lambda *a: vertices.append(a) or lp_match(*a))
         cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=2000, outer_tol=1e-9,
                         air_n_mc=1000)
         res = run_mba(qam64, cfg, seed=0)
         assert res.converged and res.iterations > 10
-        assert len(grid_scans) == 1
+        assert res.multipliers is not None and not vertices
 
 
 class TestEndpointMultipliers:
@@ -474,6 +341,23 @@ class TestRunMba:
         for w in range(3):
             ring = per_point[qam16.ring_index == w]
             np.testing.assert_allclose(ring, ring[0], rtol=1e-12)
+
+    def test_near_endpoint_run_is_warning_free(self):
+        # just above the 256-QAM lower endpoint the tilt leaves rings whose
+        # point probability underflows to zero: the objective and the ring
+        # integrals must agree that they are dead
+        import warnings
+
+        c = make_constellation("qam", 256)
+        lo, _ = feasible_c0_range(c)
+        cfg = MBAConfig(c0=lo + 1e-6, noise_power=0.01, n_mc=1000,
+                        air_n_mc=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_mba(c, cfg, seed=0)
+        trace = np.asarray(res.trace)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= -1e-9)
 
     def test_infeasible_target_rejected(self, qam16):
         with pytest.raises(ValueError, match="feasible"):
