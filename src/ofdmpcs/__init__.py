@@ -1,60 +1,43 @@
 """Probabilistically shaped OFDM waveforms: sensing statistics, achievable
-rates, shaping solvers, and CFAR detection experiments."""
+rates, shaping solvers, and CFAR detection experiments.
 
-from .ambiguity import (
-    AFGrid,
-    AFMoments,
-    OFDMConfig,
-    SymbolMatrix,
-    af_components,
-    af_samples,
-    af_sequence,
-    af_single,
-    analytic_moments,
-    average_af,
-    exact_af,
-    sample_symbols,
-)
-from .constellation import (
-    CheckResult,
-    Constellation,
-    Diagnostics,
-    Distribution,
-    from_json,
-    from_rings,
-    make_constellation,
-    moment,
-    to_json,
-    validate,
-)
-from .detection import (
-    DetectionScenario,
-    PdCurve,
-    RangeProfile,
-    calibrate_so_cfar,
-    detection_probability,
-    empirical_false_alarm_rate,
-    pd_curve,
-    simulate_profile,
-    so_cfar_detect,
-    so_cfar_statistic,
-    wilson_interval,
-)
-from .rates import (
-    ChannelSpec,
-    MIEstimate,
-    gm_log_pdf,
-    mutual_information,
-    rate_curve,
-)
-from .seeds import derive_seed, trial_seed
-from .shaping import (
-    ShapingResult,
-    feasible_c0_range,
-    ring_system,
-    solve_heuristic,
-)
-from .shaping_ba import MBAConfig, run_mba
+The public names load on first use (PEP 562): ``import ofdmpcs`` imports no
+submodule, and ``ofdmpcs.run_mba`` imports only the modules that
+``shaping_ba`` itself needs.  So a command line that runs one layer pays for
+that layer only.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "ambiguity": (
+        "AFGrid", "AFMoments", "OFDMConfig", "SymbolMatrix", "af_components",
+        "af_samples", "af_sequence", "af_single", "analytic_moments",
+        "average_af", "exact_af", "sample_symbols",
+    ),
+    "constellation": (
+        "CheckResult", "Constellation", "Diagnostics", "Distribution",
+        "from_json", "from_rings", "make_constellation", "moment", "to_json",
+        "validate",
+    ),
+    "detection": (
+        "DetectionScenario", "PdCurve", "RangeProfile", "calibrate_so_cfar",
+        "detection_probability", "empirical_false_alarm_rate", "pd_curve",
+        "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
+        "wilson_interval",
+    ),
+    "rates": (
+        "ChannelSpec", "MIEstimate", "gm_log_pdf", "mutual_information",
+        "rate_curve",
+    ),
+    "seeds": ("derive_seed", "trial_seed"),
+    "shaping": (
+        "ShapingResult", "feasible_c0_range", "ring_system", "solve_heuristic",
+    ),
+    "shaping_ba": ("MBAConfig", "run_mba"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
@@ -71,3 +54,12 @@ __all__ = [
     "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
     "solve_heuristic", "to_json", "trial_seed", "validate", "wilson_interval",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value          # later lookups skip this hook
+    return value

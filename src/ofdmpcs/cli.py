@@ -19,6 +19,10 @@ units of T_p and of the subcarrier spacing, as the key names say.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numerical
 non-convergence.
 Clamping of out-of-range moment targets is reported on stderr, never silent.
+
+This module imports only the standard library; each command imports the
+layers it runs when it runs, so ``af`` or ``detect`` never loads the
+shapers, and a usage error never loads numpy.
 """
 
 from __future__ import annotations
@@ -30,17 +34,16 @@ import math
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .ambiguity import OFDMConfig, exact_af
-from .constellation import Constellation, Distribution, make_constellation
-from .detection import DetectionScenario, calibrate_so_cfar, pd_curve
-from .rates import (MIN_MI_SAMPLES, ChannelSpec, mutual_information,
-                    rate_curve, rate_curve_csv)
-from .seeds import derive_seed
-from .shaping import ShapingResult, feasible_c0_range, solve_heuristic
-from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig, run_mba
+    from .ambiguity import OFDMConfig
+    from .constellation import Constellation, Distribution
+    from .detection import DetectionScenario
+    from .shaping import ShapingResult
+    from .shaping_ba import MBAConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,6 +93,8 @@ def _sigma2(cp, default=None) -> float:
 
 
 def _ladder(cp, section, prefix) -> np.ndarray:
+    import numpy as np
+
     lo = _get(cp, section, f"{prefix}_min", float)
     hi = _get(cp, section, f"{prefix}_max", float)
     step = _get(cp, section, f"{prefix}_step", float)
@@ -103,6 +108,8 @@ def _ladder(cp, section, prefix) -> np.ndarray:
 
 
 def _build_constellation(cp) -> Constellation:
+    from .constellation import make_constellation
+
     family = _get(cp, "constellation", "family", str)
     order = _get(cp, "constellation", "order", int)
     try:
@@ -112,6 +119,8 @@ def _build_constellation(cp) -> Constellation:
 
 
 def _build_ofdm(cp) -> OFDMConfig:
+    from .ambiguity import OFDMConfig
+
     try:
         return OFDMConfig(
             n_subcarriers=_get(cp, "ofdm", "n_subcarriers", int, 64),
@@ -151,6 +160,8 @@ def _n_mc(cp, args, section, default, minimum=1) -> int:
 
 
 def _air_n_mc(cp) -> int:
+    from .rates import MIN_MI_SAMPLES
+
     n_mc = _get(cp, "shaping", "air_n_mc", int, 100_000)
     if n_mc < MIN_MI_SAMPLES:
         raise ConfigError(f"[shaping] air_n_mc must be >= {MIN_MI_SAMPLES} "
@@ -159,9 +170,11 @@ def _air_n_mc(cp) -> int:
 
 
 def _clamp_c0(c: Constellation, c0: float) -> float:
+    from .shaping import feasible_c0_range
+
     lo, hi = feasible_c0_range(c)
     if c0 < lo - 1e-12 or c0 > hi + 1e-12:
-        clamped = float(np.clip(c0, lo, hi))
+        clamped = float(min(max(c0, lo), hi))
         print(f"warning: c0={c0:.9g} outside feasible range "
               f"[{lo:.9g}, {hi:.9g}]; clamped to {clamped:.9g}",
               file=sys.stderr)
@@ -171,6 +184,8 @@ def _clamp_c0(c: Constellation, c0: float) -> float:
 
 def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
     """Uniform unless --c0 given; then shape by the selected method."""
+    from .constellation import Distribution
+
     if args.c0 is None:
         return Distribution.uniform(c)
     res = _solve_one(c, cp, args, float(args.c0), sigma2, seed,
@@ -179,6 +194,8 @@ def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
 
 
 def _mba_config(cp, args, c0, sigma2, air_n_mc) -> MBAConfig:
+    from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig
+
     return MBAConfig(
         c0=c0, noise_power=sigma2,
         n_mc=_n_mc(cp, args, "shaping", 10_000, MIN_UPDATE_SAMPLES),
@@ -189,10 +206,15 @@ def _mba_config(cp, args, c0, sigma2, air_n_mc) -> MBAConfig:
 
 def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingResult:
     """One shaping solve at c0 with a per-c0 sub-seed (composition-stable)."""
+    from .seeds import derive_seed
+
     air_n_mc = _air_n_mc(cp)
     c0 = _clamp_c0(c, c0)
     sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
     if args.method == "heuristic":
+        from .rates import ChannelSpec, mutual_information
+        from .shaping import solve_heuristic
+
         res = solve_heuristic(c, c0)
         if with_air:
             air = mutual_information(
@@ -201,6 +223,8 @@ def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingRe
                 seed=derive_seed(sub_seed, "mba-air"))
             res.air_bits = float(air.mi_bits)
         return res
+    from .shaping_ba import run_mba
+
     return run_mba(c, _mba_config(cp, args, c0, sigma2, air_n_mc),
                    seed=sub_seed)
 
@@ -223,6 +247,9 @@ def cmd_shape(cp, args) -> int:
 
 
 def cmd_air(cp, args) -> int:
+    from .rates import MIN_MI_SAMPLES, rate_curve, rate_curve_csv
+    from .seeds import derive_seed
+
     c = _build_constellation(cp)
     seed = _master_seed(cp, args)
     snrs = _ladder(cp, "channel", "snr_db")
@@ -238,6 +265,10 @@ def cmd_air(cp, args) -> int:
 
 
 def cmd_af(cp, args) -> int:
+    import numpy as np
+
+    from .ambiguity import exact_af
+
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     sigma2_ref = _sigma2(cp, 0.01)
@@ -269,6 +300,8 @@ def cmd_af(cp, args) -> int:
 
 
 def _scenario(cp, c, d, cfg, snr_db=None) -> DetectionScenario:
+    from .detection import DetectionScenario
+
     try:
         return DetectionScenario(
             constellation=c, distribution=d, cfg=cfg,
@@ -286,6 +319,9 @@ def _scenario(cp, c, d, cfg, snr_db=None) -> DetectionScenario:
 
 
 def cmd_detect(cp, args) -> int:
+    from .detection import pd_curve
+    from .seeds import derive_seed
+
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
@@ -317,6 +353,10 @@ def _write_lut(path: str, entries: list[dict]) -> None:
 
 
 def _c0_sweep(cp, c: Constellation) -> np.ndarray:
+    import numpy as np
+
+    from .shaping import feasible_c0_range
+
     sweep = _ladder(cp, "shaping", "c0")
     lo, hi = feasible_c0_range(c)
     if sweep[-1] < lo - 1e-9 or sweep[0] > hi + 1e-9:
@@ -330,6 +370,9 @@ def _c0_sweep(cp, c: Constellation) -> np.ndarray:
 
 
 def cmd_tradeoff(cp, args) -> int:
+    from .detection import calibrate_so_cfar, pd_curve
+    from .seeds import derive_seed
+
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     sigma2 = _sigma2(cp)

@@ -249,13 +249,47 @@ class Distribution:
         cdf.flags.writeable = False     # shared by every later draw
         return cdf
 
+    @cached_property
+    def _guide(self) -> tuple[int, np.ndarray, int]:
+        """Guide table over :attr:`cdf` (Chen & Asau 1974; Devroye 1986,
+        §III.2.4): ``(K, start, steps)``.
+
+        K is the smallest power of two >= 4Q, so ``u * K`` and ``j / K`` are
+        exact.  ``start[j]`` counts the CDF values <= j/K; a uniform in
+        [j/K, (j+1)/K) has its answer between ``start[j]`` and
+        ``start[j + 1]``, at most ``steps`` above ``start[j]``.
+        """
+        cdf = self.cdf
+        k = 1 << (4 * cdf.size - 1).bit_length()
+        bounds = cdf.searchsorted(np.arange(k + 1) / k, side="right")
+        return k, bounds[:-1], int(np.diff(bounds).max())
+
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Symbol index of each uniform in ``u``: bitwise
+        ``cdf.searchsorted(u, side="right")``.
+
+        Starts each index at its guide-table bucket and steps it up while
+        the CDF value there is <= u.  The index never passes the answer, so
+        it stays inside the table.  When one bucket holds more CDF values
+        than a binary search takes steps (tiny masses crowd together),
+        the binary search is the cheaper of the two and runs instead.
+        """
+        k, start, steps = self._guide
+        if steps > self.cdf.size.bit_length():
+            return self.cdf.searchsorted(u, side="right")
+        idx = start[(u * k).astype(np.intp)]
+        for _ in range(steps):
+            idx += self.cdf[idx] <= u
+        return idx
+
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Symbol indices of shape ``size`` by inverse CDF.
 
         Bitwise what ``rng.choice(Q, size, p=...)`` returns, and it leaves
-        ``rng`` in the same state, at a fraction of the per-call cost.
+        ``rng`` in the same state, at a fraction of the per-call cost: one
+        ``rng.random(size)`` read through :meth:`inverse_cdf`.
         """
-        return self.cdf.searchsorted(rng.random(size), side="right")
+        return self.inverse_cdf(rng.random(size))
 
     def digest(self) -> str:
         h = hashlib.sha1(np.asarray(self.per_point, dtype=float).tobytes())

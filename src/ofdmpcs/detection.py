@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ambiguity import OFDMConfig
 from .constellation import Constellation, Distribution
@@ -43,7 +42,6 @@ MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
 _CHUNK_ROWS = 4096          # rows per batch of profiles
 _SUB_ROWS = 256             # rows per block of noise-only ratios
-_ELIDE_BYTES = 256 * 1024   # numpy's in-place temporary threshold
 
 
 @dataclass(frozen=True)
@@ -98,32 +96,34 @@ def _draw_trials(sc: DetectionScenario,
     """Symbols and received rows ``(x, y)``, one row per generator seed.
 
     Row i draws from its own ``default_rng(seeds[i])`` in a fixed order: the
-    symbol indices, the SI phase (if SI is on), the target phase (if the
+    symbol uniforms, the SI phase (if SI is on), the target phase (if the
     target is on), the real noise, then the imaginary noise.  So a row is
-    the same however the seeds are batched; everything after the draws runs
-    on whole (rows, L) arrays.
+    the same however the seeds are batched.  The loop only fills
+    preallocated rows; the symbol lookup, the noise scaling and everything
+    after run once on whole (rows, L) arrays.  ``random()`` is bitwise
+    ``uniform()``, and scaling the standard normals afterwards is bitwise
+    ``normal(scale=...)`` once added to ``y``.
     """
     length = sc.cfg.n_subcarriers
     rows = len(seeds)
     si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
-    scale = np.sqrt(0.5)
-    idx = np.empty((rows, length), dtype=np.intp)
+    u = np.empty((rows, length))
     si_u = np.empty(rows)
     tg_u = np.empty(rows)
     noise_re = np.empty((rows, length))
     noise_im = np.empty((rows, length))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        idx[i] = sc.distribution.draw(rng, length)
+        rng.random(out=u[i])
         if si_lin > 0.0:
-            si_u[i] = rng.uniform()
+            si_u[i] = rng.random()
         if snr_lin > 0.0:
-            tg_u[i] = rng.uniform()
-        noise_re[i] = rng.normal(scale=scale, size=length)
-        noise_im[i] = rng.normal(scale=scale, size=length)
+            tg_u[i] = rng.random()
+        rng.standard_normal(out=noise_re[i])
+        rng.standard_normal(out=noise_im[i])
 
-    x = sc.constellation.points[idx]
+    x = sc.constellation.points[sc.distribution.inverse_cdf(u)]
     l_idx = np.arange(length)
     y = np.zeros((rows, length), dtype=complex)
     if si_lin > 0.0:
@@ -134,27 +134,23 @@ def _draw_trials(sc: DetectionScenario,
         phase = np.exp(2j * np.pi * tg_u)
         y += (np.sqrt(snr_lin / length) * phase)[:, None] * x * np.exp(
             -2j * np.pi * l_idx * sc.target_cell / length)
+    scale = np.sqrt(0.5)
+    noise_re *= scale
+    noise_im *= scale
     y += noise_re + 1j * noise_im
     return x, y
 
 
-def _profiles(x: np.ndarray, y: np.ndarray,
-              batch_rows: int | None = None) -> np.ndarray:
-    """Matched-filter powers ``|L * ifft(y * conj x)|^2``, row by row.
+def _profiles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matched-filter powers ``|L * ifft(conj(x) * y)|^2``, row by row.
 
-    Complex products round differently with their operands swapped, and
-    numpy forms ``y * conj(x)`` as ``conj(x) * y`` (in place, in the
-    temporary) once that temporary spans ``_ELIDE_BYTES``.  The order is
-    therefore explicit and follows the same size rule, applied to the batch
-    the rows belong to: ``batch_rows`` rows, by default these.  So a batch
-    gives the bits it always gave, also when split into sub-blocks.
+    Complex products round differently with their operands swapped, so the
+    order is fixed: ``conj(x) * y``, formed in place in the ``conj``
+    temporary, at every batch size.  A row's power therefore does not
+    depend on the batch it runs in.
     """
-    rows = x.shape[0] if batch_rows is None else batch_rows
-    conj_x = np.conj(x)
-    if rows * x.shape[1] * conj_x.itemsize >= _ELIDE_BYTES:
-        prod = np.multiply(conj_x, y)
-    else:
-        prod = np.multiply(y, conj_x)
+    prod = np.conj(x)
+    np.multiply(prod, y, out=prod)
     z = x.shape[1] * np.fft.ifft(prod, axis=1)
     return np.abs(z) ** 2
 
@@ -169,24 +165,68 @@ def simulate_profile(sc: DetectionScenario, seed: int = 0) -> RangeProfile:
 # SO-CFAR
 
 
+def _window_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """``a[k] + ... + a[k + n - 1]`` for every complete window of 1-D ``a``.
+
+    Each window is added in numpy's pairwise order for n contiguous values,
+    so the sums are bitwise what ``np.add.reduce`` gives over a sliding
+    window view, but every step is one shifted-slice add over all windows:
+
+    * n < 8: left to right;
+    * 8 <= n <= 128: eight running sums q[k] = a[k] + a[k+8] + ... over
+      the first n - n % 8 values, then ((q0 + q1) + (q2 + q3)) +
+      ((q4 + q5) + (q6 + q7)) as t = q[k] + q[k+1], u = t[k] + t[k+2],
+      s = u[k] + u[k+4], then the n % 8 leftovers left to right;
+    * n > 128: the two halves split at n2 = n//2 - (n//2) % 8, each summed
+      by these rules, then added.
+
+    Two buffers are reused for the steps, since freshly mapped temporaries
+    of this size cost more in page faults than the adds themselves.
+    """
+    width = a.size - n + 1
+    if n < 8:
+        total = a[:width].copy()
+        for i in range(1, n):
+            total += a[i:i + width]
+        return total
+    if n > 128:
+        n2 = n // 2 - (n // 2) % 8
+        return _window_sums(a, n2)[:width] + _window_sums(a[n2:], n - n2)
+    full = n - n % 8
+    wq = width + 7
+    one, two = np.empty(wq), np.empty(wq)
+    q = a[:wq] if full == 8 else np.add(a[:wq], a[8:8 + wq], out=one)
+    for i in range(16, full, 8):
+        q += a[i:i + wq]
+    t = np.add(q[:-1], q[1:], out=two[:-1])
+    u = np.add(t[:-2], t[2:], out=one[:-3])
+    total = np.add(u[:-4], u[4:], out=two[:width])
+    for i in range(full, n):
+        total += a[i:i + width]
+    return total
+
+
 def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
     """min(leading mean, lagging mean) per cell; rows are profiles.
 
     Only complete reference windows count: a window that sticks out of the
-    profile picks up NaN padding, its plain mean goes NaN, and ``fmin``
-    falls back to the other (complete) side.  Partial windows would let a
-    lone edge cell act as a one-sample noise estimate and blow up the
-    false-alarm tail.  One pass takes the mean of every window of the
-    padded rows: cell k leads with window k and lags with window
-    k + ref + 2*guard + 1.
+    profile picks up NaN padding, its sum goes NaN, and ``fmin`` falls back
+    to the other (complete) side.  Partial windows would let a lone edge
+    cell act as a one-sample noise estimate and blow up the false-alarm
+    tail.  The padded rows are laid end to end and one pass of
+    :func:`_window_sums` sums every window; cell k leads with window k and
+    lags with window k + ref + 2*guard + 1 of its row (windows that run
+    into the next row are never read).  The smaller sum is divided by
+    ``ref``, which is bitwise the smaller of the two ``np.mean`` values.
     """
     rows, length = profiles.shape
     pad = ref + guard
-    arr = np.concatenate([np.full((rows, pad), np.nan), profiles,
-                          np.full((rows, pad), np.nan)], axis=1)
-    means = np.mean(sliding_window_view(arr, ref, axis=1), axis=2)
+    width = length + 2 * pad
+    flat = np.full(rows * width + ref - 1, np.nan)
+    flat[:rows * width].reshape(rows, width)[:, pad:pad + length] = profiles
+    sums = _window_sums(flat, ref).reshape(rows, width)
     lag = ref + 2 * guard + 1
-    return np.fmin(means[:, :length], means[:, lag:lag + length])
+    return np.fmin(sums[:, :length], sums[:, lag:lag + length]) / ref
 
 
 def so_cfar_statistic(profile, ref_cells: int = 16,
@@ -218,9 +258,8 @@ def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
     Each chunk of ``_CHUNK_ROWS`` rows draws its symbol indices, then the
     real noise, then the imaginary noise; the profiles and ratios follow in
     sub-blocks of ``_SUB_ROWS`` rows, so no chunk-sized complex array is
-    held.  Every sub-block forms its products in the whole chunk's operand
-    order (see :func:`_profiles`), so the ratios are bitwise those of the
-    whole chunk.
+    held.  A row's ratios do not depend on the block it runs in (see
+    :func:`_profiles`), so they are bitwise those of the whole chunk.
     """
     sc = _noise_only(sc)
     length = sc.cfg.n_subcarriers
@@ -234,7 +273,7 @@ def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
         for sub in range(0, rows, _SUB_ROWS):
             part = slice(sub, sub + _SUB_ROWS)
             power = _profiles(points[idx[part]],
-                              noise_re[part] + 1j * noise_im[part], rows)
+                              noise_re[part] + 1j * noise_im[part])
             stat = _side_means(power, sc.ref_cells, sc.guard_cells)
             yield (power / stat).ravel()
         del idx, noise_re, noise_im     # free this chunk before the next draw

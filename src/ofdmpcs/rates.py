@@ -55,9 +55,13 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def log_probs(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``log p``, ``-inf`` exactly where ``p`` is zero."""
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+    """Elementwise ``log p``, ``-inf`` exactly where ``p`` is zero.
+
+    Only positive entries reach ``np.log``, so a subnormal p gets its own
+    log (5e-324 gives -744.4) and a zero raises no warning.
+    """
+    p = np.asarray(p, dtype=float)
+    return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ofdmpcs import cli
+from ofdmpcs import rates, shaping, shaping_ba
 from ofdmpcs.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
 
 BASE_CONFIG = """\
@@ -151,8 +151,8 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        monkeypatch.setattr(cli, "run_mba", no_solve)
-        monkeypatch.setattr(cli, "solve_heuristic", no_solve)
+        monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
+        monkeypatch.setattr(shaping, "solve_heuristic", no_solve)
         bad = tmp_path / "bad.ini"
         bad.write_text(BASE_CONFIG.replace("air_n_mc = 2000", "air_n_mc = 10"))
         out = tmp_path / "o"
@@ -193,8 +193,8 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        monkeypatch.setattr(cli, "run_mba", no_solve)
-        monkeypatch.setattr(cli, "rate_curve", no_solve)
+        monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
+        monkeypatch.setattr(rates, "rate_curve", no_solve)
         bad = tmp_path / "bad.ini"
         bad.write_text(BASE_CONFIG.replace(old, new) if old else BASE_CONFIG)
         out = tmp_path / "o"
@@ -216,8 +216,10 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        for name in ("run_mba", "solve_heuristic", "rate_curve"):
-            monkeypatch.setattr(cli, name, no_solve)
+        for module, name in ((shaping_ba, "run_mba"),
+                             (shaping, "solve_heuristic"),
+                             (rates, "rate_curve")):
+            monkeypatch.setattr(module, name, no_solve)
         bad = tmp_path / "bad.ini"
         bad.write_text(BASE_CONFIG.replace("sigma2 = 0.01",
                                            f"sigma2 = {value}"))
@@ -462,4 +464,47 @@ class TestRuntimeDependencies:
             [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(config),
              str(tmp_path / "o")],
             capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a fresh interpreter: the package and the CLI module load no numpy
+# and no layer; one command then loads only the layers it runs.
+_LAZY_SCRIPT = """\
+import sys
+import ofdmpcs.cli
+assert "numpy" not in sys.modules, "import ofdmpcs.cli loaded numpy"
+assert sorted(m for m in sys.modules if m.startswith("ofdmpcs")) == [
+    "ofdmpcs", "ofdmpcs.cli"]
+command, config, out = sys.argv[1:]
+assert ofdmpcs.cli.main([command, "--config", config, "--out", out]) == 0
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules
+                      if m.startswith("ofdmpcs."))))
+"""
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("command,layers", [
+        ("af", "ambiguity cli constellation seeds"),
+        ("air", "cli constellation rates seeds"),
+        ("detect", "ambiguity cli constellation detection seeds"),
+    ])
+    def test_command_loads_only_its_layers(self, config, tmp_path, command,
+                                           layers):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_SCRIPT, command, str(config),
+             str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == layers
+
+    def test_package_names_load_on_first_use(self):
+        script = (
+            "import sys, ofdmpcs\n"
+            "assert not [m for m in sys.modules if m.startswith('ofdmpcs.')]\n"
+            "assert sorted(ofdmpcs._MODULE_OF) == ofdmpcs.__all__\n"
+            "assert ofdmpcs.run_mba.__module__ == 'ofdmpcs.shaping_ba'\n"
+            "assert 'ofdmpcs.detection' not in sys.modules\n"
+            "assert 'ofdmpcs.ambiguity' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

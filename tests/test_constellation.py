@@ -170,6 +170,48 @@ class TestDraw:
             if c is qam64:
                 assert not np.any(masses[c.ring_index[got]] == 0.0)
 
+    @staticmethod
+    def adversarial_uniforms(d, rng):
+        """Random uniforms plus every CDF value, its neighbours, and every
+        guide-bucket edge with its neighbours, all inside [0, 1)."""
+        k = d._guide[0]
+        edges = np.arange(k) / k
+        pts = np.concatenate([d.cdf, edges])
+        u = np.concatenate([rng.random(20_000), pts, np.nextafter(pts, 0.0),
+                            np.nextafter(pts, 1.0), [0.0, 1.0 - 2.0 ** -53]])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    def test_inverse_cdf_bitwise_equal_to_searchsorted(self, qam16, qam64,
+                                                       psk8, psk64):
+        rng = np.random.default_rng(7)
+        qam256 = make_constellation("qam", 256)
+        masses64 = np.zeros(qam64.n_rings)
+        masses64[[0, 2, 8]] = [0.5, 0.3, 0.2]
+        dists = [
+            Distribution.uniform(qam16),
+            Distribution.uniform(psk8),
+            Distribution.uniform(psk64),
+            Distribution.uniform(qam256),
+            Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125]),
+            Distribution.from_ring_mass(qam64, masses64),
+            # endpoint vertices with rounding residue on unloaded rings
+            Distribution.from_ring_mass(qam16, [1.1e-16, 1.0 - 1.7e-16,
+                                                6.4e-17]),
+            Distribution.from_ring_mass(qam16, [0.5, 0.0, 0.5]),
+        ]
+        for alpha in (0.05, 1.0):
+            dists.append(Distribution.from_per_point(
+                qam256, rng.dirichlet(np.full(256, alpha))))
+        stepped = set()
+        for d in dists:
+            u = self.adversarial_uniforms(d, rng)
+            got = d.inverse_cdf(u)
+            want = d.cdf.searchsorted(u, side="right")
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            stepped.add(d._guide[2] <= d.cdf.size.bit_length())
+        assert stepped == {True, False}      # both lookups were checked
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "zeros"])
     def test_invalid_probabilities_raise(self, qam16, bad):
         p = np.full(16, 1.0 / 16)

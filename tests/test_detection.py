@@ -244,7 +244,8 @@ class TestPdCurve:
 
 # ---------------------------------------------------------------------------
 # per-trial oracle: one trial at a time, two-pass SO-CFAR window means and
-# Generator.choice draws; the batched simulator must match it bit for bit
+# Generator.choice draws; the batched simulator must match it bit for bit.
+# Both form the matched-filter product as conj(x) * y, at every batch size.
 
 
 def oracle_probs(sc):
@@ -270,7 +271,7 @@ def oracle_simulate(sc, rng):
             -2j * np.pi * l_idx * sc.target_cell / length)
     y += rng.normal(scale=np.sqrt(0.5), size=length) \
         + 1j * rng.normal(scale=np.sqrt(0.5), size=length)
-    z = length * np.fft.ifft(y * np.conj(x))
+    z = length * np.fft.ifft(np.conj(x) * y)
     return np.abs(z) ** 2
 
 
@@ -308,7 +309,7 @@ def oracle_ratios(sc, n_cells, rng, chunk):
         x = sc.constellation.points[idx]
         noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
             + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
-        power = np.abs(length * np.fft.ifft(noise * np.conj(x), axis=1)) ** 2
+        power = np.abs(length * np.fft.ifft(np.conj(x) * noise, axis=1)) ** 2
         stat = oracle_side_means(power, sc.ref_cells, sc.guard_cells)
         out.append((power / stat).ravel())
     return np.concatenate(out)
@@ -365,6 +366,60 @@ class TestBatchedSimulatorOracle:
                             for p in profiles])
             want = oracle_side_means(profiles, ref, guard)
             assert got.tobytes() == want.tobytes()
+
+
+class TestWindowSums:
+    """Shifted-slice window sums against ``np.mean`` over window views."""
+
+    @pytest.mark.parametrize("ref", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 20,
+                                     129, 130, 200])
+    @pytest.mark.parametrize("guard", [0, 2])
+    def test_side_means_bitwise_equal_to_two_pass_means(self, rng, ref,
+                                                        guard):
+        # every window length through each branch of the pairwise order
+        # (sequential, eight accumulators plus leftovers, recursive split);
+        # the NaN pads decide the edge cells, and the rows span six decades
+        length = 2 * (ref + guard) + 11
+        scales = np.array([1e-3, 1.0, 1e3, 1e-3, 1e3])[:, None]
+        profiles = rng.exponential(size=(5, length)) * scales
+        got = detection._side_means(profiles, ref, guard)
+        want = oracle_side_means(profiles, ref, guard)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
+
+
+class TestProductionBatchOracle:
+    """The per-trial oracle at production batch sizes, ``_CHUNK_ROWS`` as
+    shipped: 300 trials run as one batch, past the 256-row size from which
+    numpy's temporary elision once swapped the product's operands."""
+
+    def test_profiles_and_hits(self, qam16, ofdm64):
+        d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
+        sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, p_fa=1e-2,
+                               n_trials=300)
+        seeds = [trial_seed(4, t) for t in range(sc.n_trials)]
+        got = detection._profiles(*detection._draw_trials(sc, seeds))
+        want = np.stack([oracle_simulate(sc, np.random.default_rng(s))
+                         for s in seeds])
+        assert got.tobytes() == want.tobytes()
+        for alpha in (3.0, 8.0):
+            pd, _, _ = detection_probability(sc, alpha, seed=4)
+            assert pd == oracle_hits(sc, alpha, seed=4) / sc.n_trials
+
+    def test_rows_do_not_depend_on_batch_size(self, monkeypatch, qam64,
+                                              uniform64, ofdm64):
+        # the profiles are compared, not only P_d, which an ulp rarely moves
+        sc = DetectionScenario(qam64, uniform64, ofdm64, snr_db=10.0,
+                               p_fa=1e-2, n_trials=300)
+        seeds = [trial_seed(1, t) for t in range(sc.n_trials)]
+        whole = detection._profiles(*detection._draw_trials(sc, seeds))
+        pd = detection_probability(sc, 4.0, seed=1)
+        for rows in (1, 13, 255):
+            parts = [detection._profiles(*detection._draw_trials(
+                sc, seeds[i:i + rows])) for i in range(0, len(seeds), rows)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+            monkeypatch.setattr(detection, "_CHUNK_ROWS", rows)
+            assert detection_probability(sc, 4.0, seed=1) == pd
 
 
 class TestStreamedCalibration:

@@ -120,6 +120,14 @@ class TestLogMixtureDensity:
         np.testing.assert_array_equal(got[live], np.log(p[live]))
         assert np.isneginf(got[~live]).all()
 
+    def test_log_probs_subnormal(self):
+        # a floor at 1e-300 once gave every smaller probability log 1e-300
+        p = np.array([5e-324, 1e-310, 1e-300, 0.0, 0.5])
+        got = log_probs(p)
+        np.testing.assert_array_equal(got[:3], np.log(p[:3]))
+        assert got[0] < got[1] < got[2] < -690.0
+        assert np.isneginf(got[3]) and got[4] == np.log(0.5)
+
     def test_matches_direct_sum(self, qam16, uniform16, rng):
         spec = ChannelSpec(noise_power=0.2)
         y = rng.normal(size=50) + 1j * rng.normal(size=50)
