@@ -11,9 +11,8 @@ import importlib
 
 _EXPORTS = {
     "ambiguity": (
-        "AFGrid", "AFMoments", "OFDMConfig", "SymbolMatrix", "af_components",
-        "af_samples", "af_sequence", "af_single", "analytic_moments",
-        "average_af", "exact_af", "sample_symbols",
+        "AFGrid", "AFMoments", "OFDMConfig", "af_components", "af_samples",
+        "af_sequence", "analytic_moments", "average_af", "exact_af",
     ),
     "constellation": (
         "CheckResult", "Constellation", "Diagnostics", "Distribution",
@@ -45,12 +44,11 @@ __all__ = [
     "AFGrid", "AFMoments", "ChannelSpec", "CheckResult", "Constellation",
     "DetectionScenario", "Diagnostics", "Distribution", "MBAConfig",
     "MIEstimate", "OFDMConfig", "PdCurve", "RangeProfile", "ShapingResult",
-    "SymbolMatrix", "af_components", "af_samples", "af_sequence", "af_single",
-    "analytic_moments", "average_af", "calibrate_so_cfar", "derive_seed",
-    "detection_probability", "empirical_false_alarm_rate", "exact_af",
-    "feasible_c0_range", "from_json", "from_rings", "gm_log_pdf",
-    "make_constellation", "moment", "mutual_information", "pd_curve",
-    "rate_curve", "ring_system", "run_mba", "sample_symbols",
+    "af_components", "af_samples", "af_sequence", "analytic_moments",
+    "average_af", "calibrate_so_cfar", "derive_seed", "detection_probability",
+    "empirical_false_alarm_rate", "exact_af", "feasible_c0_range", "from_json",
+    "from_rings", "gm_log_pdf", "make_constellation", "moment",
+    "mutual_information", "pd_curve", "rate_curve", "ring_system", "run_mba",
     "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
     "solve_heuristic", "to_json", "trial_seed", "validate", "wilson_interval",
 ]

@@ -64,16 +64,6 @@ class OFDMConfig:
 
 
 @dataclass(frozen=True)
-class SymbolMatrix:
-    """An (N, L) draw of constellation symbols plus its provenance."""
-
-    values: np.ndarray
-    seed: int
-    constellation_id: str
-    distribution_id: str
-
-
-@dataclass(frozen=True)
 class AFGrid:
     """Sampled delay-Doppler surface.
 
@@ -106,16 +96,6 @@ class AFGrid:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def sample_symbols(c: Constellation, d: Distribution, cfg: OFDMConfig,
-                   seed: int) -> SymbolMatrix:
-    """Draw an (N, L) i.i.d. symbol matrix; identical seed, identical draw."""
-    rng = np.random.default_rng(seed)
-    idx = d.draw(rng, (cfg.n_symbols, cfg.n_subcarriers))
-    return SymbolMatrix(values=c.points[idx], seed=seed,
-                        constellation_id=c.digest(),
-                        distribution_id=d.digest())
 
 
 def _draw_flat(c, d, cfg, n_mc, seed) -> np.ndarray:
@@ -176,12 +156,14 @@ def _check_point(tau, nu):
         raise ValueError("tau and nu must be finite")
 
 
-def af_sequence(m: SymbolMatrix | np.ndarray, cfg: OFDMConfig,
+def af_sequence(m: np.ndarray, cfg: OFDMConfig,
                 tau: float, nu: float) -> complex:
-    """Exact AF of an N-symbol train at (tau, nu); zero for |tau| >= N*T_p."""
+    """Exact AF of an N-symbol train at (tau, nu); zero for |tau| >= N*T_p.
+
+    ``m`` holds N*L symbols (any shape); a single symbol is the N = 1 train.
+    """
     _check_point(tau, nu)
-    values = m.values if isinstance(m, SymbolMatrix) else np.asarray(m)
-    values = values.reshape(cfg.n_symbols, cfg.n_subcarriers)
+    values = np.asarray(m).reshape(cfg.n_symbols, cfg.n_subcarriers)
     span = cfg.n_symbols * cfg.symbol_duration
     if abs(tau) >= span:
         return 0.0 + 0.0j
@@ -190,17 +172,7 @@ def af_sequence(m: SymbolMatrix | np.ndarray, cfg: OFDMConfig,
     return complex(x @ (K @ np.conj(x)))
 
 
-def af_single(row: np.ndarray, cfg: OFDMConfig, tau: float, nu: float) -> complex:
-    """Exact AF of a single OFDM symbol; zero outside |tau| < T_p."""
-    row = np.asarray(row).ravel()
-    if row.size != cfg.n_subcarriers:
-        raise ValueError("row length must equal the subcarrier count")
-    one = OFDMConfig(cfg.n_subcarriers, cfg.subcarrier_spacing,
-                     cfg.symbol_duration, 1)
-    return af_sequence(row, one, tau, nu)
-
-
-def af_components(m: SymbolMatrix | np.ndarray, cfg: OFDMConfig,
+def af_components(m: np.ndarray, cfg: OFDMConfig,
                   tau: float, nu: float) -> tuple[complex, complex]:
     """Split the AF into (self term, cross term).
 
@@ -209,8 +181,7 @@ def af_components(m: SymbolMatrix | np.ndarray, cfg: OFDMConfig,
     term is the remainder.  Their sum equals :func:`af_sequence`.
     """
     _check_point(tau, nu)
-    values = m.values if isinstance(m, SymbolMatrix) else np.asarray(m)
-    values = values.reshape(cfg.n_symbols, cfg.n_subcarriers)
+    values = np.asarray(m).reshape(cfg.n_symbols, cfg.n_subcarriers)
     span = cfg.n_symbols * cfg.symbol_duration
     if abs(tau) >= span:
         return 0.0 + 0.0j, 0.0 + 0.0j

@@ -10,15 +10,22 @@ Subcommands
 ``lut-export``  shaped-probability look-up table, JSON out
 
 Every command is a pure function of (config file, flags, seed): reruns emit
-byte-identical artifacts.  All randomness flows from the single ``seed`` key;
-sub-seeds are derived by hashing (seed, purpose string).  ``af`` draws
+byte-identical artifacts, and ``lut-export`` solves afresh each time, so it
+never reuses a table already in the output directory.  All randomness flows
+from the single ``seed`` key; sub-seeds are derived by hashing (seed,
+purpose string).  ``af`` draws
 nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
 var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
 through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
 units of T_p and of the subcarrier spacing, as the key names say.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numerical
 non-convergence.
-Clamping of out-of-range moment targets is reported on stderr, never silent.
+
+This module owns three decisions the library leaves to its caller.  It
+clamps out-of-range moment targets to the feasible range and says so on
+stderr (the solvers reject them).  It scores both solvers' inputs with
+one rate estimate, one seed and one sample count.  And it builds the
+look-up table.
 
 This module imports only the standard library; each command imports the
 layers it runs when it runs, so ``af`` or ``detect`` never loads the
@@ -188,45 +195,51 @@ def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
 
     if args.c0 is None:
         return Distribution.uniform(c)
-    res = _solve_one(c, cp, args, float(args.c0), sigma2, seed,
+    res = _solve_one(c, cp, args, args.method, float(args.c0), sigma2, seed,
                      with_air=False)
     return res.distribution
 
 
-def _mba_config(cp, args, c0, sigma2, air_n_mc) -> MBAConfig:
+def _mba_config(cp, args, c0, sigma2) -> MBAConfig:
     from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig
 
     return MBAConfig(
         c0=c0, noise_power=sigma2,
         n_mc=_n_mc(cp, args, "shaping", 10_000, MIN_UPDATE_SAMPLES),
         outer_tol=_get(cp, "shaping", "outer_tol", float, 1e-5),
-        max_outer=_get(cp, "shaping", "max_outer", int, 300),
-        air_n_mc=air_n_mc)
+        max_outer=_get(cp, "shaping", "max_outer", int, 300))
 
 
-def _solve_one(c, cp, args, c0, sigma2, master_seed, with_air=True) -> ShapingResult:
-    """One shaping solve at c0 with a per-c0 sub-seed (composition-stable)."""
+def _solve_one(c, cp, args, method, c0, sigma2, master_seed,
+               with_air=True) -> ShapingResult:
+    """One shaping solve at c0 with a per-c0 sub-seed (composition-stable).
+
+    c0 is clamped here; ``with_air`` scores the input by its rate, one
+    estimate with the same draw and sample count for either method.
+    """
     from .seeds import derive_seed
 
     air_n_mc = _air_n_mc(cp)
     c0 = _clamp_c0(c, c0)
     sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
-    if args.method == "heuristic":
-        from .rates import ChannelSpec, mutual_information
+    if method == "heuristic":
         from .shaping import solve_heuristic
 
         res = solve_heuristic(c, c0)
-        if with_air:
-            air = mutual_information(
-                c, res.distribution, ChannelSpec(sigma2),
-                n_mc=air_n_mc,
-                seed=derive_seed(sub_seed, "mba-air"))
-            res.air_bits = float(air.mi_bits)
-        return res
-    from .shaping_ba import run_mba
+    else:
+        from .shaping_ba import run_mba
 
-    return run_mba(c, _mba_config(cp, args, c0, sigma2, air_n_mc),
-                   seed=sub_seed)
+        res = run_mba(c, _mba_config(cp, args, c0, sigma2), seed=sub_seed)
+    if with_air:
+        from .rates import ChannelSpec, mutual_information
+
+        # the purpose keeps the name it had when run_mba drew it: a new
+        # name would move every rate byte
+        air = mutual_information(c, res.distribution, ChannelSpec(sigma2),
+                                 n_mc=air_n_mc,
+                                 seed=derive_seed(sub_seed, "mba-air"))
+        res.air_bits = float(air.mi_bits)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +251,7 @@ def cmd_shape(cp, args) -> int:
     sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
     seed = _master_seed(cp, args)
-    res = _solve_one(c, cp, args, float(c0), sigma2, seed)
+    res = _solve_one(c, cp, args, args.method, float(c0), sigma2, seed)
     out = os.path.join(_out_dir(cp, args), f"shape_{args.method}.json")
     with open(out, "w", newline="") as fh:
         fh.write(res.to_json() + "\n")
@@ -384,10 +397,8 @@ def cmd_tradeoff(cp, args) -> int:
     rows = []
     lut = []
     for c0 in sweep:
-        opt_args = argparse.Namespace(**{**vars(args), "method": "optimal"})
-        heur_args = argparse.Namespace(**{**vars(args), "method": "heuristic"})
-        opt = _solve_one(c, cp, opt_args, float(c0), sigma2, seed)
-        heur = _solve_one(c, cp, heur_args, float(c0), sigma2, seed)
+        opt = _solve_one(c, cp, args, "optimal", float(c0), sigma2, seed)
+        heur = _solve_one(c, cp, args, "heuristic", float(c0), sigma2, seed)
         all_converged = all_converged and opt.converged and heur.converged
 
         sc = _scenario(cp, c, opt.distribution, cfg)
@@ -415,25 +426,14 @@ def cmd_tradeoff(cp, args) -> int:
 def cmd_lut_export(cp, args) -> int:
     out_dir = _out_dir(cp, args)
     lut_path = os.path.join(out_dir, "lut.json")
-    if os.path.isfile(lut_path):
-        with open(lut_path) as fh:
-            entries = json.load(fh)
-        if not entries:
-            raise ConfigError("existing look-up table is empty")
-        _write_lut(lut_path, entries)
-        print(f"wrote {lut_path}")
-        return EXIT_OK
-
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     seed = _master_seed(cp, args)
     sweep = _c0_sweep(cp, c)
-    if sweep.size == 0:
-        raise ConfigError("empty c0 sweep")
     entries = []
     all_converged = True
     for c0 in sweep:
-        res = _solve_one(c, cp, args, float(c0), sigma2, seed)
+        res = _solve_one(c, cp, args, args.method, float(c0), sigma2, seed)
         all_converged = all_converged and res.converged
         entries.append(_lut_entry(res, sigma2))
     _write_lut(lut_path, entries)
@@ -482,10 +482,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
         cp = _load_config(args.config)
         return _COMMANDS[args.command](cp, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

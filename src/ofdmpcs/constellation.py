@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -102,14 +101,6 @@ class Constellation:
     @property
     def label(self) -> str:
         return f"{self.family}{self.order}"
-
-    def digest(self) -> str:
-        h = hashlib.sha1()
-        h.update(self.label.encode())
-        h.update(self.ring_amps.tobytes())
-        h.update(self.ring_counts.tobytes())
-        h.update(self.phases.tobytes())
-        return h.hexdigest()[:12]
 
 
 def make_constellation(family: str, order: int) -> Constellation:
@@ -290,10 +281,6 @@ class Distribution:
         ``rng.random(size)`` read through :meth:`inverse_cdf`.
         """
         return self.inverse_cdf(rng.random(size))
-
-    def digest(self) -> str:
-        h = hashlib.sha1(np.asarray(self.per_point, dtype=float).tobytes())
-        return h.hexdigest()[:12]
 
 
 def moment(c: Constellation, d: Distribution, order: int) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +40,7 @@ from .constellation import (CONSTRUCTION_TOL, Constellation, Distribution,
 
 RESIDUAL_TOL = 1e-10
 MASS_SLACK = 1e-12
+C0_SLACK = 1e-9      # how far outside the feasible range a target may stray
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class ShapingResult:
 
     ``multipliers`` and a meaningful ``trace`` exist only for the optimal
     method, and ``multipliers`` is ``None`` at an endpoint of the feasible
-    range, where they diverge; ``air_bits`` is filled when a rate estimate
-    was requested.
+    range, where they diverge.  The solvers leave ``air_bits`` ``None``:
+    scoring an input by its rate is the caller's decision.
     """
 
     c0: float
@@ -113,6 +113,21 @@ def feasible_c0_range(c: Constellation) -> tuple[float, float]:
     return float(m4.min()), float(m4.max())
 
 
+def snap_c0(c: Constellation, c0: float) -> float:
+    """``c0`` snapped into :func:`feasible_c0_range`.
+
+    A target within ``C0_SLACK`` of the range (rounding in the caller's
+    arithmetic) lands on the nearest endpoint; one further out raises
+    ``ValueError``.  Clamping a farther target is a decision about external
+    input, so it belongs to the caller.
+    """
+    lo, hi = feasible_c0_range(c)
+    if not lo - C0_SLACK <= c0 <= hi + C0_SLACK:
+        raise ValueError(f"fourth-moment target {c0} outside the feasible "
+                         f"range [{lo:.6f}, {hi:.6f}]")
+    return float(min(max(c0, lo), hi))
+
+
 def _lp_match(matrix, rhs):
     """A nonnegative mass vector satisfying all three moment equalities.
 
@@ -135,7 +150,9 @@ def _lp_match(matrix, rhs):
         blocks = matrix[None]
         loads = np.linalg.lstsq(matrix, rhs, rcond=None)[0][None, :]
     nonneg = np.all(loads >= -MASS_SLACK, axis=1)
-    loads = np.maximum(loads, 0.0)
+    # a ring the vertex does not load gets rounding residue from the solve:
+    # it is zero, so the unloaded rings of an endpoint vertex read 0 exactly
+    loads = np.where(loads <= MASS_SLACK, 0.0, loads)
     residual = np.max(np.abs(np.einsum("kij,kj->ki", blocks, loads) - rhs),
                       axis=1)
     ok = nonneg & (residual <= RESIDUAL_TOL)
@@ -265,19 +282,12 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
 
     The maximum-entropy input under the three moment rows has point
     probabilities proportional to ``exp(-lam1 A**4 - lam2 A**2)``; it does
-    not involve the channel.  Targets outside the feasible range are clamped
-    to the nearest endpoint with a warning; at an endpoint the feasible set
-    is a single vertex, which is returned.
+    not involve the channel.  ``c0`` goes through :func:`snap_c0`: a target
+    outside the feasible range raises ``ValueError``.  At an endpoint the
+    feasible set is a single vertex, which is returned.  The result carries
+    no rate estimate.
     """
-    lo, hi = feasible_c0_range(c)
-    c0_target = float(c0)
-    if c0_target < lo - 1e-12 or c0_target > hi + 1e-12:
-        clamped = min(max(c0_target, lo), hi)
-        warnings.warn(f"target fourth moment {c0_target} outside feasible "
-                      f"range [{lo:.6f}, {hi:.6f}]; clamped to {clamped:.6f}")
-        c0_target = clamped
-    c0_target = min(max(c0_target, lo), hi)
-
+    c0_target = snap_c0(c, c0)
     masses, _ = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
                                   c0_target)
     dist = Distribution.from_ring_mass(c, masses)

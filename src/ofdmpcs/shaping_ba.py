@@ -37,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, Distribution
-from .rates import (MIN_MI_SAMPLES, ChannelSpec, log_probs, logsumexp,
-                    mutual_information)
+from .rates import log_probs, logsumexp
 from .seeds import derive_seed
-from .shaping import ShapingResult, feasible_c0_range, match_ring_masses
+from .shaping import ShapingResult, match_ring_masses, snap_c0
 
 _NEG_INF = -np.inf
 EXIT_RESIDUAL_TOL = 1e-4
@@ -55,10 +54,11 @@ class MBAConfig:
     update integrals in every outer iteration; it is reduced once to the
     W x M ring tables the iterations run on.  ``outer_tol`` stops the outer
     loop on the squared change of the per-point probability vector (and,
-    secondarily, on a relative objective plateau).  ``air_n_mc`` sizes the
-    final rate estimate.  The warm-started multiplier match takes no
-    setting: the multipliers pass from one iteration to the next inside
-    :func:`run_mba`.
+    secondarily, on a relative objective plateau).  The warm-started
+    multiplier match takes no setting: the multipliers pass from one
+    iteration to the next inside :func:`run_mba`.  Nothing here sizes a
+    rate estimate: the solver returns ring masses, and whoever scores them
+    picks the estimator.
     """
 
     c0: float
@@ -66,7 +66,6 @@ class MBAConfig:
     n_mc: int = 10_000
     outer_tol: float = 1e-5
     max_outer: int = 300
-    air_n_mc: int = 100_000
 
     def __post_init__(self):
         if self.noise_power <= 0:
@@ -80,9 +79,6 @@ class MBAConfig:
         if self.outer_tol < 0:
             raise ValueError(
                 f"outer_tol must be nonnegative, got {self.outer_tol!r}")
-        if self.air_n_mc < MIN_MI_SAMPLES:
-            raise ValueError(f"air_n_mc must be >= {MIN_MI_SAMPLES}, "
-                             f"got {self.air_n_mc}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +228,13 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
     with the multiplier-matched exponential input update, and stops when the
     probability vector settles (or the objective plateaus).  The recorded
     trace holds the sample objective (nats) after each input update; with
-    the fixed sample set it is non-decreasing by construction.
+    the fixed sample set it is non-decreasing by construction.  The result
+    carries no rate estimate (``air_bits`` is ``None``).
 
-    Raises ``ValueError`` when ``c0`` lies outside the feasible moment range.
+    ``cfg.c0`` goes through :func:`.shaping.snap_c0`: a target outside the
+    feasible moment range raises ``ValueError``.
     """
-    lo, hi = feasible_c0_range(c)
-    if not (lo - 1e-9 <= cfg.c0 <= hi + 1e-9):
-        raise ValueError(f"fourth-moment target {cfg.c0} outside the feasible "
-                         f"range [{lo:.6f}, {hi:.6f}]")
-    c0 = float(np.clip(cfg.c0, lo, hi))
+    c0 = snap_c0(c, cfg.c0)
     mass, lam, trace, converged_outer = _iterate(c, cfg, c0, seed)
 
     mass = np.maximum(mass, 0.0)
@@ -252,18 +246,12 @@ def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
                  abs(float(mass.sum()) - 1.0))
     feasible = max(residuals) <= EXIT_RESIDUAL_TOL
 
-    # the vertex has no multipliers, and at an endpoint they diverge: there
-    # the finite pair the last match stopped at describes nothing
-    multipliers = (None if lam is None or c0 in (lo, hi)
-                   else (float(lam[0]), float(lam[1])))
-    air = mutual_information(c, dist, ChannelSpec(cfg.noise_power),
-                             n_mc=cfg.air_n_mc,
-                             seed=derive_seed(seed, "mba-air"))
+    # the vertex (every match at an endpoint) has no multipliers
+    multipliers = None if lam is None else (float(lam[0]), float(lam[1]))
     return ShapingResult(
         c0=float(cfg.c0), method="optimal",
         ring_mass=mass, distribution=dist, moment4=m4,
         converged=bool(converged_outer and feasible),
         iterations=len(trace),
-        air_bits=float(air.mi_bits),
         multipliers=multipliers,
         trace=trace)

@@ -23,15 +23,13 @@ from ofdmpcs import (
     af_components,
     af_samples,
     af_sequence,
-    af_single,
     analytic_moments,
     average_af,
     exact_af,
     make_constellation,
-    sample_symbols,
     trial_seed,
 )
-from ofdmpcs.ambiguity import _kernel
+from ofdmpcs.ambiguity import _draw_flat, _kernel
 from ofdmpcs.constellation import moment
 
 
@@ -147,12 +145,6 @@ class TestExactValues:
         x = np.ones((2, 16), dtype=complex)
         assert af_sequence(x, cfg, 0.0, 0.0) == pytest.approx(32.0, abs=1e-12)
 
-    def test_af_single_equals_one_symbol_train(self):
-        c = make_constellation("psk", 8)
-        cfg = OFDMConfig(n_subcarriers=8)
-        row = _random_symbols(c, cfg, 5)[0]
-        assert af_single(row, cfg, 0.3, 0.4) == af_sequence(row, cfg, 0.3, 0.4)
-
     def test_zero_outside_support(self):
         cfg = OFDMConfig(n_subcarriers=4, n_symbols=2)
         x = np.ones((2, 4), dtype=complex)
@@ -162,7 +154,7 @@ class TestExactValues:
     def test_wrong_row_length_rejected(self):
         cfg = OFDMConfig(n_subcarriers=8)
         with pytest.raises(ValueError):
-            af_single(np.ones(4), cfg, 0.0, 0.0)
+            af_sequence(np.ones(4), cfg, 0.0, 0.0)
 
 
 class TestComponents:
@@ -184,11 +176,11 @@ class TestComponents:
 
 
 class TestSampling:
-    def test_sample_symbols_deterministic(self, qam16, uniform16, ofdm8):
-        a = sample_symbols(qam16, uniform16, ofdm8, seed=42)
-        b = sample_symbols(qam16, uniform16, ofdm8, seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values.shape == (1, 8)
+    def test_draws_deterministic(self, qam16, uniform16, ofdm8):
+        a = _draw_flat(qam16, uniform16, ofdm8, 3, seed=42)
+        b = _draw_flat(qam16, uniform16, ofdm8, 3, seed=42)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (3, 8)
 
     def test_af_samples_rows_match_per_draw_evaluation(self, qam16, uniform16):
         cfg = OFDMConfig(n_subcarriers=4, n_symbols=2)
@@ -202,8 +194,8 @@ class TestSampling:
     def test_shaped_distribution_respected(self, qam16):
         d = Distribution.from_ring_mass(qam16, [0.0, 1.0, 0.0])
         cfg = OFDMConfig(n_subcarriers=8)
-        m = sample_symbols(qam16, d, cfg, seed=1)
-        np.testing.assert_allclose(np.abs(m.values), 1.0, atol=1e-12)
+        x = _draw_flat(qam16, d, cfg, 4, seed=1)
+        np.testing.assert_allclose(np.abs(x), 1.0, atol=1e-12)
 
 
 class TestAnalyticMoments:

@@ -420,6 +420,60 @@ class TestLutExport:
         assert [e["c0"] for e in lut] == [1.0, 1.16, 1.32]
         assert all(e["method"] == "optimal" for e in lut)
 
+    @pytest.mark.parametrize("flags", [("--method", "heuristic"),
+                                       ("--seed", "99")],
+                             ids=["heuristic", "seed-99"])
+    def test_existing_table_is_not_reused(self, config, tmp_path, flags):
+        # a table already in the directory used to be re-sorted and written
+        # back whatever the inputs: three "optimal" entries for --method
+        # heuristic, seed 11's table for --seed 99
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert run_cli("tradeoff", "--config", str(config),
+                       "--out", str(used)) == EXIT_OK
+        for out in (used, fresh):
+            assert run_cli("lut-export", "--config", str(config),
+                           "--out", str(out), *flags) == EXIT_OK
+        assert (used / "lut.json").read_bytes() == \
+            (fresh / "lut.json").read_bytes()
+
+
+def count_rate_estimates(*argv):
+    """``(exit code, calls of rates.mutual_information)`` of one run.
+
+    Calls are counted by code object, so a call through any module's
+    binding of the function is seen.
+    """
+    code = rates.mutual_information.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        rc = run_cli(*argv)
+    finally:
+        sys.setprofile(None)
+    return rc, calls
+
+
+class TestRateEstimates:
+    @pytest.mark.parametrize("command,method,expected", [
+        ("af", "optimal", 0), ("af", "heuristic", 0),
+        ("shape", "optimal", 1), ("shape", "heuristic", 1),
+    ])
+    def test_one_estimate_and_only_when_scored(self, config, tmp_path,
+                                               command, method, expected):
+        # af used to have run_mba estimate the rate of its input and then
+        # drop it; shape scores either method with one estimate
+        rc, calls = count_rate_estimates(
+            command, "--config", str(config), "--c0", "1.2",
+            "--method", method, "--out", str(tmp_path / "o"))
+        assert rc == EXIT_OK
+        assert calls == expected
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, config, tmp_path):

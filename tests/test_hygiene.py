@@ -1,14 +1,16 @@
 """Source hygiene by static inspection, with the standard library's ``ast``.
 
-Three checks over ``src/ofdmpcs``: every import a module makes is used in
+Four checks over ``src/ofdmpcs``: every import a module makes is used in
 it, every module-level private (``_name``) function or class is referenced
-somewhere in the package beyond its own definition, and every name in
-``ofdmpcs.__all__`` resolves.  A deleted code path leaves no orphaned
-helper or dangling import behind.
+somewhere in the package beyond its own definition, every name in
+``ofdmpcs.__all__`` resolves, and every ``derive_seed`` purpose has one
+call site.  A deleted code path leaves no orphaned helper or dangling
+import behind, and no two code paths share a random stream by accident.
 """
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,35 @@ def test_all_entries_resolve():
                if not hasattr(ofdmpcs, name)]
     assert not missing, missing
     assert len(set(ofdmpcs.__all__)) == len(ofdmpcs.__all__)
+
+
+def purpose_literal(node: ast.expr) -> str | None:
+    """A ``derive_seed`` purpose as written: a string, or an f-string with
+    ``{}`` for each field; ``None`` for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return None
+
+
+def test_each_seed_purpose_has_one_call_site():
+    # two call sites with one purpose draw the same stream; they agree only
+    # as long as every other input of both draws does
+    sites = defaultdict(list)
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if not (isinstance(node, ast.Call) and len(node.args) == 2):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name != "derive_seed":
+                continue
+            purpose = purpose_literal(node.args[1])
+            assert purpose is not None, f"{path.name}:{node.lineno}"
+            sites[purpose].append(f"{path.name}:{node.lineno}")
+    assert sites, "no derive_seed call found"
+    shared = {p: s for p, s in sites.items() if len(s) > 1}
+    assert not shared, f"purposes with more than one call site: {shared}"

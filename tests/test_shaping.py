@@ -25,8 +25,15 @@ from ofdmpcs import (
 )
 from ofdmpcs.constellation import entropy_bits
 from ofdmpcs.rates import ChannelSpec, mutual_information
-from ofdmpcs.seeds import derive_seed
-from ofdmpcs.shaping import _lp_match, match_ring_masses
+from ofdmpcs.shaping import C0_SLACK, _lp_match, match_ring_masses
+
+
+def _optimal(c, c0):
+    return run_mba(c, MBAConfig(c0=c0, noise_power=0.01, n_mc=1000), seed=1)
+
+
+SOLVERS = [pytest.param(solve_heuristic, id="heuristic"),
+           pytest.param(_optimal, id="optimal")]
 
 
 def vertex_values(c):
@@ -119,16 +126,29 @@ class TestHeuristic:
         np.testing.assert_allclose(sorted(a2[keep] * 42), [34.0, 50.0], atol=1e-9)
         np.testing.assert_allclose(r.ring_mass[keep], [0.5, 0.5], atol=1e-6)
 
-    def test_clamps_and_warns_above(self, qam16):
-        with pytest.warns(UserWarning, match="clamped"):
-            r = solve_heuristic(qam16, 5.0)
-        assert r.moment4 == pytest.approx(1.64, abs=1e-9)
-        np.testing.assert_allclose(r.ring_mass, [0.5, 0.0, 0.5], atol=1e-8)
+    # clamping external input is the CLI's decision; both solvers reject a
+    # target more than C0_SLACK outside the range and snap one within it
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_rejects_above(self, qam16, solve):
+        _, hi = feasible_c0_range(qam16)
+        with pytest.raises(ValueError, match="feasible"):
+            solve(qam16, 5.0)
+        with pytest.raises(ValueError, match="feasible"):
+            solve(qam16, hi + 2 * C0_SLACK)
+        r = solve(qam16, hi + 0.5 * C0_SLACK)
+        assert r.moment4 == pytest.approx(1.64, abs=1e-12)
+        np.testing.assert_array_equal(r.ring_mass > 0, [True, False, True])
 
-    def test_clamps_and_warns_below(self, qam16):
-        with pytest.warns(UserWarning, match="clamped"):
-            r = solve_heuristic(qam16, 0.5)
-        assert r.moment4 == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_rejects_below(self, qam16, solve):
+        lo, _ = feasible_c0_range(qam16)
+        with pytest.raises(ValueError, match="feasible"):
+            solve(qam16, 0.5)
+        with pytest.raises(ValueError, match="feasible"):
+            solve(qam16, lo - 2 * C0_SLACK)
+        r = solve(qam16, lo - 0.5 * C0_SLACK)
+        assert r.moment4 == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(r.ring_mass > 0, [False, True, False])
 
     @given(c0=st.floats(1.0, 1.64))
     @settings(max_examples=25, deadline=None)
@@ -174,11 +194,13 @@ class TestEndpoints:
         pick = min if end == "lower" else max
         value, oracle = pick(vertex_values(c), key=lambda t: t[0])
         assert value == pytest.approx(c0, abs=1e-12)
-        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000, air_n_mc=1000)
+        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000)
         for r in (solve_heuristic(c, c0), run_mba(c, cfg, seed=1)):
             assert r.converged, r.method
             assert abs(r.moment4 - c0) <= 1e-10, r.method
             np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
+            # rings the vertex does not load carry no rounding residue
+            assert np.all(r.ring_mass[oracle == 0] == 0.0), r.method
 
 
 class TestNearEndpoint:
@@ -207,15 +229,17 @@ class TestNearEndpoint:
 
     def test_optimal_rate_beats_the_vertex(self, case):
         c, c0, vertex = case
-        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000, air_n_mc=2000)
+        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000)
         r = run_mba(c, cfg, seed=0)
         assert r.converged and r.multipliers is not None
         assert np.count_nonzero(r.ring_mass) > 3
-        # the vertex's rate, estimated from the same seed as air_bits
+        # both inputs scored by one estimate, on the same draw
+        spec = ChannelSpec(0.01)
+        optimal = mutual_information(c, r.distribution, spec, n_mc=2000,
+                                     seed=5)
         at_vertex = mutual_information(
-            c, Distribution.from_ring_mass(c, vertex), ChannelSpec(0.01),
-            n_mc=cfg.air_n_mc, seed=derive_seed(0, "mba-air"))
-        assert r.air_bits > at_vertex.mi_bits + 0.05
+            c, Distribution.from_ring_mass(c, vertex), spec, n_mc=2000, seed=5)
+        assert optimal.mi_bits > at_vertex.mi_bits + 0.05
 
 
 class TestLpMatch:

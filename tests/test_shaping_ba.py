@@ -264,8 +264,7 @@ class TestWarmStart:
         lp_match = shaping._lp_match
         monkeypatch.setattr(shaping, "_lp_match",
                             lambda *a: vertices.append(a) or lp_match(*a))
-        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=2000, outer_tol=1e-9,
-                        air_n_mc=1000)
+        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=2000, outer_tol=1e-9)
         res = run_mba(qam64, cfg, seed=0)
         assert res.converged and res.iterations > 10
         assert res.multipliers is not None and not vertices
@@ -280,8 +279,7 @@ class TestEndpointMultipliers:
 
         c = make_constellation("qam", order)
         lo, _ = feasible_c0_range(c)
-        res = run_mba(c, MBAConfig(c0=lo, noise_power=0.01, n_mc=n_mc,
-                                   air_n_mc=1000), seed=3)
+        res = run_mba(c, MBAConfig(c0=lo, noise_power=0.01, n_mc=n_mc), seed=3)
         assert res.converged
         assert res.multipliers is None
         assert json.loads(res.to_json())["lambda"] is None
@@ -299,34 +297,33 @@ class TestEndpointMultipliers:
         import json
 
         c = make_constellation("qam", order)
-        res = run_mba(c, MBAConfig(c0=c0, noise_power=0.02, n_mc=500,
-                                   air_n_mc=1000), seed=4)
+        res = run_mba(c, MBAConfig(c0=c0, noise_power=0.02, n_mc=500), seed=4)
         lam = json.loads(res.to_json())["lambda"]
         assert len(lam) == 2 and np.all(np.isfinite(lam))
 
 
 class TestRunMba:
     def test_uniform_moment_recovers_uniform(self, qam16, uniform16):
-        cfg = MBAConfig(c0=1.32, noise_power=0.01, n_mc=4000, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.32, noise_power=0.01, n_mc=4000)
         res = run_mba(qam16, cfg, seed=1)
         assert res.converged
         np.testing.assert_allclose(res.ring_mass, uniform16.ring_mass, atol=2e-3)
         assert res.moment4 == pytest.approx(1.32, abs=1e-3)
 
     def test_lower_endpoint_collapses_inner_rings(self, qam16):
-        cfg = MBAConfig(c0=1.0, noise_power=0.01, n_mc=4000, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.0, noise_power=0.01, n_mc=4000)
         res = run_mba(qam16, cfg, seed=2)
         np.testing.assert_allclose(res.ring_mass, [0.0, 1.0, 0.0], atol=1e-3)
 
     def test_trace_is_monotone(self, qam16):
-        cfg = MBAConfig(c0=1.15, noise_power=0.05, n_mc=3000, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.15, noise_power=0.05, n_mc=3000)
         res = run_mba(qam16, cfg, seed=3)
         trace = np.asarray(res.trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_exit_residuals_within_tolerance(self, qam64):
-        cfg = MBAConfig(c0=1.2, noise_power=0.02, n_mc=3000, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.2, noise_power=0.02, n_mc=3000)
         res = run_mba(qam64, cfg, seed=4)
         assert res.converged
         d = res.distribution
@@ -335,7 +332,7 @@ class TestRunMba:
         assert abs(res.moment4 - 1.2) <= EXIT_RESIDUAL_TOL
 
     def test_ring_symmetry_of_solution(self, qam16):
-        cfg = MBAConfig(c0=1.25, noise_power=0.05, n_mc=3000, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.25, noise_power=0.05, n_mc=3000)
         res = run_mba(qam16, cfg, seed=5)
         per_point = res.distribution.per_point
         for w in range(3):
@@ -350,8 +347,7 @@ class TestRunMba:
 
         c = make_constellation("qam", 256)
         lo, _ = feasible_c0_range(c)
-        cfg = MBAConfig(c0=lo + 1e-6, noise_power=0.01, n_mc=1000,
-                        air_n_mc=1000)
+        cfg = MBAConfig(c0=lo + 1e-6, noise_power=0.01, n_mc=1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_mba(c, cfg, seed=0)
@@ -366,25 +362,26 @@ class TestRunMba:
             run_mba(qam16, MBAConfig(c0=0.5, noise_power=0.01, n_mc=1000))
 
     def test_deterministic_under_seed(self, qam16):
-        cfg = MBAConfig(c0=1.18, noise_power=0.05, n_mc=1500, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.18, noise_power=0.05, n_mc=1500)
         a = run_mba(qam16, cfg, seed=7)
         b = run_mba(qam16, cfg, seed=7)
         np.testing.assert_array_equal(a.ring_mass, b.ring_mass)
-        assert a.air_bits == b.air_bits
+        np.testing.assert_array_equal(a.distribution.per_point,
+                                      b.distribution.per_point)
         assert a.trace == b.trace
 
     def test_matches_heuristic_on_16qam(self, qam16):
         # three rings and two moment constraints leave no slack: the
         # rate-optimal and moment-matching answers must coincide
         for c0 in (1.05, 1.2, 1.32):
-            opt = run_mba(qam16, MBAConfig(c0=c0, noise_power=0.01, n_mc=6000,
-                                           air_n_mc=2000), seed=8)
+            opt = run_mba(qam16, MBAConfig(c0=c0, noise_power=0.01,
+                                           n_mc=6000), seed=8)
             heur = solve_heuristic(qam16, c0)
             np.testing.assert_allclose(opt.ring_mass, heur.ring_mass, atol=1e-3)
 
     def test_rate_dominates_heuristic(self, qam64):
         c0 = 1.2
-        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=8000, air_n_mc=40_000)
+        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=8000)
         opt = run_mba(qam64, cfg, seed=9)
         heur = solve_heuristic(qam64, c0)
         spec = ChannelSpec(0.01)
@@ -398,7 +395,7 @@ class TestRunMba:
     def test_optimal_json_schema(self, qam16):
         import json
 
-        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=1500, air_n_mc=2000)
+        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=1500)
         res = run_mba(qam16, cfg, seed=11)
         parsed = json.loads(res.to_json())
         assert len(parsed["lambda"]) == 2
@@ -416,6 +413,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MBAConfig(c0=1.2, noise_power=0.1, n_mc=10)
 
-    def test_small_rate_sample_count(self):
-        with pytest.raises(ValueError, match="air_n_mc"):
-            MBAConfig(c0=1.2, noise_power=0.1, air_n_mc=999)
