@@ -368,6 +368,7 @@ def _write_lut(path: str, entries: list[dict]) -> None:
 def _c0_sweep(cp, c: Constellation) -> np.ndarray:
     import numpy as np
 
+    from .constellation import sorted_unique
     from .shaping import feasible_c0_range
 
     sweep = _ladder(cp, "shaping", "c0")
@@ -379,7 +380,7 @@ def _c0_sweep(cp, c: Constellation) -> np.ndarray:
     if not np.array_equal(clamped, sweep):
         print(f"warning: c0 sweep clamped to feasible range [{lo:.9g}, {hi:.9g}]",
               file=sys.stderr)
-    return np.unique(clamped)
+    return sorted_unique(clamped)
 
 
 def cmd_tradeoff(cp, args) -> int:

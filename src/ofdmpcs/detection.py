@@ -24,6 +24,13 @@ alpha * min(leading-window mean, lagging-window mean), guard cells skipped,
 edge cells falling back to whichever window is available.  alpha is
 calibrated empirically on noise-only profiles; the ratio statistic is
 scale-free, so the calibration transfers across noise levels.
+
+Every Monte-Carlo loop here holds one block of ``_BLOCK_ROWS`` profiles at a
+time.  Detection trials each draw from their own generator, so P_d is the
+same at any block size.  Calibration draws its noise-only rows from one
+stream, block by block (symbol indices, real noise, imaginary noise), so
+alpha's bytes are tied to the block size: a new block size moves alpha
+within Monte-Carlo error, and with it every P_d value.
 """
 
 from __future__ import annotations
@@ -40,8 +47,7 @@ from .seeds import derive_seed, trial_seed
 WILSON_Z95 = 1.959963984540054
 MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
-_CHUNK_ROWS = 4096          # rows per batch of profiles
-_SUB_ROWS = 256             # rows per block of noise-only ratios
+_BLOCK_ROWS = 256           # rows per block of drawn profiles
 
 
 @dataclass(frozen=True)
@@ -253,30 +259,27 @@ def _noise_only(sc: DetectionScenario) -> DetectionScenario:
 
 def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
                        rng: np.random.Generator):
-    """Noise-only profile/statistic ratios, yielded a few hundred rows at a time.
+    """Noise-only profile/statistic ratios, yielded one block of rows at a time.
 
-    Each chunk of ``_CHUNK_ROWS`` rows draws its symbol indices, then the
-    real noise, then the imaginary noise; the profiles and ratios follow in
-    sub-blocks of ``_SUB_ROWS`` rows, so no chunk-sized complex array is
-    held.  A row's ratios do not depend on the block it runs in (see
-    :func:`_profiles`), so they are bitwise those of the whole chunk.
+    Each block of ``_BLOCK_ROWS`` rows draws its symbol indices, then the
+    real noise, then the imaginary noise, and forms its profiles and ratios
+    before the next block draws, so one block of draws is all that is held.
+    The stream of ``rng`` is consumed block by block, so the ratios (and
+    alpha) depend on ``_BLOCK_ROWS``; a row's profile does not depend on the
+    other rows of its block (see :func:`_profiles`).
     """
     sc = _noise_only(sc)
     length = sc.cfg.n_subcarriers
     points = sc.constellation.points
     scale = np.sqrt(0.5)
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_rows - start)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n_rows - start)
         idx = sc.distribution.draw(rng, (rows, length))
         noise_re = rng.normal(scale=scale, size=(rows, length))
         noise_im = rng.normal(scale=scale, size=(rows, length))
-        for sub in range(0, rows, _SUB_ROWS):
-            part = slice(sub, sub + _SUB_ROWS)
-            power = _profiles(points[idx[part]],
-                              noise_re[part] + 1j * noise_im[part])
-            stat = _side_means(power, sc.ref_cells, sc.guard_cells)
-            yield (power / stat).ravel()
-        del idx, noise_re, noise_im     # free this chunk before the next draw
+        power = _profiles(points[idx], noise_re + 1j * noise_im)
+        stat = _side_means(power, sc.ref_cells, sc.guard_cells)
+        yield (power / stat).ravel()
 
 
 def _upper_quantile(blocks, n: int, q: float) -> float:
@@ -315,9 +318,11 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
     ``n_cal`` counts noise-only cell evaluations (default 100/P_fa, at least
     10/P_fa required); alpha is the (1 - P_fa) quantile of the cell-power /
     smallest-of-statistic ratio, which is distribution- and noise-level-free
-    up to the weak cell coupling induced by the random symbol power.  Only
-    the largest ~P_fa * n_cal ratios are kept while the rest stream past;
-    alpha is bitwise ``np.quantile`` over all of them.
+    up to the weak cell coupling induced by the random symbol power.  The
+    rows are drawn and reduced one ``_BLOCK_ROWS`` block at a time (see
+    :func:`_noise_only_ratios` for the draw order, which fixes alpha's
+    bytes), and only the largest ~P_fa * n_cal ratios are kept while the
+    rest stream past; alpha is bitwise ``np.quantile`` over all of them.
     """
     if n_cal is None:
         n_cal = int(np.ceil(DEFAULT_CAL_FACTOR / sc.p_fa))
@@ -382,12 +387,13 @@ def detection_probability(sc: DetectionScenario, alpha: float,
     """P_d with Wilson bounds at the scenario's own SNR, n_trials trials.
 
     Trial t draws from ``default_rng(trial_seed(seed, t))``; the trials run
-    in batches of rows, so P_d does not depend on the batch size.
+    in blocks of ``_BLOCK_ROWS`` rows, and since a row depends only on its
+    own trial seed, P_d does not depend on the block size.
     """
     cell = sc.target_cell
     hits = 0
-    for start in range(0, sc.n_trials, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, sc.n_trials)
+    for start in range(0, sc.n_trials, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, sc.n_trials)
         power = _profiles(*_draw_trials(
             sc, [trial_seed(seed, t) for t in range(start, stop)]))
         stat = _side_means(power, sc.ref_cells, sc.guard_cells)

@@ -284,12 +284,15 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
     probabilities proportional to ``exp(-lam1 A**4 - lam2 A**2)``; it does
     not involve the channel.  ``c0`` goes through :func:`snap_c0`: a target
     outside the feasible range raises ``ValueError``.  At an endpoint the
-    feasible set is a single vertex, which is returned.  The result carries
-    no rate estimate.
+    feasible set is a single vertex, which is returned renormalised as
+    :func:`.shaping_ba.run_mba` renormalises its result, so both solvers
+    return the same masses there.  The result carries no rate estimate.
     """
     c0_target = snap_c0(c, c0)
-    masses, _ = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
-                                  c0_target)
+    masses, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
+                                    c0_target)
+    if lam is None:                     # the vertex: its loads sum to 1 +- ulp
+        masses = masses / masses.sum()
     dist = Distribution.from_ring_mass(c, masses)
     m4 = moment(c, dist, 4)
     converged = abs(m4 - c0_target) <= 1e-8

@@ -44,6 +44,7 @@ from .shaping import ShapingResult, match_ring_masses, snap_c0
 _NEG_INF = -np.inf
 EXIT_RESIDUAL_TOL = 1e-4
 MIN_UPDATE_SAMPLES = 100     # smallest n_mc that estimates the update integrals
+_BLOCK_SAMPLES = 1024        # samples per block of a ring's likelihood table
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,40 @@ def ring_tables(c: Constellation, samples: np.ndarray,
                 sigma2: float) -> RingTables:
     """:class:`RingTables` of ``samples``, drawn under the uniform input.
 
-    Built ring by ring, so no (Q, M) table is ever held: the second pass
-    recomputes each ring's likelihoods once the uniform mixture is known.
+    Built ring by ring and, within a ring, over near-equal blocks of at most
+    ``_BLOCK_SAMPLES`` samples, so neither a (Q, M) table nor a ring's
+    (points, M) complex distances are ever held: the second pass recomputes
+    each block's likelihoods once the uniform mixture is known.  The
+    per-sample reductions (``logsumexp`` and the ring mean over a block's
+    points) add the points in order for every block at least two samples
+    wide, as over the whole table.  A one-sample block would be summed
+    pairwise, so the blocks are split evenly: with ``_BLOCK_SAMPLES`` >= 3
+    only M = 1 gives one.
+    ``weighted_log_lik`` is one ``np.mean`` over the ring's whole
+    (points, M) product table, filled block by block, because a mean summed
+    per block would round differently.
     """
+    y = np.asarray(samples, dtype=complex).ravel()
+    n_blocks = -(-y.size // _BLOCK_SAMPLES)
+    blocks = [slice(y.size * i // n_blocks, y.size * (i + 1) // n_blocks)
+              for i in range(n_blocks)]
     rings = [c.points[c.ring_index == w] for w in range(c.n_rings)]
-    log_lik = np.stack([logsumexp(_log_likelihood(pts, samples, sigma2),
-                                  axis=0) for pts in rings])
+    log_lik = np.empty((c.n_rings, y.size))
+    for w, pts in enumerate(rings):
+        for b in blocks:
+            log_lik[w, b] = logsumexp(_log_likelihood(pts, y[b], sigma2),
+                                      axis=0)
     log_mix = logsumexp(log_lik, axis=0) - np.log(c.size)
     weight = np.empty_like(log_lik)
     weighted_log_lik = np.empty(c.n_rings)
     for w, pts in enumerate(rings):
-        loglik = _log_likelihood(pts, samples, sigma2)
-        weights = np.exp(loglik - log_mix)
-        weight[w] = weights.mean(axis=0)
-        weighted_log_lik[w] = np.mean(weights * loglik)
+        products = np.empty((pts.size, y.size))
+        for b in blocks:
+            loglik = _log_likelihood(pts, y[b], sigma2)
+            weights = np.exp(loglik - log_mix[b])
+            weight[w, b] = weights.mean(axis=0)
+            np.multiply(weights, loglik, out=products[:, b])
+        weighted_log_lik[w] = np.mean(products)
     return RingTables(counts=c.ring_counts.astype(float), log_lik=log_lik,
                       weight=weight, weight_mean=weight.mean(axis=1),
                       weighted_log_lik=weighted_log_lik)

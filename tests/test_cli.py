@@ -512,10 +512,30 @@ assert not loaded, loaded[:5]
 """
 
 
+# Runs in a fresh interpreter: numpy 2's np.unique would import numpy.ma
+_MASKED_FREE_SCRIPT = """\
+import sys
+import ofdmpcs.cli
+
+config, out = sys.argv[1:]
+for argv in (["tradeoff"], ["shape", "--method", "heuristic"]):
+    rc = ofdmpcs.cli.main([*argv, "--config", config, "--out", out])
+    assert rc == 0, (argv, rc)
+assert "numpy.ma" not in sys.modules, "a command loaded numpy.ma"
+"""
+
+
 class TestRuntimeDependencies:
     def test_cli_runs_without_scipy(self, config, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(config),
+             str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_commands_do_not_load_numpy_ma(self, config, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MASKED_FREE_SCRIPT, str(config),
              str(tmp_path / "o")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -211,6 +211,19 @@ class TestDetectionProbability:
             replace(sc, si_to_noise_db=float("-inf")), alpha, seed=3)
         assert abs(with_si - without) <= 0.05
 
+    def test_bounded_memory(self, qam16, ofdm64):
+        # one block of trials is held at a time, whatever n_trials is
+        d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
+        sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, n_trials=1000)
+        detection_probability(sc, 5.0, seed=1)           # warm the imports
+        tracemalloc.start()
+        try:
+            detection_probability(sc, 5.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
+
 
 class TestPdCurve:
     def test_bit_exact_reproducibility(self, uniform_scenario):
@@ -325,9 +338,9 @@ class TestBatchedSimulatorOracle:
     """The batched simulator against the per-trial oracle, bit for bit."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # 13-row batches put chunk boundaries inside every trial count below
-        monkeypatch.setattr(detection, "_CHUNK_ROWS", 13)
+    def small_blocks(self, monkeypatch):
+        # 13-row blocks put block boundaries inside every trial count below
+        monkeypatch.setattr(detection, "_BLOCK_ROWS", 13)
 
     @pytest.mark.parametrize("family,order", [("qam", 16), ("qam", 64),
                                               ("psk", 64)])
@@ -389,9 +402,10 @@ class TestWindowSums:
 
 
 class TestProductionBatchOracle:
-    """The per-trial oracle at production batch sizes, ``_CHUNK_ROWS`` as
-    shipped: 300 trials run as one batch, past the 256-row size from which
-    numpy's temporary elision once swapped the product's operands."""
+    """The per-trial oracle at production batch sizes, ``_BLOCK_ROWS`` as
+    shipped: 300 trials run as one batch, and P_d as a 256-row block and a
+    44-row one; 256 rows is the size from which numpy's temporary elision
+    once swapped the product's operands."""
 
     def test_profiles_and_hits(self, qam16, ofdm64):
         d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
@@ -418,29 +432,29 @@ class TestProductionBatchOracle:
             parts = [detection._profiles(*detection._draw_trials(
                 sc, seeds[i:i + rows])) for i in range(0, len(seeds), rows)]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
-            monkeypatch.setattr(detection, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(detection, "_BLOCK_ROWS", rows)
             assert detection_probability(sc, 4.0, seed=1) == pd
 
 
 class TestStreamedCalibration:
     """The streamed quantile against np.quantile over every ratio at once."""
 
-    @pytest.mark.parametrize("sub_rows", [7, None])
+    @pytest.mark.parametrize("block_rows", [7, None])
     @pytest.mark.parametrize("p_fa,n_cal,length,seeds", [
         # t = 0.93; at seed 53 a + (b - a) t and b - (b - a)(1 - t) differ
         (1e-2, 3_000, 64, (0, 53)),
         # t = 0.05; at seed 24 the two forms differ
         (0.05, 2_000, 40, (3, 24)),
-        (1e-3, 300_000, 64, (0,)),       # two 4096-row chunks
+        (1e-3, 300_000, 64, (0,)),       # 19 blocks of up to 256 rows
         (1e-4, 100_000, 48, (0, 3)),
         (0.25, 185, 37, (0, 3)),         # (n - 1) q = 138 exactly
-        (0.5, 37 * 4097, 37, (0,)),      # (n - 1) q = 75794, two chunks
+        (0.5, 37 * 4097, 37, (0,)),      # (n - 1) q = 75794, 1-row last block
     ])
     def test_alpha_bitwise_equal_to_full_quantile(self, monkeypatch, qam16,
                                                   p_fa, n_cal, length, seeds,
-                                                  sub_rows):
-        if sub_rows is not None:
-            monkeypatch.setattr(detection, "_SUB_ROWS", sub_rows)
+                                                  block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(detection, "_BLOCK_ROWS", block_rows)
         sc = DetectionScenario(qam16, Distribution.uniform(qam16),
                                OFDMConfig(length), p_fa=p_fa)
         n = int(np.ceil(n_cal / length)) * length
@@ -448,18 +462,18 @@ class TestStreamedCalibration:
             assert ((n - 1) * (1.0 - p_fa)).is_integer()
         for seed in seeds:
             got = calibrate_so_cfar(sc, n_cal=n_cal, seed=seed)
-            want = oracle_alpha(sc, n_cal, seed, chunk=detection._CHUNK_ROWS)
+            want = oracle_alpha(sc, n_cal, seed, chunk=detection._BLOCK_ROWS)
             assert got == want
 
     def test_false_alarm_rate_bitwise_equal_to_full_count(self, monkeypatch,
                                                           qam64, uniform64,
                                                           ofdm64):
-        monkeypatch.setattr(detection, "_SUB_ROWS", 100)
+        monkeypatch.setattr(detection, "_BLOCK_ROWS", 100)
         sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
         for alpha, n_cells in [(3.0, 300_000), (8.0, 50_000), (0.5, 1_000)]:
             got = empirical_false_alarm_rate(sc, alpha, n_cells, seed=2)
             rng = np.random.default_rng(derive_seed(2, "cfar-evaluation"))
-            ratios = oracle_ratios(sc, n_cells, rng, detection._CHUNK_ROWS)
+            ratios = oracle_ratios(sc, n_cells, rng, detection._BLOCK_ROWS)
             assert got == float(np.mean(ratios > alpha))
 
     def test_bounded_memory(self, qam16):
@@ -472,7 +486,7 @@ class TestStreamedCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 14e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestWilson:

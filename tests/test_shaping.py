@@ -195,12 +195,17 @@ class TestEndpoints:
         value, oracle = pick(vertex_values(c), key=lambda t: t[0])
         assert value == pytest.approx(c0, abs=1e-12)
         cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000)
-        for r in (solve_heuristic(c, c0), run_mba(c, cfg, seed=1)):
+        results = (solve_heuristic(c, c0), run_mba(c, cfg, seed=1))
+        for r in results:
             assert r.converged, r.method
             assert abs(r.moment4 - c0) <= 1e-10, r.method
             np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
             # rings the vertex does not load carry no rounding residue
             assert np.all(r.ring_mass[oracle == 0] == 0.0), r.method
+        # both renormalise the vertex the same way: the 16-QAM lower
+        # endpoint's ring 1 reads 1.0 in both, not 1 - 2**-52 in one
+        heuristic, optimal = results
+        assert heuristic.ring_mass.tobytes() == optimal.ring_mass.tobytes()
 
 
 class TestNearEndpoint:

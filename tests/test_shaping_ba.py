@@ -12,10 +12,13 @@ rings, and the objective trace must never decrease.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+from ofdmpcs import shaping_ba
 from ofdmpcs import (
     ChannelSpec,
     Distribution,
@@ -31,6 +34,7 @@ from ofdmpcs import (
 )
 from ofdmpcs.shaping import (RESIDUAL_TOL, match_ring_masses,
                              ring_system as moment_rows)
+from ofdmpcs.rates import logsumexp
 from ofdmpcs.shaping_ba import EXIT_RESIDUAL_TOL, ring_integrals, ring_tables
 
 
@@ -67,6 +71,23 @@ def per_point_integrals(c, mass, y, sigma2):
     u_pt = np.where(p > 0, np.mean(terms, axis=1), -np.inf)
     return np.array([np.mean(u_pt[c.ring_index == w])
                      for w in range(c.n_rings)])
+
+
+def whole_ring_tables(c, y, sigma2):
+    """Oracle: the ring tables from each ring's whole (points, M) table."""
+    rings = [c.points[c.ring_index == w] for w in range(c.n_rings)]
+
+    def loglik(pts):
+        return -np.abs(pts[:, None] - y[None, :]) ** 2 / sigma2 \
+            - np.log(np.pi * sigma2)
+
+    log_lik = np.stack([logsumexp(loglik(pts), axis=0) for pts in rings])
+    log_mix = logsumexp(log_lik, axis=0) - np.log(c.size)
+    weights = [np.exp(loglik(pts) - log_mix) for pts in rings]
+    weight = np.stack([w.mean(axis=0) for w in weights])
+    weighted = np.array([np.mean(w * loglik(pts))
+                         for w, pts in zip(weights, rings)])
+    return log_lik, weight, weight.mean(axis=1), weighted
 
 
 def uniform_samples(c, sigma2, n, seed):
@@ -146,6 +167,35 @@ class TestRingTables:
             assert t.weighted_log_lik[r] == pytest.approx(
                 np.mean(w[pts] * np.log(lik[pts])), rel=1e-12)
         assert t.log_lik.shape == t.weight.shape == (qam64.n_rings, 300)
+
+    @pytest.mark.parametrize("block", [3, 7, 256, None])
+    @pytest.mark.parametrize("order,sigma2,m", [(16, 0.1, 2500),
+                                                (256, 0.02, 1025)])
+    def test_blocks_are_bitwise_the_whole_table(self, monkeypatch, order,
+                                                sigma2, m, block):
+        # at 1025 samples a block of 1024 would leave a one-sample block,
+        # which numpy sums pairwise: the blocks are split evenly instead
+        if block is not None:
+            monkeypatch.setattr(shaping_ba, "_BLOCK_SAMPLES", block)
+        c = make_constellation("qam", order)
+        y = uniform_samples(c, sigma2, m, seed=order)
+        t = ring_tables(c, y, sigma2)
+        got = (t.log_lik, t.weight, t.weight_mean, t.weighted_log_lik)
+        for g, w in zip(got, whole_ring_tables(c, y, sigma2)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_run_mba_memory_is_bounded(self, qam16):
+        # one block of likelihoods per ring is held, not a (points, M)
+        # complex table
+        cfg = MBAConfig(c0=1.1, noise_power=0.05, n_mc=10_000)
+        run_mba(qam16, cfg, seed=0)                       # warm the imports
+        tracemalloc.start()
+        try:
+            run_mba(qam16, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestPosterior:
