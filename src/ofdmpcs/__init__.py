@@ -11,19 +11,15 @@ import importlib
 
 _EXPORTS = {
     "ambiguity": (
-        "AFGrid", "AFMoments", "OFDMConfig", "af_components", "af_samples",
-        "af_sequence", "analytic_moments", "average_af", "exact_af",
+        "AFGrid", "AFMoments", "OFDMConfig", "analytic_moments", "average_af",
+        "exact_af",
     ),
     "constellation": (
-        "CheckResult", "Constellation", "Diagnostics", "Distribution",
-        "from_json", "from_rings", "make_constellation", "moment", "to_json",
-        "validate",
+        "Constellation", "Distribution", "make_constellation", "moment",
     ),
     "detection": (
-        "DetectionScenario", "PdCurve", "RangeProfile", "calibrate_so_cfar",
-        "detection_probability", "empirical_false_alarm_rate", "pd_curve",
-        "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
-        "wilson_interval",
+        "DetectionScenario", "PdCurve", "calibrate_so_cfar",
+        "detection_probability", "pd_curve", "wilson_interval",
     ),
     "rates": (
         "ChannelSpec", "MIEstimate", "gm_log_pdf", "mutual_information",
@@ -41,16 +37,13 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid", "AFMoments", "ChannelSpec", "CheckResult", "Constellation",
-    "DetectionScenario", "Diagnostics", "Distribution", "MBAConfig",
-    "MIEstimate", "OFDMConfig", "PdCurve", "RangeProfile", "ShapingResult",
-    "af_components", "af_samples", "af_sequence", "analytic_moments",
-    "average_af", "calibrate_so_cfar", "derive_seed", "detection_probability",
-    "empirical_false_alarm_rate", "exact_af", "feasible_c0_range", "from_json",
-    "from_rings", "gm_log_pdf", "make_constellation", "moment",
-    "mutual_information", "pd_curve", "rate_curve", "ring_system", "run_mba",
-    "simulate_profile", "so_cfar_detect", "so_cfar_statistic",
-    "solve_heuristic", "to_json", "trial_seed", "validate", "wilson_interval",
+    "AFGrid", "AFMoments", "ChannelSpec", "Constellation", "DetectionScenario",
+    "Distribution", "MBAConfig", "MIEstimate", "OFDMConfig", "PdCurve",
+    "ShapingResult", "analytic_moments", "average_af", "calibrate_so_cfar",
+    "derive_seed", "detection_probability", "exact_af", "feasible_c0_range",
+    "gm_log_pdf", "make_constellation", "moment", "mutual_information",
+    "pd_curve", "rate_curve", "ring_system", "run_mba", "solve_heuristic",
+    "trial_seed", "wilson_interval",
 ]
 
 

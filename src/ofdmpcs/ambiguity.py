@@ -69,24 +69,19 @@ class AFGrid:
 
     Axes are normalized: delays in units of the symbol duration, Dopplers in
     units of the subcarrier spacing.  ``values[i, j]`` belongs to
-    ``(tau_axis[i], nu_axis[j])``.  ``units`` is ``"linear"`` or ``"db"``.
+    ``(tau_axis[i], nu_axis[j])``, in dB.
     """
 
     tau_axis: np.ndarray
     nu_axis: np.ndarray
     values: np.ndarray
-    units: str
 
     def __post_init__(self):
         if self.values.shape != (len(self.tau_axis), len(self.nu_axis)):
             raise ValueError("values shape does not match the axes")
-        if self.units not in ("linear", "db"):
-            raise ValueError("units must be 'linear' or 'db'")
 
     def to_csv(self, path) -> None:
         """Write ``tau,nu,value_db`` rows, 9 significant digits, LF endings."""
-        if self.units != "db":
-            raise ValueError("CSV export is defined for dB grids")
         with open(path, "w", newline="") as fh:
             fh.write("tau,nu,value_db\n")
             for i, t in enumerate(self.tau_axis):
@@ -225,7 +220,7 @@ def _db_grid(tau_axis, nu_axis, mean_pow: np.ndarray,
         mean_pow = mean_pow / peak
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(mean_pow)
-    return AFGrid(tau_axis=tau_axis, nu_axis=nu_axis, values=db, units="db")
+    return AFGrid(tau_axis=tau_axis, nu_axis=nu_axis, values=db)
 
 
 def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,

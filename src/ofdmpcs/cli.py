@@ -154,9 +154,12 @@ def _out_dir(cp, args) -> str:
 
 
 def _n_mc(cp, args, section, default, minimum=1) -> int:
-    """``--n-mc`` when given, else ``[section] n_mc``; at least ``minimum``,
-    the smallest sample count its consumer accepts."""
-    if args.n_mc is not None:
+    """``[section] n_mc``, or ``--n-mc`` when given and it sets this key:
+    ``[channel]`` (the rate curve) for ``air``, ``[shaping]`` (the shaper)
+    for every other command.  At least ``minimum``, the smallest sample
+    count its consumer accepts."""
+    flag_section = "channel" if args.command == "air" else "shaping"
+    if args.n_mc is not None and section == flag_section:
         n_mc, name = args.n_mc, "--n-mc"
     else:
         n_mc = _get(cp, section, "n_mc", int, default)
@@ -446,13 +449,20 @@ def cmd_lut_export(cp, args) -> int:
 # entry point
 
 
+# each command with the flags it reads beyond --config, --seed and --out;
+# argparse rejects any other
 _COMMANDS = {
-    "shape": cmd_shape,
-    "air": cmd_air,
-    "af": cmd_af,
-    "detect": cmd_detect,
-    "tradeoff": cmd_tradeoff,
-    "lut-export": cmd_lut_export,
+    "shape": (cmd_shape, ("--method", "--c0", "--n-mc")),
+    "air": (cmd_air, ("--method", "--c0", "--n-mc")),
+    "af": (cmd_af, ("--method", "--c0", "--n-mc")),
+    "detect": (cmd_detect, ("--method", "--c0", "--n-mc")),
+    "tradeoff": (cmd_tradeoff, ("--n-mc",)),
+    "lut-export": (cmd_lut_export, ("--method", "--n-mc")),
+}
+_FLAGS = {
+    "--method": dict(choices=("optimal", "heuristic"), default="optimal"),
+    "--c0": dict(type=float, default=None),
+    "--n-mc": dict(type=int, default=None, dest="n_mc"),
 }
 
 
@@ -461,15 +471,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ofdmpcs",
         description="Shaped-constellation OFDM sensing/communication experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--method", choices=("optimal", "heuristic"),
-                       default="optimal")
-        p.add_argument("--c0", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--n-mc", type=int, default=None, dest="n_mc")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -477,12 +485,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     warnings.filterwarnings("default")
     try:
-        if args.c0 is not None and not math.isfinite(args.c0):
-            raise ConfigError(f"--c0 must be a finite number, got {args.c0!r}")
+        c0 = getattr(args, "c0", None)        # tradeoff/lut-export: no --c0
+        if c0 is not None and not math.isfinite(c0):
+            raise ConfigError(f"--c0 must be a finite number, got {c0!r}")
         if args.n_mc is not None and args.n_mc < 1:
             raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
         cp = _load_config(args.config)
-        return _COMMANDS[args.command](cp, args)
+        return _COMMANDS[args.command][0](cp, args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,12 +13,12 @@ Conventions:
   stored per-point amplitude array is built by indexing, so the equality is
   bitwise).
 * distributions are "ring-uniform": points within one ring share the same
-  probability.  ``validate`` reports violations instead of raising.
+  probability.  :meth:`Distribution.uniform` and
+  :meth:`Distribution.from_ring_mass` build only such distributions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,10 +37,10 @@ VALIDATION_TOL = 1e-9
 class Constellation:
     """Unit-power point set grouped into rings of equal amplitude.
 
-    Do not call the constructor directly; use :func:`make_constellation` or
-    :meth:`from_rings`, which establish the invariants (unit mean power under
-    the uniform distribution, zero mean per ring, strictly increasing ring
-    amplitudes).
+    Build one with :func:`make_constellation`, which establishes the
+    invariants: unit mean power under the uniform distribution, zero mean
+    per ring, strictly increasing ring amplitudes.  The constructor checks
+    all of them but the zero mean of a ring with two or more points.
     """
 
     family: str
@@ -98,10 +98,6 @@ class Constellation:
         """Complex point array (Q,)."""
         return self.amplitudes * np.exp(1j * self.phases)
 
-    @property
-    def label(self) -> str:
-        return f"{self.family}{self.order}"
-
 
 def sorted_unique(a) -> np.ndarray:
     """The sorted distinct values of ``a`` (no NaNs): ``np.unique``'s bytes.
@@ -158,34 +154,6 @@ def make_constellation(family: str, order: int) -> Constellation:
     raise ValueError(f"unknown constellation family {family!r}")
 
 
-def from_rings(amps, counts, phase_offsets=None, family: str = "custom") -> Constellation:
-    """Custom constellation from ring descriptors (amplitude, count, offset).
-
-    Each ring puts ``count`` points evenly on a circle, rotated by the ring's
-    phase offset.  Amplitudes are rescaled to unit mean power.
-    """
-    amps = np.asarray(amps, dtype=float)
-    counts = np.asarray(counts, dtype=int)
-    if phase_offsets is None:
-        phase_offsets = np.zeros(amps.size)
-    phase_offsets = np.asarray(phase_offsets, dtype=float)
-    if not (amps.size == counts.size == phase_offsets.size):
-        raise ValueError("ring descriptor arrays must have equal length")
-    order = int(counts.sum())
-    power = float(np.dot(counts, amps ** 2)) / order
-    if power <= 0:
-        raise ValueError("total power must be positive")
-    amps = amps / np.sqrt(power)
-    ring_index = np.repeat(np.arange(amps.size), counts)
-    phases = np.concatenate([
-        2.0 * np.pi * np.arange(c) / c + off
-        for c, off in zip(counts, phase_offsets)
-    ])
-    return Constellation(family=family, order=order, ring_amps=amps,
-                         ring_counts=counts, ring_index=ring_index,
-                         phases=phases)
-
-
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -195,8 +163,8 @@ class Distribution:
     """Input distribution over a constellation.
 
     Stores both views: ``per_point`` (length Q) and ``ring_mass`` (length W,
-    aggregate mass per ring).  Constructors keep the two consistent; use
-    :func:`validate` for diagnostics on arbitrary data.
+    aggregate mass per ring).  The classmethod constructors keep the two
+    consistent.
     """
 
     per_point: np.ndarray
@@ -218,7 +186,7 @@ class Distribution:
         if np.any(masses < -1e-12):
             raise ValueError("ring masses must be nonnegative")
         total = float(masses.sum())
-        if abs(total - 1.0) > VALIDATION_TOL:
+        if not abs(total - 1.0) <= VALIDATION_TOL:     # NaN fails too
             raise ValueError(f"ring masses sum to {total!r}, not 1")
         masses = np.maximum(masses, 0.0)
         per_point = masses[c.ring_index] / c.ring_counts[c.ring_index]
@@ -308,110 +276,3 @@ def entropy_bits(d: Distribution) -> float:
     p = np.asarray(d.per_point, dtype=float)
     pos = p[p > 0]
     return float(-np.sum(pos * np.log2(pos)))
-
-
-# ---------------------------------------------------------------------------
-# validation diagnostics
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    checks: tuple
-    ok: bool
-
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
-
-def validate(c: Constellation, d: Distribution,
-             tol: float = VALIDATION_TOL) -> Diagnostics:
-    """Check distribution/constellation invariants; report, never raise.
-
-    Checks: probabilities sum to 1, nonnegativity, ring-uniformity of the
-    per-point vector, consistency of the stored ring masses, unit mean power
-    of the constellation, and zero symbol mean under the distribution.
-    """
-    checks = []
-    p = np.asarray(d.per_point, dtype=float)
-
-    res = abs(float(p.sum()) - 1.0)
-    checks.append(CheckResult("probability_sum", res, tol, res <= tol))
-
-    res = max(0.0, -float(p.min()))
-    checks.append(CheckResult("nonnegative", res, 1e-12, res <= 1e-12))
-
-    worst, worst_ring = 0.0, -1
-    for w in range(c.n_rings):
-        ring_p = p[c.ring_index == w]
-        dev = float(np.max(np.abs(ring_p - ring_p.mean())))
-        if dev > worst:
-            worst, worst_ring = dev, w
-    checks.append(CheckResult("ring_uniform", worst, tol, worst <= tol,
-                              detail="" if worst <= tol else
-                              f"ring {worst_ring} is not uniform"))
-
-    sums = np.bincount(c.ring_index, weights=p, minlength=c.n_rings)
-    res = float(np.max(np.abs(sums - d.ring_mass)))
-    checks.append(CheckResult("ring_mass_consistent", res, tol, res <= tol))
-
-    power = float(np.dot(c.ring_counts, c.ring_amps ** 2)) / c.size
-    res = abs(power - 1.0)
-    checks.append(CheckResult("unit_mean_power", res, CONSTRUCTION_TOL,
-                              res <= CONSTRUCTION_TOL))
-
-    mean = complex(np.dot(p, c.points))
-    res = abs(mean)
-    checks.append(CheckResult("zero_mean", res, tol, res <= tol))
-
-    checks = tuple(checks)
-    return Diagnostics(checks=checks, ok=all(ch.passed for ch in checks))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def to_json(c: Constellation, d: Distribution) -> str:
-    """Serialize to the ring-list JSON schema.
-
-    Float fields use Python's shortest round-trip repr, so
-    dump -> load -> dump is byte-identical.
-    """
-    rings = [
-        {"amp2": float(c.ring_amps[w]) ** 2,
-         "count": int(c.ring_counts[w]),
-         "mass": float(d.ring_mass[w])}
-        for w in range(c.n_rings)
-    ]
-    payload = {"family": c.family, "order": c.order, "rings": rings}
-    return json.dumps(payload, separators=(", ", ": "))
-
-
-def from_json(text: str) -> tuple[Constellation, Distribution]:
-    """Rebuild (constellation, distribution) from the ring-list schema."""
-    try:
-        payload = json.loads(text)
-        family = payload["family"]
-        order = int(payload["order"])
-        rings = payload["rings"]
-        masses = np.array([r["mass"] for r in rings], dtype=float)
-        amp2 = np.array([r["amp2"] for r in rings], dtype=float)
-        counts = np.array([r["count"] for r in rings], dtype=int)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"malformed constellation JSON: {exc}") from exc
-    if family in ("psk", "qam"):
-        c = make_constellation(family, order)
-        if c.n_rings != amp2.size or np.any(np.abs(c.ring_amps**2 - amp2) > 1e-9):
-            raise ValueError("ring amplitudes do not match the named family")
-    else:
-        c = from_rings(np.sqrt(amp2), counts, family=family)
-    return c, Distribution.from_ring_mass(c, masses)

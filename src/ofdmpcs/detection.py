@@ -83,20 +83,6 @@ class DetectionScenario:
             raise ValueError("n_trials must be positive")
 
 
-@dataclass(frozen=True)
-class RangeProfile:
-    """Per-cell matched-filter power with its generating seed."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("profile powers must be finite and nonnegative")
-        object.__setattr__(self, "values", v)
-
-
 def _draw_trials(sc: DetectionScenario,
                  seeds) -> tuple[np.ndarray, np.ndarray]:
     """Symbols and received rows ``(x, y)``, one row per generator seed.
@@ -159,12 +145,6 @@ def _profiles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.multiply(prod, y, out=prod)
     z = x.shape[1] * np.fft.ifft(prod, axis=1)
     return np.abs(z) ** 2
-
-
-def simulate_profile(sc: DetectionScenario, seed: int = 0) -> RangeProfile:
-    """One Monte-Carlo draw of the matched-filter range profile."""
-    power = _profiles(*_draw_trials(sc, [seed]))
-    return RangeProfile(values=power[0], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +213,6 @@ def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
     sums = _window_sums(flat, ref).reshape(rows, width)
     lag = ref + 2 * guard + 1
     return np.fmin(sums[:, :length], sums[:, lag:lag + length]) / ref
-
-
-def so_cfar_statistic(profile, ref_cells: int = 16,
-                      guard_cells: int = 2) -> np.ndarray:
-    """Smallest-of reference statistic for each cell of one profile."""
-    p = np.atleast_2d(np.asarray(profile, dtype=float))
-    if 2 * (ref_cells + guard_cells) > p.shape[1]:
-        raise ValueError("CFAR window larger than the range profile: "
-                         "every cell needs one complete reference side")
-    return _side_means(p, ref_cells, guard_cells)[0]
-
-
-def so_cfar_detect(profile, alpha: float, ref_cells: int = 16,
-                   guard_cells: int = 2) -> np.ndarray:
-    """Boolean detections: cell power above alpha * smallest-of statistic."""
-    p = np.asarray(profile, dtype=float)
-    stat = so_cfar_statistic(p, ref_cells, guard_cells)
-    return p > alpha * stat
 
 
 def _noise_only(sc: DetectionScenario) -> DetectionScenario:

@@ -69,7 +69,7 @@ class MBAConfig:
     max_outer: int = 300
 
     def __post_init__(self):
-        if self.noise_power <= 0:
+        if not self.noise_power > 0:        # NaN fails too
             raise ValueError("noise_power must be positive")
         if self.n_mc < MIN_UPDATE_SAMPLES:
             raise ValueError(f"n_mc must be >= {MIN_UPDATE_SAMPLES} to estimate "
@@ -77,7 +77,7 @@ class MBAConfig:
         if self.max_outer < 1:
             raise ValueError(
                 f"max_outer must be at least 1, got {self.max_outer}")
-        if self.outer_tol < 0:
+        if not self.outer_tol >= 0:
             raise ValueError(
                 f"outer_tol must be nonnegative, got {self.outer_tol!r}")
 

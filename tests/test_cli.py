@@ -231,6 +231,21 @@ class TestExitCodes:
         assert "noise_power" not in err, err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command,flag", [
+        ("tradeoff", ("--c0", "1.2")), ("tradeoff", ("--method", "heuristic")),
+        ("lut-export", ("--c0", "1.2")),
+    ], ids=["tradeoff-c0", "tradeoff-method", "lut-export-c0"])
+    def test_flag_the_command_never_reads_rejected(self, config, tmp_path,
+                                                   capsys, command, flag):
+        # each exited 0 as if the flag applied
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", str(config), *flag, "--out", str(out))
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):
@@ -274,6 +289,25 @@ class TestAir:
         assert len(lines) == 4  # 0, 10, 20 dB
         rates = [float(line.split(",")[1]) for line in lines[1:]]
         assert rates[0] < rates[1] < rates[2]
+
+    def test_n_mc_flag_sets_only_the_curve_key(self, tmp_path):
+        # --n-mc also set the shaper's [shaping] n_mc; 64-QAM, because the
+        # 16-QAM shaped input is the same at every sample count
+        base = BASE_CONFIG.replace("order = 16", "order = 64").replace(
+            "n_mc = 2000\nair_n_mc", "n_mc = 500\nair_n_mc")
+        curves = []
+        for name, text, flags in [
+                ("flag", base.replace("snr_db_step = 10\nn_mc = 2000",
+                                      "snr_db_step = 10\nn_mc = 700"),
+                 ("--n-mc", "2000")),
+                ("key", base, ())]:
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text)
+            out = tmp_path / name
+            assert run_cli("air", "--config", str(path), "--c0", "1.2", *flags,
+                           "--out", str(out)) == EXIT_OK
+            curves.append((out / "air_curve.csv").read_bytes())
+        assert curves[0] == curves[1]
 
 
 class TestAf:
@@ -575,7 +609,6 @@ class TestLazyImports:
         script = (
             "import sys, ofdmpcs\n"
             "assert not [m for m in sys.modules if m.startswith('ofdmpcs.')]\n"
-            "assert sorted(ofdmpcs._MODULE_OF) == ofdmpcs.__all__\n"
             "assert ofdmpcs.run_mba.__module__ == 'ofdmpcs.shaping_ba'\n"
             "assert 'ofdmpcs.detection' not in sys.modules\n"
             "assert 'ofdmpcs.ambiguity' not in sys.modules\n")

@@ -18,20 +18,16 @@ from ofdmpcs import (
     DetectionScenario,
     Distribution,
     OFDMConfig,
-    RangeProfile,
     calibrate_so_cfar,
     derive_seed,
     detection,
     detection_probability,
-    empirical_false_alarm_rate,
     make_constellation,
     pd_curve,
-    simulate_profile,
-    so_cfar_detect,
-    so_cfar_statistic,
     trial_seed,
     wilson_interval,
 )
+from ofdmpcs.detection import empirical_false_alarm_rate
 
 
 @pytest.fixture
@@ -42,6 +38,16 @@ def uniform_scenario(qam64, uniform64, ofdm64):
 
 def noise_only(sc):
     return replace(sc, snr_db=float("-inf"), si_to_noise_db=float("-inf"))
+
+
+def profile(sc, seed):
+    """One range profile, drawn and formed as ``detection_probability`` does."""
+    return detection._profiles(*detection._draw_trials(sc, [seed]))[0]
+
+
+def side_means(p, ref, guard):
+    """The smallest-of statistic of one profile, as the detector forms it."""
+    return detection._side_means(p[None], ref, guard)[0]
 
 
 class TestScenarioValidation:
@@ -68,32 +74,27 @@ class TestScenarioValidation:
 
 class TestRangeProfile:
     def test_shape_and_nonnegativity(self, uniform_scenario):
-        prof = simulate_profile(uniform_scenario, seed=0)
-        assert prof.values.shape == (64,)
-        assert np.all(prof.values >= 0)
-        assert prof.seed == 0
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            RangeProfile(values=np.array([1.0, -2.0]), seed=0)
+        prof = profile(uniform_scenario, seed=0)
+        assert prof.shape == (64,)
+        assert np.all(prof >= 0)
 
     def test_deterministic(self, uniform_scenario):
-        a = simulate_profile(uniform_scenario, seed=3)
-        b = simulate_profile(uniform_scenario, seed=3)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = profile(uniform_scenario, seed=3)
+        b = profile(uniform_scenario, seed=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_noise_floor_level(self, uniform_scenario):
         # matched filter output variance per cell is L with unit noise
         sc = noise_only(uniform_scenario)
         cells = np.concatenate(
-            [simulate_profile(sc, seed=t).values for t in range(400)])
+            [profile(sc, seed=t) for t in range(400)])
         assert np.mean(cells) == pytest.approx(64.0, rel=0.05)
 
     def test_strong_target_peaks_at_target_cell(self, qam64, uniform64, ofdm64):
         sc = DetectionScenario(qam64, uniform64, ofdm64, snr_db=40.0,
                                si_to_noise_db=float("-inf"), target_cell=8)
         hits = sum(
-            int(np.argmax(simulate_profile(sc, seed=t).values) == 8)
+            int(np.argmax(profile(sc, seed=t)) == 8)
             for t in range(100))
         assert hits >= 99
 
@@ -106,9 +107,9 @@ class TestRangeProfile:
         sc_psk = DetectionScenario(psk, Distribution.uniform(psk), ofdm64,
                                    snr_db=float("-inf"), si_to_noise_db=10.0)
         away = np.r_[4:30]  # cells far from the SI peak at 0
-        qam_level = np.mean([simulate_profile(sc_qam, seed=t).values[away]
+        qam_level = np.mean([profile(sc_qam, seed=t)[away]
                              for t in range(300)])
-        psk_level = np.mean([simulate_profile(sc_psk, seed=t).values[away]
+        psk_level = np.mean([profile(sc_psk, seed=t)[away]
                              for t in range(300)])
         assert qam_level > 2.0 * psk_level
         assert psk_level == pytest.approx(64.0, rel=0.1)
@@ -119,29 +120,26 @@ class TestSoCfar:
         # ref=2, guard=1; cells without a complete leading window fall back
         # to the lagging one and vice versa
         p = np.array([4.0, 8, 1, 3, 7, 2, 9, 5])
-        got = so_cfar_statistic(p, ref_cells=2, guard_cells=1)
+        got = side_means(p, ref=2, guard=1)
         np.testing.assert_allclose(got, [2.0, 5.0, 4.5, 5.5, 4.5, 2.0, 5.0, 4.5])
 
     def test_interior_cell_takes_smaller_side(self):
         p = np.ones(32)
         p[14:18] = 9.0  # clutter edge ahead of cell 10
-        stat = so_cfar_statistic(p, ref_cells=4, guard_cells=2)
+        stat = side_means(p, ref=4, guard=2)
         assert stat[10] == pytest.approx(1.0)  # leading side is clean
         # lagging side alone would have tripled the level
         assert np.mean(p[13:17]) == pytest.approx(7.0)
 
-    def test_window_size_validation(self):
-        with pytest.raises(ValueError, match="window larger"):
-            so_cfar_statistic(np.ones(8), ref_cells=4, guard_cells=1)
-
     def test_uniform_profile_no_detections(self):
-        det = so_cfar_detect(np.ones(64), alpha=2.0)
+        p = np.ones(64)
+        det = p > 2.0 * side_means(p, ref=16, guard=2)
         assert not det.any()
 
     def test_lone_spike_detected(self):
         p = np.ones(64)
         p[20] = 1e6
-        det = so_cfar_detect(p, alpha=10.0)
+        det = p > 10.0 * side_means(p, ref=16, guard=2)
         assert det[20]
         assert det.sum() == 1
 
@@ -353,7 +351,7 @@ class TestBatchedSimulatorOracle:
                                si_to_noise_db=10.0 if si else float("-inf"),
                                p_fa=1e-2, n_trials=40)
         for seed in (0, 5):
-            got = simulate_profile(sc, seed=seed).values
+            got = profile(sc, seed=seed)
             want = oracle_simulate(sc, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()
         counts = []
@@ -375,8 +373,7 @@ class TestBatchedSimulatorOracle:
     def test_statistic_matches_two_pass_means(self, rng):
         profiles = rng.exponential(size=(5, 48))
         for ref, guard in [(16, 2), (4, 0), (3, 5)]:
-            got = np.stack([so_cfar_statistic(p, ref, guard)
-                            for p in profiles])
+            got = np.stack([side_means(p, ref, guard) for p in profiles])
             want = oracle_side_means(profiles, ref, guard)
             assert got.tobytes() == want.tobytes()
 

@@ -1,11 +1,14 @@
 """Source hygiene by static inspection, with the standard library's ``ast``.
 
-Four checks over ``src/ofdmpcs``: every import a module makes is used in
-it, every module-level private (``_name``) function or class is referenced
-somewhere in the package beyond its own definition, every name in
-``ofdmpcs.__all__`` resolves, and every ``derive_seed`` purpose has one
-call site.  A deleted code path leaves no orphaned helper or dangling
-import behind, and no two code paths share a random stream by accident.
+Checks over ``src/ofdmpcs``: every import a module makes is used in it;
+every module-level private (``_name``) function or class is referenced
+somewhere in the package beyond its own definition; every public one has a
+caller in the package or in ``perfbench/``, or is a test oracle named in
+``ORACLES``; ``ofdmpcs.__all__`` is exactly the lazily exported names, none
+of them an oracle, and each resolves; and every ``derive_seed`` purpose has
+one call site.  A deleted code path leaves no orphaned helper, dangling
+import or uncalled public function behind, and no two code paths share a
+random stream by accident.
 """
 from __future__ import annotations
 
@@ -19,6 +22,12 @@ import ofdmpcs
 
 SRC = Path(ofdmpcs.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+
+# Public definitions no command runs, kept as references tests compare the
+# production paths against.  They stay out of ``ofdmpcs.__all__``.
+ORACLES = ("af_components", "af_samples", "af_sequence", "entropy_bits",
+           "empirical_false_alarm_rate")
 
 
 def parse(path: Path) -> ast.Module:
@@ -75,11 +84,37 @@ def test_private_helpers_are_referenced():
     assert not orphans, f"private definitions nothing references: {orphans}"
 
 
+def test_public_definitions_have_a_caller():
+    # a use inside the definition itself (recursion, say) is not a caller;
+    # the benchmark names the functions it traces in strings
+    named = set(ORACLES)
+    for path in BENCH:
+        tree = parse(path)
+        named |= referenced_names(tree) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    tops = [(path.name, node, referenced_names(node))
+            for path in MODULES for node in parse(path).body]
+    uncalled = [
+        f"{name}:{node.name}" for name, node, _ in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
+        and not any(node.name in refs for _, other, refs in tops
+                    if other is not node)
+    ]
+    assert not uncalled, f"public definitions no command runs: {uncalled}"
+
+
 def test_all_entries_resolve():
     missing = [name for name in ofdmpcs.__all__
                if not hasattr(ofdmpcs, name)]
     assert not missing, missing
     assert len(set(ofdmpcs.__all__)) == len(ofdmpcs.__all__)
+
+
+def test_exports_are_the_lazy_names_without_oracles():
+    assert ofdmpcs.__all__ == sorted(ofdmpcs._MODULE_OF)
+    assert not set(ORACLES) & set(ofdmpcs.__all__)
 
 
 def purpose_literal(node: ast.expr) -> str | None:

@@ -21,10 +21,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 from ofdmpcs import shaping_ba
 from ofdmpcs import (
     ChannelSpec,
+    Constellation,
     Distribution,
     MBAConfig,
     feasible_c0_range,
-    from_rings,
     make_constellation,
     moment,
     mutual_information,
@@ -226,7 +226,11 @@ class TestMonteCarloIntegrals:
     def test_point_mass_posterior_gives_zero(self):
         # all mass on the lone centre point: q(x|y) = 1 there and the
         # integral of log q vanishes; the ring it does not reach is -inf
-        c = from_rings([0.0, 1.0], [1, 4])
+        c = Constellation(family="custom", order=5,
+                          ring_amps=np.array([0.0, np.sqrt(1.25)]),
+                          ring_counts=np.array([1, 4]),
+                          ring_index=np.array([0, 1, 1, 1, 1]),
+                          phases=np.r_[0.0, 0.5 * np.pi * np.arange(4)])
         rng = np.random.default_rng(3)
         s = np.sqrt(0.1)
         y = rng.normal(scale=s, size=500) + 1j * rng.normal(scale=s, size=500)
@@ -462,4 +466,11 @@ class TestConfigValidation:
     def test_small_sample_count(self):
         with pytest.raises(ValueError):
             MBAConfig(c0=1.2, noise_power=0.1, n_mc=10)
+
+    @pytest.mark.parametrize("field", ["noise_power", "outer_tol"])
+    def test_nan_rejected(self, field):
+        # a NaN passed the old `<= 0` / `< 0` checks; a NaN outer_tol then
+        # never stopped the loop
+        with pytest.raises(ValueError, match=field):
+            MBAConfig(**{"c0": 1.2, "noise_power": 0.1, field: float("nan")})
 
