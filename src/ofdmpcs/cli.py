@@ -460,7 +460,8 @@ _COMMANDS = {
     "lut-export": (cmd_lut_export, ("--method", "--n-mc")),
 }
 _FLAGS = {
-    "--method": dict(choices=("optimal", "heuristic"), default="optimal"),
+    # None until _check_flags has seen whether it was given; then "optimal"
+    "--method": dict(choices=("optimal", "heuristic"), default=None),
     "--c0": dict(type=float, default=None),
     "--n-mc": dict(type=int, default=None, dest="n_mc"),
 }
@@ -481,15 +482,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject a flag that its command accepts but these flags leave unread.
+
+    ``air``, ``af`` and ``detect`` shape an input only under ``--c0``, so
+    they read ``--method`` only with it; ``af`` and ``detect`` read
+    ``--n-mc`` only as the optimal shaper's sample count.  Then
+    ``--method`` takes its default.
+    """
+    c0 = getattr(args, "c0", None)            # tradeoff/lut-export: no --c0
+    method = getattr(args, "method", None)    # tradeoff: no --method
+    if c0 is not None and not math.isfinite(c0):
+        raise ConfigError(f"--c0 must be a finite number, got {c0!r}")
+    if args.n_mc is not None and args.n_mc < 1:
+        raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
+    if args.command in ("air", "af", "detect"):
+        if c0 is None and method is not None:
+            raise ConfigError(f"{args.command} reads --method only with --c0")
+        if (args.command != "air" and args.n_mc is not None
+                and (c0 is None or method == "heuristic")):
+            raise ConfigError(f"{args.command} reads --n-mc only with --c0 "
+                              "and --method optimal")
+    if "method" in args and method is None:
+        args.method = "optimal"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     warnings.filterwarnings("default")
     try:
-        c0 = getattr(args, "c0", None)        # tradeoff/lut-export: no --c0
-        if c0 is not None and not math.isfinite(c0):
-            raise ConfigError(f"--c0 must be a finite number, got {c0!r}")
-        if args.n_mc is not None and args.n_mc < 1:
-            raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
+        _check_flags(args)
         cp = _load_config(args.config)
         return _COMMANDS[args.command][0](cp, args)
     except (ConfigError, ValueError) as exc:

@@ -40,7 +40,7 @@ class Constellation:
     Build one with :func:`make_constellation`, which establishes the
     invariants: unit mean power under the uniform distribution, zero mean
     per ring, strictly increasing ring amplitudes.  The constructor checks
-    all of them but the zero mean of a ring with two or more points.
+    all of them, each to ``CONSTRUCTION_TOL``.
     """
 
     family: str
@@ -63,20 +63,27 @@ class Constellation:
             raise ValueError("ring_counts must be positive and match ring_amps")
         if int(counts.sum()) != self.order:
             raise ValueError("ring counts must sum to the constellation order")
-        # zero mean needs >= 2 evenly spread phases per ring (or amplitude 0)
-        for w, (a, c) in enumerate(zip(amps, counts)):
-            if c < 2 and a > 0:
-                raise ValueError(f"ring {w} has a single point off the origin; "
-                                 "the symbol mean would not vanish")
+        # the AF moments assume a zero-mean symbol, ring by ring
+        index = np.asarray(self.ring_index, dtype=int)
+        phases = np.asarray(self.phases, dtype=float)
+        ring_sum = (np.bincount(index, weights=np.cos(phases),
+                                minlength=amps.size)
+                    + 1j * np.bincount(index, weights=np.sin(phases),
+                                       minlength=amps.size))
+        ring_mean = np.abs(amps * ring_sum / counts)
+        off = np.flatnonzero(ring_mean > CONSTRUCTION_TOL)
+        if off.size:
+            raise ValueError(f"ring {off[0]} has mean amplitude "
+                             f"{ring_mean[off[0]]:.3g}; the symbol mean "
+                             "would not vanish")
         power = float(np.dot(counts, amps ** 2)) / self.order
         if abs(power - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"mean power {power!r} deviates from 1 beyond "
                              f"{CONSTRUCTION_TOL}")
         object.__setattr__(self, "ring_amps", amps)
         object.__setattr__(self, "ring_counts", counts)
-        object.__setattr__(self, "ring_index",
-                           np.asarray(self.ring_index, dtype=int))
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
+        object.__setattr__(self, "ring_index", index)
+        object.__setattr__(self, "phases", phases)
 
     # -- derived views ------------------------------------------------------
 
@@ -191,14 +198,6 @@ class Distribution:
         masses = np.maximum(masses, 0.0)
         per_point = masses[c.ring_index] / c.ring_counts[c.ring_index]
         return cls(per_point=per_point, ring_mass=masses)
-
-    @classmethod
-    def from_per_point(cls, c: Constellation, p) -> "Distribution":
-        p = np.asarray(p, dtype=float)
-        if p.shape != (c.size,):
-            raise ValueError(f"expected {c.size} probabilities, got {p.shape}")
-        ring_mass = np.bincount(c.ring_index, weights=p, minlength=c.n_rings)
-        return cls(per_point=p, ring_mass=ring_mass)
 
     @cached_property
     def cdf(self) -> np.ndarray:

@@ -25,12 +25,18 @@ from a caller's warm start or from zero, finds them.  At an endpoint of
 the feasible range the feasible set is a single vertex and the multipliers
 run off to infinity, so the vertex found by enumeration is returned
 instead, without multipliers.
+
+Both solves are closed forms: the 2 x 2 Newton step by Cramer's rule (or
+its pseudo-inverse when the Hessian is rank one), each candidate vertex by
+the Lagrange form on its three rings.  No LAPACK routine runs, so a process
+pages in none of its code or buffers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,27 +134,52 @@ def snap_c0(c: Constellation, c0: float) -> float:
     return float(min(max(c0, lo), hi))
 
 
+def _support_loads(matrix, rhs):
+    """Every support of at most three rings with its loads: ``(K, k)`` each.
+
+    The loads of a support are the moment functional of ``rhs`` applied to
+    the Lagrange basis of its squared amplitudes ``x = A**2`` (the middle
+    row of ``matrix``).  On three rings i, j, k and unit power and
+    probability rows
+
+        m_i = (c0 - (x_j + x_k) + x_j x_k) / ((x_i - x_j)(x_i - x_k))
+
+    meets all three rows; distinct ring amplitudes keep every denominator
+    nonzero.  With fewer than three rings there is one support, and its
+    loads meet the power and probability rows (``m_i = (1 - x_j) /
+    (x_i - x_j)`` on two rings, ``m = 1`` on one), the fourth-moment row
+    being left to the caller's residual check.
+    """
+    n_rings = matrix.shape[1]
+    supports = np.array(list(itertools.combinations(range(n_rings),
+                                                    min(n_rings, 3))))
+    x = matrix[1][supports]
+    c0, power, total = rhs
+    if n_rings >= 3:
+        loads = np.empty(x.shape)
+        for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+            xj, xk = x[:, j], x[:, k]
+            loads[:, i] = ((c0 - (xj + xk) * power + xj * xk * total)
+                           / ((x[:, i] - xj) * (x[:, i] - xk)))
+    elif n_rings == 2:
+        loads = (power - x[:, ::-1] * total) / (x - x[:, ::-1])
+    else:
+        loads = np.full(x.shape, float(total))
+    return supports, loads
+
+
 def _lp_match(matrix, rhs):
     """A nonnegative mass vector satisfying all three moment equalities.
 
     The solutions form a polytope cut by three equality rows, so each of
-    its vertices loads at most three rings.  Distinct ring amplitudes make
-    every three-ring system a nonsingular Vandermonde matrix: all of them
-    are solved in one batch, and the nonnegative solution with the smallest
-    residual is returned (fewer than three rings give one least-squares
-    candidate).  This terminates even when the feasible set degenerates to
-    a single point (c0 at an endpoint of the feasible range).
+    its vertices loads at most three rings.  Every such support is solved
+    in closed form by :func:`_support_loads`, and the nonnegative solution
+    with the smallest residual is returned.  This terminates even when the
+    feasible set degenerates to a single point (c0 at an endpoint of the
+    feasible range).
     """
-    n_rings = matrix.shape[1]
-    if n_rings >= 3:
-        supports = np.array(list(itertools.combinations(range(n_rings), 3)))
-        blocks = np.moveaxis(matrix[:, supports], 1, 0)      # (K, 3, 3)
-        loads = np.linalg.solve(blocks, np.broadcast_to(
-            rhs[:, None], blocks.shape[:2] + (1,)))[..., 0]
-    else:
-        supports = np.arange(n_rings)[None, :]
-        blocks = matrix[None]
-        loads = np.linalg.lstsq(matrix, rhs, rcond=None)[0][None, :]
+    supports, loads = _support_loads(matrix, rhs)
+    blocks = np.moveaxis(matrix[:, supports], 1, 0)          # (K, 3, k)
     nonneg = np.all(loads >= -MASS_SLACK, axis=1)
     # a ring the vertex does not load gets rounding residue from the solve:
     # it is zero, so the unloaded rings of an endpoint vertex read 0 exactly
@@ -160,7 +191,7 @@ def _lp_match(matrix, rhs):
         raise RuntimeError("no nonnegative ring loading meets fourth moment "
                            f"{rhs[0]!r} under unit power")
     best = np.flatnonzero(ok)[np.argmin(residual[ok])]
-    masses = np.zeros(n_rings)
+    masses = np.zeros(matrix.shape[1])
     masses[supports[best]] = loads[best]
     return masses
 
@@ -184,6 +215,9 @@ _ARMIJO_FRACTION = 0.25
 # below this Newton decrement the dual's own decrease is rounding noise:
 # take full steps, which converge quadratically there
 _FULL_STEP_DECREMENT = 1e-12
+# a singular value at most this fraction of the largest counts as zero, the
+# cutoff numpy's lstsq applies to a 2 x 2 system by default (rcond=None)
+_RANK_RCOND = 2.0 * float(np.finfo(float).eps)
 
 
 def _moment_dual(u, a2, a4, c0, lam):
@@ -206,6 +240,28 @@ def _moment_dual(u, a2, a4, c0, lam):
             (centred * p) @ centred.T)
 
 
+def _newton_step(hess, grad):
+    """The minimum-norm least-squares solution of ``hess @ step = -grad``.
+
+    What numpy's ``lstsq(hess, -grad, rcond=None)`` returns, in closed
+    form, with no LAPACK call.  The singular values of ``[[a, b], [c, d]]``
+    are ``(hypot(a + d, b - c) +- hypot(a - d, b + c)) / 2``, and the
+    smaller one is ``|det| / s_max``.  Above the ``_RANK_RCOND`` cutoff
+    Cramer's rule solves the system.  At or below it the Hessian is rank
+    one (a flat dual, e.g. two live rings), and its pseudo-inverse is
+    ``hess.T / s_max**2``; a zero Hessian gives a zero step.
+    """
+    (a, b), (c, d) = hess.tolist()
+    g0, g1 = grad.tolist()
+    s_max = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    det = a * d - b * c
+    if abs(det) > _RANK_RCOND * s_max * s_max:
+        return np.array([(b * g1 - d * g0) / det, (c * g0 - a * g1) / det])
+    if s_max == 0.0:
+        return np.zeros(2)
+    return np.array([a * g0 + c * g1, b * g0 + d * g1]) / -(s_max * s_max)
+
+
 def _dual_newton(u, a2, a4, c0, lam):
     """Newton with Armijo backtracking on the moment dual, from ``lam``.
 
@@ -225,7 +281,7 @@ def _dual_newton(u, a2, a4, c0, lam):
             break
         if mismatch < best_mismatch:
             best_mismatch, best_lam, best_p = mismatch, lam, p
-        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        step = _newton_step(hess, grad)
         decrement = float(-grad @ step)
         if not decrement > 0.0:
             break

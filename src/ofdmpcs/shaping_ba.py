@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, Distribution
-from .rates import log_probs, logsumexp
+from .rates import awgn_outputs, log_probs, logsumexp
 from .seeds import derive_seed
 from .shaping import ShapingResult, match_ring_masses, snap_c0
 
@@ -175,6 +175,8 @@ def ring_integrals(tables: RingTables, mass: np.ndarray) -> np.ndarray:
     """
     log_pt = log_probs(mass / tables.counts)
     live = np.isfinite(log_pt)
+    if live.all():
+        live = slice(None)      # views of the W x M tables, not copies
     log_mix = logsumexp(tables.log_lik[live] + log_pt[live, None], axis=0)
     u = np.full(mass.shape, _NEG_INF)
     u[live] = (log_pt[live] * tables.weight_mean[live]
@@ -206,10 +208,8 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
     is ``None`` when the last match ended on the endpoint vertex.
     """
     rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
-    idx = Distribution.uniform(c).draw(rng, cfg.n_mc)
-    sig = np.sqrt(cfg.noise_power / 2.0)
-    samples = c.points[idx] + rng.normal(scale=sig, size=cfg.n_mc) \
-        + 1j * rng.normal(scale=sig, size=cfg.n_mc)
+    samples = awgn_outputs(c, Distribution.uniform(c), rng, cfg.n_mc,
+                           cfg.noise_power)
     tables = ring_tables(c, samples, cfg.noise_power)
 
     counts = tables.counts

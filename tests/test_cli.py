@@ -247,6 +247,44 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command,flags,name", [
+        ("air", ("--method", "heuristic"), "--method"),
+        ("af", ("--method", "heuristic"), "--method"),
+        ("detect", ("--method", "optimal"), "--method"),
+        ("af", ("--n-mc", "500"), "--n-mc"),
+        ("detect", ("--n-mc", "500"), "--n-mc"),
+        ("af", ("--c0", "1.2", "--method", "heuristic", "--n-mc", "500"),
+         "--n-mc"),
+        ("detect", ("--c0", "1.2", "--method", "heuristic", "--n-mc", "500"),
+         "--n-mc"),
+    ], ids=["air-method", "af-method", "detect-method", "af-n-mc",
+            "detect-n-mc", "af-heuristic-n-mc", "detect-heuristic-n-mc"])
+    def test_flag_left_unread_rejected(self, config, tmp_path, capsys,
+                                       command, flags, name):
+        # without --c0 the input is uniform and no shaper runs, and the
+        # heuristic draws nothing: each exited 0 with the bytes it writes
+        # without the flag
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(config), *flags,
+                     "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and name in err, err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,artifact", [
+        ("air", "air_curve.csv"), ("af", "af_grid.csv"),
+        ("detect", "pd_curve.csv")])
+    def test_heuristic_shaped_input_still_runs(self, config, tmp_path,
+                                               command, artifact):
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(config), "--c0", "1.2",
+                     "--method", "heuristic", "--out", str(out))
+        assert rc == EXIT_OK
+        assert (out / artifact).exists()
+
+
 class TestShape:
     def test_writes_json_and_is_deterministic(self, config, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -546,6 +584,29 @@ assert not loaded, loaded[:5]
 """
 
 
+# Runs in a fresh interpreter with numpy's LAPACK solvers patched to raise:
+# the moment matcher's Newton step and its endpoint vertex are closed forms
+_LAPACK_FREE_SCRIPT = """\
+import sys
+import numpy as np
+import ofdmpcs.cli
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a LAPACK solver ran")
+
+for name in ("solve", "lstsq", "inv", "pinv", "det", "eig", "eigh", "svd",
+             "qr", "cholesky"):
+    setattr(np.linalg, name, refuse)
+config, out = sys.argv[1:]
+for argv in (["shape", "--method", "heuristic"], ["shape"],
+             ["shape", "--c0", "1.0"],
+             ["shape", "--method", "heuristic", "--c0", "1.0"],
+             ["lut-export"], ["tradeoff"]):
+    rc = ofdmpcs.cli.main([*argv, "--config", config, "--out", out])
+    assert rc == 0, (argv, rc)
+"""
+
+
 # Runs in a fresh interpreter: numpy 2's np.unique would import numpy.ma
 _MASKED_FREE_SCRIPT = """\
 import sys
@@ -563,6 +624,13 @@ class TestRuntimeDependencies:
     def test_cli_runs_without_scipy(self, config, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(config),
+             str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_shapers_run_without_lapack(self, config, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAPACK_FREE_SCRIPT, str(config),
              str(tmp_path / "o")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmpcs import Distribution, make_constellation, moment
+from ofdmpcs import Constellation, Distribution, make_constellation, moment
+
+
+def per_point_distribution(c, p) -> Distribution:
+    """A ``Distribution`` with per-point probabilities ``p``, not
+    necessarily ring-uniform, through the dataclass constructor."""
+    p = np.asarray(p, dtype=float)
+    return Distribution(per_point=p, ring_mass=np.bincount(
+        c.ring_index, weights=p, minlength=c.n_rings))
 
 
 def lattice_qam(order: int) -> np.ndarray:
@@ -66,6 +74,38 @@ class TestQamGeometry:
         assert moment(c, d, 2) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("family,order", [
+        ("psk", 2), ("psk", 3), ("psk", 8), ("psk", 64), ("qam", 4),
+        ("qam", 16), ("qam", 64), ("qam", 256), ("qam", 1024)])
+    def test_every_family_builds(self, family, order):
+        c = make_constellation(family, order)
+        means = [np.mean(c.points[c.ring_index == w]) for w in range(c.n_rings)]
+        assert np.max(np.abs(means)) <= 1e-12
+
+    @pytest.mark.parametrize("phases", [[0.0, 0.0], [0.0, 0.5 * np.pi]],
+                             ids=["coincident", "quarter-turn"])
+    def test_ring_with_nonzero_mean_rejected(self, phases):
+        # two points on one ring that do not cancel: mean 1 and (1 + j) / 2
+        with pytest.raises(ValueError, match="ring 0 has mean amplitude"):
+            Constellation(family="x", order=2, ring_amps=[1.0],
+                          ring_counts=[2], ring_index=[0, 0], phases=phases)
+
+    def test_single_point_off_the_origin_rejected(self):
+        with pytest.raises(ValueError, match="ring 1 has mean amplitude"):
+            Constellation(family="x", order=3,
+                          ring_amps=[np.sqrt(0.5), np.sqrt(2.0)],
+                          ring_counts=[2, 1], ring_index=[0, 0, 1],
+                          phases=[0.0, np.pi, 0.0])
+
+    def test_origin_ring_accepted(self):
+        c = Constellation(family="x", order=5,
+                          ring_amps=[0.0, np.sqrt(1.25)],
+                          ring_counts=[1, 4], ring_index=[0, 1, 1, 1, 1],
+                          phases=np.r_[0.0, 0.5 * np.pi * np.arange(4)])
+        assert c.n_rings == 2
+
+
 class TestPsk:
     def test_constant_modulus(self, psk64):
         np.testing.assert_allclose(np.abs(psk64.points), 1.0, atol=1e-12)
@@ -115,13 +155,6 @@ class TestDistribution:
             idx = qam16.ring_index == w
             np.testing.assert_allclose(d.per_point[idx], d.ring_mass[w] / np.sum(idx), atol=1e-15)
         assert np.sum(d.per_point) == pytest.approx(1.0, abs=1e-12)
-
-    def test_from_per_point_regroups(self, qam16, rng):
-        p = rng.random(16)
-        p /= p.sum()
-        d = Distribution.from_per_point(qam16, p)
-        for w in range(3):
-            assert d.ring_mass[w] == pytest.approx(np.sum(p[qam16.ring_index == w]), abs=1e-12)
 
     def test_bad_masses_rejected(self, qam16):
         with pytest.raises(ValueError):
@@ -193,7 +226,7 @@ class TestDraw:
             Distribution.from_ring_mass(qam16, [0.5, 0.0, 0.5]),
         ]
         for alpha in (0.05, 1.0):
-            dists.append(Distribution.from_per_point(
+            dists.append(per_point_distribution(
                 qam256, rng.dirichlet(np.full(256, alpha))))
         stepped = set()
         for d in dists:
@@ -216,7 +249,7 @@ class TestDraw:
             p[3], p[4] = -0.1, p[4] + 0.1
         else:
             p[:] = 0.0
-        d = Distribution.from_per_point(qam16, p)
+        d = per_point_distribution(qam16, p)
         with pytest.raises(ValueError, match="symbol probabilities"):
             d.draw(np.random.default_rng(0), 16)
         with pytest.raises(ValueError):     # as Generator.choice refuses p

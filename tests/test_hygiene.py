@@ -2,13 +2,15 @@
 
 Checks over ``src/ofdmpcs``: every import a module makes is used in it;
 every module-level private (``_name``) function or class is referenced
-somewhere in the package beyond its own definition; every public one has a
-caller in the package or in ``perfbench/``, or is a test oracle named in
-``ORACLES``; ``ofdmpcs.__all__`` is exactly the lazily exported names, none
-of them an oracle, and each resolves; and every ``derive_seed`` purpose has
-one call site.  A deleted code path leaves no orphaned helper, dangling
-import or uncalled public function behind, and no two code paths share a
-random stream by accident.
+somewhere in the package beyond its own definition; every public one, and
+every public method of a public class, has a caller in the package or in
+``perfbench/``, or is a test oracle named in ``ORACLES``;
+``ofdmpcs.__all__`` is exactly the lazily exported names, none of them an
+oracle, and each resolves; every ``derive_seed`` purpose has one call site;
+and no module references ``linalg``.  A deleted code path leaves no
+orphaned helper, dangling import or uncalled public function behind, no two
+code paths share a random stream by accident, and the shapers' closed-form
+solves stay off LAPACK.
 """
 from __future__ import annotations
 
@@ -84,6 +86,12 @@ def test_private_helpers_are_referenced():
     assert not orphans, f"private definitions nothing references: {orphans}"
 
 
+def attribute_names(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere in ``tree`` as attributes (``obj.name``)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
 def test_public_definitions_have_a_caller():
     # a use inside the definition itself (recursion, say) is not a caller;
     # the benchmark names the functions it traces in strings
@@ -101,6 +109,17 @@ def test_public_definitions_have_a_caller():
         and not node.name.startswith("_") and node.name not in named
         and not any(node.name in refs for _, other, refs in tops
                     if other is not node)
+    ]
+    # a public method of a public class is called through an attribute,
+    # from the package or the benchmark
+    attributes = set(ORACLES).union(*(attribute_names(parse(path))
+                                      for path in MODULES + BENCH))
+    uncalled += [
+        f"{name}:{cls.name}.{node.name}" for name, cls, _ in tops
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_") and node.name not in attributes
     ]
     assert not uncalled, f"public definitions no command runs: {uncalled}"
 
@@ -147,3 +166,10 @@ def test_each_seed_purpose_has_one_call_site():
     assert sites, "no derive_seed call found"
     shared = {p: s for p, s in sites.items() if len(s) > 1}
     assert not shared, f"purposes with more than one call site: {shared}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_linalg(path):
+    # the moment matcher's 2 x 2 Newton step and 3-ring vertex are closed
+    # forms: a LAPACK call there touches ~1 MB of library pages per process
+    assert "linalg" not in path.read_text(), f"{path.name} references linalg"

@@ -216,6 +216,25 @@ class TestLogMixtureDensity:
         assert peak <= 4e6
 
 
+class TestEstimatorMemory:
+    def test_no_full_length_temporaries(self):
+        # 256-QAM at n = 20 000 holds the outputs (320 KB), the log terms
+        # (160 KB) and gm_log_pdf's 512 KB table; building y from separate
+        # noise arrays and finishing log p(y) on whole arrays peaked at
+        # 1.98 MB
+        c = make_constellation("qam", 256)
+        d = Distribution.uniform(c)
+        spec = ChannelSpec(0.01)
+        mutual_information(c, d, spec, n_mc=20_000, seed=1)  # cache the CDF
+        tracemalloc.start()
+        try:
+            mutual_information(c, d, spec, n_mc=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 class TestEstimator:
     def test_naive_twin_identical_draws(self, qam16, uniform16):
         sigma2, n = 0.1, 5000
@@ -227,6 +246,28 @@ class TestEstimator:
         terms = -naive_log_mix(y, qam16, uniform16, sigma2) - np.log(np.pi * np.e * sigma2)
         assert est.mi_bits == pytest.approx(np.mean(terms) / LN2, rel=1e-9)
         assert est.std_error == pytest.approx(np.std(terms, ddof=1) / np.sqrt(n) / LN2, rel=1e-9)
+        # the same draws, bit for bit: the production density on these y
+        # gives the estimate exactly
+        terms = -gm_log_pdf(y, qam16, uniform16, ChannelSpec(sigma2)) \
+            - np.log(np.pi * np.e * sigma2)
+        assert est.mi_bits == float(np.mean(terms)) / LN2
+        assert est.std_error == float(np.std(terms, ddof=1) / np.sqrt(n)) / LN2
+
+    @pytest.mark.parametrize("noise_power", [0.01, 0.3])
+    def test_outputs_built_in_place_are_the_sum(self, qam64, noise_power):
+        # one buffer reused for both noise parts: bitwise x + (re + 1j im)
+        masses = np.zeros(qam64.n_rings)
+        masses[[0, 4, 8]] = [0.5, 0.3, 0.2]
+        d = Distribution.from_ring_mass(qam64, masses)
+        for seed in range(5):
+            got = rates.awgn_outputs(qam64, d, np.random.default_rng(seed),
+                                     3001, noise_power)
+            rng = np.random.default_rng(seed)
+            x = qam64.points[d.draw(rng, 3001)]
+            s = np.sqrt(noise_power / 2.0)
+            want = x + (rng.normal(scale=s, size=3001)
+                        + 1j * rng.normal(scale=s, size=3001))
+            assert got.tobytes() == want.tobytes()
 
     def test_matches_quadrature(self, qam16, uniform16):
         sigma2 = 0.1

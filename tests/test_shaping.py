@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmpcs import (
+    Constellation,
     Distribution,
     MBAConfig,
     feasible_c0_range,
@@ -25,7 +26,8 @@ from ofdmpcs import (
 )
 from ofdmpcs.constellation import entropy_bits
 from ofdmpcs.rates import ChannelSpec, mutual_information
-from ofdmpcs.shaping import C0_SLACK, _lp_match, match_ring_masses
+from ofdmpcs.shaping import (C0_SLACK, _lp_match, _newton_step,
+                              _support_loads, match_ring_masses)
 
 
 def _optimal(c, c0):
@@ -272,6 +274,84 @@ class TestLpMatch:
         sys_ = ring_system(qam64, hi + 1e-3)
         with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
             _lp_match(sys_.matrix, sys_.rhs)
+
+
+def two_ring_constellation():
+    """Four points at A**2 = 1/2 and two at A**2 = 2: unit power, zero mean
+    on each ring.  No named family has two rings."""
+    return Constellation(family="custom", order=6,
+                         ring_amps=np.sqrt([0.5, 2.0]),
+                         ring_counts=np.array([4, 2]),
+                         ring_index=np.array([0, 0, 0, 0, 1, 1]),
+                         phases=np.r_[0.5 * np.pi * np.arange(4), 0.0, np.pi])
+
+
+class TestClosedForms:
+    """The closed-form solves against numpy's LAPACK ones, as oracles."""
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_three_ring_loads_match_solve(self, order):
+        # every support, feasible or not, at both endpoints and the middle
+        c = make_constellation("qam", order)
+        lo, hi = feasible_c0_range(c)
+        for c0 in (lo, 0.5 * (lo + hi), hi):
+            rs = ring_system(c, c0)
+            supports, loads = _support_loads(rs.matrix, rs.rhs)
+            assert len(supports) == len(set(map(tuple, supports))) \
+                == c.n_rings * (c.n_rings - 1) * (c.n_rings - 2) // 6
+            blocks = np.moveaxis(rs.matrix[:, supports], 1, 0)
+            want = np.linalg.solve(blocks, np.broadcast_to(
+                rs.rhs[:, None], (len(supports), 3, 1)))[..., 0]
+            rel = (np.max(np.abs(loads - want), axis=1)
+                   / np.max(np.abs(want), axis=1))
+            assert rel.max() <= 1e-12, (c0, rel.max())
+
+    def test_one_ring_branch(self, psk64):
+        rs = ring_system(psk64, 1.0)
+        want = np.linalg.lstsq(rs.matrix, rs.rhs, rcond=None)[0]
+        np.testing.assert_allclose(_support_loads(rs.matrix, rs.rhs)[1][0],
+                                   want, rtol=1e-15)
+        np.testing.assert_array_equal(_lp_match(rs.matrix, rs.rhs), [1.0])
+
+    def test_two_ring_branch(self):
+        # the power and probability rows fix the masses at (2/3, 1/3), so
+        # the feasible range is the one fourth moment 1.5
+        c = two_ring_constellation()
+        assert feasible_c0_range(c) == pytest.approx((1.5, 1.5), abs=1e-15)
+        rs = ring_system(c, 1.5)
+        want = np.linalg.lstsq(rs.matrix, rs.rhs, rcond=None)[0]
+        masses = _lp_match(rs.matrix, rs.rhs)
+        np.testing.assert_allclose(masses, want, rtol=1e-14)
+        np.testing.assert_allclose(masses, [2 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_array_equal(solve_heuristic(c, 1.5).ring_mass,
+                                      masses / masses.sum())
+        rs = ring_system(c, 1.6)
+        with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
+            _lp_match(rs.matrix, rs.rhs)
+
+    def test_newton_step_full_rank(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            b = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-4, 2)
+            hess, grad = b @ b.T, rng.normal(size=2)
+            want = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            got = _newton_step(hess, grad)
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-14 * np.linalg.cond(hess), (hess, grad)
+
+    def test_newton_step_rank_one(self):
+        # lstsq drops the zero singular value: the minimum-norm step
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            v = rng.normal(size=2)
+            hess = 10.0 ** rng.uniform(-4, 2) * np.outer(v, v)
+            grad = rng.normal(size=2)
+            want, _, rank, _ = np.linalg.lstsq(hess, -grad, rcond=None)
+            assert rank == 1
+            np.testing.assert_allclose(_newton_step(hess, grad), want,
+                                       rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(
+            _newton_step(np.zeros((2, 2)), np.array([0.3, -0.1])), [0.0, 0.0])
 
 
 class TestRingSystem:
