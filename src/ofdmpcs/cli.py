@@ -288,13 +288,18 @@ def cmd_af(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     sigma2_ref = _sigma2(cp, 0.01)
+    sizes = {key: _get(cp, "af", key, int, default)
+             for key, default in (("n_tau", 33), ("n_nu", 1))}
+    for key, n in sizes.items():
+        if n < 1:
+            raise ConfigError(f"[af] {key} must be at least 1, got {n}")
     d = _shaped_distribution(c, cp, args, sigma2_ref, _master_seed(cp, args))
     tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0),
                       _get(cp, "af", "tau_max_tp", float, 0.5),
-                      _get(cp, "af", "n_tau", int, 33))
+                      sizes["n_tau"])
     nu = np.linspace(_get(cp, "af", "nu_min_df", float, 0.0),
                      _get(cp, "af", "nu_max_df", float, 0.0),
-                     _get(cp, "af", "n_nu", int, 1))
+                     sizes["n_nu"])
     out_dir = _out_dir(cp, args)
 
     grid, _ = exact_af(c, d, cfg, tau, nu)

@@ -40,7 +40,8 @@ class Constellation:
     Build one with :func:`make_constellation`, which establishes the
     invariants: unit mean power under the uniform distribution, zero mean
     per ring, strictly increasing ring amplitudes.  The constructor checks
-    all of them, each to ``CONSTRUCTION_TOL``.
+    all of them, each to ``CONSTRUCTION_TOL``, and that ``ring_index`` puts
+    ``ring_counts[w]`` of the ``order`` points on ring ``w``.
     """
 
     family: str
@@ -63,9 +64,20 @@ class Constellation:
             raise ValueError("ring_counts must be positive and match ring_amps")
         if int(counts.sum()) != self.order:
             raise ValueError("ring counts must sum to the constellation order")
-        # the AF moments assume a zero-mean symbol, ring by ring
         index = np.asarray(self.ring_index, dtype=int)
         phases = np.asarray(self.phases, dtype=float)
+        if index.shape != (self.order,) or phases.shape != (self.order,):
+            raise ValueError(f"ring_index and phases must each hold order="
+                             f"{self.order} entries, got {index.size} and "
+                             f"{phases.size}")
+        if np.any((index < 0) | (index >= amps.size)):
+            raise ValueError(f"ring_index entries must name one of the "
+                             f"{amps.size} rings, got {index.min()} to "
+                             f"{index.max()}")
+        if np.any(np.bincount(index, minlength=amps.size) != counts):
+            raise ValueError("ring_index must put ring_counts[w] points on "
+                             "each ring w")
+        # the AF moments assume a zero-mean symbol, ring by ring
         ring_sum = (np.bincount(index, weights=np.cos(phases),
                                 minlength=amps.size)
                     + 1j * np.bincount(index, weights=np.sin(phases),

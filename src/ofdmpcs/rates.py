@@ -77,10 +77,6 @@ class ChannelSpec:
         if not (self.noise_power > 0 and np.isfinite(self.noise_power)):
             raise ValueError("noise_power must be positive and finite")
 
-    @property
-    def snr_db(self) -> float:
-        return float(-10.0 * np.log10(self.noise_power))
-
 
 @dataclass(frozen=True)
 class MIEstimate:

@@ -54,12 +54,12 @@ class MBAConfig:
     ``n_mc`` is the size M of the one fixed sample set that estimates the
     update integrals in every outer iteration; it is reduced once to the
     W x M ring tables the iterations run on.  ``outer_tol`` stops the outer
-    loop on the squared change of the per-point probability vector (and,
-    secondarily, on a relative objective plateau).  The warm-started
-    multiplier match takes no setting: the multipliers pass from one
-    iteration to the next inside :func:`run_mba`.  Nothing here sizes a
-    rate estimate: the solver returns ring masses, and whoever scores them
-    picks the estimator.
+    loop on the squared change of the per-point probability vector, written
+    on ring masses as ``sum_w (delta m_w)**2 / count_w`` (and, secondarily,
+    on a relative objective plateau).  The warm-started multiplier match
+    takes no setting: the multipliers pass from one iteration to the next
+    inside :func:`run_mba`.  Nothing here sizes a rate estimate: the solver
+    returns ring masses, and whoever scores them picks the estimator.
     """
 
     c0: float
@@ -99,14 +99,17 @@ class RingTables:
     """Ring-level reductions of one fixed sample set ``y_1 .. y_M``.
 
     The samples are drawn under the uniform input, so point ``q`` weighs
-    sample ``m`` by ``W_qm = p(y_m | x_q) / (1/Q) sum_q' p(y_m | x_q')``.
-    Every table has one row per ring ``w``:
+    sample ``m`` by ``W_qm = p(y_m | x_q) / mix_m`` with ``mix_m = (1/Q)
+    sum_q' p(y_m | x_q')``.  Every table has one row per ring ``w``:
 
     * ``log_lik[w, m]``: ``L_wm = log sum_{q in w} p(y_m | x_q)``;
-    * ``weight[w, m]``: ``B_wm``, the mean of ``W_qm`` over ring ``w``;
+    * ``weight[w, m]``: ``B_wm = exp(L_wm - log mix_m) / count_w``, the
+      mean of ``W_qm`` over ring ``w``;
     * ``weight_mean[w]``: the mean of ``B_wm`` over the samples;
-    * ``weighted_log_lik[w]``: ``A_w``, the mean over samples and ring
-      points of ``W_qm log p(y_m | x_q)``.
+    * ``weighted_log_lik[w]``: ``A_w = mean_m B_wm H_wm``, the mean over
+      samples and ring points of ``W_qm log p(y_m | x_q)``, where ``H_wm``
+      is the mean of ``log p(y_m | x_q)`` under the ring posterior
+      ``p(y_m | x_q) / exp(L_wm)``.
     """
 
     counts: np.ndarray
@@ -120,43 +123,34 @@ def ring_tables(c: Constellation, samples: np.ndarray,
                 sigma2: float) -> RingTables:
     """:class:`RingTables` of ``samples``, drawn under the uniform input.
 
-    Built ring by ring and, within a ring, over near-equal blocks of at most
-    ``_BLOCK_SAMPLES`` samples, so neither a (Q, M) table nor a ring's
-    (points, M) complex distances are ever held: the second pass recomputes
-    each block's likelihoods once the uniform mixture is known.  The
-    per-sample reductions (``logsumexp`` and the ring mean over a block's
-    points) add the points in order for every block at least two samples
-    wide, as over the whole table.  A one-sample block would be summed
-    pairwise, so the blocks are split evenly: with ``_BLOCK_SAMPLES`` >= 3
-    only M = 1 gives one.
-    ``weighted_log_lik`` is one ``np.mean`` over the ring's whole
-    (points, M) product table, filled block by block, because a mean summed
-    per block would round differently.
+    One pass, ring by ring and, within a ring, over near-equal blocks of at
+    most ``_BLOCK_SAMPLES`` samples, so neither a (Q, M) table nor a ring's
+    (points, M) complex distances are ever held.  Each block's likelihoods
+    are evaluated once and reduced over the ring's points to ``L_wm`` and
+    ``H_wm``; the weights follow from ``L`` alone.  Those reductions add the
+    points in order for every block at least two samples wide, so the
+    tables do not depend on the block size.  A one-sample block would be
+    summed pairwise, so the blocks are split evenly: with
+    ``_BLOCK_SAMPLES`` >= 3 only M = 1 gives one.
     """
     y = np.asarray(samples, dtype=complex).ravel()
     n_blocks = -(-y.size // _BLOCK_SAMPLES)
-    blocks = [slice(y.size * i // n_blocks, y.size * (i + 1) // n_blocks)
-              for i in range(n_blocks)]
-    rings = [c.points[c.ring_index == w] for w in range(c.n_rings)]
     log_lik = np.empty((c.n_rings, y.size))
-    for w, pts in enumerate(rings):
-        for b in blocks:
-            log_lik[w, b] = logsumexp(_log_likelihood(pts, y[b], sigma2),
-                                      axis=0)
+    post_log_lik = np.empty_like(log_lik)       # H_wm
+    for w in range(c.n_rings):
+        pts = c.points[c.ring_index == w]
+        for i in range(n_blocks):
+            b = slice(y.size * i // n_blocks, y.size * (i + 1) // n_blocks)
+            ll = _log_likelihood(pts, y[b], sigma2)
+            log_lik[w, b] = logsumexp(ll, axis=0)
+            post_log_lik[w, b] = np.sum(np.exp(ll - log_lik[w, b]) * ll,
+                                        axis=0)
+    counts = c.ring_counts.astype(float)
     log_mix = logsumexp(log_lik, axis=0) - np.log(c.size)
-    weight = np.empty_like(log_lik)
-    weighted_log_lik = np.empty(c.n_rings)
-    for w, pts in enumerate(rings):
-        products = np.empty((pts.size, y.size))
-        for b in blocks:
-            loglik = _log_likelihood(pts, y[b], sigma2)
-            weights = np.exp(loglik - log_mix[b])
-            weight[w, b] = weights.mean(axis=0)
-            np.multiply(weights, loglik, out=products[:, b])
-        weighted_log_lik[w] = np.mean(products)
-    return RingTables(counts=c.ring_counts.astype(float), log_lik=log_lik,
-                      weight=weight, weight_mean=weight.mean(axis=1),
-                      weighted_log_lik=weighted_log_lik)
+    weight = np.exp(log_lik - log_mix) / counts[:, None]
+    return RingTables(counts=counts, log_lik=log_lik, weight=weight,
+                      weight_mean=weight.mean(axis=1),
+                      weighted_log_lik=np.mean(weight * post_log_lik, axis=1))
 
 
 def ring_integrals(tables: RingTables, mass: np.ndarray) -> np.ndarray:
@@ -214,10 +208,6 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
 
     counts = tables.counts
     log_counts = np.log(counts)
-
-    def point_probs(mass_vec):
-        return mass_vec[c.ring_index] / counts[c.ring_index]
-
     mass = counts / float(c.size)              # ring masses, start uniform
     u_ring = ring_integrals(tables, mass)
     trace: list[float] = []
@@ -234,9 +224,9 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
         plateau = bool(trace) and abs(f_val - trace[-1]) <= cfg.outer_tol * abs(trace[-1])
         trace.append(f_val)
 
-        delta = point_probs(mass_new) - point_probs(mass)
+        delta = mass_new - mass
         mass = mass_new
-        if float(delta @ delta) <= cfg.outer_tol or plateau:
+        if float(delta @ (delta / counts)) <= cfg.outer_tol or plateau:
             converged = True
             break
     return mass, lam, trace, converged

@@ -231,6 +231,22 @@ class TestExitCodes:
         assert "noise_power" not in err, err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key,line,value", [
+        ("n_tau", "n_tau = 3", "-1"), ("n_nu", "n_nu = 2", "-2"),
+        ("n_tau", "n_tau = 3", "0"), ("n_nu", "n_nu = 2", "0")])
+    def test_af_grid_size_below_one_rejected(self, tmp_path, capsys, key,
+                                             line, value):
+        # a negative size exited 2 with numpy's linspace message and a zero
+        # one with "grid axes must be nonempty"; neither named the key
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace(line, f"{key} = {value}"))
+        out = tmp_path / "o"
+        rc = run_cli("af", "--config", str(bad), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error:") and f"[af] {key}" in err, err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command,flag", [
         ("tradeoff", ("--c0", "1.2")), ("tradeoff", ("--method", "heuristic")),
         ("lut-export", ("--c0", "1.2")),

@@ -98,6 +98,29 @@ class TestConstructor:
                           ring_counts=[2, 1], ring_index=[0, 0, 1],
                           phases=[0.0, np.pi, 0.0])
 
+    @pytest.mark.parametrize("ring_index,phases,message", [
+        ([0, 0, 0], [0.0, np.pi], "order=2 entries, got 3 and 2"),
+        ([0, 0], [0.0, np.pi, 0.0], "order=2 entries, got 2 and 3"),
+        ([0, 1], [0.0, np.pi], "one of the 1 rings, got 0 to 1"),
+        ([0, -1], [0.0, np.pi], "one of the 1 rings, got -1 to 0"),
+    ], ids=["long-index", "long-phases", "ring-past-the-last", "negative"])
+    def test_index_that_does_not_fit_rejected(self, ring_index, phases,
+                                              message):
+        # each used to surface as numpy's bincount length error or as a
+        # false nonzero ring mean
+        with pytest.raises(ValueError, match=message):
+            Constellation(family="x", order=2, ring_amps=[1.0],
+                          ring_counts=[2], ring_index=ring_index,
+                          phases=phases)
+
+    def test_index_that_disagrees_with_counts_rejected(self):
+        # three points on the inner ring where ring_counts says two
+        with pytest.raises(ValueError, match=r"ring_counts\[w\] points"):
+            Constellation(family="x", order=4,
+                          ring_amps=[np.sqrt(0.5), np.sqrt(1.5)],
+                          ring_counts=[2, 2], ring_index=[0, 0, 0, 1],
+                          phases=[0.0, np.pi, 0.0, np.pi])
+
     def test_origin_ring_accepted(self):
         c = Constellation(family="x", order=5,
                           ring_amps=[0.0, np.sqrt(1.25)],

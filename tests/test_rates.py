@@ -370,6 +370,3 @@ class TestChannelSpec:
             ChannelSpec(-1.0)
         with pytest.raises(ValueError):
             ChannelSpec(float("inf"))
-
-    def test_snr_property(self):
-        assert ChannelSpec(0.01).snr_db == pytest.approx(20.0)

@@ -3,9 +3,10 @@
 Every piece is the code ``run_mba`` runs.  The ring-folded update is
 compared with the per-point exponential-family update, the warm-started
 match is compared with the cold one, the ring-table integrals are compared
-with a per-point (Q, M) oracle, the posterior inside them with a
-hand-computed Bayes rule, and the Monte-Carlo integrals are validated
-against Gauss-Hermite quadrature.  End-to-end runs are pinned to the cases
+with a per-point (Q, M) oracle, the one-pass ring tables with a two-pass
+whole-table build (and the solves run on each), the posterior inside them
+with a hand-computed Bayes rule, and the Monte-Carlo integrals are
+validated against Gauss-Hermite quadrature.  End-to-end runs are pinned to the cases
 with independently known answers: the uniform fourth moment must return the
 uniform distribution, the lower endpoint must collapse to the unit-power
 rings, and the objective trace must never decrease.
@@ -35,7 +36,9 @@ from ofdmpcs import (
 from ofdmpcs.shaping import (RESIDUAL_TOL, match_ring_masses,
                              ring_system as moment_rows)
 from ofdmpcs.rates import logsumexp
-from ofdmpcs.shaping_ba import EXIT_RESIDUAL_TOL, ring_integrals, ring_tables
+from ofdmpcs.seeds import derive_seed
+from ofdmpcs.shaping_ba import (EXIT_RESIDUAL_TOL, RingTables, ring_integrals,
+                                 ring_tables)
 
 
 def ring_system(c):
@@ -74,7 +77,9 @@ def per_point_integrals(c, mass, y, sigma2):
 
 
 def whole_ring_tables(c, y, sigma2):
-    """Oracle: the ring tables from each ring's whole (points, M) table."""
+    """Oracle: the ring tables in two passes over each ring's whole
+    (points, M) table, the per-point weights formed once the uniform
+    mixture is known and averaged point by point."""
     rings = [c.points[c.ring_index == w] for w in range(c.n_rings)]
 
     def loglik(pts):
@@ -87,7 +92,9 @@ def whole_ring_tables(c, y, sigma2):
     weight = np.stack([w.mean(axis=0) for w in weights])
     weighted = np.array([np.mean(w * loglik(pts))
                          for w, pts in zip(weights, rings)])
-    return log_lik, weight, weight.mean(axis=1), weighted
+    return RingTables(counts=c.ring_counts.astype(float), log_lik=log_lik,
+                      weight=weight, weight_mean=weight.mean(axis=1),
+                      weighted_log_lik=weighted)
 
 
 def uniform_samples(c, sigma2, n, seed):
@@ -173,16 +180,50 @@ class TestRingTables:
                                                 (256, 0.02, 1025)])
     def test_blocks_are_bitwise_the_whole_table(self, monkeypatch, order,
                                                 sigma2, m, block):
-        # at 1025 samples a block of 1024 would leave a one-sample block,
-        # which numpy sums pairwise: the blocks are split evenly instead
-        if block is not None:
-            monkeypatch.setattr(shaping_ba, "_BLOCK_SAMPLES", block)
+        # every blocked build is bitwise the one-block build; at 1025
+        # samples a block of 1024 would leave a one-sample block, which
+        # numpy sums pairwise: the blocks are split evenly instead
         c = make_constellation("qam", order)
         y = uniform_samples(c, sigma2, m, seed=order)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(shaping_ba, "_BLOCK_SAMPLES", m)
+            whole = ring_tables(c, y, sigma2)
+        if block is not None:
+            monkeypatch.setattr(shaping_ba, "_BLOCK_SAMPLES", block)
         t = ring_tables(c, y, sigma2)
-        got = (t.log_lik, t.weight, t.weight_mean, t.weighted_log_lik)
-        for g, w in zip(got, whole_ring_tables(c, y, sigma2)):
-            assert g.tobytes() == w.tobytes()
+        oracle = whole_ring_tables(c, y, sigma2)
+        for field in ("log_lik", "weight", "weight_mean",
+                      "weighted_log_lik"):
+            got = getattr(t, field)
+            assert got.tobytes() == getattr(whole, field).tobytes(), field
+            np.testing.assert_allclose(got, getattr(oracle, field),
+                                       rtol=1e-13, err_msg=field)
+
+    @pytest.mark.parametrize("order,m", [(16, 2500), (256, 1025)])
+    def test_each_ring_block_evaluated_once(self, monkeypatch, order, m):
+        # one likelihood table per (ring, block): the weights are read off
+        # the ring log-likelihoods, not recomputed point by point
+        calls = []
+        log_likelihood = shaping_ba._log_likelihood
+        monkeypatch.setattr(shaping_ba, "_log_likelihood",
+                            lambda *a: calls.append(a) or log_likelihood(*a))
+        c = make_constellation("qam", order)
+        ring_tables(c, uniform_samples(c, 0.05, m, seed=1), 0.05)
+        n_blocks = -(-m // shaping_ba._BLOCK_SAMPLES)
+        assert len(calls) == c.n_rings * n_blocks
+
+    def test_build_memory_is_bounded(self, qam16):
+        # one block of likelihoods per ring and the W x M tables
+        sigma2 = 0.05
+        y = uniform_samples(qam16, sigma2, 10_000, seed=2)
+        ring_tables(qam16, y, sigma2)                   # warm the imports
+        tracemalloc.start()
+        try:
+            ring_tables(qam16, y, sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_run_mba_memory_is_bounded(self, qam16):
         # one block of likelihoods per ring is held, not a (points, M)
@@ -196,6 +237,25 @@ class TestRingTables:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("order,sigma2,c0,n_mc", [
+        (64, 0.05, 1.2, 2000), (64, 0.05, 1.3, 2000), (64, 0.05, 1.4, 2000),
+        (256, 0.01, 1.2, 1000)])
+    def test_run_mba_as_on_two_pass_tables(self, monkeypatch, order, sigma2,
+                                           c0, n_mc):
+        # the tight-stop solves the shaper benchmark runs, with the seeds
+        # the CLI derives for them: on the two-pass oracle's tables the
+        # iteration stops at the same step on the same masses
+        c = make_constellation("qam", order)
+        cfg = MBAConfig(c0=c0, noise_power=sigma2, n_mc=n_mc, outer_tol=1e-9)
+        seed = derive_seed(0, f"shape[{c0:.9g}]")
+        shipped = run_mba(c, cfg, seed=seed)
+        monkeypatch.setattr(shaping_ba, "ring_tables", whole_ring_tables)
+        oracle = run_mba(c, cfg, seed=seed)
+        assert shipped.converged and oracle.converged
+        assert shipped.iterations == oracle.iterations
+        np.testing.assert_allclose(shipped.ring_mass, oracle.ring_mass,
+                                   rtol=0, atol=1e-12)
 
 
 class TestPosterior:
