@@ -80,14 +80,6 @@ class AFGrid:
         if self.values.shape != (len(self.tau_axis), len(self.nu_axis)):
             raise ValueError("values shape does not match the axes")
 
-    def to_csv(self, path) -> None:
-        """Write ``tau,nu,value_db`` rows, 9 significant digits, LF endings."""
-        with open(path, "w", newline="") as fh:
-            fh.write("tau,nu,value_db\n")
-            for i, t in enumerate(self.tau_axis):
-                for j, v in enumerate(self.nu_axis):
-                    fh.write(f"{t:.9g},{v:.9g},{self.values[i, j]:.9g}\n")
-
 
 # ---------------------------------------------------------------------------
 # sampling

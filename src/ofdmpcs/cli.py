@@ -17,15 +17,21 @@ purpose string).  ``af`` draws
 nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
 var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
 through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
-units of T_p and of the subcarrier spacing, as the key names say.  Exit
+units of T_p and of the subcarrier spacing, as the key names say.
+``[channel] sigma2`` is read only where a shaper runs: by ``shape``,
+``tradeoff`` and ``lut-export``, and by ``air``, ``af`` and ``detect``
+under ``--c0``.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numerical
 non-convergence.
 
-This module owns three decisions the library leaves to its caller.  It
-clamps out-of-range moment targets to the feasible range and says so on
-stderr (the solvers reject them).  It scores both solvers' inputs with
-one rate estimate, one seed and one sample count.  And it builds the
-look-up table.
+This module is the package's one boundary.  It alone turns INI keys into
+library objects, and it passes a key only when the config sets it, so a
+key left out takes the library's own default.  It alone writes artifacts,
+through one writer: every CSV value is ``{:.9g}``.  And it owns three
+decisions the library leaves to its caller.  It clamps out-of-range
+moment targets to the feasible range and says so on stderr (the solvers
+reject them).  It scores both solvers' inputs with one rate estimate, one
+seed and one sample count.  And it builds the look-up table.
 
 This module imports only the standard library; each command imports the
 layers it runs when it runs, so ``af`` or ``detect`` never loads the
@@ -92,8 +98,29 @@ def _get(cp, section, key, conv, default=None):
     return value
 
 
-def _sigma2(cp, default=None) -> float:
-    sigma2 = _get(cp, "channel", "sigma2", float, default)
+def _given(cp, section, keys) -> dict:
+    """``{key: value}`` for each key of ``keys`` (key -> converter) that
+    ``[section]`` sets; a key it leaves out takes the library's default."""
+    return {key: _get(cp, section, key, conv) for key, conv in keys.items()
+            if cp.has_option(section, key)}
+
+
+def _n_mc(cp, section, key, minimum) -> dict:
+    """``{"n_mc": [section] key}`` when the config sets it, else ``{}``.
+
+    A set count must reach ``minimum``, the smallest its consumer accepts.
+    """
+    if not cp.has_option(section, key):
+        return {}
+    n_mc = _get(cp, section, key, int)
+    if n_mc < minimum:
+        raise ConfigError(f"[{section}] {key} must be at least {minimum}, "
+                          f"got {n_mc}")
+    return {"n_mc": n_mc}
+
+
+def _sigma2(cp) -> float:
+    sigma2 = _get(cp, "channel", "sigma2", float)
     if sigma2 <= 0:
         raise ConfigError(f"[channel] sigma2 must be positive, got {sigma2!r}")
     return sigma2
@@ -131,9 +158,9 @@ def _build_ofdm(cp) -> OFDMConfig:
     try:
         return OFDMConfig(
             n_subcarriers=_get(cp, "ofdm", "n_subcarriers", int, 64),
-            subcarrier_spacing=_get(cp, "ofdm", "subcarrier_spacing", float, 1.0),
-            symbol_duration=_get(cp, "ofdm", "symbol_duration", float, 1.0),
-            n_symbols=_get(cp, "ofdm", "n_symbols", int, 1))
+            **_given(cp, "ofdm", {"subcarrier_spacing": float,
+                                  "symbol_duration": float,
+                                  "n_symbols": int}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -141,42 +168,30 @@ def _build_ofdm(cp) -> OFDMConfig:
 def _master_seed(cp, args) -> int:
     if args.seed is not None:
         return args.seed
-    return _get(cp, "run", "seed", int, 0) if cp.has_section("run") else 0
+    return _get(cp, "run", "seed", int, 0)
 
 
 def _out_dir(cp, args) -> str:
     out = args.out
-    if out is None and cp.has_section("run"):
+    if out is None:
         out = _get(cp, "run", "out_dir", str, ".")
     out = out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _n_mc(cp, args, section, default, minimum=1) -> int:
-    """``[section] n_mc``, or ``--n-mc`` when given and it sets this key:
-    ``[channel]`` (the rate curve) for ``air``, ``[shaping]`` (the shaper)
-    for every other command.  At least ``minimum``, the smallest sample
-    count its consumer accepts."""
-    flag_section = "channel" if args.command == "air" else "shaping"
-    if args.n_mc is not None and section == flag_section:
-        n_mc, name = args.n_mc, "--n-mc"
-    else:
-        n_mc = _get(cp, section, "n_mc", int, default)
-        name = f"[{section}] n_mc"
-    if n_mc < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {n_mc}")
-    return n_mc
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write one artifact, LF line endings, and say so on stdout."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
-def _air_n_mc(cp) -> int:
-    from .rates import MIN_MI_SAMPLES
-
-    n_mc = _get(cp, "shaping", "air_n_mc", int, 100_000)
-    if n_mc < MIN_MI_SAMPLES:
-        raise ConfigError(f"[shaping] air_n_mc must be >= {MIN_MI_SAMPLES} "
-                          f"for a usable standard error, got {n_mc}")
-    return n_mc
+def _csv(header: str, rows) -> str:
+    """CSV text: ``header``, then one line per row, every value ``{:.9g}``."""
+    lines = [header] + [",".join(f"{v:.9g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _clamp_c0(c: Constellation, c0: float) -> float:
@@ -192,37 +207,37 @@ def _clamp_c0(c: Constellation, c0: float) -> float:
     return float(c0)
 
 
-def _shaped_distribution(c, cp, args, sigma2, seed) -> Distribution:
+def _shaped_distribution(c, cp, args, seed) -> Distribution:
     """Uniform unless --c0 given; then shape by the selected method."""
     from .constellation import Distribution
 
     if args.c0 is None:
         return Distribution.uniform(c)
-    res = _solve_one(c, cp, args, args.method, float(args.c0), sigma2, seed,
+    res = _solve_one(c, cp, args.method, float(args.c0), _sigma2(cp), seed,
                      with_air=False)
     return res.distribution
 
 
-def _mba_config(cp, args, c0, sigma2) -> MBAConfig:
+def _mba_config(cp, c0, sigma2) -> MBAConfig:
     from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig
 
     return MBAConfig(
         c0=c0, noise_power=sigma2,
-        n_mc=_n_mc(cp, args, "shaping", 10_000, MIN_UPDATE_SAMPLES),
-        outer_tol=_get(cp, "shaping", "outer_tol", float, 1e-5),
-        max_outer=_get(cp, "shaping", "max_outer", int, 300))
+        **_n_mc(cp, "shaping", "n_mc", MIN_UPDATE_SAMPLES),
+        **_given(cp, "shaping", {"outer_tol": float, "max_outer": int}))
 
 
-def _solve_one(c, cp, args, method, c0, sigma2, master_seed,
+def _solve_one(c, cp, method, c0, sigma2, master_seed,
                with_air=True) -> ShapingResult:
     """One shaping solve at c0 with a per-c0 sub-seed (composition-stable).
 
     c0 is clamped here; ``with_air`` scores the input by its rate, one
     estimate with the same draw and sample count for either method.
     """
+    from .rates import MIN_MI_SAMPLES, ChannelSpec, mutual_information
     from .seeds import derive_seed
 
-    air_n_mc = _air_n_mc(cp)
+    air_n_mc = _n_mc(cp, "shaping", "air_n_mc", MIN_MI_SAMPLES)
     c0 = _clamp_c0(c, c0)
     sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
     if method == "heuristic":
@@ -232,14 +247,12 @@ def _solve_one(c, cp, args, method, c0, sigma2, master_seed,
     else:
         from .shaping_ba import run_mba
 
-        res = run_mba(c, _mba_config(cp, args, c0, sigma2), seed=sub_seed)
+        res = run_mba(c, _mba_config(cp, c0, sigma2), seed=sub_seed)
     if with_air:
-        from .rates import ChannelSpec, mutual_information
-
         # the purpose keeps the name it had when run_mba drew it: a new
         # name would move every rate byte
         air = mutual_information(c, res.distribution, ChannelSpec(sigma2),
-                                 n_mc=air_n_mc,
+                                 **air_n_mc,
                                  seed=derive_seed(sub_seed, "mba-air"))
         res.air_bits = float(air.mi_bits)
     return res
@@ -254,29 +267,38 @@ def cmd_shape(cp, args) -> int:
     sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
     seed = _master_seed(cp, args)
-    res = _solve_one(c, cp, args, args.method, float(c0), sigma2, seed)
-    out = os.path.join(_out_dir(cp, args), f"shape_{args.method}.json")
-    with open(out, "w", newline="") as fh:
-        fh.write(res.to_json() + "\n")
-    print(f"wrote {out}")
+    res = _solve_one(c, cp, args.method, float(c0), sigma2, seed)
+    payload = {
+        "c0": res.c0,
+        "lambda": None if res.multipliers is None else list(res.multipliers),
+        "ring_mass": [float(v) for v in res.ring_mass],
+        "air_bits": res.air_bits,
+        "converged": bool(res.converged),
+        "iters": int(res.iterations),
+        "trace": [float(v) for v in res.trace]}
+    if res.method != "optimal":         # no multipliers; tagged instead
+        del payload["lambda"]
+        payload["method"] = res.method
+    _write(_out_dir(cp, args), f"shape_{args.method}.json",
+           json.dumps(payload, separators=(", ", ": ")) + "\n")
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
 
 def cmd_air(cp, args) -> int:
-    from .rates import MIN_MI_SAMPLES, rate_curve, rate_curve_csv
+    from .rates import MIN_MI_SAMPLES, rate_curve
     from .seeds import derive_seed
 
     c = _build_constellation(cp)
     seed = _master_seed(cp, args)
     snrs = _ladder(cp, "channel", "snr_db")
-    sigma2_ref = _sigma2(cp, 0.01)
-    n_mc = _n_mc(cp, args, "channel", 100_000, MIN_MI_SAMPLES)
-    d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
-    estimates = rate_curve(c, d, snrs, n_mc=n_mc,
+    n_mc = _n_mc(cp, "channel", "n_mc", MIN_MI_SAMPLES)
+    d = _shaped_distribution(c, cp, args, seed)
+    estimates = rate_curve(c, d, snrs, **n_mc,
                            seed=derive_seed(seed, "air-curve"))
-    out = os.path.join(_out_dir(cp, args), "air_curve.csv")
-    rate_curve_csv(out, snrs, estimates)
-    print(f"wrote {out}")
+    _write(_out_dir(cp, args), "air_curve.csv",
+           _csv("snr_db,mi_bits,std_err",
+                ((s, e.mi_bits, e.std_error)
+                 for s, e in zip(snrs, estimates))))
     return EXIT_OK
 
 
@@ -287,13 +309,12 @@ def cmd_af(cp, args) -> int:
 
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
-    sigma2_ref = _sigma2(cp, 0.01)
     sizes = {key: _get(cp, "af", key, int, default)
              for key, default in (("n_tau", 33), ("n_nu", 1))}
     for key, n in sizes.items():
         if n < 1:
             raise ConfigError(f"[af] {key} must be at least 1, got {n}")
-    d = _shaped_distribution(c, cp, args, sigma2_ref, _master_seed(cp, args))
+    d = _shaped_distribution(c, cp, args, _master_seed(cp, args))
     tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0),
                       _get(cp, "af", "tau_max_tp", float, 0.5),
                       sizes["n_tau"])
@@ -303,38 +324,31 @@ def cmd_af(cp, args) -> int:
     out_dir = _out_dir(cp, args)
 
     grid, _ = exact_af(c, d, cfg, tau, nu)
-    grid_path = os.path.join(out_dir, "af_grid.csv")
-    grid.to_csv(grid_path)
+    _write(out_dir, "af_grid.csv",
+           _csv("tau,nu,value_db",
+                ((t, v, grid.values[i, j]) for i, t in enumerate(tau)
+                 for j, v in enumerate(nu))))
 
     zero, moments = exact_af(c, d, cfg, tau, [0.0])
-    slice_path = os.path.join(out_dir, "af_slice.csv")
-    lines = ["tau,value_db,var_self,var_cross"]
-    for i, t in enumerate(tau):
-        mom = moments[i][0]
-        lines.append(f"{t:.9g},{zero.values[i, 0]:.9g},"
-                     f"{mom.var_self:.9g},{mom.var_cross:.9g}")
-    with open(slice_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {grid_path}")
-    print(f"wrote {slice_path}")
+    _write(out_dir, "af_slice.csv",
+           _csv("tau,value_db,var_self,var_cross",
+                ((t, zero.values[i, 0], moments[i][0].var_self,
+                  moments[i][0].var_cross) for i, t in enumerate(tau))))
     return EXIT_OK
 
 
-def _scenario(cp, c, d, cfg, snr_db=None) -> DetectionScenario:
+def _scenario(cp, c, d, cfg) -> DetectionScenario:
     from .detection import DetectionScenario
 
+    fields = _given(cp, "detection", {
+        "sensing_snr_db": float, "target_cell": int, "si_cell": int,
+        "si_to_noise_db": float, "p_fa": float, "n_trials": int,
+        "ref_cells": int, "guard_cells": int})
+    if "sensing_snr_db" in fields:
+        fields["snr_db"] = fields.pop("sensing_snr_db")
     try:
-        return DetectionScenario(
-            constellation=c, distribution=d, cfg=cfg,
-            snr_db=snr_db if snr_db is not None
-            else _get(cp, "detection", "sensing_snr_db", float, 10.0),
-            target_cell=_get(cp, "detection", "target_cell", int, 8),
-            si_cell=_get(cp, "detection", "si_cell", int, 0),
-            si_to_noise_db=_get(cp, "detection", "si_to_noise_db", float, 10.0),
-            p_fa=_get(cp, "detection", "p_fa", float, 1e-4),
-            n_trials=_get(cp, "detection", "n_trials", int, 5000),
-            ref_cells=_get(cp, "detection", "ref_cells", int, 16),
-            guard_cells=_get(cp, "detection", "guard_cells", int, 2))
+        return DetectionScenario(constellation=c, distribution=d, cfg=cfg,
+                                 **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -346,14 +360,13 @@ def cmd_detect(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
-    sigma2_ref = _sigma2(cp, 0.01)
-    d = _shaped_distribution(c, cp, args, sigma2_ref, seed)
+    d = _shaped_distribution(c, cp, args, seed)
     sc = _scenario(cp, c, d, cfg)
     snrs = _ladder(cp, "detection", "snr_db")
     curve = pd_curve(sc, snrs, seed=derive_seed(seed, "detect"))
-    out = os.path.join(_out_dir(cp, args), "pd_curve.csv")
-    curve.to_csv(out)
-    print(f"wrote {out}")
+    _write(_out_dir(cp, args), "pd_curve.csv",
+           _csv("snr_db,pd,ci_lo,ci_hi",
+                zip(curve.snr_db, curve.pd, curve.ci_lo, curve.ci_hi)))
     return EXIT_OK
 
 
@@ -365,12 +378,6 @@ def _lut_entry(res: ShapingResult, sigma2: float) -> dict:
         "air_bits": None if res.air_bits is None else float(res.air_bits),
         "method": res.method,
     }
-
-
-def _write_lut(path: str, entries: list[dict]) -> None:
-    entries = sorted(entries, key=lambda e: e["c0"])
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(entries, indent=2) + "\n")
 
 
 def _c0_sweep(cp, c: Constellation) -> np.ndarray:
@@ -392,7 +399,7 @@ def _c0_sweep(cp, c: Constellation) -> np.ndarray:
 
 
 def cmd_tradeoff(cp, args) -> int:
-    from .detection import calibrate_so_cfar, pd_curve
+    from .detection import pd_curve
     from .seeds import derive_seed
 
     c = _build_constellation(cp)
@@ -406,35 +413,26 @@ def cmd_tradeoff(cp, args) -> int:
     rows = []
     lut = []
     for c0 in sweep:
-        opt = _solve_one(c, cp, args, "optimal", float(c0), sigma2, seed)
-        heur = _solve_one(c, cp, args, "heuristic", float(c0), sigma2, seed)
+        opt = _solve_one(c, cp, "optimal", float(c0), sigma2, seed)
+        heur = _solve_one(c, cp, "heuristic", float(c0), sigma2, seed)
         all_converged = all_converged and opt.converged and heur.converged
 
         sc = _scenario(cp, c, opt.distribution, cfg)
-        pd_seed = derive_seed(seed, f"pd[{float(c0):.9g}]")
-        alpha = calibrate_so_cfar(sc, seed=pd_seed)
-        curve = pd_curve(sc, [sc.snr_db], seed=pd_seed, alpha=alpha)
-
-        masses = ",".join(f"{m:.9g}" for m in opt.ring_mass)
-        rows.append(f"{opt.c0:.9g},{opt.air_bits:.9g},{heur.air_bits:.9g},"
-                    f"{curve.pd[0]:.9g},{masses}")
+        curve = pd_curve(sc, [sc.snr_db],
+                         seed=derive_seed(seed, f"pd[{float(c0):.9g}]"))
+        rows.append((opt.c0, opt.air_bits, heur.air_bits, curve.pd[0],
+                     *opt.ring_mass))
         lut.append(_lut_entry(opt, sigma2))
 
     mass_cols = ",".join(f"mass_{w}" for w in range(c.n_rings))
-    csv_path = os.path.join(out_dir, "tradeoff.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"c0,air_optimal,air_heuristic,pd,{mass_cols}\n")
-        fh.write("\n".join(rows) + "\n")
-    lut_path = os.path.join(out_dir, "lut.json")
-    _write_lut(lut_path, lut)
-    print(f"wrote {csv_path}")
-    print(f"wrote {lut_path}")
+    _write(out_dir, "tradeoff.csv",
+           _csv(f"c0,air_optimal,air_heuristic,pd,{mass_cols}", rows))
+    _write(out_dir, "lut.json", json.dumps(lut, indent=2) + "\n")
     return EXIT_OK if all_converged else EXIT_NONCONVERGED
 
 
 def cmd_lut_export(cp, args) -> int:
     out_dir = _out_dir(cp, args)
-    lut_path = os.path.join(out_dir, "lut.json")
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     seed = _master_seed(cp, args)
@@ -442,11 +440,10 @@ def cmd_lut_export(cp, args) -> int:
     entries = []
     all_converged = True
     for c0 in sweep:
-        res = _solve_one(c, cp, args, args.method, float(c0), sigma2, seed)
+        res = _solve_one(c, cp, args.method, float(c0), sigma2, seed)
         all_converged = all_converged and res.converged
         entries.append(_lut_entry(res, sigma2))
-    _write_lut(lut_path, entries)
-    print(f"wrote {lut_path}")
+    _write(out_dir, "lut.json", json.dumps(entries, indent=2) + "\n")
     return EXIT_OK if all_converged else EXIT_NONCONVERGED
 
 
@@ -457,18 +454,17 @@ def cmd_lut_export(cp, args) -> int:
 # each command with the flags it reads beyond --config, --seed and --out;
 # argparse rejects any other
 _COMMANDS = {
-    "shape": (cmd_shape, ("--method", "--c0", "--n-mc")),
-    "air": (cmd_air, ("--method", "--c0", "--n-mc")),
-    "af": (cmd_af, ("--method", "--c0", "--n-mc")),
-    "detect": (cmd_detect, ("--method", "--c0", "--n-mc")),
-    "tradeoff": (cmd_tradeoff, ("--n-mc",)),
-    "lut-export": (cmd_lut_export, ("--method", "--n-mc")),
+    "shape": (cmd_shape, ("--method", "--c0")),
+    "air": (cmd_air, ("--method", "--c0")),
+    "af": (cmd_af, ("--method", "--c0")),
+    "detect": (cmd_detect, ("--method", "--c0")),
+    "tradeoff": (cmd_tradeoff, ()),
+    "lut-export": (cmd_lut_export, ("--method",)),
 }
 _FLAGS = {
     # None until _check_flags has seen whether it was given; then "optimal"
     "--method": dict(choices=("optimal", "heuristic"), default=None),
     "--c0": dict(type=float, default=None),
-    "--n-mc": dict(type=int, default=None, dest="n_mc"),
 }
 
 
@@ -491,23 +487,16 @@ def _check_flags(args) -> None:
     """Reject a flag that its command accepts but these flags leave unread.
 
     ``air``, ``af`` and ``detect`` shape an input only under ``--c0``, so
-    they read ``--method`` only with it; ``af`` and ``detect`` read
-    ``--n-mc`` only as the optimal shaper's sample count.  Then
-    ``--method`` takes its default.
+    they read ``--method`` only with it.  Then ``--method`` takes its
+    default.
     """
     c0 = getattr(args, "c0", None)            # tradeoff/lut-export: no --c0
     method = getattr(args, "method", None)    # tradeoff: no --method
     if c0 is not None and not math.isfinite(c0):
         raise ConfigError(f"--c0 must be a finite number, got {c0!r}")
-    if args.n_mc is not None and args.n_mc < 1:
-        raise ConfigError(f"--n-mc must be at least 1, got {args.n_mc}")
-    if args.command in ("air", "af", "detect"):
-        if c0 is None and method is not None:
-            raise ConfigError(f"{args.command} reads --method only with --c0")
-        if (args.command != "air" and args.n_mc is not None
-                and (c0 is None or method == "heuristic")):
-            raise ConfigError(f"{args.command} reads --n-mc only with --c0 "
-                              "and --method optimal")
+    if (args.command in ("air", "af", "detect") and c0 is None
+            and method is not None):
+        raise ConfigError(f"{args.command} reads --method only with --c0")
     if "method" in args and method is None:
         args.method = "optimal"
 

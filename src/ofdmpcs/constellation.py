@@ -100,10 +100,6 @@ class Constellation:
     # -- derived views ------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        return self.order
-
-    @property
     def n_rings(self) -> int:
         return self.ring_amps.size
 
@@ -191,9 +187,9 @@ class Distribution:
 
     @classmethod
     def uniform(cls, c: Constellation) -> "Distribution":
-        per_point = np.full(c.size, 1.0 / c.size)
+        per_point = np.full(c.order, 1.0 / c.order)
         return cls(per_point=per_point,
-                   ring_mass=c.ring_counts / float(c.size))
+                   ring_mass=c.ring_counts / float(c.order))
 
     @classmethod
     def from_ring_mass(cls, c: Constellation, masses) -> "Distribution":

@@ -336,13 +336,6 @@ class PdCurve:
     alpha: float
     n_trials: int
 
-    def to_csv(self, path) -> None:
-        lines = ["snr_db,pd,ci_lo,ci_hi"]
-        for s, p, lo, hi in zip(self.snr_db, self.pd, self.ci_lo, self.ci_hi):
-            lines.append(f"{s:.9g},{p:.9g},{lo:.9g},{hi:.9g}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def detection_probability(sc: DetectionScenario, alpha: float,
                           seed: int = 0) -> tuple[float, float, float]:
@@ -364,20 +357,18 @@ def detection_probability(sc: DetectionScenario, alpha: float,
     return hits / sc.n_trials, lo, hi
 
 
-def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0,
-             alpha: float | None = None) -> PdCurve:
+def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
     """Detection probability versus sensing SNR.
 
-    Calibrates alpha from the same master seed when not supplied; each curve
-    point runs ``sc.n_trials`` independent trials under per-trial seeds
-    derived from (seed, point index, trial index), so the curve is bit-exact
+    Calibrates alpha from the same master seed; each curve point runs
+    ``sc.n_trials`` independent trials under per-trial seeds derived from
+    (seed, point index, trial index), so the curve is bit-exact
     reproducible and trivially parallelizable.
     """
     snrs = np.asarray(snr_db_values, dtype=float)
     if snrs.size == 0:
         raise ValueError("need at least one SNR point")
-    if alpha is None:
-        alpha = calibrate_so_cfar(sc, seed=seed)
+    alpha = calibrate_so_cfar(sc, seed=seed)
     pd = np.empty(snrs.size)
     lo = np.empty(snrs.size)
     hi = np.empty(snrs.size)

@@ -182,11 +182,3 @@ def rate_curve(c: Constellation, d: Distribution, snr_db_values,
         spec = ChannelSpec(noise_power=10.0 ** (-float(snr_db) / 10.0))
         out.append(mutual_information(c, d, spec, n_mc=n_mc, seed=seed + k))
     return out
-
-
-def rate_curve_csv(path, snr_db_values, estimates) -> None:
-    """Write ``snr_db,mi_bits,std_err`` rows, 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("snr_db,mi_bits,std_err\n")
-        for snr_db, est in zip(snr_db_values, estimates):
-            fh.write(f"{snr_db:.9g},{est.mi_bits:.9g},{est.std_error:.9g}\n")

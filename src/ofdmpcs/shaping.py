@@ -35,7 +35,6 @@ pages in none of its code or buffers.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -77,20 +76,6 @@ class ShapingResult:
     air_bits: float | None = None
     multipliers: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        payload = {"c0": self.c0}
-        if self.method == "optimal":
-            payload["lambda"] = (None if self.multipliers is None
-                                 else list(self.multipliers))
-        payload["ring_mass"] = [float(v) for v in self.ring_mass]
-        payload["air_bits"] = self.air_bits
-        payload["converged"] = bool(self.converged)
-        payload["iters"] = int(self.iterations)
-        payload["trace"] = [float(v) for v in self.trace]
-        if self.method != "optimal":
-            payload["method"] = self.method
-        return json.dumps(payload, separators=(", ", ": "))
 
 
 def ring_system(c: Constellation, c0: float) -> RingSystem:

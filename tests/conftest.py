@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,26 @@ def ofdm64():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cli_artifacts(tmp_path):
+    """Run one command of the CLI on INI text; returns its output directory.
+
+    Each call writes its config and its artifacts to a directory of its own.
+    """
+    from ofdmpcs.cli import EXIT_OK, main
+
+    runs = itertools.count()
+
+    def run(ini, command, *flags):
+        work = tmp_path / f"run{next(runs)}"
+        work.mkdir()
+        config = work / "exp.ini"
+        config.write_text(ini)
+        out = work / "out"
+        assert main([command, "--config", str(config), "--out", str(out),
+                     *flags]) == EXIT_OK
+        return out
+
+    return run

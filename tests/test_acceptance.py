@@ -268,7 +268,7 @@ def test_criterion_08_newton_vs_dense_grid(announce):
     rng = np.random.default_rng(derive_seed(2024, "criterion8"))
     p0 = Distribution.uniform(QAM16)
     n = 20_000
-    idx = rng.choice(QAM16.size, size=n, p=p0.per_point)
+    idx = rng.choice(QAM16.order, size=n, p=p0.per_point)
     noise = np.sqrt(sigma2 / 2.0) * (rng.normal(size=n)
                                      + 1j * rng.normal(size=n))
     samples = QAM16.points[idx] + noise

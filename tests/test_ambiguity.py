@@ -90,7 +90,7 @@ def oracle_simpson(x: np.ndarray, cfg: OFDMConfig, tau: float, nu: float,
 
 def _random_symbols(c, cfg, seed):
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, c.size, size=(cfg.n_symbols, cfg.n_subcarriers))
+    idx = rng.integers(0, c.order, size=(cfg.n_symbols, cfg.n_subcarriers))
     return c.points[idx]
 
 
@@ -371,7 +371,7 @@ def _split_samples(c, d, cfg, tau, nu, n_mc, seed):
     nl = cfg.n_symbols * cfg.n_subcarriers
     for m in range(n_mc):
         rng = np.random.default_rng(trial_seed(seed, m))
-        x = c.points[rng.choice(c.size, size=nl, p=p)]
+        x = c.points[rng.choice(c.order, size=nl, p=p)]
         selfs[m], crosses[m] = af_components(x, cfg, tau, nu)
     return selfs, crosses
 
@@ -414,18 +414,21 @@ class TestAverageGrid:
         assert g.values.max() == pytest.approx(0.0, abs=1e-12)
         assert g.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_csv_round_trip(self, qam16, uniform16, ofdm8, tmp_path):
-        g = average_af(qam16, uniform16, ofdm8, [0.0, 0.25], [0.0, 1.0],
-                       n_mc=16, seed=5)
-        path = tmp_path / "grid.csv"
-        g.to_csv(path)
-        text = path.read_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "tau,nu,value_db"
-        assert len(lines) == 1 + 4
-        row = lines[1].split(",")
-        assert float(row[0]) == 0.0 and float(row[1]) == 0.0
-        assert float(row[2]) == pytest.approx(g.values[0, 0], rel=1e-8)
+    def test_csv_round_trip(self, qam16, uniform16, ofdm8, cli_artifacts):
+        # the CLI's af_grid.csv holds exact_af's surface, tau-major, {:.9g}
+        out = cli_artifacts(
+            "[constellation]\nfamily = qam\norder = 16\n"
+            "[ofdm]\nn_subcarriers = 8\n"
+            "[af]\ntau_min_tp = 0.0\ntau_max_tp = 0.25\nn_tau = 2\n"
+            "nu_min_df = 0.0\nnu_max_df = 1.0\nn_nu = 2\n", "af")
+        g, _ = exact_af(qam16, uniform16, ofdm8, [0.0, 0.25], [0.0, 1.0])
+        lines = (out / "af_grid.csv").read_text().split("\n")
+        assert lines[0] == "tau,nu,value_db" and lines[-1] == ""
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
+        assert [row[:2] for row in rows] == [[0.0, 0.0], [0.0, 1.0],
+                                             [0.25, 0.0], [0.25, 1.0]]
+        np.testing.assert_allclose([row[2] for row in rows], g.values.ravel(),
+                                   rtol=1e-8, atol=1e-12)
 
     def test_empty_axes_rejected(self, qam16, uniform16, ofdm8):
         with pytest.raises(ValueError):

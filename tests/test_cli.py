@@ -7,14 +7,18 @@ entry point itself.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmpcs import rates, shaping, shaping_ba
+from ofdmpcs import cli, rates, shaping, shaping_ba
 from ofdmpcs.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
+
+README = Path(__file__).parents[1] / "README.md"
 
 BASE_CONFIG = """\
 [run]
@@ -163,42 +167,27 @@ class TestExitCodes:
         assert err.startswith("config error:") and "air_n_mc" in err, err
         assert not list(out.glob("shape_*.json"))
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_n_mc_flag_below_one_rejected(self, config, tmp_path, capsys,
-                                          value):
-        # 0 used to fall back to the config's n_mc and exit 0; a negative
-        # value exited 2 with a library message that did not name the flag
-        out = tmp_path / "o"
-        rc = run_cli("air", "--config", str(config), f"--n-mc={value}",
-                     "--out", str(out))
-        err = capsys.readouterr().err
-        assert rc == EXIT_CONFIG
-        assert err.startswith("config error:") and "--n-mc" in err, err
-        assert not (out / "air_curve.csv").exists()
-
-    @pytest.mark.parametrize("command,flags,old,new,name", [
-        ("shape", ("--n-mc", "50"), "", "", "--n-mc"),
-        ("air", ("--n-mc", "50"), "", "", "--n-mc"),
-        ("shape", (), "n_mc = 2000\nair_n_mc", "n_mc = 50\nair_n_mc",
+    @pytest.mark.parametrize("command,old,new,name", [
+        ("shape", "n_mc = 2000\nair_n_mc", "n_mc = 50\nair_n_mc",
          "[shaping] n_mc"),
-        ("air", (), "snr_db_step = 10\nn_mc = 2000",
+        ("air", "snr_db_step = 10\nn_mc = 2000",
          "snr_db_step = 10\nn_mc = 50", "[channel] n_mc"),
-    ], ids=["shape-flag", "air-flag", "shaping-key", "channel-key"])
+    ], ids=["shaping-key", "channel-key"])
     def test_n_mc_below_consumer_minimum_rejected(self, tmp_path, capsys,
-                                                  monkeypatch, command, flags,
-                                                  old, new, name):
+                                                  monkeypatch, command, old,
+                                                  new, name):
         # a count between 1 and the consumer's own minimum (100 for the
         # shaper's update integrals, 1000 for a rate) used to exit 2 with a
-        # library message naming neither the flag nor the key
+        # library message that did not name the key
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran")
 
         monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
         monkeypatch.setattr(rates, "rate_curve", no_solve)
         bad = tmp_path / "bad.ini"
-        bad.write_text(BASE_CONFIG.replace(old, new) if old else BASE_CONFIG)
+        bad.write_text(BASE_CONFIG.replace(old, new))
         out = tmp_path / "o"
-        rc = run_cli(command, "--config", str(bad), *flags, "--out", str(out))
+        rc = run_cli(command, "--config", str(bad), "--out", str(out))
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("config error:") and name in err, err
@@ -231,6 +220,60 @@ class TestExitCodes:
         assert "noise_power" not in err, err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["air", "af", "detect"])
+    def test_shaped_input_needs_sigma2(self, tmp_path, capsys, command):
+        # the shaper's noise power used to default to 0.01 here, and only
+        # here: shape, tradeoff and lut-export always required the key
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("sigma2 = 0.01\n", ""))
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(bad), "--c0", "1.2",
+                     "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == "config error: missing config key [channel] sigma2\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,artifact", [
+        ("air", "air_curve.csv"), ("af", "af_grid.csv"),
+        ("detect", "pd_curve.csv")])
+    def test_uniform_input_reads_no_sigma2(self, config, tmp_path, command,
+                                           artifact):
+        # no shaper runs, so no noise power is read: the bytes are those of
+        # a config with a valid one
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("sigma2 = 0.01", "sigma2 = -1"))
+        blobs = []
+        for path, name in ((bad, "bad"), (config, "good")):
+            out = tmp_path / name
+            assert run_cli(command, "--config", str(path),
+                           "--out", str(out)) == EXIT_OK
+            blobs.append((out / artifact).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_unset_keys_take_the_library_defaults(self, tmp_path,
+                                                  monkeypatch):
+        # the CLI passes a key only when the config sets it
+        seen = {}
+
+        def record_mba(c, cfg, seed):
+            seen["mba"] = cfg
+            return shaping.solve_heuristic(c, cfg.c0)
+
+        def record_mi(c, d, spec, **kwargs):
+            seen["mi"] = kwargs
+            return rates.MIEstimate(1.0, 0.0, 1000, spec.noise_power)
+
+        monkeypatch.setattr(shaping_ba, "run_mba", record_mba)
+        monkeypatch.setattr(rates, "mutual_information", record_mi)
+        sparse = tmp_path / "sparse.ini"
+        sparse.write_text(BASE_CONFIG.replace("n_mc = 2000\nair_n_mc = 2000\n",
+                                              ""))
+        assert run_cli("shape", "--config", str(sparse),
+                       "--out", str(tmp_path / "o")) == EXIT_OK
+        assert seen["mba"] == shaping_ba.MBAConfig(c0=1.2, noise_power=0.01)
+        assert "n_mc" not in seen["mi"]
+
     @pytest.mark.parametrize("key,line,value", [
         ("n_tau", "n_tau = 3", "-1"), ("n_nu", "n_nu = 2", "-2"),
         ("n_tau", "n_tau = 3", "0"), ("n_nu", "n_nu = 2", "0")])
@@ -250,10 +293,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag", [
         ("tradeoff", ("--c0", "1.2")), ("tradeoff", ("--method", "heuristic")),
         ("lut-export", ("--c0", "1.2")),
-    ], ids=["tradeoff-c0", "tradeoff-method", "lut-export-c0"])
+        *((command, ("--n-mc", "500")) for command in (
+            "shape", "air", "af", "detect", "tradeoff", "lut-export")),
+    ], ids=["tradeoff-c0", "tradeoff-method", "lut-export-c0", "shape-n-mc",
+            "air-n-mc", "af-n-mc", "detect-n-mc", "tradeoff-n-mc",
+            "lut-export-n-mc"])
     def test_flag_the_command_never_reads_rejected(self, config, tmp_path,
                                                    capsys, command, flag):
-        # each exited 0 as if the flag applied
+        # each exited 0 as if the flag applied; --n-mc set [channel] n_mc
+        # under air and [shaping] n_mc under every other command
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--config", str(config), *flag, "--out", str(out))
@@ -267,14 +315,7 @@ class TestExitCodes:
         ("air", ("--method", "heuristic"), "--method"),
         ("af", ("--method", "heuristic"), "--method"),
         ("detect", ("--method", "optimal"), "--method"),
-        ("af", ("--n-mc", "500"), "--n-mc"),
-        ("detect", ("--n-mc", "500"), "--n-mc"),
-        ("af", ("--c0", "1.2", "--method", "heuristic", "--n-mc", "500"),
-         "--n-mc"),
-        ("detect", ("--c0", "1.2", "--method", "heuristic", "--n-mc", "500"),
-         "--n-mc"),
-    ], ids=["air-method", "af-method", "detect-method", "af-n-mc",
-            "detect-n-mc", "af-heuristic-n-mc", "detect-heuristic-n-mc"])
+    ], ids=["air-method", "af-method", "detect-method"])
     def test_flag_left_unread_rejected(self, config, tmp_path, capsys,
                                        command, flags, name):
         # without --c0 the input is uniform and no shaper runs, and the
@@ -343,25 +384,6 @@ class TestAir:
         assert len(lines) == 4  # 0, 10, 20 dB
         rates = [float(line.split(",")[1]) for line in lines[1:]]
         assert rates[0] < rates[1] < rates[2]
-
-    def test_n_mc_flag_sets_only_the_curve_key(self, tmp_path):
-        # --n-mc also set the shaper's [shaping] n_mc; 64-QAM, because the
-        # 16-QAM shaped input is the same at every sample count
-        base = BASE_CONFIG.replace("order = 16", "order = 64").replace(
-            "n_mc = 2000\nair_n_mc", "n_mc = 500\nair_n_mc")
-        curves = []
-        for name, text, flags in [
-                ("flag", base.replace("snr_db_step = 10\nn_mc = 2000",
-                                      "snr_db_step = 10\nn_mc = 700"),
-                 ("--n-mc", "2000")),
-                ("key", base, ())]:
-            path = tmp_path / f"{name}.ini"
-            path.write_text(text)
-            out = tmp_path / name
-            assert run_cli("air", "--config", str(path), "--c0", "1.2", *flags,
-                           "--out", str(out)) == EXIT_OK
-            curves.append((out / "air_curve.csv").read_bytes())
-        assert curves[0] == curves[1]
 
 
 class TestAf:
@@ -699,3 +721,20 @@ class TestLazyImports:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_flag_table_is_the_parsers():
+    # README's "command | further flags" table, cell by cell, is the
+    # parser's: each command with the flags it takes beyond the common ones
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | further flags |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        _, commands, flags, _ = re.split(r"(?<!\\)\|", line)
+        names = tuple(f.split()[0] for f in re.findall(r"`([^`]+)`", flags)
+                      if f.startswith("--"))
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = names
+    assert table == {name: flags for name, (_, flags) in cli._COMMANDS.items()}

@@ -211,7 +211,7 @@ class TestDraw:
                 rng_got = np.random.default_rng(seed)
                 rng_want = np.random.default_rng(seed)
                 got = d.draw(rng_got, size)
-                want = rng_want.choice(c.size, size=size, p=p)
+                want = rng_want.choice(c.order, size=size, p=p)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
                 # both leave the generator at the same place in its stream

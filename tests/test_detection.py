@@ -240,17 +240,20 @@ class TestPdCurve:
         for pd, lo, hi in zip(curve.pd, curve.ci_lo, curve.ci_hi):
             assert 0.0 <= lo <= pd <= hi <= 1.0
 
-    def test_csv_format(self, uniform_scenario, tmp_path):
-        sc = replace(uniform_scenario, n_trials=100)
-        curve = pd_curve(sc, [12.0], seed=13)
-        path = tmp_path / "pd.csv"
-        curve.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "snr_db,pd,ci_lo,ci_hi"
-        assert len(lines) == 2
-        cols = lines[1].split(",")
-        assert float(cols[0]) == 12.0
-        assert float(cols[1]) == pytest.approx(curve.pd[0], rel=1e-8)
+    def test_csv_format(self, qam64, uniform64, ofdm64, cli_artifacts):
+        # the CLI's pd_curve.csv holds pd_curve's fields, {:.9g}; the keys
+        # the config leaves out take DetectionScenario's defaults
+        out = cli_artifacts(
+            "[run]\nseed = 13\n[constellation]\nfamily = qam\norder = 64\n"
+            "[detection]\np_fa = 1e-2\nn_trials = 100\n"
+            "snr_db_min = 12\nsnr_db_max = 14\nsnr_db_step = 2\n", "detect")
+        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2,
+                               n_trials=100)
+        curve = pd_curve(sc, [12.0, 14.0], seed=derive_seed(13, "detect"))
+        want = ["snr_db,pd,ci_lo,ci_hi"] + [
+            f"{s:.9g},{p:.9g},{lo:.9g},{hi:.9g}" for s, p, lo, hi in
+            zip(curve.snr_db, curve.pd, curve.ci_lo, curve.ci_hi)]
+        assert (out / "pd_curve.csv").read_text() == "\n".join(want) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,7 @@ def oracle_probs(sc):
 
 def oracle_simulate(sc, rng):
     length = sc.cfg.n_subcarriers
-    x = sc.constellation.points[rng.choice(sc.constellation.size,
+    x = sc.constellation.points[rng.choice(sc.constellation.order,
                                            size=length, p=oracle_probs(sc))]
     l_idx = np.arange(length)
     y = np.zeros(length, dtype=complex)
@@ -315,7 +318,7 @@ def oracle_ratios(sc, n_cells, rng, chunk):
     out = []
     for start in range(0, n_rows, chunk):
         rows = min(chunk, n_rows - start)
-        idx = rng.choice(sc.constellation.size, size=(rows, length),
+        idx = rng.choice(sc.constellation.order, size=(rows, length),
                          p=oracle_probs(sc))
         x = sc.constellation.points[idx]
         noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \

@@ -4,13 +4,15 @@ Checks over ``src/ofdmpcs``: every import a module makes is used in it;
 every module-level private (``_name``) function or class is referenced
 somewhere in the package beyond its own definition; every public one, and
 every public method of a public class, has a caller in the package or in
-``perfbench/``, or is a test oracle named in ``ORACLES``;
-``ofdmpcs.__all__`` is exactly the lazily exported names, none of them an
-oracle, and each resolves; every ``derive_seed`` purpose has one call site;
+``perfbench/``, or is a test oracle named in ``ORACLES``, and no public
+method shares its name with a member of another class, where an attribute
+read could not tell which one it calls; ``ofdmpcs.__all__`` is exactly the
+lazily exported names, none of them an oracle, and each resolves; every
+``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
 and no module references ``linalg``.  A deleted code path leaves no
 orphaned helper, dangling import or uncalled public function behind, no two
-code paths share a random stream by accident, and the shapers' closed-form
-solves stay off LAPACK.
+code paths share a random stream by accident, artifacts have one writer,
+and the shapers' closed-form solves stay off LAPACK.
 """
 from __future__ import annotations
 
@@ -92,6 +94,15 @@ def attribute_names(tree: ast.AST) -> set[str]:
             if isinstance(node, ast.Attribute)}
 
 
+def class_members(cls: ast.ClassDef) -> set[str]:
+    """The fields, methods and properties ``cls`` defines in its body."""
+    return {node.name if isinstance(node, ast.FunctionDef) else node.target.id
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            or (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name))}
+
+
 def test_public_definitions_have_a_caller():
     # a use inside the definition itself (recursion, say) is not a caller;
     # the benchmark names the functions it traces in strings
@@ -122,6 +133,20 @@ def test_public_definitions_have_a_caller():
         and not node.name.startswith("_") and node.name not in attributes
     ]
     assert not uncalled, f"public definitions no command runs: {uncalled}"
+    # ... but an attribute read credits every class with a member of that
+    # name, so a public method must have a name no other class uses
+    members = {cls.name: class_members(cls) for _, cls, _ in tops
+               if isinstance(cls, ast.ClassDef)}
+    shared = [
+        f"{name}:{cls.name}.{node.name}" for name, cls, _ in tops
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(node.name in names for other, names in members.items()
+                if other != cls.name)
+    ]
+    assert not shared, ("public methods named like a member of another "
+                        f"class: {shared}")
 
 
 def test_all_entries_resolve():
@@ -166,6 +191,18 @@ def test_each_seed_purpose_has_one_call_site():
     assert sites, "no derive_seed call found"
     shared = {p: s for p, s in sites.items() if len(s) > 1}
     assert not shared, f"purposes with more than one call site: {shared}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_opens_files(path):
+    # every artifact goes through the CLI's one writer
+    if path.name == "cli.py":
+        return
+    opens = [node.lineno for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) == "open")]
+    assert not opens, f"{path.name} calls open at lines {opens}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

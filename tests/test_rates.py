@@ -25,7 +25,8 @@ from ofdmpcs import (
 )
 from ofdmpcs import rates
 from ofdmpcs.constellation import entropy_bits
-from ofdmpcs.rates import log_probs, logsumexp, rate_curve_csv
+from ofdmpcs.rates import log_probs, logsumexp
+from ofdmpcs.seeds import derive_seed
 from ofdmpcs.shaping_ba import _log_likelihood
 
 LN2 = np.log(2.0)
@@ -45,7 +46,7 @@ def gh_mutual_information(c, d, sigma2, n_nodes=96):
     noise = s * (z[:, None] + 1j * z[None, :]).ravel()
     ww = (w[:, None] * w[None, :]).ravel()
     h_y = 0.0
-    for q in range(c.size):
+    for q in range(c.order):
         if d.per_point[q] == 0.0:
             continue
         y = c.points[q] + noise
@@ -67,7 +68,7 @@ class TestLogSumExp:
         d = Distribution.from_ring_mass(c, [0.3, 0.7, 0.0])
         with np.errstate(divide="ignore"):
             logp = np.log(d.per_point)
-        y = c.points[rng.integers(c.size, size=n)] \
+        y = c.points[rng.integers(c.order, size=n)] \
             + np.sqrt(sigma2 / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
         rates_table = logp[None, :] - np.abs(y[:, None] - c.points[None, :]) ** 2 / sigma2
         shaper_table = _log_likelihood(c.points, y, sigma2) + logp[:, None]
@@ -349,17 +350,19 @@ class TestAirAndCurves:
         ests = rate_curve(qam16, uniform16, [0.0, 10.0, 20.0], n_mc=20_000, seed=13)
         assert ests[0].mi_bits < ests[1].mi_bits < ests[2].mi_bits
 
-    def test_rate_curve_csv_format(self, qam16, uniform16, tmp_path):
-        snrs = [0.0, 12.5]
-        ests = rate_curve(qam16, uniform16, snrs, n_mc=1000, seed=14)
-        path = tmp_path / "curve.csv"
-        rate_curve_csv(path, snrs, ests)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "snr_db,mi_bits,std_err"
-        assert len(lines) == 3
-        cols = lines[2].split(",")
-        assert float(cols[0]) == 12.5
-        assert float(cols[1]) == pytest.approx(ests[1].mi_bits, rel=1e-8)
+    def test_rate_curve_csv_format(self, qam16, uniform16, cli_artifacts):
+        # the CLI's air_curve.csv holds rate_curve's estimates, {:.9g}; the
+        # uniform input needs no [channel] sigma2
+        out = cli_artifacts(
+            "[run]\nseed = 14\n[constellation]\nfamily = qam\norder = 16\n"
+            "[channel]\nsnr_db_min = 0\nsnr_db_max = 12.5\n"
+            "snr_db_step = 12.5\nn_mc = 1000\n", "air")
+        ests = rate_curve(qam16, uniform16, [0.0, 12.5], n_mc=1000,
+                          seed=derive_seed(14, "air-curve"))
+        assert (out / "air_curve.csv").read_text() == (
+            "snr_db,mi_bits,std_err\n"
+            + "".join(f"{s:.9g},{e.mi_bits:.9g},{e.std_error:.9g}\n"
+                      for s, e in zip([0.0, 12.5], ests)))
 
 
 class TestChannelSpec:

@@ -372,16 +372,21 @@ class TestRingSystem:
 
 
 class TestResultSerialization:
-    def test_heuristic_json_schema_and_stability(self, qam16):
+    def test_heuristic_json_schema_and_stability(self, cli_artifacts):
+        # the CLI's shape_heuristic.json: no multipliers, tagged last
         import json
 
-        r = solve_heuristic(qam16, 1.2)
-        blob = r.to_json()
+        ini = ("[constellation]\nfamily = qam\norder = 16\n"
+               "[channel]\nsigma2 = 0.01\n[shaping]\nc0 = 1.2\n"
+               "air_n_mc = 2000\n")
+        blob, again = (
+            (cli_artifacts(ini, "shape", "--method", "heuristic")
+             / "shape_heuristic.json").read_bytes() for _ in range(2))
+        assert blob == again
         parsed = json.loads(blob)
+        assert list(parsed) == ["c0", "ring_mass", "air_bits", "converged",
+                                "iters", "trace", "method"]
         assert parsed["method"] == "heuristic"
-        assert "lambda" not in parsed
-        assert {"c0", "ring_mass", "converged"} <= set(parsed)
-        assert r.to_json() == blob
         np.testing.assert_allclose(parsed["ring_mass"], [0.15625, 0.6875, 0.15625])
 
     def test_distribution_attached(self, qam16):

@@ -63,7 +63,7 @@ def per_point_integrals(c, mass, y, sigma2):
     p = (np.asarray(mass, float) / c.ring_counts)[c.ring_index]
     loglik = -np.abs(c.points[:, None] - y[None, :]) ** 2 / sigma2 \
         - np.log(np.pi * sigma2)
-    weights = np.exp(loglik - scipy_logsumexp(loglik, axis=0, b=1.0 / c.size))
+    weights = np.exp(loglik - scipy_logsumexp(loglik, axis=0, b=1.0 / c.order))
     with np.errstate(divide="ignore"):
         logp = np.log(p)
     log_mix = scipy_logsumexp(loglik + logp[:, None], axis=0)
@@ -87,7 +87,7 @@ def whole_ring_tables(c, y, sigma2):
             - np.log(np.pi * sigma2)
 
     log_lik = np.stack([logsumexp(loglik(pts), axis=0) for pts in rings])
-    log_mix = logsumexp(log_lik, axis=0) - np.log(c.size)
+    log_mix = logsumexp(log_lik, axis=0) - np.log(c.order)
     weights = [np.exp(loglik(pts) - log_mix) for pts in rings]
     weight = np.stack([w.mean(axis=0) for w in weights])
     weighted = np.array([np.mean(w * loglik(pts))
@@ -100,7 +100,7 @@ def whole_ring_tables(c, y, sigma2):
 def uniform_samples(c, sigma2, n, seed):
     rng = np.random.default_rng(seed)
     s = np.sqrt(sigma2 / 2)
-    return c.points[rng.integers(c.size, size=n)] \
+    return c.points[rng.integers(c.order, size=n)] \
         + rng.normal(scale=s, size=n) + 1j * rng.normal(scale=s, size=n)
 
 
@@ -150,7 +150,7 @@ class TestRingTables:
         dead = shaped.copy()
         dead[[0, c.n_rings - 1]] = 0.0
         dead /= dead.sum()
-        for mass in (c.ring_counts / c.size, shaped, dead):
+        for mass in (c.ring_counts / c.order, shaped, dead):
             got = ring_integrals(tables, mass)
             want = per_point_integrals(c, mass, y, sigma2)
             np.testing.assert_array_equal(np.isneginf(got), mass == 0)
@@ -335,7 +335,7 @@ class TestWarmStart:
         # uniform input, ring counts folded in
         y = uniform_samples(qam64, self.SIGMA2, 2000, seed=21)
         _, _, log_counts = ring_system(qam64)
-        return integrals_at(qam64, qam64.ring_counts / qam64.size, y,
+        return integrals_at(qam64, qam64.ring_counts / qam64.order, y,
                             self.SIGMA2) + log_counts
 
     def test_warm_match_agrees_with_cold(self, qam64, channel_u):
@@ -389,14 +389,11 @@ class TestEndpointMultipliers:
     def test_lower_endpoint_reports_no_multipliers(self, order, n_mc):
         # the multipliers diverge at an endpoint: whatever finite pair the
         # match stopped at (a grid corner on 256-QAM) is not reported
-        import json
-
         c = make_constellation("qam", order)
         lo, _ = feasible_c0_range(c)
         res = run_mba(c, MBAConfig(c0=lo, noise_power=0.01, n_mc=n_mc), seed=3)
         assert res.converged
         assert res.multipliers is None
-        assert json.loads(res.to_json())["lambda"] is None
 
     def test_vertex_fallback_returns_no_multipliers(self):
         c = make_constellation("qam", 256)
@@ -408,11 +405,9 @@ class TestEndpointMultipliers:
 
     @pytest.mark.parametrize("order,c0", [(16, 1.2), (64, 1.3), (256, 1.2)])
     def test_interior_solves_report_two_finite_multipliers(self, order, c0):
-        import json
-
         c = make_constellation("qam", order)
         res = run_mba(c, MBAConfig(c0=c0, noise_power=0.02, n_mc=500), seed=4)
-        lam = json.loads(res.to_json())["lambda"]
+        lam = res.multipliers
         assert len(lam) == 2 and np.all(np.isfinite(lam))
 
 
@@ -506,16 +501,24 @@ class TestRunMba:
         slack = 3 * np.hypot(opt_mi.std_error, heur_mi.std_error)
         assert opt_mi.mi_bits >= heur_mi.mi_bits - slack
 
-    def test_optimal_json_schema(self, qam16):
+    def test_optimal_json_schema(self, cli_artifacts):
+        # the CLI's shape_optimal.json: the multipliers second, null at an
+        # endpoint, and no method tag (only the heuristic variant has one)
         import json
 
-        cfg = MBAConfig(c0=1.2, noise_power=0.05, n_mc=1500)
-        res = run_mba(qam16, cfg, seed=11)
-        parsed = json.loads(res.to_json())
-        assert len(parsed["lambda"]) == 2
-        assert {"c0", "lambda", "ring_mass", "air_bits", "converged", "iters",
-                "trace"} <= set(parsed)
-        assert "method" not in parsed  # only the heuristic variant tags itself
+        ini = ("[constellation]\nfamily = qam\norder = 16\n"
+               "[channel]\nsigma2 = 0.05\n[shaping]\nc0 = 1.2\n"
+               "n_mc = 1500\nair_n_mc = 2000\n")
+        interior, endpoint = (
+            json.loads((cli_artifacts(ini, "shape", *flags)
+                        / "shape_optimal.json").read_text())
+            for flags in ((), ("--c0", "1.0")))
+        assert list(interior) == ["c0", "lambda", "ring_mass", "air_bits",
+                                  "converged", "iters", "trace"]
+        assert len(interior["lambda"]) == 2
+        assert np.all(np.isfinite(interior["lambda"]))
+        assert list(endpoint) == list(interior)
+        assert endpoint["lambda"] is None
 
 
 class TestConfigValidation:
