@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "seeds": ("derive_seed", "trial_seed"),
     "shaping": (
-        "ShapingResult", "feasible_c0_range", "ring_system", "solve_heuristic",
+        "ShapingResult", "feasible_c0_range", "solve_heuristic",
     ),
     "shaping_ba": ("MBAConfig", "run_mba"),
 }
@@ -42,7 +42,7 @@ __all__ = [
     "ShapingResult", "analytic_moments", "average_af", "calibrate_so_cfar",
     "derive_seed", "detection_probability", "exact_af", "feasible_c0_range",
     "gm_log_pdf", "make_constellation", "moment", "mutual_information",
-    "pd_curve", "rate_curve", "ring_system", "run_mba", "solve_heuristic",
+    "pd_curve", "rate_curve", "run_mba", "solve_heuristic",
     "trial_seed", "wilson_interval",
 ]
 

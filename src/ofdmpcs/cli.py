@@ -18,9 +18,9 @@ nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
 var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
 through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
 units of T_p and of the subcarrier spacing, as the key names say.
-``[channel] sigma2`` is read only where a shaper runs: by ``shape``,
-``tradeoff`` and ``lut-export``, and by ``air``, ``af`` and ``detect``
-under ``--c0``.  Exit
+``[channel] sigma2`` is read only where ``run_mba`` runs or a rate is
+scored: by ``shape``, ``tradeoff`` and ``lut-export``, and by ``air``,
+``af`` and ``detect`` under ``--c0`` with the optimal method.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numerical
 non-convergence.
 
@@ -213,7 +213,9 @@ def _shaped_distribution(c, cp, args, seed) -> Distribution:
 
     if args.c0 is None:
         return Distribution.uniform(c)
-    res = _solve_one(c, cp, args.method, float(args.c0), _sigma2(cp), seed,
+    # unscored, the heuristic uses no noise power: only run_mba does
+    sigma2 = None if args.method == "heuristic" else _sigma2(cp)
+    res = _solve_one(c, cp, args.method, float(args.c0), sigma2, seed,
                      with_air=False)
     return res.distribution
 
@@ -232,12 +234,16 @@ def _solve_one(c, cp, method, c0, sigma2, master_seed,
     """One shaping solve at c0 with a per-c0 sub-seed (composition-stable).
 
     c0 is clamped here; ``with_air`` scores the input by its rate, one
-    estimate with the same draw and sample count for either method.
+    estimate with the same draw and sample count for either method, and
+    only then is ``[shaping] air_n_mc`` read.  ``sigma2`` may be ``None``
+    for an unscored heuristic solve, the one that uses no noise power.
     """
-    from .rates import MIN_MI_SAMPLES, ChannelSpec, mutual_information
     from .seeds import derive_seed
 
-    air_n_mc = _n_mc(cp, "shaping", "air_n_mc", MIN_MI_SAMPLES)
+    if with_air:
+        from .rates import MIN_MI_SAMPLES, ChannelSpec, mutual_information
+
+        air_n_mc = _n_mc(cp, "shaping", "air_n_mc", MIN_MI_SAMPLES)
     c0 = _clamp_c0(c, c0)
     sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
     if method == "heuristic":

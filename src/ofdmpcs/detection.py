@@ -215,10 +215,6 @@ def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
     return np.fmin(sums[:, :length], sums[:, lag:lag + length]) / ref
 
 
-def _noise_only(sc: DetectionScenario) -> DetectionScenario:
-    return replace(sc, snr_db=-np.inf, si_to_noise_db=-np.inf)
-
-
 def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
                        rng: np.random.Generator):
     """Noise-only profile/statistic ratios, yielded one block of rows at a time.
@@ -228,9 +224,10 @@ def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
     before the next block draws, so one block of draws is all that is held.
     The stream of ``rng`` is consumed block by block, so the ratios (and
     alpha) depend on ``_BLOCK_ROWS``; a row's profile does not depend on the
-    other rows of its block (see :func:`_profiles`).
+    other rows of its block (see :func:`_profiles`).  No target or
+    self-interference enters, so ``sc.snr_db`` and ``sc.si_to_noise_db``
+    are not read.
     """
-    sc = _noise_only(sc)
     length = sc.cfg.n_subcarriers
     points = sc.constellation.points
     scale = np.sqrt(0.5)

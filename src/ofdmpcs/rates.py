@@ -40,21 +40,14 @@ _CHUNK_ELEMS = 65_536       # gm_log_pdf's (samples, points) table: 512 KB
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a), axis)) of a real array, max-shifted.
 
-    The m entries equal to the slice maximum are taken out of the sum,
-    which is then ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
-    ``exp(a - max)`` over the rest (Blanchard, Higham & Higham, IMA J.
-    Numer. Anal. 41(4), 2021).  A slice that is all ``-inf`` gives ``-inf``.
-    It is bitwise equal to scipy's; the shaper's ring tables (``shaping_ba``)
-    go through it, ``gm_log_pdf`` does not need the tie count.
+    Every slice along ``axis`` must hold a finite entry: its maximum is
+    then finite, ``-inf`` entries add ``exp(-inf) = 0``, and the shifted
+    sum is at least 1.  The shaper's ring tables (``shaping_ba``) are its
+    callers, and their slices always do.
     """
     a_max = np.max(a, axis=axis, keepdims=True)
-    at_max = a == a_max
-    with np.errstate(invalid="ignore"):     # -inf - -inf in all-dead slices
-        e = np.exp(a - a_max)
-    e[at_max] = 0.0
-    m = np.count_nonzero(at_max, axis=axis)
-    s = np.sum(e, axis=axis)
-    return np.log1p(s / m) + np.log(m) + np.squeeze(a_max, axis=axis)
+    return (np.log(np.sum(np.exp(a - a_max), axis=axis))
+            + np.squeeze(a_max, axis=axis))
 
 
 def log_probs(p: np.ndarray) -> np.ndarray:

@@ -40,49 +40,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import (CONSTRUCTION_TOL, Constellation, Distribution,
-                            moment)
+from .constellation import CONSTRUCTION_TOL, Constellation, Distribution
 
 RESIDUAL_TOL = 1e-10
 MASS_SLACK = 1e-12
 C0_SLACK = 1e-9      # how far outside the feasible range a target may stray
 
 
-@dataclass(frozen=True)
-class RingSystem:
-    """Moment-constraint matrix over ring masses and its right-hand side."""
-
-    matrix: np.ndarray   # rows: A**4, A**2, 1
-    rhs: np.ndarray      # (c0, 1, 1)
-
-
 @dataclass
 class ShapingResult:
     """Outcome of a shaping solve (heuristic or rate-optimal).
 
-    ``multipliers`` and a meaningful ``trace`` exist only for the optimal
-    method, and ``multipliers`` is ``None`` at an endpoint of the feasible
-    range, where they diverge.  The solvers leave ``air_bits`` ``None``:
-    scoring an input by its rate is the caller's decision.
+    ``ring_mass`` comes from :func:`match_ring_masses`, so it meets the
+    three moment rows to ``RESIDUAL_TOL`` whatever ``converged`` says.
+    ``converged`` is the matcher's guarantee for the heuristic, one match,
+    and the outer stop rule for the optimal method.  ``multipliers`` and a
+    meaningful ``trace`` exist only for the optimal method, and
+    ``multipliers`` is ``None`` at an endpoint of the feasible range, where
+    they diverge.  The solvers leave ``air_bits`` ``None``: scoring an
+    input by its rate is the caller's decision.
     """
 
     c0: float
     method: str                    # "heuristic" | "optimal"
     ring_mass: np.ndarray
     distribution: Distribution
-    moment4: float
     converged: bool
     iterations: int
     air_bits: float | None = None
     multipliers: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
-
-
-def ring_system(c: Constellation, c0: float) -> RingSystem:
-    """Constraint system (fourth moment, power, probability) over ring masses."""
-    a2 = c.ring_amps ** 2
-    matrix = np.vstack([a2 ** 2, a2, np.ones_like(a2)])
-    return RingSystem(matrix=matrix, rhs=np.array([c0, 1.0, 1.0]))
 
 
 def feasible_c0_range(c: Constellation) -> tuple[float, float]:
@@ -119,13 +106,12 @@ def snap_c0(c: Constellation, c0: float) -> float:
     return float(min(max(c0, lo), hi))
 
 
-def _support_loads(matrix, rhs):
+def _support_loads(a2, c0):
     """Every support of at most three rings with its loads: ``(K, k)`` each.
 
-    The loads of a support are the moment functional of ``rhs`` applied to
-    the Lagrange basis of its squared amplitudes ``x = A**2`` (the middle
-    row of ``matrix``).  On three rings i, j, k and unit power and
-    probability rows
+    The loads of a support are the moment functional ``(c0, 1, 1)`` applied
+    to the Lagrange basis of its squared amplitudes ``x = A**2`` (``a2``).
+    On three rings i, j, k
 
         m_i = (c0 - (x_j + x_k) + x_j x_k) / ((x_i - x_j)(x_i - x_k))
 
@@ -135,48 +121,48 @@ def _support_loads(matrix, rhs):
     (x_i - x_j)`` on two rings, ``m = 1`` on one), the fourth-moment row
     being left to the caller's residual check.
     """
-    n_rings = matrix.shape[1]
+    n_rings = a2.size
     supports = np.array(list(itertools.combinations(range(n_rings),
                                                     min(n_rings, 3))))
-    x = matrix[1][supports]
-    c0, power, total = rhs
+    x = a2[supports]
     if n_rings >= 3:
         loads = np.empty(x.shape)
         for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
             xj, xk = x[:, j], x[:, k]
-            loads[:, i] = ((c0 - (xj + xk) * power + xj * xk * total)
+            loads[:, i] = ((c0 - (xj + xk) + xj * xk)
                            / ((x[:, i] - xj) * (x[:, i] - xk)))
     elif n_rings == 2:
-        loads = (power - x[:, ::-1] * total) / (x - x[:, ::-1])
+        loads = (1.0 - x[:, ::-1]) / (x - x[:, ::-1])
     else:
-        loads = np.full(x.shape, float(total))
+        loads = np.ones(x.shape)
     return supports, loads
 
 
-def _lp_match(matrix, rhs):
-    """A nonnegative mass vector satisfying all three moment equalities.
+def _lp_match(a2, c0):
+    """Nonnegative ring masses meeting the three moment rows at ``c0``.
 
-    The solutions form a polytope cut by three equality rows, so each of
-    its vertices loads at most three rings.  Every such support is solved
-    in closed form by :func:`_support_loads`, and the nonnegative solution
-    with the smallest residual is returned.  This terminates even when the
-    feasible set degenerates to a single point (c0 at an endpoint of the
-    feasible range).
+    The solutions form a polytope cut by the rows (A**4, A**2, 1), so each
+    of its vertices loads at most three rings.  Every such support is
+    solved in closed form by :func:`_support_loads`, and the nonnegative
+    solution with the smallest residual is returned.  This terminates even
+    when the feasible set degenerates to a single point (c0 at an endpoint
+    of the feasible range).
     """
-    supports, loads = _support_loads(matrix, rhs)
-    blocks = np.moveaxis(matrix[:, supports], 1, 0)          # (K, 3, k)
+    supports, loads = _support_loads(a2, c0)
+    rows = np.vstack([a2 ** 2, a2, np.ones_like(a2)])
+    blocks = np.moveaxis(rows[:, supports], 1, 0)            # (K, 3, k)
     nonneg = np.all(loads >= -MASS_SLACK, axis=1)
     # a ring the vertex does not load gets rounding residue from the solve:
     # it is zero, so the unloaded rings of an endpoint vertex read 0 exactly
     loads = np.where(loads <= MASS_SLACK, 0.0, loads)
-    residual = np.max(np.abs(np.einsum("kij,kj->ki", blocks, loads) - rhs),
-                      axis=1)
+    residual = np.max(np.abs(np.einsum("kij,kj->ki", blocks, loads)
+                             - np.array([c0, 1.0, 1.0])), axis=1)
     ok = nonneg & (residual <= RESIDUAL_TOL)
     if not np.any(ok):
         raise RuntimeError("no nonnegative ring loading meets fourth moment "
-                           f"{rhs[0]!r} under unit power")
+                           f"{c0!r} under unit power")
     best = np.flatnonzero(ok)[np.argmin(residual[ok])]
-    masses = np.zeros(matrix.shape[1])
+    masses = np.zeros(a2.size)
     masses[supports[best]] = loads[best]
     return masses
 
@@ -234,7 +220,9 @@ def _newton_step(hess, grad):
     smaller one is ``|det| / s_max``.  Above the ``_RANK_RCOND`` cutoff
     Cramer's rule solves the system.  At or below it the Hessian is rank
     one (a flat dual, e.g. two live rings), and its pseudo-inverse is
-    ``hess.T / s_max**2``; a zero Hessian gives a zero step.
+    ``hess.T / s_max**2``.  A zero Hessian, or one so small that
+    ``s_max**2`` underflows (the tilt has collapsed onto one ring), gives a
+    zero step.
     """
     (a, b), (c, d) = hess.tolist()
     g0, g1 = grad.tolist()
@@ -242,7 +230,7 @@ def _newton_step(hess, grad):
     det = a * d - b * c
     if abs(det) > _RANK_RCOND * s_max * s_max:
         return np.array([(b * g1 - d * g0) / det, (c * g0 - a * g1) / det])
-    if s_max == 0.0:
+    if s_max * s_max == 0.0:
         return np.zeros(2)
     return np.array([a * g0 + c * g1, b * g0 + d * g1]) / -(s_max * s_max)
 
@@ -297,25 +285,31 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
     At an endpoint of :func:`feasible_c0_range` the feasible set is one
     vertex and the multipliers diverge, so the vertex of :func:`_lp_match`
     is returned with ``None`` for the multipliers.  The same happens when
-    the tilt misses any row of :func:`ring_system` by more than
+    the tilt misses any of the rows (A**4, A**2, 1) by more than
     ``RESIDUAL_TOL`` from both starts, which guards degenerate inputs such
     as fewer than three live rings.
+
+    So the masses returned are nonnegative and meet all three rows to
+    ``RESIDUAL_TOL``, whatever ``u`` and ``warm``; both solvers rest on
+    that.  An all-``-inf`` ``u`` raises ``ValueError``, and a ``c0`` that
+    no ring loading meets raises ``RuntimeError``.
     """
-    sys_ = ring_system(c, c0)
+    a2 = c.ring_amps ** 2
     if c0 in feasible_c0_range(c):
-        return _lp_match(sys_.matrix, sys_.rhs), None
+        return _lp_match(a2, c0), None
     live = np.isfinite(u)
     if not np.any(live):
         raise ValueError("all update weights vanished; integrals are degenerate")
-    a4, a2 = sys_.matrix[0], sys_.matrix[1]
+    rows = np.vstack([a2 ** 2, a2, np.ones_like(a2)])
+    target = np.array([c0, 1.0, 1.0])
     starts = [np.zeros(2)] if warm is None else [warm, np.zeros(2)]
     for start in starts:
-        lam, p = _dual_newton(u[live], a2[live], a4[live], c0, start)
+        lam, p = _dual_newton(u[live], a2[live], rows[0][live], c0, start)
         mass = np.zeros(u.shape)
         mass[live] = p
-        if np.max(np.abs(sys_.matrix @ mass - sys_.rhs)) <= RESIDUAL_TOL:
+        if np.max(np.abs(rows @ mass - target)) <= RESIDUAL_TOL:
             return mass, lam
-    return _lp_match(sys_.matrix, sys_.rhs), None
+    return _lp_match(a2, c0), None
 
 
 def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
@@ -327,16 +321,14 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
     outside the feasible range raises ``ValueError``.  At an endpoint the
     feasible set is a single vertex, which is returned renormalised as
     :func:`.shaping_ba.run_mba` renormalises its result, so both solvers
-    return the same masses there.  The result carries no rate estimate.
+    return the same masses there.  The solve is one match, so the result
+    is ``converged`` by the matcher's guarantee: the moment rows are met to
+    ``RESIDUAL_TOL``.  It carries no rate estimate.
     """
-    c0_target = snap_c0(c, c0)
     masses, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
-                                    c0_target)
+                                    snap_c0(c, c0))
     if lam is None:                     # the vertex: its loads sum to 1 +- ulp
         masses = masses / masses.sum()
-    dist = Distribution.from_ring_mass(c, masses)
-    m4 = moment(c, dist, 4)
-    converged = abs(m4 - c0_target) <= 1e-8
     return ShapingResult(c0=float(c0), method="heuristic", ring_mass=masses,
-                         distribution=dist, moment4=m4,
-                         converged=converged, iterations=0)
+                         distribution=Distribution.from_ring_mass(c, masses),
+                         converged=True, iterations=0)

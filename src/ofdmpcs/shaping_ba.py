@@ -42,7 +42,6 @@ from .seeds import derive_seed
 from .shaping import ShapingResult, match_ring_masses, snap_c0
 
 _NEG_INF = -np.inf
-EXIT_RESIDUAL_TOL = 1e-4
 MIN_UPDATE_SAMPLES = 100     # smallest n_mc that estimates the update integrals
 _BLOCK_SAMPLES = 1024        # samples per block of a ring's likelihood table
 
@@ -195,12 +194,24 @@ def _objective(mass, u_ring, counts) -> float:
     return float(np.dot(mass[alive], u_ring[alive] - logp_ring[alive]))
 
 
-def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
-    """The outer loop on one fixed sample set.
+def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
+    """Alternating maximization of the constrained-rate objective.
 
-    Returns ``(ring_mass, multipliers, trace, converged)``; ``multipliers``
-    is ``None`` when the last match ended on the endpoint vertex.
+    Starts from the uniform input, alternates the Bayes posterior update
+    with the multiplier-matched exponential input update, and stops when the
+    squared change of the probability vector is at most ``cfg.outer_tol``
+    or after ``cfg.max_outer`` updates.  ``converged`` means the first.
+    Every iterate comes from :func:`.shaping.match_ring_masses`, so it
+    meets the moment rows to ``RESIDUAL_TOL`` either way.  The recorded
+    trace holds the sample objective (nats) after each input update; with
+    the fixed sample set it is non-decreasing by construction.  The result
+    carries no rate estimate (``air_bits`` is ``None``), and no multipliers
+    when the last match ended on the endpoint vertex.
+
+    ``cfg.c0`` goes through :func:`.shaping.snap_c0`: a target outside the
+    feasible moment range raises ``ValueError``.
     """
+    c0 = snap_c0(c, cfg.c0)
     rng = np.random.default_rng(derive_seed(seed, "mba-samples"))
     samples = awgn_outputs(c, Distribution.uniform(c), rng, cfg.n_mc,
                            cfg.noise_power)
@@ -227,42 +238,11 @@ def _iterate(c: Constellation, cfg: MBAConfig, c0: float, seed: int):
         if float(delta @ (delta / counts)) <= cfg.outer_tol:
             converged = True
             break
-    return mass, lam, trace, converged
 
-
-def run_mba(c: Constellation, cfg: MBAConfig, seed: int = 0) -> ShapingResult:
-    """Alternating maximization of the constrained-rate objective.
-
-    Starts from the uniform input, alternates the Bayes posterior update
-    with the multiplier-matched exponential input update, and stops when the
-    squared change of the probability vector is at most ``cfg.outer_tol``
-    or after ``cfg.max_outer`` updates.  ``converged`` means the first,
-    with the moment rows met to ``EXIT_RESIDUAL_TOL``.  The recorded
-    trace holds the sample objective (nats) after each input update; with
-    the fixed sample set it is non-decreasing by construction.  The result
-    carries no rate estimate (``air_bits`` is ``None``).
-
-    ``cfg.c0`` goes through :func:`.shaping.snap_c0`: a target outside the
-    feasible moment range raises ``ValueError``.
-    """
-    c0 = snap_c0(c, cfg.c0)
-    mass, lam, trace, converged_outer = _iterate(c, cfg, c0, seed)
-
-    mass = np.maximum(mass, 0.0)
     mass = mass / mass.sum()
-    dist = Distribution.from_ring_mass(c, mass)
-    ring_a2 = c.ring_amps ** 2
-    m4 = float(np.dot(mass, ring_a2 ** 2))
-    residuals = (abs(m4 - c0), abs(float(np.dot(mass, ring_a2)) - 1.0),
-                 abs(float(mass.sum()) - 1.0))
-    feasible = max(residuals) <= EXIT_RESIDUAL_TOL
-
-    # the vertex (every match at an endpoint) has no multipliers
-    multipliers = None if lam is None else (float(lam[0]), float(lam[1]))
     return ShapingResult(
-        c0=float(cfg.c0), method="optimal",
-        ring_mass=mass, distribution=dist, moment4=m4,
-        converged=bool(converged_outer and feasible),
-        iterations=len(trace),
-        multipliers=multipliers,
+        c0=float(cfg.c0), method="optimal", ring_mass=mass,
+        distribution=Distribution.from_ring_mass(c, mass),
+        converged=converged, iterations=len(trace),
+        multipliers=None if lam is None else (float(lam[0]), float(lam[1])),
         trace=trace)

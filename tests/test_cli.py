@@ -237,6 +237,46 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,artifact", [
         ("air", "air_curve.csv"), ("af", "af_grid.csv"),
         ("detect", "pd_curve.csv")])
+    def test_unscored_heuristic_reads_no_sigma2(self, config, tmp_path,
+                                                command, artifact):
+        # the heuristic uses no noise power unless a rate scores it: these
+        # exited 2 with "missing config key [channel] sigma2"
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("sigma2 = 0.01\n", ""))
+        blobs = []
+        for path, name in ((bad, "bad"), (config, "good")):
+            out = tmp_path / name
+            assert run_cli(command, "--config", str(path), "--c0", "1.2",
+                           "--method", "heuristic",
+                           "--out", str(out)) == EXIT_OK
+            blobs.append((out / artifact).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("flags", [(), ("--method", "heuristic")],
+                             ids=["optimal", "heuristic"])
+    def test_unscored_solve_reads_no_air_n_mc(self, config, tmp_path, capsys,
+                                              flags):
+        # af estimates no rate, so a rate sample count below the estimator's
+        # minimum used to stop it; shape, which scores one, still does
+        small = tmp_path / "small.ini"
+        small.write_text(BASE_CONFIG.replace("air_n_mc = 2000",
+                                             "air_n_mc = 10"))
+        blobs = []
+        for path, name in ((small, "small"), (config, "good")):
+            out = tmp_path / name
+            assert run_cli("af", "--config", str(path), "--c0", "1.2", *flags,
+                           "--out", str(out)) == EXIT_OK
+            blobs.append((out / "af_grid.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        capsys.readouterr()
+        rc = run_cli("shape", "--config", str(small), *flags,
+                     "--out", str(tmp_path / "shape"))
+        assert rc == EXIT_CONFIG
+        assert "[shaping] air_n_mc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,artifact", [
+        ("air", "air_curve.csv"), ("af", "af_grid.csv"),
+        ("detect", "pd_curve.csv")])
     def test_uniform_input_reads_no_sigma2(self, config, tmp_path, command,
                                            artifact):
         # no shaper runs, so no noise power is read: the bytes are those of
@@ -689,8 +729,9 @@ import ofdmpcs.cli
 assert "numpy" not in sys.modules, "import ofdmpcs.cli loaded numpy"
 assert sorted(m for m in sys.modules if m.startswith("ofdmpcs")) == [
     "ofdmpcs", "ofdmpcs.cli"]
-command, config, out = sys.argv[1:]
-assert ofdmpcs.cli.main([command, "--config", config, "--out", out]) == 0
+command, config, out, *flags = sys.argv[1:]
+assert ofdmpcs.cli.main([command, "--config", config, "--out", out,
+                         *flags]) == 0
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules
                       if m.startswith("ofdmpcs."))))
 """
@@ -710,6 +751,16 @@ class TestLazyImports:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == layers
+
+    def test_unscored_heuristic_loads_no_rates(self, config, tmp_path):
+        # the heuristic solve behind af's shaped input estimates no rate
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_SCRIPT, "af", str(config),
+             str(tmp_path / "o"), "--c0", "1.2", "--method", "heuristic"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == \
+            "ambiguity cli constellation seeds shaping"
 
     def test_package_names_load_on_first_use(self):
         script = (

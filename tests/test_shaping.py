@@ -8,9 +8,11 @@ endpoints.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmpcs import (
@@ -20,14 +22,13 @@ from ofdmpcs import (
     feasible_c0_range,
     make_constellation,
     moment,
-    ring_system,
     run_mba,
     solve_heuristic,
 )
 from ofdmpcs.constellation import entropy_bits
 from ofdmpcs.rates import ChannelSpec, mutual_information
-from ofdmpcs.shaping import (C0_SLACK, _lp_match, _newton_step,
-                              _support_loads, match_ring_masses)
+from ofdmpcs.shaping import (C0_SLACK, RESIDUAL_TOL, _lp_match,
+                              _newton_step, _support_loads, match_ring_masses)
 
 
 def _optimal(c, c0):
@@ -36,6 +37,13 @@ def _optimal(c, c0):
 
 SOLVERS = [pytest.param(solve_heuristic, id="heuristic"),
            pytest.param(_optimal, id="optimal")]
+
+
+def moment_rows(c, c0):
+    """Oracle matrix and right-hand side of the moment rows over ring
+    masses: (A**4, A**2, 1) against (c0, 1, 1)."""
+    a2 = c.ring_amps ** 2
+    return np.vstack([a2 ** 2, a2, np.ones_like(a2)]), np.array([c0, 1.0, 1.0])
 
 
 def vertex_values(c):
@@ -96,7 +104,7 @@ class TestHeuristic:
     def test_16qam_interior_solution_exact(self, qam16):
         r = solve_heuristic(qam16, 1.2)
         np.testing.assert_allclose(r.ring_mass, [0.15625, 0.6875, 0.15625], atol=1e-12)
-        assert r.moment4 == pytest.approx(1.2, abs=1e-12)
+        assert moment(qam16, r.distribution, 4) == pytest.approx(1.2, abs=1e-12)
         assert r.converged
 
     def test_16qam_lower_endpoint(self, qam16):
@@ -114,8 +122,8 @@ class TestHeuristic:
         for c0 in np.linspace(lo, hi, 9):
             r = solve_heuristic(c, float(c0))
             assert r.converged
-            assert abs(r.moment4 - c0) <= 1e-8
             d = r.distribution
+            assert abs(moment(c, d, 4) - c0) <= 1e-8
             assert np.all(d.ring_mass >= -1e-12)
             assert np.sum(d.ring_mass) == pytest.approx(1.0, abs=1e-9)
             assert moment(c, d, 2) == pytest.approx(1.0, abs=1e-8)
@@ -138,7 +146,8 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="feasible"):
             solve(qam16, hi + 2 * C0_SLACK)
         r = solve(qam16, hi + 0.5 * C0_SLACK)
-        assert r.moment4 == pytest.approx(1.64, abs=1e-12)
+        assert moment(qam16, r.distribution, 4) == pytest.approx(1.64,
+                                                                 abs=1e-12)
         np.testing.assert_array_equal(r.ring_mass > 0, [True, False, True])
 
     @pytest.mark.parametrize("solve", SOLVERS)
@@ -149,7 +158,8 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="feasible"):
             solve(qam16, lo - 2 * C0_SLACK)
         r = solve(qam16, lo - 0.5 * C0_SLACK)
-        assert r.moment4 == pytest.approx(1.0, abs=1e-12)
+        assert moment(qam16, r.distribution, 4) == pytest.approx(1.0,
+                                                                 abs=1e-12)
         np.testing.assert_array_equal(r.ring_mass > 0, [False, True, False])
 
     @given(c0=st.floats(1.0, 1.64))
@@ -157,7 +167,7 @@ class TestHeuristic:
     def test_any_feasible_target_is_hit(self, c0):
         c = make_constellation("qam", 16)
         r = solve_heuristic(c, c0)
-        assert abs(r.moment4 - c0) <= 1e-8
+        assert abs(moment(c, r.distribution, 4) - c0) <= 1e-8
         assert np.all(r.ring_mass >= -1e-12)
 
 
@@ -200,7 +210,7 @@ class TestEndpoints:
         results = (solve_heuristic(c, c0), run_mba(c, cfg, seed=1))
         for r in results:
             assert r.converged, r.method
-            assert abs(r.moment4 - c0) <= 1e-10, r.method
+            assert abs(moment(c, r.distribution, 4) - c0) <= 1e-10, r.method
             np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
             # rings the vertex does not load carry no rounding residue
             assert np.all(r.ring_mass[oracle == 0] == 0.0), r.method
@@ -219,8 +229,7 @@ class TestNearEndpoint:
         c = make_constellation("qam", 256)
         lo, _ = feasible_c0_range(c)
         c0 = lo + 1e-4
-        sys_ = ring_system(c, c0)
-        return c, c0, _lp_match(sys_.matrix, sys_.rhs)
+        return c, c0, _lp_match(c.ring_amps ** 2, c0)
 
     def test_heuristic_loads_more_than_the_vertex(self, case):
         c, c0, vertex = case
@@ -257,23 +266,64 @@ class TestLpMatch:
         c = make_constellation("qam", order)
         lo, hi = feasible_c0_range(c)
         for c0 in (lo, 0.5 * (lo + hi), hi):
-            sys_ = ring_system(c, c0)
-            masses = _lp_match(sys_.matrix, sys_.rhs)
+            masses = _lp_match(c.ring_amps ** 2, c0)
             assert masses.shape == (c.n_rings,)
             assert np.count_nonzero(masses) <= 3
             assert np.all(masses >= 0.0)
-            assert np.max(np.abs(sys_.matrix @ masses - sys_.rhs)) <= 1e-10
+            matrix, rhs = moment_rows(c, c0)
+            assert np.max(np.abs(matrix @ masses - rhs)) <= 1e-10
 
     def test_single_unit_ring(self, psk64):
-        sys_ = ring_system(psk64, 1.0)
-        masses = _lp_match(sys_.matrix, sys_.rhs)
+        masses = _lp_match(psk64.ring_amps ** 2, 1.0)
         np.testing.assert_allclose(masses, [1.0], atol=1e-15)
 
     def test_infeasible_target_raises(self, qam64):
         _, hi = feasible_c0_range(qam64)
-        sys_ = ring_system(qam64, hi + 1e-3)
         with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
-            _lp_match(sys_.matrix, sys_.rhs)
+            _lp_match(qam64.ring_amps ** 2, hi + 1e-3)
+
+
+@functools.lru_cache(maxsize=None)
+def named_constellation(family, order):
+    return make_constellation(family, order)
+
+
+@st.composite
+def matcher_inputs(draw):
+    """A constellation, a target anywhere in its feasible range (endpoints
+    drawn on purpose), exponents with some rings dead and at least one
+    live, and no warm start or any pair of multipliers."""
+    c = named_constellation(*draw(st.sampled_from(
+        [("qam", 16), ("qam", 64), ("qam", 256), ("psk", 8)])))
+    lo, hi = feasible_c0_range(c)
+    c0 = draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
+    u = draw(st.lists(st.just(-np.inf) | st.floats(-30.0, 30.0),
+                      min_size=c.n_rings, max_size=c.n_rings)
+             .filter(lambda v: np.isfinite(v).any()))
+    warm = draw(st.none() | st.tuples(st.floats(-1e3, 1e3),
+                                      st.floats(-1e3, 1e3)))
+    return c, c0, np.array(u), warm
+
+
+class TestMatcherGuarantee:
+    """What both solvers rest on instead of re-checking: the matcher's
+    masses are nonnegative and meet all three rows to RESIDUAL_TOL."""
+
+    @given(case=matcher_inputs())
+    @settings(max_examples=150, deadline=None)
+    # two live rings from a far warm start: the tilt collapses onto one
+    # ring and the Hessian's square underflowed in the Newton step
+    @example(case=(named_constellation("qam", 16), 1.5,
+                   np.array([0.0, 4.0, -np.inf]), (6.0, 0.0)))
+    def test_masses_meet_every_row(self, case):
+        c, c0, u, warm = case
+        mass, lam = match_ring_masses(c, u, c0,
+                                      None if warm is None else np.array(warm))
+        assert mass.shape == (c.n_rings,)
+        assert np.all(mass >= 0.0)
+        matrix, rhs = moment_rows(c, c0)
+        assert np.max(np.abs(matrix @ mass - rhs)) <= RESIDUAL_TOL
+        assert lam is None or np.all(np.isfinite(lam))
 
 
 def two_ring_constellation():
@@ -295,39 +345,38 @@ class TestClosedForms:
         c = make_constellation("qam", order)
         lo, hi = feasible_c0_range(c)
         for c0 in (lo, 0.5 * (lo + hi), hi):
-            rs = ring_system(c, c0)
-            supports, loads = _support_loads(rs.matrix, rs.rhs)
+            supports, loads = _support_loads(c.ring_amps ** 2, c0)
             assert len(supports) == len(set(map(tuple, supports))) \
                 == c.n_rings * (c.n_rings - 1) * (c.n_rings - 2) // 6
-            blocks = np.moveaxis(rs.matrix[:, supports], 1, 0)
+            matrix, rhs = moment_rows(c, c0)
+            blocks = np.moveaxis(matrix[:, supports], 1, 0)
             want = np.linalg.solve(blocks, np.broadcast_to(
-                rs.rhs[:, None], (len(supports), 3, 1)))[..., 0]
+                rhs[:, None], (len(supports), 3, 1)))[..., 0]
             rel = (np.max(np.abs(loads - want), axis=1)
                    / np.max(np.abs(want), axis=1))
             assert rel.max() <= 1e-12, (c0, rel.max())
 
     def test_one_ring_branch(self, psk64):
-        rs = ring_system(psk64, 1.0)
-        want = np.linalg.lstsq(rs.matrix, rs.rhs, rcond=None)[0]
-        np.testing.assert_allclose(_support_loads(rs.matrix, rs.rhs)[1][0],
+        a2 = psk64.ring_amps ** 2
+        want = np.linalg.lstsq(*moment_rows(psk64, 1.0), rcond=None)[0]
+        np.testing.assert_allclose(_support_loads(a2, 1.0)[1][0],
                                    want, rtol=1e-15)
-        np.testing.assert_array_equal(_lp_match(rs.matrix, rs.rhs), [1.0])
+        np.testing.assert_array_equal(_lp_match(a2, 1.0), [1.0])
 
     def test_two_ring_branch(self):
         # the power and probability rows fix the masses at (2/3, 1/3), so
         # the feasible range is the one fourth moment 1.5
         c = two_ring_constellation()
         assert feasible_c0_range(c) == pytest.approx((1.5, 1.5), abs=1e-15)
-        rs = ring_system(c, 1.5)
-        want = np.linalg.lstsq(rs.matrix, rs.rhs, rcond=None)[0]
-        masses = _lp_match(rs.matrix, rs.rhs)
+        a2 = c.ring_amps ** 2
+        want = np.linalg.lstsq(*moment_rows(c, 1.5), rcond=None)[0]
+        masses = _lp_match(a2, 1.5)
         np.testing.assert_allclose(masses, want, rtol=1e-14)
         np.testing.assert_allclose(masses, [2 / 3, 1 / 3], rtol=1e-15)
         np.testing.assert_array_equal(solve_heuristic(c, 1.5).ring_mass,
                                       masses / masses.sum())
-        rs = ring_system(c, 1.6)
         with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
-            _lp_match(rs.matrix, rs.rhs)
+            _lp_match(a2, 1.6)
 
     def test_newton_step_full_rank(self):
         rng = np.random.default_rng(8)
@@ -353,22 +402,12 @@ class TestClosedForms:
         np.testing.assert_array_equal(
             _newton_step(np.zeros((2, 2)), np.array([0.3, -0.1])), [0.0, 0.0])
 
-
-class TestRingSystem:
-    def test_three_ring_system_square(self, qam16):
-        # rows are (A^4, A^2, 1) with right-hand side (c0, 1, 1)
-        rs = ring_system(qam16, 1.2)
-        assert rs.matrix.shape == (3, 3)
-        np.testing.assert_allclose(rs.rhs, [1.2, 1.0, 1.0])
-        np.testing.assert_allclose(rs.matrix[0], qam16.ring_amps**4)
-        np.testing.assert_allclose(rs.matrix[1], qam16.ring_amps**2)
-        np.testing.assert_allclose(rs.matrix[2], np.ones(3))
-        sol = np.linalg.solve(rs.matrix, rs.rhs)
-        np.testing.assert_allclose(sol, [0.15625, 0.6875, 0.15625], atol=1e-12)
-
-    def test_wide_system_shape(self, qam64):
-        rs = ring_system(qam64, 1.1)
-        assert rs.matrix.shape == (3, 9)
+    def test_newton_step_underflowing_hessian(self):
+        # s_max**2 underflows to zero: no usable curvature, a zero step and
+        # no division by zero
+        hess = 1e-170 * np.array([[1.0, 0.5], [0.5, 0.25]])
+        np.testing.assert_array_equal(
+            _newton_step(hess, np.array([0.3, -0.1])), [0.0, 0.0])
 
 
 class TestResultSerialization:
