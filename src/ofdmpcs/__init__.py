@@ -11,8 +11,7 @@ import importlib
 
 _EXPORTS = {
     "ambiguity": (
-        "AFGrid", "AFMoments", "OFDMConfig", "analytic_moments", "average_af",
-        "exact_af",
+        "AFGrid", "AFMoments", "OFDMConfig", "analytic_moments", "exact_af",
     ),
     "constellation": (
         "Constellation", "Distribution", "make_constellation", "moment",
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AFGrid", "AFMoments", "ChannelSpec", "Constellation", "DetectionScenario",
     "Distribution", "MBAConfig", "MIEstimate", "OFDMConfig", "PdCurve",
-    "ShapingResult", "analytic_moments", "average_af", "calibrate_so_cfar",
+    "ShapingResult", "analytic_moments", "calibrate_so_cfar",
     "derive_seed", "detection_probability", "exact_af", "feasible_c0_range",
     "gm_log_pdf", "make_constellation", "moment", "mutual_information",
     "pd_curve", "rate_curve", "run_mba", "solve_heuristic",

@@ -1,9 +1,11 @@
 """Ambiguity function of OFDM symbols carrying random data.
 
-Exact single-symbol and symbol-train values, closed-form moments (mean of
-the self term, variances of the self and cross terms), the exact average
-surface E|AF|^2 built from them, and the Monte-Carlo average that serves as
-its oracle.
+Closed-form moments (mean of the self term, variances of the self and
+cross terms), the exact average surface E|AF|^2 built from them, and the
+Monte-Carlo average of the kernel's quadratic form, its oracle.  Delays
+are in units of the symbol duration T_p and Dopplers in units of the
+subcarrier spacing, which orthogonal subcarriers make 1/T_p: so
+T_p = spacing = 1, and the arguments are the CLI's normalized axes.
 
 The delay-Doppler response of one OFDM symbol splits into a "self" part
 (subcarrier paired with itself, carrying only symbol energies ``A**2``) and a
@@ -34,20 +36,16 @@ import numpy as np
 from .constellation import Constellation, Distribution, moment
 from .seeds import trial_seed
 
-CONFIG_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class OFDMConfig:
-    """OFDM signal parameters: L subcarriers, N symbols, unit time-bandwidth.
+    """OFDM signal parameters: L subcarriers and N symbols.
 
-    Subcarrier spacing and symbol duration must satisfy
-    ``spacing * duration == 1`` (rectangular pulses, orthogonal subcarriers).
+    Symbol duration and subcarrier spacing are both 1, the units of every
+    delay and Doppler in this module.
     """
 
     n_subcarriers: int
-    subcarrier_spacing: float = 1.0
-    symbol_duration: float = 1.0
     n_symbols: int = 1
 
     def __post_init__(self):
@@ -55,20 +53,14 @@ class OFDMConfig:
             raise ValueError("need at least one subcarrier")
         if self.n_symbols < 1:
             raise ValueError("need at least one symbol")
-        if self.subcarrier_spacing <= 0 or self.symbol_duration <= 0:
-            raise ValueError("spacing and duration must be positive")
-        prod = self.subcarrier_spacing * self.symbol_duration
-        if abs(prod - 1.0) > CONFIG_TOL:
-            raise ValueError(f"spacing*duration = {prod!r}; subcarriers would "
-                             "not be orthogonal")
 
 
 @dataclass(frozen=True)
 class AFGrid:
     """Sampled delay-Doppler surface.
 
-    Axes are normalized: delays in units of the symbol duration, Dopplers in
-    units of the subcarrier spacing.  ``values[i, j]`` belongs to
+    Delays are in units of the symbol duration, Dopplers in units of the
+    subcarrier spacing.  ``values[i, j]`` belongs to
     ``(tau_axis[i], nu_axis[j])``, in dB.
     """
 
@@ -97,17 +89,17 @@ def _draw_flat(c, d, cfg, n_mc, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact values
+# the kernel quadratic form
 
 
-def _window(tau: float, delta: int, t_p: float):
+def _window(tau: float, delta: int):
     """Overlap window of symbol n1 against symbol n2 = n1 + delta at lag tau.
 
     Returns (t_diff, t_avg); t_diff <= 0 means no overlap.
     """
-    shift = tau + delta * t_p
+    shift = tau + delta
     t_min = max(0.0, shift)
-    t_max = min(t_p, t_p + shift)
+    t_max = min(1.0, 1.0 + shift)
     return t_max - t_min, 0.5 * (t_max + t_min)
 
 
@@ -116,82 +108,25 @@ def _kernel(cfg: OFDMConfig, tau: float, nu: float) -> np.ndarray:
 
     Index i flattens (symbol n1, subcarrier l1) row-major; j likewise for
     (n2, l2).  Each (n1, n2) block integrates the window overlap of the two
-    pulses and carries the subcarrier mixing phase.
+    pulses and carries the subcarrier mixing phase.  The AF of one draw is
+    this quadratic form; zero for |tau| >= N, where no window overlaps.
     """
     L, N = cfg.n_subcarriers, cfg.n_symbols
-    df, t_p = cfg.subcarrier_spacing, cfg.symbol_duration
     l = np.arange(L)
     ldiff = l[:, None] - l[None, :]            # l1 - l2
     K = np.zeros((N * L, N * L), dtype=complex)
     for n1 in range(N):
         for n2 in range(N):
             delta = n2 - n1
-            t_diff, t_avg = _window(tau, delta, t_p)
+            t_diff, t_avg = _window(tau, delta)
             if t_diff <= 0.0:
                 continue
-            f = ldiff * df - nu
-            phase = f * t_avg + l[None, :] * df * (delta * t_p + tau) \
-                - n1 * nu * t_p
+            f = ldiff - nu
+            phase = f * t_avg + l[None, :] * (delta + tau) - n1 * nu
             block = t_diff * np.sinc(f * t_diff) \
                 * np.exp(2j * np.pi * phase)
             K[n1 * L:(n1 + 1) * L, n2 * L:(n2 + 1) * L] = block
     return K
-
-
-def _check_point(tau, nu):
-    if not (np.isfinite(tau) and np.isfinite(nu)):
-        raise ValueError("tau and nu must be finite")
-
-
-def af_sequence(m: np.ndarray, cfg: OFDMConfig,
-                tau: float, nu: float) -> complex:
-    """Exact AF of an N-symbol train at (tau, nu); zero for |tau| >= N*T_p.
-
-    ``m`` holds N*L symbols (any shape); a single symbol is the N = 1 train.
-    """
-    _check_point(tau, nu)
-    values = np.asarray(m).reshape(cfg.n_symbols, cfg.n_subcarriers)
-    span = cfg.n_symbols * cfg.symbol_duration
-    if abs(tau) >= span:
-        return 0.0 + 0.0j
-    x = values.ravel()
-    K = _kernel(cfg, tau, nu)
-    return complex(x @ (K @ np.conj(x)))
-
-
-def af_components(m: np.ndarray, cfg: OFDMConfig,
-                  tau: float, nu: float) -> tuple[complex, complex]:
-    """Split the AF into (self term, cross term).
-
-    The self term keeps only diagonal pairs (same symbol index, same
-    subcarrier), i.e. the part driven by symbol energies alone; the cross
-    term is the remainder.  Their sum equals :func:`af_sequence`.
-    """
-    _check_point(tau, nu)
-    values = np.asarray(m).reshape(cfg.n_symbols, cfg.n_subcarriers)
-    span = cfg.n_symbols * cfg.symbol_duration
-    if abs(tau) >= span:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    x = values.ravel()
-    K = _kernel(cfg, tau, nu)
-    total = complex(x @ (K @ np.conj(x)))
-    self_term = complex(np.dot(np.abs(x) ** 2, np.diag(K)))
-    return self_term, total - self_term
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo averages
-
-
-def af_samples(c: Constellation, d: Distribution, cfg: OFDMConfig,
-               tau: float, nu: float, n_mc: int, seed: int) -> np.ndarray:
-    """AF realizations at one (tau, nu) over n_mc independent data draws."""
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    _check_point(tau, nu)
-    X = _draw_flat(c, d, cfg, n_mc, seed)
-    K = _kernel(cfg, tau, nu)
-    return np.sum(X * (np.conj(X) @ K.T), axis=1)
 
 
 def _grid_axes(tau_axis, nu_axis) -> tuple[np.ndarray, np.ndarray]:
@@ -220,25 +155,21 @@ def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
                normalize: bool = True) -> AFGrid:
     """Monte-Carlo mean squared-magnitude AF over the data distribution, in dB.
 
-    Axes are normalized (delay / T_p, Doppler / spacing).  One set of n_mc
-    symbol draws is shared across the whole grid; trial m is seeded with
-    ``seed XOR m``.  With ``normalize`` the surface peak is shifted to 0 dB.
-    The oracle of :func:`exact_af`, which gives the same surface without
-    sampling error.
+    One set of n_mc symbol draws is shared across the whole grid; trial m
+    is seeded with ``seed XOR m``.  With ``normalize`` the surface peak is
+    shifted to 0 dB.  The oracle of :func:`exact_af`, which gives the same
+    surface without sampling error; no command runs it.
     """
     tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     X = _draw_flat(c, d, cfg, n_mc, seed)
     Xc = np.conj(X)
-    span = cfg.n_symbols * cfg.symbol_duration
     mean_pow = np.zeros((tau_axis.size, nu_axis.size))
-    for i, tn in enumerate(tau_axis):
-        tau = tn * cfg.symbol_duration
-        if abs(tau) >= span:
+    for i, tau in enumerate(tau_axis):
+        if abs(tau) >= cfg.n_symbols:
             continue
-        for j, vn in enumerate(nu_axis):
-            nu = vn * cfg.subcarrier_spacing
+        for j, nu in enumerate(nu_axis):
             K = _kernel(cfg, tau, nu)
             lam = np.sum(X * (Xc @ K.T), axis=1)
             mean_pow[i, j] = float(np.mean(np.abs(lam) ** 2))
@@ -273,15 +204,15 @@ class AFMoments:
                 + self.var_cross_train)
 
 
-def _pair_sincs(L: int, df: float, nu: float,
+def _pair_sincs(L: int, nu: float,
                 t_diff: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts and sincs over the subcarrier differences d = l1 - l2.
 
     There are L - |d| ordered pairs at each d in [-(L-1), L-1]; the sinc is
-    sinc((d*df - nu) * t_diff).  Reversing either array maps d to -d.
+    sinc((d - nu) * t_diff).  Reversing either array maps d to -d.
     """
     d = np.arange(-(L - 1), L)
-    return L - np.abs(d), np.sinc((d * df - nu) * t_diff)
+    return L - np.abs(d), np.sinc((d - nu) * t_diff)
 
 
 def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
@@ -292,33 +223,34 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
     variance depends on the distribution through the fourth moment E[A^4].
     The cross-term variance is sum_{i!=j} |K_ij|^2 plus
     |E[x^2]|^2 * sum_{i!=j} K_ij conj(K_ji), with K the kernel of
-    :func:`af_sequence`: it is the same for every proper input (QAM, PSK of
+    :func:`_kernel`: it is the same for every proper input (QAM, PSK of
     order >= 3, any ring-symmetric shaping) and differs for improper ones
     such as BPSK, where it doubles at zero Doppler.  The pseudo-variance sum pairs a block with its
     transpose, whose window is empty unless the two symbols coincide, so
     it only has within-symbol terms and scales by N over a train.
     """
-    _check_point(tau, nu)
+    if not (np.isfinite(tau) and np.isfinite(nu)):
+        raise ValueError("tau and nu must be finite")
     L, N = cfg.n_subcarriers, cfg.n_symbols
-    df, t_p = cfg.subcarrier_spacing, cfg.symbol_duration
     m4 = moment(c, d, 4)
     pseudo = abs(np.dot(d.per_point, c.points ** 2)) ** 2
 
-    t_diff, t_avg = _window(tau, 0, t_p)
+    t_diff, t_avg = _window(tau, 0)
     if t_diff <= 0.0:
         mean_self = 0.0 + 0.0j
         var_self = 0.0
         var_cross = 0.0
     else:
         l = np.arange(L)
-        comb = np.sum(np.exp(2j * np.pi * l * df * tau))
-        train = np.sum(np.exp(-2j * np.pi * np.arange(N) * nu * t_p))
+        comb = np.sum(np.exp(2j * np.pi * l * tau))
+        train = np.sum(np.exp(-2j * np.pi * np.arange(N) * nu))
         mean_self = (t_diff * np.sinc(nu * t_diff)
                      * np.exp(-2j * np.pi * nu * t_avg) * comb * train)
         var_self = t_diff ** 2 * np.sinc(nu * t_diff) ** 2 * L * (m4 - 1.0)
-        counts, s = _pair_sincs(L, df, nu, t_diff)
+        counts, s = _pair_sincs(L, nu, t_diff)
         counts[L - 1] = 0                        # d = 0 is the self term
-        # K_ji carries the sinc at -d and, since df * T_p = 1, the same phase
+        # K_ji carries the sinc at -d and, since spacing * T_p = 1, the same
+        # phase
         var_cross = t_diff ** 2 * float(np.sum(counts * s ** 2)
                                         + pseudo * np.sum(counts * s * s[::-1]))
 
@@ -326,11 +258,11 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
     for delta in range(-(N - 1), N):
         if delta == 0:
             continue
-        td, _ = _window(tau, delta, t_p)
+        td, _ = _window(tau, delta)
         if td <= 0.0:
             continue
         # (N - |delta|) symbol pairs share this overlap geometry
-        counts, s = _pair_sincs(L, df, nu, td)
+        counts, s = _pair_sincs(L, nu, td)
         var_cross_train += (N - abs(delta)) * td ** 2 * float(
             np.sum(counts * s ** 2))
 
@@ -348,13 +280,11 @@ def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
 
     Each cell is :attr:`AFMoments.mean_power` of :func:`analytic_moments`;
     the moments come back too, ``moments[i][j]`` for
-    ``(tau_axis[i], nu_axis[j])``.  Axes are normalized (delay / T_p,
-    Doppler / spacing) as in :func:`average_af`, whose Monte-Carlo surface
-    this is without sampling error.  No draws, so no seed.
+    ``(tau_axis[i], nu_axis[j])``.  It is :func:`average_af`'s Monte-Carlo
+    surface without sampling error.  No draws, so no seed.
     """
     tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
-    moments = [[analytic_moments(c, d, cfg, float(tn * cfg.symbol_duration),
-                                 float(vn * cfg.subcarrier_spacing))
-                for vn in nu_axis] for tn in tau_axis]
+    moments = [[analytic_moments(c, d, cfg, float(tau), float(nu))
+                for nu in nu_axis] for tau in tau_axis]
     mean_pow = np.array([[m.mean_power for m in row] for row in moments])
     return _db_grid(tau_axis, nu_axis, mean_pow, normalize), moments

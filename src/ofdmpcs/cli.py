@@ -17,7 +17,9 @@ purpose string).  ``af`` draws
 nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
 var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
 through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
-units of T_p and of the subcarrier spacing, as the key names say.
+units of T_p and of the subcarrier spacing, as the key names say, and so
+is the library, so ``[ofdm] subcarrier_spacing`` or ``symbol_duration``
+exits 2: it would scale ``af_slice.csv``'s variance columns by T_p**2.
 ``[channel] sigma2`` is read only where ``run_mba`` runs or a rate is
 scored: by ``shape``, ``tradeoff`` and ``lut-export``, and by ``air``,
 ``af`` and ``detect`` under ``--c0`` with the optimal method.  Exit
@@ -61,6 +63,8 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
+
+MAX_LADDER_POINTS = 10**6              # an 8 MB array
 
 
 class ConfigError(Exception):
@@ -134,6 +138,10 @@ def _ladder(cp, section, prefix) -> np.ndarray:
     step = _get(cp, section, f"{prefix}_step", float)
     if step <= 0 or hi < lo:
         raise ConfigError(f"empty {prefix} ladder in [{section}]")
+    # np.arange's length is this, rounded up: check it before allocating
+    if (hi + 0.5 * step - lo) / step > MAX_LADDER_POINTS:
+        raise ConfigError(f"{prefix} ladder in [{section}] has more than "
+                          f"{MAX_LADDER_POINTS} points")
     vals = np.arange(lo, hi + 0.5 * step, step)
     if vals[-1] < hi - 1e-9:
         vals = np.append(vals, hi)
@@ -155,12 +163,15 @@ def _build_constellation(cp) -> Constellation:
 def _build_ofdm(cp) -> OFDMConfig:
     from .ambiguity import OFDMConfig
 
+    for key in ("subcarrier_spacing", "symbol_duration"):
+        if cp.has_option("ofdm", key):
+            raise ConfigError(f"[ofdm] {key} is not a config key: delays are "
+                              "in units of the symbol duration and Dopplers "
+                              "in units of the subcarrier spacing")
     try:
         return OFDMConfig(
             n_subcarriers=_get(cp, "ofdm", "n_subcarriers", int, 64),
-            **_given(cp, "ofdm", {"subcarrier_spacing": float,
-                                  "symbol_duration": float,
-                                  "n_symbols": int}))
+            **_given(cp, "ofdm", {"n_symbols": int}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -276,10 +276,3 @@ def moment(c: Constellation, d: Distribution, order: int) -> float:
     if order not in (2, 4):
         raise ValueError("moment order must be 2 or 4")
     return float(np.dot(d.per_point, c.amplitudes ** order))
-
-
-def entropy_bits(d: Distribution) -> float:
-    """Shannon entropy of the per-point distribution, in bits."""
-    p = np.asarray(d.per_point, dtype=float)
-    pos = p[p > 0]
-    return float(-np.sum(pos * np.log2(pos)))

@@ -296,17 +296,6 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
                            n_rows * length, 1.0 - sc.p_fa)
 
 
-def empirical_false_alarm_rate(sc: DetectionScenario, alpha: float,
-                               n_cells: int, seed: int = 0) -> float:
-    """Fresh noise-only run: fraction of cells crossing alpha * statistic."""
-    length = sc.cfg.n_subcarriers
-    n_rows = int(np.ceil(n_cells / length))
-    rng = np.random.default_rng(derive_seed(seed, "cfar-evaluation"))
-    crossings = sum(int(np.count_nonzero(r > alpha))
-                    for r in _noise_only_ratios(sc, n_rows, rng))
-    return crossings / (n_rows * length)
-
-
 # ---------------------------------------------------------------------------
 # detection-probability curves
 

@@ -287,19 +287,23 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
     is returned with ``None`` for the multipliers.  The same happens when
     the tilt misses any of the rows (A**4, A**2, 1) by more than
     ``RESIDUAL_TOL`` from both starts, which guards degenerate inputs such
-    as fewer than three live rings.
+    as fewer than three live rings; that vertex loads live rings only.
 
-    So the masses returned are nonnegative and meet all three rows to
-    ``RESIDUAL_TOL``, whatever ``u`` and ``warm``; both solvers rest on
-    that.  An all-``-inf`` ``u`` raises ``ValueError``, and a ``c0`` that
-    no ring loading meets raises ``RuntimeError``.
+    So the masses returned are nonnegative, zero on dead rings, and meet
+    all three rows to ``RESIDUAL_TOL``, whatever ``u`` and ``warm``; both
+    solvers rest on that.  An all-``-inf`` ``u`` raises ``ValueError``, and
+    a ``c0`` no loading of the live rings meets raises ``RuntimeError``.
     """
     a2 = c.ring_amps ** 2
-    if c0 in feasible_c0_range(c):
-        return _lp_match(a2, c0), None
     live = np.isfinite(u)
     if not np.any(live):
         raise ValueError("all update weights vanished; integrals are degenerate")
+    if c0 in feasible_c0_range(c):
+        mass = _lp_match(a2, c0)
+        if np.any(mass[~live] > 0.0):
+            raise RuntimeError(f"the one ring loading at fourth moment {c0!r} "
+                               "loads a dead ring")
+        return mass, None
     rows = np.vstack([a2 ** 2, a2, np.ones_like(a2)])
     target = np.array([c0, 1.0, 1.0])
     starts = [np.zeros(2)] if warm is None else [warm, np.zeros(2)]
@@ -309,7 +313,9 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
         mass[live] = p
         if np.max(np.abs(rows @ mass - target)) <= RESIDUAL_TOL:
             return mass, lam
-    return _lp_match(a2, c0), None
+    mass = np.zeros(u.shape)
+    mass[live] = _lp_match(a2[live], c0)
+    return mass, None
 
 
 def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:

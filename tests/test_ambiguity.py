@@ -3,13 +3,13 @@
 Two oracles pin the same definition
 
     AF(tau, nu) = integral s(t) * conj(s(t - tau)) * exp(-2j*pi*nu*t) dt,
-    s(t) = sum_{n,l} x[n,l] * exp(2j*pi*l*df*(t - n*T_p)) on [n*T_p, (n+1)*T_p)
+    s(t) = sum_{n,l} x[n,l] * exp(2j*pi*l*(t - n)) on [n, n + 1)   (T_p = 1)
 
 by different routes: ``oracle_closed`` evaluates the antiderivative of every
 (subcarrier, subcarrier) pair on explicitly intersected windows (no sinc
 identity, no midpoint phase), and ``oracle_simpson`` integrates the sampled
 waveform numerically between breakpoints.  Agreement of both with
-``af_sequence`` checks the kernel's windows, phases, and sinc algebra.
+``oracles.kernel_af`` checks the kernel's windows, phases, and sinc algebra.
 """
 from __future__ import annotations
 
@@ -21,31 +21,29 @@ from ofdmpcs import (
     Distribution,
     OFDMConfig,
     analytic_moments,
-    average_af,
     exact_af,
     make_constellation,
     trial_seed,
 )
-from ofdmpcs.ambiguity import (_draw_flat, _kernel, af_components, af_samples,
-                               af_sequence)
+from ofdmpcs.ambiguity import _draw_flat, _kernel, average_af
 from ofdmpcs.constellation import moment
+from oracles import af_realizations, kernel_af, kernel_af_split
 
 
 def oracle_closed(x: np.ndarray, cfg: OFDMConfig, tau: float, nu: float) -> complex:
     L, N = cfg.n_subcarriers, cfg.n_symbols
-    df, tp = cfg.subcarrier_spacing, cfg.symbol_duration
     x = np.asarray(x).reshape(N, L)
     total = 0.0 + 0.0j
     for n1 in range(N):
         for n2 in range(N):
-            a = max(n1 * tp, n2 * tp + tau)
-            b = min((n1 + 1) * tp, (n2 + 1) * tp + tau)
+            a = max(n1, n2 + tau)
+            b = min(n1 + 1, n2 + 1 + tau)
             if b <= a:
                 continue
             for l1 in range(L):
                 for l2 in range(L):
-                    f = (l1 - l2) * df - nu
-                    const = np.exp(2j * np.pi * (l2 * df * (tau + n2 * tp) - l1 * df * n1 * tp))
+                    f = (l1 - l2) - nu
+                    const = np.exp(2j * np.pi * (l2 * (tau + n2) - l1 * n1))
                     if abs(f) < 1e-14:
                         integral = b - a
                     else:
@@ -59,28 +57,26 @@ def oracle_closed(x: np.ndarray, cfg: OFDMConfig, tau: float, nu: float) -> comp
 def waveform(x: np.ndarray, cfg: OFDMConfig, n: int, t: np.ndarray) -> np.ndarray:
     """Smooth branch of s on symbol n, evaluated at absolute times t."""
     l = np.arange(cfg.n_subcarriers)
-    ph = np.exp(2j * np.pi * l[:, None] * cfg.subcarrier_spacing
-                * (t[None, :] - n * cfg.symbol_duration))
+    ph = np.exp(2j * np.pi * l[:, None] * (t[None, :] - n))
     return x[n] @ ph
 
 
 def oracle_simpson(x: np.ndarray, cfg: OFDMConfig, tau: float, nu: float,
                    nodes: int = 4097) -> complex:
     L, N = cfg.n_subcarriers, cfg.n_symbols
-    tp = cfg.symbol_duration
     x = np.asarray(x).reshape(N, L)
-    lo, hi = max(0.0, tau), min(N * tp, N * tp + tau)
+    lo, hi = max(0.0, tau), min(N, N + tau)
     if hi <= lo:
         return 0.0 + 0.0j
-    brk = {k * tp for k in range(N + 1)} | {k * tp + tau for k in range(N + 1)}
+    brk = set(range(N + 1)) | {k + tau for k in range(N + 1)}
     brk = np.unique([p for p in brk if lo - 1e-12 <= p <= hi + 1e-12])
     total = 0.0 + 0.0j
     for a, b in zip(brk[:-1], brk[1:]):
         if b - a < 1e-12:
             continue
         mid = 0.5 * (a + b)
-        n1 = min(max(int(np.floor(mid / tp)), 0), N - 1)
-        n2 = min(max(int(np.floor((mid - tau) / tp)), 0), N - 1)
+        n1 = min(max(int(np.floor(mid)), 0), N - 1)
+        n2 = min(max(int(np.floor(mid - tau)), 0), N - 1)
         t = np.linspace(a, b, nodes)
         integrand = (waveform(x, cfg, n1, t) * np.conj(waveform(x, cfg, n2, t - tau))
                      * np.exp(-2j * np.pi * nu * t))
@@ -103,7 +99,7 @@ class TestExactValues:
         c = make_constellation("qam", 16)
         cfg = OFDMConfig(n_subcarriers=4)
         x = _random_symbols(c, cfg, 7)
-        got = af_sequence(x, cfg, tau, nu)
+        got = kernel_af(x, cfg, tau, nu)
         want = oracle_closed(x, cfg, tau, nu)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -114,19 +110,9 @@ class TestExactValues:
         c = make_constellation("qam", 16)
         cfg = OFDMConfig(n_subcarriers=3, n_symbols=3)
         x = _random_symbols(c, cfg, 11)
-        got = af_sequence(x, cfg, tau, nu)
+        got = kernel_af(x, cfg, tau, nu)
         want = oracle_closed(x, cfg, tau, nu)
         assert got == pytest.approx(want, abs=1e-10)
-
-    def test_non_unit_duration_matches_antiderivative(self):
-        c = make_constellation("qam", 4)
-        cfg = OFDMConfig(n_subcarriers=4, subcarrier_spacing=2.0,
-                         symbol_duration=0.5, n_symbols=2)
-        x = _random_symbols(c, cfg, 3)
-        for tau, nu in [(0.21, 0.0), (-0.13, 1.7), (0.44, -0.9)]:
-            got = af_sequence(x, cfg, tau, nu)
-            want = oracle_closed(x, cfg, tau, nu)
-            assert got == pytest.approx(want, abs=1e-10)
 
     def test_quadrature_oracle_agrees(self):
         # belt and braces: numeric integration of the sampled waveform
@@ -134,25 +120,25 @@ class TestExactValues:
         cfg = OFDMConfig(n_subcarriers=4, n_symbols=2)
         x = _random_symbols(c, cfg, 19)
         for tau, nu in [(0.3, 0.7), (-0.45, 0.2)]:
-            got = af_sequence(x, cfg, tau, nu)
+            got = kernel_af(x, cfg, tau, nu)
             want = oracle_simpson(x, cfg, tau, nu)
             assert got == pytest.approx(want, abs=5e-7)
 
     def test_zero_lag_peak_is_signal_energy(self):
         cfg = OFDMConfig(n_subcarriers=16, n_symbols=2)
         x = np.ones((2, 16), dtype=complex)
-        assert af_sequence(x, cfg, 0.0, 0.0) == pytest.approx(32.0, abs=1e-12)
+        assert kernel_af(x, cfg, 0.0, 0.0) == pytest.approx(32.0, abs=1e-12)
 
     def test_zero_outside_support(self):
         cfg = OFDMConfig(n_subcarriers=4, n_symbols=2)
         x = np.ones((2, 4), dtype=complex)
-        assert af_sequence(x, cfg, 2.0, 0.3) == 0.0
-        assert af_sequence(x, cfg, -2.5, 0.0) == 0.0
+        assert kernel_af(x, cfg, 2.0, 0.3) == 0.0
+        assert kernel_af(x, cfg, -2.5, 0.0) == 0.0
 
     def test_wrong_row_length_rejected(self):
         cfg = OFDMConfig(n_subcarriers=8)
         with pytest.raises(ValueError):
-            af_sequence(np.ones(4), cfg, 0.0, 0.0)
+            kernel_af(np.ones(4), cfg, 0.0, 0.0)
 
 
 class TestComponents:
@@ -160,15 +146,15 @@ class TestComponents:
         c = make_constellation("qam", 64)
         cfg = OFDMConfig(n_subcarriers=8, n_symbols=2)
         x = _random_symbols(c, cfg, 23)
-        s, v = af_components(x, cfg, 0.2, 0.6)
-        assert s + v == pytest.approx(af_sequence(x, cfg, 0.2, 0.6), abs=1e-10)
+        s, v = kernel_af_split(x, cfg, 0.2, 0.6)
+        assert s + v == pytest.approx(kernel_af(x, cfg, 0.2, 0.6), abs=1e-10)
 
     def test_cross_term_vanishes_at_origin(self):
         # orthogonal subcarriers: every off-diagonal pair integrates to zero
         c = make_constellation("qam", 16)
         cfg = OFDMConfig(n_subcarriers=8)
         x = _random_symbols(c, cfg, 29)
-        s, v = af_components(x, cfg, 0.0, 0.0)
+        s, v = kernel_af_split(x, cfg, 0.0, 0.0)
         assert abs(v) < 1e-10
         assert s == pytest.approx(np.sum(np.abs(x) ** 2), abs=1e-10)
 
@@ -182,12 +168,13 @@ class TestSampling:
 
     def test_af_samples_rows_match_per_draw_evaluation(self, qam16, uniform16):
         cfg = OFDMConfig(n_subcarriers=4, n_symbols=2)
-        vals = af_samples(qam16, uniform16, cfg, 0.3, 0.2, n_mc=5, seed=99)
+        vals = af_realizations(qam16, uniform16, cfg, 0.3, 0.2, n_mc=5,
+                               seed=99)
         p = uniform16.per_point
         for m in range(5):
             rng = np.random.default_rng(trial_seed(99, m))
             x = qam16.points[rng.choice(16, size=8, p=p)]
-            assert vals[m] == pytest.approx(af_sequence(x, cfg, 0.3, 0.2), abs=1e-10)
+            assert vals[m] == pytest.approx(kernel_af(x, cfg, 0.3, 0.2), abs=1e-10)
 
     def test_shaped_distribution_respected(self, qam16):
         d = Distribution.from_ring_mass(qam16, [0.0, 1.0, 0.0])
@@ -245,7 +232,7 @@ def kernel_mean_power(c, d, cfg, tau, nu):
     is nonzero only for i=j=k=l (E|x|^4), i=j != k=l or i=k != j=l (1) and
     i=l != j=k (|E x^2|^2).
     """
-    if abs(tau) >= cfg.n_symbols * cfg.symbol_duration:
+    if abs(tau) >= cfg.n_symbols:
         return 0.0
     K = _kernel(cfg, tau, nu)
     diag = np.diag(K)
@@ -279,16 +266,12 @@ class TestMeanPower:
     @pytest.mark.parametrize("n_symbols", [1, 2, 3])
     def test_matches_kernel_sum(self, name, n_symbols):
         c, d = _case(name)
-        for cfg in (OFDMConfig(6, n_symbols=n_symbols),
-                    OFDMConfig(5, subcarrier_spacing=2.0, symbol_duration=0.5,
-                               n_symbols=n_symbols)):
-            t_p, d_f = cfg.symbol_duration, cfg.subcarrier_spacing
-            for tn, vn in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.7), (-0.45, 0.2),
-                           (1.3, 0.1), (-1.7, -0.6), (0.9, 1.5), (2.4, 0.3)]:
-                tau, nu = tn * t_p, vn * d_f
-                got = analytic_moments(c, d, cfg, tau, nu).mean_power
-                want = kernel_mean_power(c, d, cfg, tau, nu)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        cfg = OFDMConfig(6, n_symbols=n_symbols)
+        for tau, nu in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.7), (-0.45, 0.2),
+                        (1.3, 0.1), (-1.7, -0.6), (0.9, 1.5), (2.4, 0.3)]:
+            got = analytic_moments(c, d, cfg, tau, nu).mean_power
+            want = kernel_mean_power(c, d, cfg, tau, nu)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n_symbols,tau,nu", [(1, 0.1, 0.0),
                                                   (1, 0.3, 0.2),
@@ -332,22 +315,21 @@ class TestExactSurface:
                         normalize=False)
         for i, tau in enumerate(taus):
             for j, nu in enumerate(nus):
-                power = np.abs(af_samples(c, d, cfg, tau, nu, n, seed)) ** 2
+                power = np.abs(af_realizations(c, d, cfg, tau, nu, n,
+                                               seed)) ** 2
                 se = np.std(power) / np.sqrt(n)
                 got = 10.0 ** (exact.values[i, j] / 10.0)
                 want = 10.0 ** (mc.values[i, j] / 10.0)
                 assert want == pytest.approx(np.mean(power), rel=1e-9)
                 assert abs(got - want) <= 4 * se, (tau, nu, got, want, se)
 
-    def test_grid_cells_are_moment_mean_power(self, qam16, uniform16):
-        cfg = OFDMConfig(8, subcarrier_spacing=2.0, symbol_duration=0.5)
+    def test_grid_cells_are_moment_mean_power(self, qam16, uniform16, ofdm8):
         taus, nus = [0.0, 0.25, 1.0], [0.0, 0.5]
-        grid, moments = exact_af(qam16, uniform16, cfg, taus, nus,
+        grid, moments = exact_af(qam16, uniform16, ofdm8, taus, nus,
                                  normalize=False)
-        for i, tn in enumerate(taus):
-            for j, vn in enumerate(nus):
-                mom = analytic_moments(qam16, uniform16, cfg, tn * 0.5,
-                                       vn * 2.0)
+        for i, tau in enumerate(taus):
+            for j, nu in enumerate(nus):
+                mom = analytic_moments(qam16, uniform16, ofdm8, tau, nu)
                 assert moments[i][j] == mom
                 with np.errstate(divide="ignore"):
                     assert grid.values[i, j] == 10.0 * np.log10(mom.mean_power)
@@ -364,16 +346,9 @@ class TestExactSurface:
 
 
 def _split_samples(c, d, cfg, tau, nu, n_mc, seed):
-    """(self, cross) sample arrays via per-draw component evaluation."""
-    p = d.per_point
-    selfs = np.empty(n_mc, dtype=complex)
-    crosses = np.empty(n_mc, dtype=complex)
-    nl = cfg.n_symbols * cfg.n_subcarriers
-    for m in range(n_mc):
-        rng = np.random.default_rng(trial_seed(seed, m))
-        x = c.points[rng.choice(c.order, size=nl, p=p)]
-        selfs[m], crosses[m] = af_components(x, cfg, tau, nu)
-    return selfs, crosses
+    """(self, cross) sample arrays, one split per draw of ``_draw_flat``."""
+    return np.array([kernel_af_split(x, cfg, tau, nu)
+                     for x in _draw_flat(c, d, cfg, n_mc, seed)]).T
 
 
 class TestMonteCarloAgreement:
@@ -436,10 +411,6 @@ class TestAverageGrid:
 
 
 class TestConfigValidation:
-    def test_orthogonality_enforced(self):
-        with pytest.raises(ValueError):
-            OFDMConfig(n_subcarriers=8, subcarrier_spacing=2.0, symbol_duration=1.0)
-
     def test_positive_counts(self):
         with pytest.raises(ValueError):
             OFDMConfig(n_subcarriers=0)

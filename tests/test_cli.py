@@ -106,6 +106,19 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "feasible range" in capsys.readouterr().err
 
+    def test_absurd_ladder_rejected(self, tmp_path, capsys):
+        # this step asks np.arange for 2e16 points (142 PiB), which fail
+        # with a traceback; a step of 1e-8 would really allocate 16 GB
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("snr_db_step = 10",
+                                           "snr_db_step = 1e-15"))
+        out = tmp_path / "o"
+        rc = run_cli("air", "--config", str(bad), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: snr_db ladder in [channel] "), err
+        assert not out.exists()
+
     def test_nonconvergence_exit(self, config, tmp_path, capsys):
         starved = tmp_path / "starved.ini"
         starved.write_text(
@@ -477,24 +490,20 @@ class TestAf:
             assert value == pytest.approx(10 * np.log10(power / peak),
                                           abs=1e-7)
 
-    def test_axes_in_symbol_and_spacing_units(self, tmp_path):
-        # halving T_p and doubling the spacing rescales the AF by T_p only:
-        # the peak-normalized surface over normalized axes stays the same,
-        # and the variance columns shrink by T_p^2
-        unit = self._af_bytes(tmp_path, "unit", BASE_CONFIG)
-        scaled = self._af_bytes(tmp_path, "scaled", BASE_CONFIG.replace(
-            "n_subcarriers = 64\n",
-            "n_subcarriers = 64\nsubcarrier_spacing = 2.0\n"
-            "symbol_duration = 0.5\n"))
-        assert scaled[0] == unit[0]
-        rows = [[line.split(b",") for line in text.split(b"\n")[1:-1]]
-                for text in (unit[1], scaled[1])]
-        assert len(rows[0]) == 3
-        for u, v in zip(*rows):
-            assert u[:2] == v[:2]
-            assert float(v[2]) == pytest.approx(float(u[2]) / 4, rel=1e-8)
-            assert float(v[3]) == pytest.approx(float(u[3]) / 4, rel=1e-8,
-                                                abs=1e-12)
+    def test_axes_in_symbol_and_spacing_units(self, tmp_path, capsys):
+        # the axes are in units of T_p and of the spacing, so both are 1:
+        # honoured, either key would scale af_slice.csv's variance columns
+        # by T_p^2, and ignored, it would silently not
+        for key in ("subcarrier_spacing = 2.0", "symbol_duration = 0.5"):
+            bad = tmp_path / "bad.ini"
+            bad.write_text(BASE_CONFIG.replace(
+                "n_subcarriers = 64\n", f"n_subcarriers = 64\n{key}\n"))
+            out = tmp_path / key.split()[0]
+            rc = run_cli("af", "--config", str(bad), "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG
+            assert err.startswith(f"config error: [ofdm] {key.split()[0]} ")
+            assert not out.exists()
 
 
 class TestDetect:

@@ -27,7 +27,7 @@ from ofdmpcs import (
     trial_seed,
     wilson_interval,
 )
-from ofdmpcs.detection import empirical_false_alarm_rate
+from oracles import empirical_false_alarm_rate
 
 
 @pytest.fixture

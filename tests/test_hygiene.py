@@ -4,10 +4,10 @@ Checks over ``src/ofdmpcs``: every import a module makes is used in it;
 every module-level private (``_name``) function or class is referenced
 somewhere in the package beyond its own definition; every public one, and
 every public method of a public class, has a caller in the package or in
-``perfbench/``, or is a test oracle named in ``ORACLES``, and no public
-method shares its name with a member of another class, where an attribute
-read could not tell which one it calls; ``ofdmpcs.__all__`` is exactly the
-lazily exported names, none of them an oracle, and each resolves; every
+``perfbench/``, with no exemption (test-only references live in
+``tests/oracles.py``), and no public method shares its name with a member
+of another class, where an attribute read could not tell which one it
+calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 ``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
 and no module references ``linalg``.  A deleted code path leaves no
 orphaned helper, dangling import or uncalled public function behind, no two
@@ -27,11 +27,6 @@ import ofdmpcs
 SRC = Path(ofdmpcs.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 BENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
-
-# Public definitions no command runs, kept as references tests compare the
-# production paths against.  They stay out of ``ofdmpcs.__all__``.
-ORACLES = ("af_components", "af_samples", "af_sequence", "entropy_bits",
-           "empirical_false_alarm_rate")
 
 
 def parse(path: Path) -> ast.Module:
@@ -106,7 +101,7 @@ def class_members(cls: ast.ClassDef) -> set[str]:
 def test_public_definitions_have_a_caller():
     # a use inside the definition itself (recursion, say) is not a caller;
     # the benchmark names the functions it traces in strings
-    named = set(ORACLES)
+    named = set()
     for path in BENCH:
         tree = parse(path)
         named |= referenced_names(tree) | {
@@ -123,8 +118,8 @@ def test_public_definitions_have_a_caller():
     ]
     # a public method of a public class is called through an attribute,
     # from the package or the benchmark
-    attributes = set(ORACLES).union(*(attribute_names(parse(path))
-                                      for path in MODULES + BENCH))
+    attributes = set().union(*(attribute_names(parse(path))
+                               for path in MODULES + BENCH))
     uncalled += [
         f"{name}:{cls.name}.{node.name}" for name, cls, _ in tops
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
@@ -156,9 +151,8 @@ def test_all_entries_resolve():
     assert len(set(ofdmpcs.__all__)) == len(ofdmpcs.__all__)
 
 
-def test_exports_are_the_lazy_names_without_oracles():
+def test_exports_are_the_lazy_names():
     assert ofdmpcs.__all__ == sorted(ofdmpcs._MODULE_OF)
-    assert not set(ORACLES) & set(ofdmpcs.__all__)
 
 
 def purpose_literal(node: ast.expr) -> str | None:

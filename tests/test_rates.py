@@ -24,10 +24,10 @@ from ofdmpcs import (
     solve_heuristic,
 )
 from ofdmpcs import rates
-from ofdmpcs.constellation import entropy_bits
 from ofdmpcs.rates import log_probs, logsumexp
 from ofdmpcs.seeds import derive_seed
 from ofdmpcs.shaping_ba import _log_likelihood, ring_tables
+from oracles import entropy_bits
 
 LN2 = np.log(2.0)
 

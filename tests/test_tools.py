@@ -1,14 +1,17 @@
-"""The output comparison script in ``tools/``: what counts as a float move."""
+"""Scripts beside the package: what ``tools/compare_outputs.py`` counts as
+a float move, and that the benchmark's span table wraps and restores."""
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).parents[1] / "tools" / "compare_outputs.py"
+ROOT = Path(__file__).parents[1]
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -17,7 +20,7 @@ def load_script():
 def test_json_diff_separates_float_moves_from_behaviour():
     # a float that moved is a relative change under its key; an integer,
     # a boolean, null against a number and a key set are behaviour
-    json_diff = load_script().json_diff
+    json_diff = load_script(ROOT / "tools" / "compare_outputs.py").json_diff
     a = [{"c0": 1.2, "ring_mass": [0.25, 0.5], "iters": 12,
           "converged": True, "lambda": None}]
     b = [{"c0": 1.2, "ring_mass": [0.25, 0.5 * (1 + 4e-15)], "iters": 12,
@@ -35,3 +38,24 @@ def test_json_diff_separates_float_moves_from_behaviour():
     floats, other = {}, []
     json_diff({"x": 1.0}, {"x": 1.0, "y": 2.0}, "f.json", floats, other)
     assert len(other) == 1 and "keys" in other[0]
+
+
+def test_span_table_wraps_every_name_and_restores_it():
+    # else a traced name deleted from the package fails only a traced
+    # benchmark run, with an AttributeError from install
+    spans = load_script(ROOT / "perfbench" / "spans.py")
+    traced = [row[1:3] for row in spans.SPANS + spans.COUNTERS]
+    originals = [getattr(importlib.import_module(m), f) for m, f in traced]
+    owners = [mod for name, mod in sys.modules.items()
+              if name.split(".")[0] == "ofdmpcs"]
+    owners.append(sys.modules["ofdmpcs.constellation"].Distribution)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert all(getattr(sys.modules[m], f) is not fn
+                   for (m, f), fn in zip(traced, originals))
+    finally:
+        tracer.uninstall()
+    for owner, old in zip(owners, before):
+        assert all(old.get(k) is v for k, v in vars(owner).items()), owner
