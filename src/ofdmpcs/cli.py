@@ -13,18 +13,21 @@ Every command is a pure function of (config file, flags, seed): reruns emit
 byte-identical artifacts, and ``lut-export`` solves afresh each time, so it
 never reuses a table already in the output directory.  All randomness flows
 from the single ``seed`` key; sub-seeds are derived by hashing (seed,
-purpose string).  ``af`` draws
-nothing: its surface is the closed form E|AF|^2 = |E AF|^2 + var_self +
-var_cross, so it reads no ``[af] n_mc``, and the seed reaches it only
-through the shaper when ``--c0`` asks for a shaped input.  Its axes are in
-units of T_p and of the subcarrier spacing, as the key names say, and so
-is the library, so ``[ofdm] subcarrier_spacing`` or ``symbol_duration``
-exits 2: it would scale ``af_slice.csv``'s variance columns by T_p**2.
+purpose string).  Neither shaper draws anything: the seed reaches a shaped
+input only through the rate that scores it.  ``af`` draws nothing either:
+its surface is the closed form E|AF|^2 = |E AF|^2 + var_self + var_cross,
+so it reads no ``[af] n_mc``, and its grid holds at most
+``MAX_LADDER_POINTS`` cells.  Its axes are in units of T_p and of the
+subcarrier spacing, as the key names say, and so is the library, so
+``[ofdm] subcarrier_spacing`` or ``symbol_duration`` exits 2: it would
+scale ``af_slice.csv``'s variance columns by T_p**2.  ``[shaping] n_mc``
+is read by nothing: ``run_mba`` integrates on a fixed node grid.
 ``[channel] sigma2`` is read only where ``run_mba`` runs or a rate is
 scored: by ``shape``, ``tradeoff`` and ``lut-export``, and by ``air``,
 ``af`` and ``detect`` under ``--c0`` with the optimal method.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numerical
-non-convergence.
+non-convergence, 4 for an internal error (a ``RuntimeError``, such as a
+moment match no ring loading meets), each failure one line on stderr.
 
 This module is the package's one boundary.  It alone turns INI keys into
 library objects, and it passes a key only when the config sets it, so a
@@ -63,8 +66,9 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
+EXIT_INTERNAL = 4
 
-MAX_LADDER_POINTS = 10**6              # an 8 MB array
+MAX_LADDER_POINTS = 10**6       # a ladder or AF grid of 8 MB per float array
 
 
 class ConfigError(Exception):
@@ -232,31 +236,28 @@ def _shaped_distribution(c, cp, args, seed) -> Distribution:
 
 
 def _mba_config(cp, c0, sigma2) -> MBAConfig:
-    from .shaping_ba import MIN_UPDATE_SAMPLES, MBAConfig
+    from .shaping_ba import MBAConfig
 
     return MBAConfig(
         c0=c0, noise_power=sigma2,
-        **_n_mc(cp, "shaping", "n_mc", MIN_UPDATE_SAMPLES),
         **_given(cp, "shaping", {"outer_tol": float, "max_outer": int}))
 
 
 def _solve_one(c, cp, method, c0, sigma2, master_seed,
                with_air=True) -> ShapingResult:
-    """One shaping solve at c0 with a per-c0 sub-seed (composition-stable).
+    """One shaping solve at c0, scored with a per-c0 sub-seed
+    (composition-stable).
 
     c0 is clamped here; ``with_air`` scores the input by its rate, one
     estimate with the same draw and sample count for either method, and
     only then is ``[shaping] air_n_mc`` read.  ``sigma2`` may be ``None``
     for an unscored heuristic solve, the one that uses no noise power.
     """
-    from .seeds import derive_seed
-
     if with_air:
         from .rates import MIN_MI_SAMPLES, ChannelSpec, mutual_information
 
         air_n_mc = _n_mc(cp, "shaping", "air_n_mc", MIN_MI_SAMPLES)
     c0 = _clamp_c0(c, c0)
-    sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
     if method == "heuristic":
         from .shaping import solve_heuristic
 
@@ -264,10 +265,13 @@ def _solve_one(c, cp, method, c0, sigma2, master_seed,
     else:
         from .shaping_ba import run_mba
 
-        res = run_mba(c, _mba_config(cp, c0, sigma2), seed=sub_seed)
+        res = run_mba(c, _mba_config(cp, c0, sigma2))
     if with_air:
-        # the purpose keeps the name it had when run_mba drew it: a new
-        # name would move every rate byte
+        from .seeds import derive_seed
+
+        # the purposes keep the names they had when run_mba drew its
+        # samples: new names would move every rate byte
+        sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
         air = mutual_information(c, res.distribution, ChannelSpec(sigma2),
                                  **air_n_mc,
                                  seed=derive_seed(sub_seed, "mba-air"))
@@ -331,6 +335,11 @@ def cmd_af(cp, args) -> int:
     for key, n in sizes.items():
         if n < 1:
             raise ConfigError(f"[af] {key} must be at least 1, got {n}")
+    # checked before anything is shaped or allocated
+    if sizes["n_tau"] * sizes["n_nu"] > MAX_LADDER_POINTS:
+        raise ConfigError(f"[af] n_tau * n_nu must be at most "
+                          f"{MAX_LADDER_POINTS} cells, got {sizes['n_tau']} "
+                          f"* {sizes['n_nu']}")
     d = _shaped_distribution(c, cp, args, _master_seed(cp, args))
     tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0),
                       _get(cp, "af", "tau_max_tp", float, 0.5),
@@ -528,6 +537,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

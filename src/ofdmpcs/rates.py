@@ -37,19 +37,6 @@ MIN_MI_SAMPLES = 1000       # smallest n_mc with a usable standard error
 _CHUNK_ELEMS = 65_536       # gm_log_pdf's (samples, points) table: 512 KB
 
 
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a), axis)) of a real array, max-shifted.
-
-    Every slice along ``axis`` must hold a finite entry: its maximum is
-    then finite, ``-inf`` entries add ``exp(-inf) = 0``, and the shifted
-    sum is at least 1.  The shaper's ring tables (``shaping_ba``) are its
-    callers, and their slices always do.
-    """
-    a_max = np.max(a, axis=axis, keepdims=True)
-    return (np.log(np.sum(np.exp(a - a_max), axis=axis))
-            + np.squeeze(a_max, axis=axis))
-
-
 def log_probs(p: np.ndarray) -> np.ndarray:
     """Elementwise ``log p``, ``-inf`` exactly where ``p`` is zero.
 

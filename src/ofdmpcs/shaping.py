@@ -291,13 +291,15 @@ def match_ring_masses(c: Constellation, u: np.ndarray, c0: float,
 
     So the masses returned are nonnegative, zero on dead rings, and meet
     all three rows to ``RESIDUAL_TOL``, whatever ``u`` and ``warm``; both
-    solvers rest on that.  An all-``-inf`` ``u`` raises ``ValueError``, and
-    a ``c0`` no loading of the live rings meets raises ``RuntimeError``.
+    solvers rest on that.  An all-``-inf`` ``u``, or a ``c0`` no loading of
+    the live rings meets, raises ``RuntimeError``: neither solver can
+    produce one, so either is an internal error.
     """
     a2 = c.ring_amps ** 2
     live = np.isfinite(u)
     if not np.any(live):
-        raise ValueError("all update weights vanished; integrals are degenerate")
+        raise RuntimeError("all update weights vanished; integrals are "
+                           "degenerate")
     if c0 in feasible_c0_range(c):
         mass = _lp_match(a2, c0)
         if np.any(mass[~live] > 0.0):

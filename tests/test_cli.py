@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from ofdmpcs import cli, rates, shaping, shaping_ba
-from ofdmpcs.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
+from ofdmpcs.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NONCONVERGED,
+                         EXIT_OK, main)
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -181,17 +182,15 @@ class TestExitCodes:
         assert not list(out.glob("shape_*.json"))
 
     @pytest.mark.parametrize("command,old,new,name", [
-        ("shape", "n_mc = 2000\nair_n_mc", "n_mc = 50\nair_n_mc",
-         "[shaping] n_mc"),
         ("air", "snr_db_step = 10\nn_mc = 2000",
          "snr_db_step = 10\nn_mc = 50", "[channel] n_mc"),
-    ], ids=["shaping-key", "channel-key"])
+    ], ids=["channel-key"])
     def test_n_mc_below_consumer_minimum_rejected(self, tmp_path, capsys,
                                                   monkeypatch, command, old,
                                                   new, name):
-        # a count between 1 and the consumer's own minimum (100 for the
-        # shaper's update integrals, 1000 for a rate) used to exit 2 with a
-        # library message that did not name the key
+        # a count between 1 and the consumer's own minimum (1000 for a
+        # rate) used to exit 2 with a library message that did not name
+        # the key
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran")
 
@@ -309,7 +308,7 @@ class TestExitCodes:
         # the CLI passes a key only when the config sets it
         seen = {}
 
-        def record_mba(c, cfg, seed):
+        def record_mba(c, cfg):
             seen["mba"] = cfg
             return shaping.solve_heuristic(c, cfg.c0)
 
@@ -342,6 +341,76 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert err.startswith("config error:") and f"[af] {key}" in err, err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_shaping_n_mc_is_read_by_nothing(self, config, tmp_path):
+        # run_mba integrates on a fixed node grid: a [shaping] n_mc, valid
+        # or not, writes the bytes of a config without the key
+        blobs = {}
+        for name, text in (
+                ("set", BASE_CONFIG),
+                ("tiny", BASE_CONFIG.replace("n_mc = 2000\nair_n_mc",
+                                             "n_mc = 5\nair_n_mc")),
+                ("unset", BASE_CONFIG.replace("n_mc = 2000\nair_n_mc",
+                                              "air_n_mc"))):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text)
+            out = tmp_path / name
+            for command in ("shape", "lut-export"):
+                assert run_cli(command, "--config", str(path),
+                               "--out", str(out)) == EXIT_OK
+            blobs[name] = [(out / f).read_bytes()
+                           for f in ("shape_optimal.json", "lut.json")]
+        assert blobs["set"] == blobs["tiny"] == blobs["unset"]
+
+    @pytest.mark.parametrize("failure", ["vertex", "vanished"])
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch,
+                                    failure):
+        # a RuntimeError of the matcher escaped as a traceback, and "all
+        # update weights vanished" exited 2 as a config error
+        if failure == "vertex":
+            def solver(c, cfg):
+                raise RuntimeError("no nonnegative ring loading meets fourth "
+                                   "moment 1.2 under unit power")
+
+            monkeypatch.setattr(shaping_ba, "run_mba", solver)
+        else:
+            match = shaping_ba.match_ring_masses
+            monkeypatch.setattr(
+                shaping_ba, "match_ring_masses",
+                lambda c, u, c0, warm: match(c, np.full_like(u, -np.inf), c0,
+                                             warm))
+        path = tmp_path / "exp.ini"
+        path.write_text(BASE_CONFIG)
+        out = tmp_path / "o"
+        for command in ("shape", "tradeoff", "lut-export"):
+            rc = run_cli(command, "--config", str(path), "--out", str(out))
+            captured = capsys.readouterr()
+            assert rc == EXIT_INTERNAL
+            assert captured.err.startswith("internal error: "), captured.err
+            assert captured.err.count("\n") == 1, captured.err
+            assert "Traceback" not in captured.err + captured.out
+            assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("n_tau,n_nu", [(10**12, 1), (1000, 1001)])
+    def test_af_grid_bounded_at_parse(self, tmp_path, capsys, monkeypatch,
+                                      n_tau, n_nu):
+        # 10**12 ended in numpy's 7.28 TiB _ArrayMemoryError, and 10**7
+        # would run the closed form once per cell for hours
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("n_tau = 3", f"n_tau = {n_tau}")
+                       .replace("n_nu = 2", f"n_nu = {n_nu}"))
+        out = tmp_path / "o"
+        rc = run_cli("af", "--config", str(bad), "--c0", "1.2",
+                     "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: [af] n_tau * n_nu "), err
+        assert f"{cli.MAX_LADDER_POINTS}" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("tradeoff", ("--c0", "1.2")), ("tradeoff", ("--method", "heuristic")),
@@ -473,6 +542,10 @@ class TestAf:
             "n_mc = 50", "n_mc = 7")) == base
         assert self._af_bytes(tmp_path, "none", BASE_CONFIG.replace(
             "n_mc = 50\n", "")) == base
+        # ... and neither does the seed move a shaped input: no shaper draws
+        shaped = self._af_bytes(tmp_path, "c0", BASE_CONFIG, "--c0", "1.25")
+        assert self._af_bytes(tmp_path, "c0s3", BASE_CONFIG, "--c0", "1.25",
+                              "--seed", "3") == shaped
 
     def test_surface_matches_closed_form(self, config, tmp_path):
         from ofdmpcs import OFDMConfig, analytic_moments

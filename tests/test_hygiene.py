@@ -9,10 +9,12 @@ every public method of a public class, has a caller in the package or in
 of another class, where an attribute read could not tell which one it
 calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 ``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
-and no module references ``linalg``.  A deleted code path leaves no
-orphaned helper, dangling import or uncalled public function behind, no two
-code paths share a random stream by accident, artifacts have one writer,
-and the shapers' closed-form solves stay off LAPACK.
+no module references ``linalg``; and neither shaper references a random
+generator or a seed.  A deleted code path leaves no orphaned helper,
+dangling import or uncalled public function behind, no two code paths share
+a random stream by accident, artifacts have one writer, the shapers'
+closed-form solves stay off LAPACK, and a shaped input is a function of the
+config alone.
 """
 from __future__ import annotations
 
@@ -204,3 +206,18 @@ def test_no_linalg(path):
     # the moment matcher's 2 x 2 Newton step and 3-ring vertex are closed
     # forms: a LAPACK call there touches ~1 MB of library pages per process
     assert "linalg" not in path.read_text(), f"{path.name} references linalg"
+
+
+@pytest.mark.parametrize("name", ["shaping.py", "shaping_ba.py"])
+def test_shapers_stay_deterministic(name):
+    # both solvers are deterministic computations: no generator, no numpy
+    # random module, no seed derivation, imported or referenced
+    tree = parse(SRC / name)
+    names = referenced_names(tree) | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names}
+    names |= {node.module.rsplit(".", 1)[-1] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module}
+    banned = {"default_rng", "random", "derive_seed", "trial_seed", "seeds"}
+    assert not names & banned, f"{name} references {sorted(names & banned)}"

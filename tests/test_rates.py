@@ -24,85 +24,11 @@ from ofdmpcs import (
     solve_heuristic,
 )
 from ofdmpcs import rates
-from ofdmpcs.rates import log_probs, logsumexp
+from ofdmpcs.rates import log_probs
 from ofdmpcs.seeds import derive_seed
-from ofdmpcs.shaping_ba import _log_likelihood, ring_tables
-from oracles import entropy_bits
+from oracles import entropy_bits, gh_mutual_information, naive_log_mix
 
 LN2 = np.log(2.0)
-
-
-def naive_log_mix(y, c, d, sigma2):
-    dist2 = np.abs(np.asarray(y)[:, None] - c.points[None, :]) ** 2
-    dens = np.sum(d.per_point[None, :] * np.exp(-dist2 / sigma2), axis=1) / (np.pi * sigma2)
-    return np.log(dens)
-
-
-def gh_mutual_information(c, d, sigma2, n_nodes=96):
-    """Exact MI in bits via Gauss-Hermite quadrature of h(Y)."""
-    z, w = np.polynomial.hermite_e.hermegauss(n_nodes)
-    w = w / np.sqrt(2.0 * np.pi)  # E over N(0, 1)
-    s = np.sqrt(sigma2 / 2.0)
-    noise = s * (z[:, None] + 1j * z[None, :]).ravel()
-    ww = (w[:, None] * w[None, :]).ravel()
-    h_y = 0.0
-    for q in range(c.order):
-        if d.per_point[q] == 0.0:
-            continue
-        y = c.points[q] + noise
-        h_y -= d.per_point[q] * np.sum(ww * naive_log_mix(y, c, d, sigma2))
-    return (h_y - np.log(np.pi * np.e * sigma2)) / LN2
-
-
-class TestLogSumExp:
-    """``logsumexp`` against scipy's on the tables the shaper reduces.
-
-    The ring tables (``shaping_ba``) are its only callers: they reduce a
-    block's (points, M) log-likelihoods and the (rings, M) ring
-    log-likelihoods under a shaped input over axis 0, and every such slice
-    holds a finite entry.  The error of a max-shifted sum scales with
-    ``|max| + log(n)``, not with the result, which can be near zero, so
-    that is the scale the two are compared at.
-    """
-
-    @staticmethod
-    def shaper_tables(c, rng, sigma2=0.05, n=400):
-        # outer ring dead: its rows are -inf, and each column is not
-        mass = np.r_[np.ones(c.n_rings - 1), 0.0]
-        d = Distribution.from_ring_mass(c, mass / mass.sum())
-        y = c.points[rng.integers(c.order, size=n)] \
-            + np.sqrt(sigma2 / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        points = _log_likelihood(c.points, y, sigma2) \
-            + log_probs(d.per_point)[:, None]
-        rings = ring_tables(c, y, sigma2).log_lik \
-            + log_probs(d.ring_mass / c.ring_counts)[:, None]
-        return {"points": points, "rings": rings}
-
-    @staticmethod
-    def with_ties(table):
-        # copy each column's maximum onto the first two live rows
-        t = table.copy()
-        t[np.flatnonzero(np.isfinite(t).all(axis=1))[:2]] = np.max(t, axis=0)
-        return t
-
-    @pytest.mark.parametrize("order", [16, 64, 256])
-    def test_matches_scipy_on_shaper_tables(self, order, rng):
-        c = make_constellation("qam", order)
-        for name, table in self.shaper_tables(c, rng).items():
-            ties = self.with_ties(table)
-            at_max = ties == np.max(ties, axis=0)
-            assert at_max.sum(axis=0).min() >= 2, name
-            assert np.isneginf(table).any(), name
-            for t in (table, ties):
-                got = logsumexp(t, axis=0)
-                want = scipy_logsumexp(t, axis=0)
-                assert got.shape == want.shape
-                scale = np.abs(np.max(t, axis=0)) + np.log(t.shape[0])
-                assert np.max(np.abs(got - want) / scale) <= 1e-15, name
-
-    def test_equal_entries(self):
-        got = logsumexp(np.array([[0.5, 0.5, 0.5]]), axis=1)
-        assert got[0] == pytest.approx(0.5 + np.log(3.0), abs=1e-15)
 
 
 class TestLogMixtureDensity:

@@ -32,7 +32,7 @@ from oracles import entropy_bits
 
 
 def _optimal(c, c0):
-    return run_mba(c, MBAConfig(c0=c0, noise_power=0.01, n_mc=1000), seed=1)
+    return run_mba(c, MBAConfig(c0=c0, noise_power=0.01))
 
 
 SOLVERS = [pytest.param(solve_heuristic, id="heuristic"),
@@ -206,8 +206,8 @@ class TestEndpoints:
         pick = min if end == "lower" else max
         value, oracle = pick(vertex_values(c), key=lambda t: t[0])
         assert value == pytest.approx(c0, abs=1e-12)
-        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000)
-        results = (solve_heuristic(c, c0), run_mba(c, cfg, seed=1))
+        cfg = MBAConfig(c0=c0, noise_power=0.01)
+        results = (solve_heuristic(c, c0), run_mba(c, cfg))
         for r in results:
             assert r.converged, r.method
             assert abs(moment(c, r.distribution, 4) - c0) <= 1e-10, r.method
@@ -245,8 +245,8 @@ class TestNearEndpoint:
 
     def test_optimal_rate_beats_the_vertex(self, case):
         c, c0, vertex = case
-        cfg = MBAConfig(c0=c0, noise_power=0.01, n_mc=1000)
-        r = run_mba(c, cfg, seed=0)
+        cfg = MBAConfig(c0=c0, noise_power=0.01)
+        r = run_mba(c, cfg)
         assert r.converged and r.multipliers is not None
         assert np.count_nonzero(r.ring_mass) > 3
         # both inputs scored by one estimate, on the same draw
@@ -337,6 +337,12 @@ class TestMatcherGuarantee:
         matrix, rhs = moment_rows(c, c0)
         assert np.max(np.abs(matrix @ mass - rhs)) <= RESIDUAL_TOL
         assert lam is None or np.all(np.isfinite(lam))
+
+    def test_all_dead_rings_are_an_internal_error(self, qam16):
+        # neither solver hands the matcher no live ring; if one did, the CLI
+        # reports it as an internal error, not as a config error
+        with pytest.raises(RuntimeError, match="vanished"):
+            match_ring_masses(qam16, np.full(3, -np.inf), 1.2)
 
 
 def two_ring_constellation():

@@ -1,5 +1,6 @@
 """Scripts beside the package: what ``tools/compare_outputs.py`` counts as
-a float move, and that the benchmark's span table wraps and restores."""
+a float move and reports of a CSV, and that the benchmark's span table
+wraps and restores."""
 from __future__ import annotations
 
 import importlib
@@ -38,6 +39,30 @@ def test_json_diff_separates_float_moves_from_behaviour():
     floats, other = {}, []
     json_diff({"x": 1.0}, {"x": 1.0, "y": 2.0}, "f.json", floats, other)
     assert len(other) == 1 and "keys" in other[0]
+
+
+def test_csv_diff_reports_columns_header_and_rows(tmp_path):
+    # a CSV whose bytes differ was reported only as "bytes differ"; it
+    # still counts as a difference in behaviour
+    tool = load_script(ROOT / "tools" / "compare_outputs.py")
+    a = "c0,air,pd\n1,3.5,0.25\n1.2,3.75,0.5\n"
+    b = "c0,air,pd\n1,3.5,0.25\n1.2,3.7125,0.5\n"
+    assert tool.csv_diff(a, b) == [
+        "worst relative change per column: air 0.01"]
+    assert tool.csv_diff(a, a) == []
+    found = tool.csv_diff(a, "c0,air,mass_0\n1,3.5,1\n")
+    assert found[0] == "header 'c0,air,pd' != 'c0,air,mass_0'"
+    assert found[1] == "2 rows != 1"
+    assert found[2:] == []
+    for side, text in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "tradeoff.csv").write_text(text)
+    floats, other = {}, []
+    assert tool.compare_files(str(tmp_path / "a"), str(tmp_path / "b"),
+                              floats, other, "run") == 1
+    assert floats == {}
+    assert other == ["run tradeoff.csv: bytes differ; worst relative change "
+                     "per column: air 0.01"]
 
 
 def test_span_table_wraps_every_name_and_restores_it():

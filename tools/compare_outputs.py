@@ -15,8 +15,10 @@ A JSON artifact whose bytes differ is compared value by value: a float
 that moved is reported as the worst relative change per file and key, and
 any other difference (structure, a string, an integer such as ``iters``,
 a boolean such as ``converged``, null against a number) counts as a
-difference in behaviour.  The exit status is 1 when anything other than a
-JSON float differs, else 0.
+difference in behaviour.  A CSV artifact whose bytes differ is reported
+with the worst relative change per column, and any header or row-count
+difference; every CSV difference counts as a difference in behaviour.  The
+exit status is 1 when anything other than a JSON float differs, else 0.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -71,6 +74,41 @@ def json_diff(a, b, key: str, floats: dict, other: list) -> None:
         other.append(f"{key}: {a!r} != {b!r}")
 
 
+def _relative(a: str, b: str) -> float:
+    """Relative change between two CSV values; ``inf`` if not both numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+    return rel if math.isfinite(rel) else math.inf
+
+
+def csv_diff(text_a: str, text_b: str) -> list[str]:
+    """What differs between two CSV texts: a header or row-count
+    difference, then the worst relative change of each column both hold."""
+    rows_a = [line.split(",") for line in text_a.splitlines()]
+    rows_b = [line.split(",") for line in text_b.splitlines()]
+    head_a, head_b = (rows[0] if rows else [] for rows in (rows_a, rows_b))
+    found = []
+    if head_a != head_b:
+        found.append(f"header {','.join(head_a)!r} != {','.join(head_b)!r}")
+    if len(rows_a) != len(rows_b):
+        found.append(f"{len(rows_a) - 1} rows != {len(rows_b) - 1}")
+    worst = {}
+    for col in (c for c in head_a if c in head_b):
+        i, j = head_a.index(col), head_b.index(col)
+        worst[col] = max((_relative(ra[i], rb[j])
+                          for ra, rb in zip(rows_a[1:], rows_b[1:])
+                          if i < len(ra) and j < len(rb)), default=0.0)
+    moved = [f"{col} {rel:.2g}" for col, rel in worst.items() if rel > 0]
+    if moved:
+        found.append("worst relative change per column: " + ", ".join(moved))
+    return found
+
+
 def compare_files(out_a: str, out_b: str, floats: dict, other: list,
                   label: str) -> int:
     """Compare two output directories; returns the number of files compared."""
@@ -83,6 +121,11 @@ def compare_files(out_a: str, out_b: str, floats: dict, other: list,
                 open(os.path.join(out_b, name), "rb") as fb:
             blob_a, blob_b = fa.read(), fb.read()
         if blob_a == blob_b:
+            continue
+        if name.endswith(".csv"):
+            found = csv_diff(blob_a.decode(), blob_b.decode())
+            other.append(f"{label} {name}: bytes differ"
+                         + "".join(f"; {line}" for line in found))
             continue
         if not name.endswith(".json"):
             other.append(f"{label} {name}: bytes differ")
