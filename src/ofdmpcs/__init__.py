@@ -20,10 +20,7 @@ _EXPORTS = {
         "DetectionScenario", "PdCurve", "calibrate_so_cfar",
         "detection_probability", "pd_curve", "wilson_interval",
     ),
-    "rates": (
-        "ChannelSpec", "MIEstimate", "gm_log_pdf", "mutual_information",
-        "rate_curve",
-    ),
+    "rates": ("rate_bits", "rate_curve"),
     "seeds": ("derive_seed", "trial_seed"),
     "shaping": (
         "ShapingResult", "feasible_c0_range", "solve_heuristic",
@@ -36,13 +33,12 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid", "AFMoments", "ChannelSpec", "Constellation", "DetectionScenario",
-    "Distribution", "MBAConfig", "MIEstimate", "OFDMConfig", "PdCurve",
-    "ShapingResult", "analytic_moments", "calibrate_so_cfar",
-    "derive_seed", "detection_probability", "exact_af", "feasible_c0_range",
-    "gm_log_pdf", "make_constellation", "moment", "mutual_information",
-    "pd_curve", "rate_curve", "run_mba", "solve_heuristic",
-    "trial_seed", "wilson_interval",
+    "AFGrid", "AFMoments", "Constellation", "DetectionScenario",
+    "Distribution", "MBAConfig", "OFDMConfig", "PdCurve", "ShapingResult",
+    "analytic_moments", "calibrate_so_cfar", "derive_seed",
+    "detection_probability", "exact_af", "feasible_c0_range",
+    "make_constellation", "moment", "pd_curve", "rate_bits", "rate_curve",
+    "run_mba", "solve_heuristic", "trial_seed", "wilson_interval",
 ]
 
 

@@ -9,25 +9,26 @@ Subcommands
 ``tradeoff``    c0 sweep: both solvers + detection point per c0, CSV + LUT
 ``lut-export``  shaped-probability look-up table, JSON out
 
-Every command is a pure function of (config file, flags, seed): reruns emit
-byte-identical artifacts, and ``lut-export`` solves afresh each time, so it
-never reuses a table already in the output directory.  All randomness flows
-from the single ``seed`` key; sub-seeds are derived by hashing (seed,
-purpose string).  Neither shaper draws anything: the seed reaches a shaped
-input only through the rate that scores it.  ``af`` draws nothing either:
-its surface is the closed form E|AF|^2 = |E AF|^2 + var_self + var_cross,
-so it reads no ``[af] n_mc``, and its grid holds at most
-``MAX_LADDER_POINTS`` cells.  Its axes are in units of T_p and of the
-subcarrier spacing, as the key names say, and so is the library, so
-``[ofdm] subcarrier_spacing`` or ``symbol_duration`` exits 2: it would
-scale ``af_slice.csv``'s variance columns by T_p**2.  ``[shaping] n_mc``
-is read by nothing: ``run_mba`` integrates on a fixed node grid.
-``[channel] sigma2`` is read only where ``run_mba`` runs or a rate is
-scored: by ``shape``, ``tradeoff`` and ``lut-export``, and by ``air``,
-``af`` and ``detect`` under ``--c0`` with the optimal method.  Exit
-codes: 0 on success, 2 for configuration errors, 3 for numerical
-non-convergence, 4 for an internal error (a ``RuntimeError``, such as a
-moment match no ring loading meets), each failure one line on stderr.
+Every command is a pure function of its config file and flags: reruns
+emit byte-identical artifacts, and ``lut-export`` solves afresh each time,
+so it never reuses a table already in the output directory.  Only
+``detect`` and ``tradeoff`` draw, so only they read a seed (``--seed`` or
+``[run] seed``); sub-seeds are derived by hashing (seed, purpose string).
+Neither shaper draws, every rate is the quadrature
+:func:`.rates.rate_bits`, and ``af``'s surface is the closed form
+E|AF|^2 = |E AF|^2 + var_self + var_cross, so no command reads a sample
+count (``[channel] n_mc``, ``[shaping] n_mc`` or ``air_n_mc``, ``[af]
+n_mc``).  ``af``'s grid holds at most ``MAX_LADDER_POINTS`` cells.  Its
+axes are in units of T_p and of the subcarrier spacing, as the key names
+say, and so is the library, so ``[ofdm] subcarrier_spacing`` or
+``symbol_duration`` exits 2: it would scale ``af_slice.csv``'s variance
+columns by T_p**2.  ``[channel] sigma2`` is read only where ``run_mba``
+runs or a rate is scored: by ``shape``, ``tradeoff`` and ``lut-export``,
+and by ``air``, ``af`` and ``detect`` under ``--c0`` with the optimal
+method.  Exit codes: 0 on success, 2 for configuration errors, 3 for
+numerical non-convergence, 4 for an internal error (a ``RuntimeError``,
+such as a moment match no ring loading meets), each failure one line on
+stderr.
 
 This module is the package's one boundary.  It alone turns INI keys into
 library objects, and it passes a key only when the config sets it, so a
@@ -35,8 +36,8 @@ key left out takes the library's own default.  It alone writes artifacts,
 through one writer: every CSV value is ``{:.9g}``.  And it owns three
 decisions the library leaves to its caller.  It clamps out-of-range
 moment targets to the feasible range and says so on stderr (the solvers
-reject them).  It scores both solvers' inputs with one rate estimate, one
-seed and one sample count.  And it builds the look-up table.
+reject them).  It scores both solvers' inputs with one rate,
+:func:`.rates.rate_bits`.  And it builds the look-up table.
 
 This module imports only the standard library; each command imports the
 layers it runs when it runs, so ``af`` or ``detect`` never loads the
@@ -111,20 +112,6 @@ def _given(cp, section, keys) -> dict:
     ``[section]`` sets; a key it leaves out takes the library's default."""
     return {key: _get(cp, section, key, conv) for key, conv in keys.items()
             if cp.has_option(section, key)}
-
-
-def _n_mc(cp, section, key, minimum) -> dict:
-    """``{"n_mc": [section] key}`` when the config sets it, else ``{}``.
-
-    A set count must reach ``minimum``, the smallest its consumer accepts.
-    """
-    if not cp.has_option(section, key):
-        return {}
-    n_mc = _get(cp, section, key, int)
-    if n_mc < minimum:
-        raise ConfigError(f"[{section}] {key} must be at least {minimum}, "
-                          f"got {n_mc}")
-    return {"n_mc": n_mc}
 
 
 def _sigma2(cp) -> float:
@@ -222,7 +209,7 @@ def _clamp_c0(c: Constellation, c0: float) -> float:
     return float(c0)
 
 
-def _shaped_distribution(c, cp, args, seed) -> Distribution:
+def _shaped_distribution(c, cp, args) -> Distribution:
     """Uniform unless --c0 given; then shape by the selected method."""
     from .constellation import Distribution
 
@@ -230,7 +217,7 @@ def _shaped_distribution(c, cp, args, seed) -> Distribution:
         return Distribution.uniform(c)
     # unscored, the heuristic uses no noise power: only run_mba does
     sigma2 = None if args.method == "heuristic" else _sigma2(cp)
-    res = _solve_one(c, cp, args.method, float(args.c0), sigma2, seed,
+    res = _solve_one(c, cp, args.method, float(args.c0), sigma2,
                      with_air=False)
     return res.distribution
 
@@ -243,20 +230,13 @@ def _mba_config(cp, c0, sigma2) -> MBAConfig:
         **_given(cp, "shaping", {"outer_tol": float, "max_outer": int}))
 
 
-def _solve_one(c, cp, method, c0, sigma2, master_seed,
-               with_air=True) -> ShapingResult:
-    """One shaping solve at c0, scored with a per-c0 sub-seed
-    (composition-stable).
+def _solve_one(c, cp, method, c0, sigma2, with_air=True) -> ShapingResult:
+    """One shaping solve at c0.
 
-    c0 is clamped here; ``with_air`` scores the input by its rate, one
-    estimate with the same draw and sample count for either method, and
-    only then is ``[shaping] air_n_mc`` read.  ``sigma2`` may be ``None``
+    c0 is clamped here; ``with_air`` scores the input by its rate,
+    :func:`.rates.rate_bits` for either method.  ``sigma2`` may be ``None``
     for an unscored heuristic solve, the one that uses no noise power.
     """
-    if with_air:
-        from .rates import MIN_MI_SAMPLES, ChannelSpec, mutual_information
-
-        air_n_mc = _n_mc(cp, "shaping", "air_n_mc", MIN_MI_SAMPLES)
     c0 = _clamp_c0(c, c0)
     if method == "heuristic":
         from .shaping import solve_heuristic
@@ -267,15 +247,9 @@ def _solve_one(c, cp, method, c0, sigma2, master_seed,
 
         res = run_mba(c, _mba_config(cp, c0, sigma2))
     if with_air:
-        from .seeds import derive_seed
+        from .rates import rate_bits
 
-        # the purposes keep the names they had when run_mba drew its
-        # samples: new names would move every rate byte
-        sub_seed = derive_seed(master_seed, f"shape[{c0:.9g}]")
-        air = mutual_information(c, res.distribution, ChannelSpec(sigma2),
-                                 **air_n_mc,
-                                 seed=derive_seed(sub_seed, "mba-air"))
-        res.air_bits = float(air.mi_bits)
+        res.air_bits = rate_bits(c, res.distribution, sigma2)
     return res
 
 
@@ -287,8 +261,7 @@ def cmd_shape(cp, args) -> int:
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
-    seed = _master_seed(cp, args)
-    res = _solve_one(c, cp, args.method, float(c0), sigma2, seed)
+    res = _solve_one(c, cp, args.method, float(c0), sigma2)
     payload = {
         "c0": res.c0,
         "lambda": None if res.multipliers is None else list(res.multipliers),
@@ -306,20 +279,17 @@ def cmd_shape(cp, args) -> int:
 
 
 def cmd_air(cp, args) -> int:
-    from .rates import MIN_MI_SAMPLES, rate_curve
-    from .seeds import derive_seed
+    from .rates import rate_curve
 
     c = _build_constellation(cp)
-    seed = _master_seed(cp, args)
     snrs = _ladder(cp, "channel", "snr_db")
-    n_mc = _n_mc(cp, "channel", "n_mc", MIN_MI_SAMPLES)
-    d = _shaped_distribution(c, cp, args, seed)
-    estimates = rate_curve(c, d, snrs, **n_mc,
-                           seed=derive_seed(seed, "air-curve"))
+    d = _shaped_distribution(c, cp, args)
+    rates = rate_curve(c, d, snrs)
+    # a quadrature has no standard error; the column stays for readers
+    # that parse it
     _write(_out_dir(cp, args), "air_curve.csv",
            _csv("snr_db,mi_bits,std_err",
-                ((s, e.mi_bits, e.std_error)
-                 for s, e in zip(snrs, estimates))))
+                ((s, r, 0.0) for s, r in zip(snrs, rates))))
     return EXIT_OK
 
 
@@ -340,7 +310,7 @@ def cmd_af(cp, args) -> int:
         raise ConfigError(f"[af] n_tau * n_nu must be at most "
                           f"{MAX_LADDER_POINTS} cells, got {sizes['n_tau']} "
                           f"* {sizes['n_nu']}")
-    d = _shaped_distribution(c, cp, args, _master_seed(cp, args))
+    d = _shaped_distribution(c, cp, args)
     tau = np.linspace(_get(cp, "af", "tau_min_tp", float, 0.0),
                       _get(cp, "af", "tau_max_tp", float, 0.5),
                       sizes["n_tau"])
@@ -386,7 +356,7 @@ def cmd_detect(cp, args) -> int:
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
-    d = _shaped_distribution(c, cp, args, seed)
+    d = _shaped_distribution(c, cp, args)
     sc = _scenario(cp, c, d, cfg)
     snrs = _ladder(cp, "detection", "snr_db")
     curve = pd_curve(sc, snrs, seed=derive_seed(seed, "detect"))
@@ -439,8 +409,8 @@ def cmd_tradeoff(cp, args) -> int:
     rows = []
     lut = []
     for c0 in sweep:
-        opt = _solve_one(c, cp, "optimal", float(c0), sigma2, seed)
-        heur = _solve_one(c, cp, "heuristic", float(c0), sigma2, seed)
+        opt = _solve_one(c, cp, "optimal", float(c0), sigma2)
+        heur = _solve_one(c, cp, "heuristic", float(c0), sigma2)
         all_converged = all_converged and opt.converged and heur.converged
 
         sc = _scenario(cp, c, opt.distribution, cfg)
@@ -461,12 +431,11 @@ def cmd_lut_export(cp, args) -> int:
     out_dir = _out_dir(cp, args)
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
-    seed = _master_seed(cp, args)
     sweep = _c0_sweep(cp, c)
     entries = []
     all_converged = True
     for c0 in sweep:
-        res = _solve_one(c, cp, args.method, float(c0), sigma2, seed)
+        res = _solve_one(c, cp, args.method, float(c0), sigma2)
         all_converged = all_converged and res.converged
         entries.append(_lut_entry(res, sigma2))
     _write(out_dir, "lut.json", json.dumps(entries, indent=2) + "\n")
@@ -477,20 +446,21 @@ def cmd_lut_export(cp, args) -> int:
 # entry point
 
 
-# each command with the flags it reads beyond --config, --seed and --out;
-# argparse rejects any other
+# each command with the flags it reads beyond --config and --out; argparse
+# rejects any other
 _COMMANDS = {
     "shape": (cmd_shape, ("--method", "--c0")),
     "air": (cmd_air, ("--method", "--c0")),
     "af": (cmd_af, ("--method", "--c0")),
-    "detect": (cmd_detect, ("--method", "--c0")),
-    "tradeoff": (cmd_tradeoff, ()),
+    "detect": (cmd_detect, ("--method", "--c0", "--seed")),
+    "tradeoff": (cmd_tradeoff, ("--seed",)),
     "lut-export": (cmd_lut_export, ("--method",)),
 }
 _FLAGS = {
     # None until _check_flags has seen whether it was given; then "optimal"
     "--method": dict(choices=("optimal", "heuristic"), default=None),
     "--c0": dict(type=float, default=None),
+    "--seed": dict(type=int, default=None),
 }
 
 
@@ -502,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])

@@ -331,7 +331,7 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
     :func:`.shaping_ba.run_mba` renormalises its result, so both solvers
     return the same masses there.  The solve is one match, so the result
     is ``converged`` by the matcher's guarantee: the moment rows are met to
-    ``RESIDUAL_TOL``.  It carries no rate estimate.
+    ``RESIDUAL_TOL``.  It carries no rate.
     """
     masses, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
                                     snap_c0(c, c0))

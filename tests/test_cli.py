@@ -79,6 +79,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    """``run_cli``'s exit code, argparse's rejections included."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run_cli("shape", "--config", str(tmp_path / "nope.ini"))
@@ -161,50 +169,6 @@ class TestExitCodes:
         assert not (out / "shape_optimal.json").exists()
 
 
-    @pytest.mark.parametrize("method", ["optimal", "heuristic"])
-    def test_small_air_n_mc_rejected_before_solving(self, tmp_path, capsys,
-                                                    monkeypatch, method):
-        # it was checked only by the final rate estimate, after the whole
-        # solve, and the message named the shaper's n_mc instead
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solver ran")
-
-        monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
-        monkeypatch.setattr(shaping, "solve_heuristic", no_solve)
-        bad = tmp_path / "bad.ini"
-        bad.write_text(BASE_CONFIG.replace("air_n_mc = 2000", "air_n_mc = 10"))
-        out = tmp_path / "o"
-        rc = run_cli("shape", "--config", str(bad), "--method", method,
-                     "--out", str(out))
-        err = capsys.readouterr().err
-        assert rc == EXIT_CONFIG
-        assert err.startswith("config error:") and "air_n_mc" in err, err
-        assert not list(out.glob("shape_*.json"))
-
-    @pytest.mark.parametrize("command,old,new,name", [
-        ("air", "snr_db_step = 10\nn_mc = 2000",
-         "snr_db_step = 10\nn_mc = 50", "[channel] n_mc"),
-    ], ids=["channel-key"])
-    def test_n_mc_below_consumer_minimum_rejected(self, tmp_path, capsys,
-                                                  monkeypatch, command, old,
-                                                  new, name):
-        # a count between 1 and the consumer's own minimum (1000 for a
-        # rate) used to exit 2 with a library message that did not name
-        # the key
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solver ran")
-
-        monkeypatch.setattr(shaping_ba, "run_mba", no_solve)
-        monkeypatch.setattr(rates, "rate_curve", no_solve)
-        bad = tmp_path / "bad.ini"
-        bad.write_text(BASE_CONFIG.replace(old, new))
-        out = tmp_path / "o"
-        rc = run_cli(command, "--config", str(bad), "--out", str(out))
-        err = capsys.readouterr().err
-        assert rc == EXIT_CONFIG
-        assert err.startswith("config error:") and name in err, err
-        assert not out.exists() or not any(out.iterdir())
-
     @pytest.mark.parametrize("value", ["0", "-0.05"])
     @pytest.mark.parametrize("command,flags", [
         ("shape", ()), ("tradeoff", ()), ("air", ("--c0", "1.2")),
@@ -264,28 +228,6 @@ class TestExitCodes:
             blobs.append((out / artifact).read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("flags", [(), ("--method", "heuristic")],
-                             ids=["optimal", "heuristic"])
-    def test_unscored_solve_reads_no_air_n_mc(self, config, tmp_path, capsys,
-                                              flags):
-        # af estimates no rate, so a rate sample count below the estimator's
-        # minimum used to stop it; shape, which scores one, still does
-        small = tmp_path / "small.ini"
-        small.write_text(BASE_CONFIG.replace("air_n_mc = 2000",
-                                             "air_n_mc = 10"))
-        blobs = []
-        for path, name in ((small, "small"), (config, "good")):
-            out = tmp_path / name
-            assert run_cli("af", "--config", str(path), "--c0", "1.2", *flags,
-                           "--out", str(out)) == EXIT_OK
-            blobs.append((out / "af_grid.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-        capsys.readouterr()
-        rc = run_cli("shape", "--config", str(small), *flags,
-                     "--out", str(tmp_path / "shape"))
-        assert rc == EXIT_CONFIG
-        assert "[shaping] air_n_mc" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,artifact", [
         ("air", "air_curve.csv"), ("af", "af_grid.csv"),
         ("detect", "pd_curve.csv")])
@@ -303,7 +245,7 @@ class TestExitCodes:
             blobs.append((out / artifact).read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_unset_keys_take_the_library_defaults(self, tmp_path,
+    def test_unset_keys_take_the_library_defaults(self, config, tmp_path,
                                                   monkeypatch):
         # the CLI passes a key only when the config sets it
         seen = {}
@@ -312,19 +254,10 @@ class TestExitCodes:
             seen["mba"] = cfg
             return shaping.solve_heuristic(c, cfg.c0)
 
-        def record_mi(c, d, spec, **kwargs):
-            seen["mi"] = kwargs
-            return rates.MIEstimate(1.0, 0.0, 1000, spec.noise_power)
-
         monkeypatch.setattr(shaping_ba, "run_mba", record_mba)
-        monkeypatch.setattr(rates, "mutual_information", record_mi)
-        sparse = tmp_path / "sparse.ini"
-        sparse.write_text(BASE_CONFIG.replace("n_mc = 2000\nair_n_mc = 2000\n",
-                                              ""))
-        assert run_cli("shape", "--config", str(sparse),
+        assert run_cli("shape", "--config", str(config),
                        "--out", str(tmp_path / "o")) == EXIT_OK
         assert seen["mba"] == shaping_ba.MBAConfig(c0=1.2, noise_power=0.01)
-        assert "n_mc" not in seen["mi"]
 
     @pytest.mark.parametrize("key,line,value", [
         ("n_tau", "n_tau = 3", "-1"), ("n_nu", "n_nu = 2", "-2"),
@@ -343,24 +276,64 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     def test_shaping_n_mc_is_read_by_nothing(self, config, tmp_path):
-        # run_mba integrates on a fixed node grid: a [shaping] n_mc, valid
-        # or not, writes the bytes of a config without the key
+        # run_mba and the rate integrate on a fixed node grid: [shaping]
+        # n_mc, [shaping] air_n_mc and [channel] n_mc, valid or not, write
+        # the bytes of a config without them
+        variants = {
+            "set": BASE_CONFIG,
+            "tiny": BASE_CONFIG.replace("n_mc = 2000", "n_mc = 5"),
+            "unset": re.sub(r"^(air_)?n_mc = 2000\n", "", BASE_CONFIG,
+                            flags=re.M)}
+        artifacts = {"shape": ("shape_optimal.json",),
+                     "air": ("air_curve.csv",),
+                     "tradeoff": ("tradeoff.csv", "lut.json"),
+                     "lut-export": ("lut.json",)}
         blobs = {}
-        for name, text in (
-                ("set", BASE_CONFIG),
-                ("tiny", BASE_CONFIG.replace("n_mc = 2000\nair_n_mc",
-                                             "n_mc = 5\nair_n_mc")),
-                ("unset", BASE_CONFIG.replace("n_mc = 2000\nair_n_mc",
-                                              "air_n_mc"))):
+        for name, text in variants.items():
+            assert text.count("n_mc = 2000") == (3 if name == "set" else 0)
             path = tmp_path / f"{name}.ini"
             path.write_text(text)
-            out = tmp_path / name
-            for command in ("shape", "lut-export"):
+            blobs[name] = []
+            for command, files in artifacts.items():
+                out = tmp_path / name / command
                 assert run_cli(command, "--config", str(path),
                                "--out", str(out)) == EXIT_OK
-            blobs[name] = [(out / f).read_bytes()
-                           for f in ("shape_optimal.json", "lut.json")]
+                blobs[name] += [(out / f).read_bytes() for f in files]
         assert blobs["set"] == blobs["tiny"] == blobs["unset"]
+
+    def test_run_seed_moves_no_byte_of_a_drawless_command(self, tmp_path):
+        # shape, air and lut-export draw nothing: every rate is the
+        # quadrature, so [run] seed is read by none of them
+        runs = {"shape": ((), ("--method", "heuristic")),
+                "air": ((), ("--c0", "1.2")),
+                "lut-export": ((),)}
+        blobs = {}
+        for seed in ("11", "12345"):
+            path = tmp_path / f"seed{seed}.ini"
+            path.write_text(BASE_CONFIG.replace("seed = 11", f"seed = {seed}"))
+            blobs[seed] = []
+            for command, variants in runs.items():
+                for k, flags in enumerate(variants):
+                    out = tmp_path / seed / f"{command}{k}"
+                    assert run_cli(command, "--config", str(path), *flags,
+                                   "--out", str(out)) == EXIT_OK
+                    blobs[seed] += [f.read_bytes()
+                                    for f in sorted(out.iterdir())]
+        assert len(blobs["11"]) == 5
+        assert blobs["11"] == blobs["12345"]
+
+    def test_underflowing_noise_power_rejected(self, tmp_path, capsys):
+        # 4000 dB is a noise power of 10**-400, which underflows to 0
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("snr_db_max = 20",
+                                           "snr_db_max = 4000"))
+        out = tmp_path / "o"
+        rc = run_cli("air", "--config", str(bad), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.splitlines()[-1] == ("config error: noise_power must be "
+                                        "positive and finite"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("failure", ["vertex", "vanished"])
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch,
@@ -417,13 +390,17 @@ class TestExitCodes:
         ("lut-export", ("--c0", "1.2")),
         *((command, ("--n-mc", "500")) for command in (
             "shape", "air", "af", "detect", "tradeoff", "lut-export")),
+        *((command, ("--seed", "3")) for command in (
+            "shape", "air", "af", "lut-export")),
     ], ids=["tradeoff-c0", "tradeoff-method", "lut-export-c0", "shape-n-mc",
             "air-n-mc", "af-n-mc", "detect-n-mc", "tradeoff-n-mc",
-            "lut-export-n-mc"])
+            "lut-export-n-mc", "shape-seed", "air-seed", "af-seed",
+            "lut-export-seed"])
     def test_flag_the_command_never_reads_rejected(self, config, tmp_path,
                                                    capsys, command, flag):
         # each exited 0 as if the flag applied; --n-mc set [channel] n_mc
-        # under air and [shaping] n_mc under every other command
+        # under air and [shaping] n_mc under every other command, and
+        # --seed moved no byte of a command that draws nothing
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--config", str(config), *flag, "--out", str(out))
@@ -534,18 +511,23 @@ class TestAf:
                                                   "af_slice.csv")]
 
     def test_exact_surface_draws_nothing(self, tmp_path):
-        # the surface is closed-form: neither the seed nor [af] n_mc moves a byte
+        # the surface is closed-form: neither [run] seed nor [af] n_mc moves
+        # a byte, and af takes no --seed
         base = self._af_bytes(tmp_path, "base", BASE_CONFIG)
-        assert self._af_bytes(tmp_path, "s1", BASE_CONFIG, "--seed", "1") == base
-        assert self._af_bytes(tmp_path, "s2", BASE_CONFIG, "--seed", "2") == base
+        assert self._af_bytes(tmp_path, "s1", BASE_CONFIG.replace(
+            "seed = 11", "seed = 1")) == base
         assert self._af_bytes(tmp_path, "n7", BASE_CONFIG.replace(
             "n_mc = 50", "n_mc = 7")) == base
         assert self._af_bytes(tmp_path, "none", BASE_CONFIG.replace(
             "n_mc = 50\n", "")) == base
+        for flags in (("--seed", "1"), ("--c0", "1.25", "--seed", "3")):
+            with pytest.raises(SystemExit) as exc:
+                self._af_bytes(tmp_path, "rejected", BASE_CONFIG, *flags)
+            assert exc.value.code == EXIT_CONFIG
         # ... and neither does the seed move a shaped input: no shaper draws
         shaped = self._af_bytes(tmp_path, "c0", BASE_CONFIG, "--c0", "1.25")
-        assert self._af_bytes(tmp_path, "c0s3", BASE_CONFIG, "--c0", "1.25",
-                              "--seed", "3") == shaped
+        assert self._af_bytes(tmp_path, "c0s3", BASE_CONFIG.replace(
+            "seed = 11", "seed = 3"), "--c0", "1.25") == shaped
 
     def test_surface_matches_closed_form(self, config, tmp_path):
         from ofdmpcs import OFDMConfig, analytic_moments
@@ -652,59 +634,68 @@ class TestLutExport:
         assert [e["c0"] for e in lut] == [1.0, 1.16, 1.32]
         assert all(e["method"] == "optimal" for e in lut)
 
-    @pytest.mark.parametrize("flags", [("--method", "heuristic"),
-                                       ("--seed", "99")],
+    @pytest.mark.parametrize("flags,rc", [(("--method", "heuristic"), EXIT_OK),
+                                          (("--seed", "99"), EXIT_CONFIG)],
                              ids=["heuristic", "seed-99"])
-    def test_existing_table_is_not_reused(self, config, tmp_path, flags):
+    def test_existing_table_is_not_reused(self, config, tmp_path, flags, rc):
         # a table already in the directory used to be re-sorted and written
         # back whatever the inputs: three "optimal" entries for --method
-        # heuristic, seed 11's table for --seed 99
+        # heuristic, seed 11's table for --seed 99.  lut-export draws
+        # nothing now, so --seed is rejected and leaves the table as it was
         used, fresh = tmp_path / "used", tmp_path / "fresh"
         assert run_cli("tradeoff", "--config", str(config),
                        "--out", str(used)) == EXIT_OK
+        before = (used / "lut.json").read_bytes()
         for out in (used, fresh):
-            assert run_cli("lut-export", "--config", str(config),
-                           "--out", str(out), *flags) == EXIT_OK
-        assert (used / "lut.json").read_bytes() == \
-            (fresh / "lut.json").read_bytes()
+            assert exit_code("lut-export", "--config", str(config),
+                             "--out", str(out), *flags) == rc
+        want = (fresh / "lut.json").read_bytes() if rc == EXIT_OK else before
+        assert (used / "lut.json").read_bytes() == want
 
 
-def count_rate_estimates(*argv):
-    """``(exit code, calls of rates.mutual_information)`` of one run.
+def count_rate_calls(*argv):
+    """``(exit code, calls of rates.mutual_information, calls of
+    rates.rate_bits)`` of one run.
 
     Calls are counted by code object, so a call through any module's
-    binding of the function is seen.
+    binding of a function is seen.
     """
-    code = rates.mutual_information.__code__
-    calls = 0
+    codes = {rates.mutual_information.__code__: 0, rates.rate_bits.__code__: 0}
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
+        if event == "call" and frame.f_code in codes:
+            codes[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
         rc = run_cli(*argv)
     finally:
         sys.setprofile(None)
-    return rc, calls
+    return rc, *codes.values()
 
 
 class TestRateEstimates:
     @pytest.mark.parametrize("command,method,expected", [
         ("af", "optimal", 0), ("af", "heuristic", 0),
         ("shape", "optimal", 1), ("shape", "heuristic", 1),
+        ("detect", "optimal", 0), ("air", "optimal", 3),
+        ("lut-export", "optimal", 3), ("tradeoff", "both", 6),
     ])
     def test_one_estimate_and_only_when_scored(self, config, tmp_path,
                                                command, method, expected):
         # af used to have run_mba estimate the rate of its input and then
-        # drop it; shape scores either method with one estimate
-        rc, calls = count_rate_estimates(
-            command, "--config", str(config), "--c0", "1.2",
-            "--method", method, "--out", str(tmp_path / "o"))
+        # drop it; each scored solve is one quadrature rate (tradeoff scores
+        # both methods at three c0, air one rate per ladder point), and no
+        # command runs the Monte-Carlo estimator
+        flags = {"lut-export": ("--method", method),
+                 "tradeoff": ()}.get(command,
+                                     ("--c0", "1.2", "--method", method))
+        rc, mc_calls, rate_calls = count_rate_calls(
+            command, "--config", str(config), *flags,
+            "--out", str(tmp_path / "o"))
         assert rc == EXIT_OK
-        assert calls == expected
+        assert mc_calls == 0
+        assert rate_calls == expected
 
 
 class TestConsoleScript:
@@ -819,10 +810,28 @@ print(" ".join(sorted(m.split(".")[1] for m in sys.modules
 """
 
 
+# Runs in a fresh interpreter: the commands that draw nothing, with and
+# without a shaped input
+_NO_RANDOM_SCRIPT = """\
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+import ofdmpcs.cli
+
+config, out = sys.argv[1:]
+for argv in (["shape"], ["shape", "--method", "heuristic"], ["air"],
+             ["air", "--c0", "1.2"], ["af"], ["af", "--c0", "1.2"],
+             ["lut-export"]):
+    rc = ofdmpcs.cli.main([*argv, "--config", config, "--out", out])
+    assert rc == 0, (argv, rc)
+assert eager or "numpy.random" not in sys.modules, "a command loaded numpy.random"
+"""
+
+
 class TestLazyImports:
     @pytest.mark.parametrize("command,layers", [
         ("af", "ambiguity cli constellation seeds"),
-        ("air", "cli constellation rates seeds"),
+        ("air", "cli constellation rates"),
         ("detect", "ambiguity cli constellation detection seeds"),
     ])
     def test_command_loads_only_its_layers(self, config, tmp_path, command,
@@ -843,6 +852,16 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == \
             "ambiguity cli constellation seeds shaping"
+
+    def test_drawless_commands_load_no_numpy_random(self, config, tmp_path):
+        # shape, air, af and lut-export draw nothing, so they leave
+        # numpy.random unloaded, unless a bare numpy import loads it (as
+        # numpy 1.x does)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_RANDOM_SCRIPT, str(config),
+             str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_package_names_load_on_first_use(self):
         script = (

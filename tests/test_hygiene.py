@@ -9,12 +9,13 @@ every public method of a public class, has a caller in the package or in
 of another class, where an attribute read could not tell which one it
 calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 ``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
-no module references ``linalg``; and neither shaper references a random
-generator or a seed.  A deleted code path leaves no orphaned helper,
+no module references ``linalg``; and neither shaper, nor the rate
+quadrature function by function, references a random generator or a
+seed.  A deleted code path leaves no orphaned helper,
 dangling import or uncalled public function behind, no two code paths share
 a random stream by accident, artifacts have one writer, the shapers'
-closed-form solves stay off LAPACK, and a shaped input is a function of the
-config alone.
+closed-form solves stay off LAPACK, and a shaped input and its rate are
+functions of the config alone.
 """
 from __future__ import annotations
 
@@ -208,16 +209,39 @@ def test_no_linalg(path):
     assert "linalg" not in path.read_text(), f"{path.name} references linalg"
 
 
-@pytest.mark.parametrize("name", ["shaping.py", "shaping_ba.py"])
+def function_closure(tree: ast.Module, name: str) -> list[ast.AST]:
+    """The module-level definition ``name`` of ``tree`` and every one it
+    reaches by reference, transitively."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = {}, [name]
+    while todo:
+        node = defs[todo.pop()]
+        if node.name not in reached:
+            reached[node.name] = node
+            todo += sorted(referenced_names(node) & defs.keys())
+    return list(reached.values())
+
+
+@pytest.mark.parametrize("name", [
+    "shaping.py", "shaping_ba.py",
+    *(f"rates.py::{func}" for func in ("rate_bits", "rate_curve", "_lattice",
+                                       "_ring_rates", "_orbit_rate"))])
 def test_shapers_stay_deterministic(name):
-    # both solvers are deterministic computations: no generator, no numpy
-    # random module, no seed derivation, imported or referenced
-    tree = parse(SRC / name)
-    names = referenced_names(tree) | {
-        alias.asname or alias.name for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names}
-    names |= {node.module.rsplit(".", 1)[-1] for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) and node.module}
+    # both solvers and the rate quadrature are deterministic computations:
+    # no generator, no numpy random module, no seed derivation, imported or
+    # referenced.  rates.py still holds the Monte-Carlo reference, so its
+    # quadrature is checked function by function, with every module-level
+    # definition each one reaches
+    path, _, func = name.partition("::")
+    tree = parse(SRC / path)
+    nodes = function_closure(tree, func) if func else [tree]
+    names = set().union(*(referenced_names(node) for node in nodes)) | {
+        alias.asname or alias.name for node in nodes for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+        for alias in sub.names}
+    names |= {sub.module.rsplit(".", 1)[-1] for node in nodes
+              for sub in ast.walk(node)
+              if isinstance(sub, ast.ImportFrom) and sub.module}
     banned = {"default_rng", "random", "derive_seed", "trial_seed", "seeds"}
     assert not names & banned, f"{name} references {sorted(names & banned)}"

@@ -1,10 +1,12 @@
-"""Mutual-information estimator against quadrature and a naive twin.
+"""The rate quadrature and the Monte-Carlo reference estimator.
 
-``gh_mutual_information`` integrates h(Y) exactly (Gauss-Hermite product
-rule over the complex noise), so the Monte-Carlo estimator must land within
-a few standard errors of it.  ``naive twin`` re-implements the estimator in
-plain unstabilized arithmetic on the identical random draws, pinning the
-log-sum-exp path to machine precision at benign noise levels.
+``gh_mutual_information`` integrates h(Y) with a 96-node Gauss-Hermite
+product rule over the complex noise: ``rate_bits``, the one rate the
+package reports, must match it to a few microbits, and the Monte-Carlo
+estimator must land within a few standard errors of it.  ``naive twin``
+re-implements the estimator in plain unstabilized arithmetic on the
+identical random draws, pinning the log-sum-exp path to machine precision
+at benign noise levels.
 """
 from __future__ import annotations
 
@@ -15,17 +17,16 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from ofdmpcs import (
-    ChannelSpec,
+    Constellation,
     Distribution,
-    gm_log_pdf,
     make_constellation,
-    mutual_information,
+    rate_bits,
     rate_curve,
     solve_heuristic,
 )
 from ofdmpcs import rates
-from ofdmpcs.rates import log_probs
-from ofdmpcs.seeds import derive_seed
+from ofdmpcs.rates import (ChannelSpec, gm_log_pdf, log_probs,
+                           mutual_information)
 from oracles import entropy_bits, gh_mutual_information, naive_log_mix
 
 LN2 = np.log(2.0)
@@ -120,7 +121,7 @@ class TestLogMixtureDensity:
         assert np.all(np.abs(got - want) <= bound)
 
     def test_bounded_temporaries(self):
-        # 256-QAM at the shaper's air_n_mc: one call holds a cache-sized
+        # 256-QAM at 2 * 10**4 samples: one call holds a cache-sized
         # table, not a (samples, points) one (40 MB of float64 here)
         c = make_constellation("qam", 256)
         d = Distribution.uniform(c)
@@ -267,22 +268,56 @@ class TestHeuristicRate:
 
 class TestAirAndCurves:
     def test_rate_curve_monotone_in_snr(self, qam16, uniform16):
-        ests = rate_curve(qam16, uniform16, [0.0, 10.0, 20.0], n_mc=20_000, seed=13)
-        assert ests[0].mi_bits < ests[1].mi_bits < ests[2].mi_bits
+        vals = rate_curve(qam16, uniform16, [0.0, 10.0, 20.0])
+        assert vals[0] < vals[1] < vals[2]
+        assert vals == [rate_bits(qam16, uniform16, s2)
+                        for s2 in (1.0, 0.1, 0.01)]
 
     def test_rate_curve_csv_format(self, qam16, uniform16, cli_artifacts):
-        # the CLI's air_curve.csv holds rate_curve's estimates, {:.9g}; the
-        # uniform input needs no [channel] sigma2
+        # the CLI's air_curve.csv holds rate_curve's rates, {:.9g}, and a
+        # standard error of 0; the uniform input needs no [channel] sigma2
         out = cli_artifacts(
             "[run]\nseed = 14\n[constellation]\nfamily = qam\norder = 16\n"
             "[channel]\nsnr_db_min = 0\nsnr_db_max = 12.5\n"
-            "snr_db_step = 12.5\nn_mc = 1000\n", "air")
-        ests = rate_curve(qam16, uniform16, [0.0, 12.5], n_mc=1000,
-                          seed=derive_seed(14, "air-curve"))
+            "snr_db_step = 12.5\n", "air")
+        vals = rate_curve(qam16, uniform16, [0.0, 12.5])
         assert (out / "air_curve.csv").read_text() == (
             "snr_db,mi_bits,std_err\n"
-            + "".join(f"{s:.9g},{e.mi_bits:.9g},{e.std_error:.9g}\n"
-                      for s, e in zip([0.0, 12.5], ests)))
+            + "".join(f"{s:.9g},{v:.9g},0\n"
+                      for s, v in zip([0.0, 12.5], vals)))
+
+
+class TestRateQuadrature:
+    @pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
+    @pytest.mark.parametrize("family,order", [
+        ("qam", 4), ("psk", 2), ("psk", 8), ("psk", 64), ("qam", 16),
+        ("qam", 64), ("qam", 256)])
+    def test_rate_matches_gauss_hermite(self, family, order, snr_db):
+        # the one-ring inputs take the one-point orbit path, the others the
+        # factored lattice; both on the uniform input, against 96
+        # Gauss-Hermite nodes
+        c = make_constellation(family, order)
+        d = Distribution.uniform(c)
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        assert rate_bits(c, d, sigma2) == pytest.approx(
+            gh_mutual_information(c, d, sigma2), abs=5e-6)
+
+    @pytest.mark.parametrize("noise_power", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_noise(self, qam16, psk8, noise_power):
+        for c in (qam16, psk8):
+            with pytest.raises(ValueError, match="positive and finite"):
+                rate_bits(c, Distribution.uniform(c), noise_power)
+
+    def test_one_ring_off_its_rotation_orbit_rejected(self):
+        # one ring of 4 points whose phases are not equally spaced: its
+        # points do not share one D_x, so one point cannot stand for all
+        phases = np.array([0.0, 0.5, np.pi, np.pi + 0.5])
+        c = Constellation(family="custom", order=4,
+                          ring_amps=np.array([1.0]),
+                          ring_counts=np.array([4]),
+                          ring_index=np.zeros(4, dtype=int), phases=phases)
+        with pytest.raises(ValueError, match="rotation orbit"):
+            rate_bits(c, Distribution.uniform(c), 0.1)
 
 
 class TestChannelSpec:

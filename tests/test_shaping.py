@@ -435,8 +435,7 @@ class TestResultSerialization:
         import json
 
         ini = ("[constellation]\nfamily = qam\norder = 16\n"
-               "[channel]\nsigma2 = 0.01\n[shaping]\nc0 = 1.2\n"
-               "air_n_mc = 2000\n")
+               "[channel]\nsigma2 = 0.01\n[shaping]\nc0 = 1.2\n")
         blob, again = (
             (cli_artifacts(ini, "shape", "--method", "heuristic")
              / "shape_heuristic.json").read_bytes() for _ in range(2))

@@ -32,9 +32,8 @@ from ofdmpcs import (
     shaping,
     solve_heuristic,
 )
-from ofdmpcs.rates import log_probs
+from ofdmpcs.rates import _lattice, _ring_rates, log_probs, rate_bits
 from ofdmpcs.shaping import RESIDUAL_TOL, match_ring_masses
-from ofdmpcs.shaping_ba import _lattice, _ring_rates
 from oracles import gh_mutual_information, trapezoid_ring_integrals
 
 LN2 = np.log(2.0)
@@ -51,13 +50,6 @@ def integrals_at(c, mass, sigma2):
     ``mass``: ``log p_w + Dbar_w``, ``-inf`` on a ring of zero mass."""
     point_prob = np.asarray(mass, float) / c.ring_counts
     return log_probs(point_prob) + _ring_rates(_lattice(c, sigma2), point_prob)
-
-
-def rate_bits(c, mass, sigma2):
-    """The rate ``run_mba`` traces, ``sum_w m_w Dbar_w``, in bits."""
-    mass = np.asarray(mass, float)
-    return float(mass @ _ring_rates(_lattice(c, sigma2), mass / c.ring_counts)
-                 ) / LN2
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +176,7 @@ class TestRingTables:
         # maximum-entropy input at c0 = 1.2
         c = make_constellation("qam", order)
         d = solve_heuristic(c, 1.2).distribution
-        got = rate_bits(c, d.ring_mass, sigma2)
+        got = rate_bits(c, d, sigma2)
         assert got == pytest.approx(gh_mutual_information(c, d, sigma2),
                                     abs=1e-6)
 
@@ -258,7 +250,8 @@ class TestQuadratureIntegrals:
         u = integrals_at(c, [1.0, 0.0, 0.0], 0.2)
         assert u[0] == 0.0
         assert np.isneginf(u[1:]).all()
-        assert rate_bits(c, [1.0, 0.0, 0.0], 0.2) == 0.0
+        assert rate_bits(c, Distribution.from_ring_mass(c, [1.0, 0.0, 0.0]),
+                         0.2) == 0.0
 
     def test_matches_quadrature(self, qam16, uniform16):
         # E_{y|x} log q(x|y) via 80 Gauss-Hermite nodes, averaged over each
@@ -518,8 +511,7 @@ class TestRunMba:
         import json
 
         ini = ("[constellation]\nfamily = qam\norder = 16\n"
-               "[channel]\nsigma2 = 0.05\n[shaping]\nc0 = 1.2\n"
-               "air_n_mc = 2000\n")
+               "[channel]\nsigma2 = 0.05\n[shaping]\nc0 = 1.2\n")
         interior, endpoint = (
             json.loads((cli_artifacts(ini, "shape", *flags)
                         / "shape_optimal.json").read_text())
