@@ -52,7 +52,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -70,6 +69,9 @@ EXIT_NONCONVERGED = 3
 EXIT_INTERNAL = 4
 
 MAX_LADDER_POINTS = 10**6       # a ladder or AF grid of 8 MB per float array
+# noise powers 1e-300 to 1e300: below them the rate quadrature's
+# D**2 / sigma2 overflows, and past 3080 dB 10 ** (snr_db / 10) does
+MAX_ABS_SNR_DB = 3000.0
 
 
 class ConfigError(Exception):
@@ -116,8 +118,10 @@ def _given(cp, section, keys) -> dict:
 
 def _sigma2(cp) -> float:
     sigma2 = _get(cp, "channel", "sigma2", float)
-    if sigma2 <= 0:
-        raise ConfigError(f"[channel] sigma2 must be positive, got {sigma2!r}")
+    lo, hi = 10.0 ** (-MAX_ABS_SNR_DB / 10.0), 10.0 ** (MAX_ABS_SNR_DB / 10.0)
+    if not lo <= sigma2 <= hi:
+        raise ConfigError(f"[channel] sigma2 must lie in [{lo:g}, {hi:g}], "
+                          f"got {sigma2!r}")
     return sigma2
 
 
@@ -283,6 +287,10 @@ def cmd_air(cp, args) -> int:
 
     c = _build_constellation(cp)
     snrs = _ladder(cp, "channel", "snr_db")
+    if max(-snrs[0], snrs[-1]) > MAX_ABS_SNR_DB:
+        raise ConfigError(f"[channel] snr_db ladder must lie within "
+                          f"+-{MAX_ABS_SNR_DB:g} dB, got [{snrs[0]:.9g}, "
+                          f"{snrs[-1]:.9g}]")
     d = _shaped_distribution(c, cp, args)
     rates = rate_curve(c, d, snrs)
     # a quadrature has no standard error; the column stays for readers
@@ -498,7 +506,6 @@ def _check_flags(args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    warnings.filterwarnings("default")
     try:
         _check_flags(args)
         cp = _load_config(args.config)

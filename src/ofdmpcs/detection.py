@@ -25,12 +25,12 @@ edge cells falling back to whichever window is available.  alpha is
 calibrated empirically on noise-only profiles; the ratio statistic is
 scale-free, so the calibration transfers across noise levels.
 
-Every Monte-Carlo loop here holds one block of ``_BLOCK_ROWS`` profiles at a
-time.  Detection trials each draw from their own generator, so P_d is the
-same at any block size.  Calibration draws its noise-only rows from one
-stream, block by block (symbol indices, real noise, imaginary noise), so
-alpha's bytes are tied to the block size: a new block size moves alpha
-within Monte-Carlo error, and with it every P_d value.
+One simulator serves both: :func:`_blocks` draws the rows of one stream
+block by block, ``_BLOCK_ROWS`` profiles at a time, in the order of
+:func:`_draw_rows`.  Calibration reads it with both echoes off on the
+"cfar-calibration" stream; each P_d point reads it on a stream of its own.
+So alpha's and P_d's bytes are tied to the block size: a new block size
+moves them within Monte-Carlo error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .ambiguity import OFDMConfig
 from .constellation import Constellation, Distribution
-from .seeds import derive_seed, trial_seed
+from .seeds import derive_seed
 
 WILSON_Z95 = 1.959963984540054
 MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
@@ -83,53 +83,31 @@ class DetectionScenario:
             raise ValueError("n_trials must be positive")
 
 
-def _draw_trials(sc: DetectionScenario,
-                 seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols and received rows ``(x, y)``, one row per generator seed.
+def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
+               rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols and received rows ``(x, y)`` for ``rows`` trials.
 
-    Row i draws from its own ``default_rng(seeds[i])`` in a fixed order: the
-    symbol uniforms, the SI phase (if SI is on), the target phase (if the
-    target is on), the real noise, then the imaginary noise.  So a row is
-    the same however the seeds are batched.  The loop only fills
-    preallocated rows; the symbol lookup, the noise scaling and everything
-    after run once on whole (rows, L) arrays.  ``random()`` is bitwise
-    ``uniform()``, and scaling the standard normals afterwards is bitwise
-    ``normal(scale=...)`` once added to ``y``.
+    Every draw is one call over all the rows, in a fixed order: the symbols
+    (:meth:`.Distribution.draw`), the SI phases (if SI is on), the target
+    phases (if the target is on), the real noise, then the imaginary
+    noise.  ``y`` starts as the noise and the echoes are added to it, so
+    with both echoes off a row is its noise alone.
     """
     length = sc.cfg.n_subcarriers
-    rows = len(seeds)
-    si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
-    snr_lin = 10.0 ** (sc.snr_db / 10.0)
-    u = np.empty((rows, length))
-    si_u = np.empty(rows)
-    tg_u = np.empty(rows)
-    noise_re = np.empty((rows, length))
-    noise_im = np.empty((rows, length))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        rng.random(out=u[i])
-        if si_lin > 0.0:
-            si_u[i] = rng.random()
-        if snr_lin > 0.0:
-            tg_u[i] = rng.random()
-        rng.standard_normal(out=noise_re[i])
-        rng.standard_normal(out=noise_im[i])
-
-    x = sc.constellation.points[sc.distribution.inverse_cdf(u)]
-    l_idx = np.arange(length)
-    y = np.zeros((rows, length), dtype=complex)
-    if si_lin > 0.0:
-        phase = np.exp(2j * np.pi * si_u)
-        y += (np.sqrt(si_lin) * phase)[:, None] * x * np.exp(
-            -2j * np.pi * l_idx * sc.si_cell / length)
-    if snr_lin > 0.0:
-        phase = np.exp(2j * np.pi * tg_u)
-        y += (np.sqrt(snr_lin / length) * phase)[:, None] * x * np.exp(
-            -2j * np.pi * l_idx * sc.target_cell / length)
+    x = sc.constellation.points[sc.distribution.draw(rng, (rows, length))]
+    echoes = []             # the target's SNR is per cell: L times its power
+    for power, cell in ((10.0 ** (sc.si_to_noise_db / 10.0), sc.si_cell),
+                        (10.0 ** (sc.snr_db / 10.0) / length, sc.target_cell)):
+        if power > 0.0:
+            phase = np.exp(2j * np.pi * rng.uniform(size=rows))
+            echoes.append((np.sqrt(power) * phase, cell))
     scale = np.sqrt(0.5)
-    noise_re *= scale
-    noise_im *= scale
-    y += noise_re + 1j * noise_im
+    y = rng.normal(scale=scale, size=(rows, length)) \
+        + 1j * rng.normal(scale=scale, size=(rows, length))
+    l_idx = np.arange(length)
+    for amplitude, cell in echoes:
+        y += amplitude[:, None] * x * np.exp(-2j * np.pi * l_idx * cell
+                                             / length)
     return x, y
 
 
@@ -215,30 +193,19 @@ def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
     return np.fmin(sums[:, :length], sums[:, lag:lag + length]) / ref
 
 
-def _noise_only_ratios(sc: DetectionScenario, n_rows: int,
-                       rng: np.random.Generator):
-    """Noise-only profile/statistic ratios, yielded one block of rows at a time.
+def _blocks(sc: DetectionScenario, rng: np.random.Generator, n_rows: int):
+    """``(profiles, statistic)`` of ``n_rows`` trials, one block at a time.
 
-    Each block of ``_BLOCK_ROWS`` rows draws its symbol indices, then the
-    real noise, then the imaginary noise, and forms its profiles and ratios
-    before the next block draws, so one block of draws is all that is held.
-    The stream of ``rng`` is consumed block by block, so the ratios (and
-    alpha) depend on ``_BLOCK_ROWS``; a row's profile does not depend on the
-    other rows of its block (see :func:`_profiles`).  No target or
-    self-interference enters, so ``sc.snr_db`` and ``sc.si_to_noise_db``
-    are not read.
+    Each block of at most ``_BLOCK_ROWS`` rows is drawn by
+    :func:`_draw_rows` and reduced before the next one draws, so one block
+    of draws is all that is held.  The stream of ``rng`` is read block by
+    block, so the results depend on ``_BLOCK_ROWS``; a row's profile does
+    not depend on the other rows of its block (see :func:`_profiles`).
     """
-    length = sc.cfg.n_subcarriers
-    points = sc.constellation.points
-    scale = np.sqrt(0.5)
     for start in range(0, n_rows, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n_rows - start)
-        idx = sc.distribution.draw(rng, (rows, length))
-        noise_re = rng.normal(scale=scale, size=(rows, length))
-        noise_im = rng.normal(scale=scale, size=(rows, length))
-        power = _profiles(points[idx], noise_re + 1j * noise_im)
-        stat = _side_means(power, sc.ref_cells, sc.guard_cells)
-        yield (power / stat).ravel()
+        power = _profiles(*_draw_rows(sc, rng, min(_BLOCK_ROWS,
+                                                   n_rows - start)))
+        yield power, _side_means(power, sc.ref_cells, sc.guard_cells)
 
 
 def _upper_quantile(blocks, n: int, q: float) -> float:
@@ -278,9 +245,9 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
     10/P_fa required); alpha is the (1 - P_fa) quantile of the cell-power /
     smallest-of-statistic ratio, which is distribution- and noise-level-free
     up to the weak cell coupling induced by the random symbol power.  The
-    rows are drawn and reduced one ``_BLOCK_ROWS`` block at a time (see
-    :func:`_noise_only_ratios` for the draw order, which fixes alpha's
-    bytes), and only the largest ~P_fa * n_cal ratios are kept while the
+    noise-only rows (``sc`` with both echoes off, so ``sc.snr_db`` and
+    ``sc.si_to_noise_db`` are not read) come from :func:`_blocks` on one
+    stream, and only the largest ~P_fa * n_cal ratios are kept while the
     rest stream past; alpha is bitwise ``np.quantile`` over all of them.
     """
     if n_cal is None:
@@ -291,9 +258,12 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
             f"noise-only cells for P_fa={sc.p_fa}, got {n_cal}")
     length = sc.cfg.n_subcarriers
     n_rows = int(np.ceil(n_cal / length))
+    noise_only = replace(sc, snr_db=-math.inf, si_to_noise_db=-math.inf)
     rng = np.random.default_rng(derive_seed(seed, "cfar-calibration"))
-    return _upper_quantile(_noise_only_ratios(sc, n_rows, rng),
-                           n_rows * length, 1.0 - sc.p_fa)
+    return _upper_quantile(
+        ((power / stat).ravel()
+         for power, stat in _blocks(noise_only, rng, n_rows)),
+        n_rows * length, 1.0 - sc.p_fa)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +297,14 @@ def detection_probability(sc: DetectionScenario, alpha: float,
                           seed: int = 0) -> tuple[float, float, float]:
     """P_d with Wilson bounds at the scenario's own SNR, n_trials trials.
 
-    Trial t draws from ``default_rng(trial_seed(seed, t))``; the trials run
-    in blocks of ``_BLOCK_ROWS`` rows, and since a row depends only on its
-    own trial seed, P_d does not depend on the block size.
+    The trials are the rows of :func:`_blocks` on one stream,
+    ``default_rng(seed)``, so P_d's bytes depend on ``_BLOCK_ROWS``, as
+    alpha's do.
     """
     cell = sc.target_cell
-    hits = 0
-    for start in range(0, sc.n_trials, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, sc.n_trials)
-        power = _profiles(*_draw_trials(
-            sc, [trial_seed(seed, t) for t in range(start, stop)]))
-        stat = _side_means(power, sc.ref_cells, sc.guard_cells)
-        hits += int(np.count_nonzero(power[:, cell] > alpha * stat[:, cell]))
+    rng = np.random.default_rng(seed)
+    hits = sum(int(np.count_nonzero(power[:, cell] > alpha * stat[:, cell]))
+               for power, stat in _blocks(sc, rng, sc.n_trials))
     lo, hi = wilson_interval(hits, sc.n_trials)
     return hits / sc.n_trials, lo, hi
 
@@ -346,10 +312,10 @@ def detection_probability(sc: DetectionScenario, alpha: float,
 def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
     """Detection probability versus sensing SNR.
 
-    Calibrates alpha from the same master seed; each curve point runs
-    ``sc.n_trials`` independent trials under per-trial seeds derived from
-    (seed, point index, trial index), so the curve is bit-exact
-    reproducible and trivially parallelizable.
+    Calibrates alpha from the same master seed; curve point i runs
+    ``sc.n_trials`` trials on its own stream, seeded by
+    ``derive_seed(seed, f"pd-point-{i}")``, so the curve is bit-exact
+    reproducible.
     """
     snrs = np.asarray(snr_db_values, dtype=float)
     if snrs.size == 0:

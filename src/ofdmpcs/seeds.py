@@ -1,9 +1,11 @@
 """Deterministic seed derivation.
 
 All randomness in this package flows from a single master seed.  Consumers
-derive private sub-seeds with :func:`derive_seed` (purpose-keyed hashing) or
-:func:`trial_seed` (per-trial XOR), so results are bound to the seed values
-and never to scheduling or thread count.
+derive private sub-seeds with :func:`derive_seed` (purpose-keyed hashing),
+one per stream, and read each stream in a fixed order, so results are bound
+to the seed values and never to scheduling or thread count.
+:func:`trial_seed` (per-draw XOR) gives each draw of the Monte-Carlo AF
+reference its own generator.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def derive_seed(seed: int, purpose: str) -> int:
 def trial_seed(seed: int, trial: int) -> int:
     """Per-trial seed: ``seed XOR trial`` (64-bit).
 
-    Used for embarrassingly parallel Monte-Carlo trials; trial ``m`` sees the
-    same draws no matter how trials are batched or ordered.
+    Draw ``m`` of :func:`.ambiguity.average_af` uses it, so it sees the same
+    symbols no matter how the draws are batched or ordered.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")

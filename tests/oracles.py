@@ -9,10 +9,13 @@ the shaper's own trapezoidal nodes, with direct distances.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from ofdmpcs.ambiguity import _draw_flat, _kernel
-from ofdmpcs.detection import _noise_only_ratios
+from ofdmpcs.detection import _blocks
 from ofdmpcs.seeds import derive_seed
 
 LN2 = np.log(2.0)
@@ -57,9 +60,10 @@ def empirical_false_alarm_rate(sc, alpha: float, n_cells: int,
     """Fresh noise-only run: fraction of cells crossing alpha * statistic."""
     length = sc.cfg.n_subcarriers
     n_rows = int(np.ceil(n_cells / length))
+    noise_only = replace(sc, snr_db=-math.inf, si_to_noise_db=-math.inf)
     rng = np.random.default_rng(derive_seed(seed, "cfar-evaluation"))
-    crossings = sum(int(np.count_nonzero(r > alpha))
-                    for r in _noise_only_ratios(sc, n_rows, rng))
+    crossings = sum(int(np.count_nonzero(power / stat > alpha))
+                    for power, stat in _blocks(noise_only, rng, n_rows))
     return crossings / (n_rows * length)
 
 

@@ -169,7 +169,7 @@ class TestExitCodes:
         assert not (out / "shape_optimal.json").exists()
 
 
-    @pytest.mark.parametrize("value", ["0", "-0.05"])
+    @pytest.mark.parametrize("value", ["0", "-0.05", "1e-310"])
     @pytest.mark.parametrize("command,flags", [
         ("shape", ()), ("tradeoff", ()), ("air", ("--c0", "1.2")),
     ], ids=["shape", "tradeoff", "air-c0"])
@@ -323,7 +323,10 @@ class TestExitCodes:
         assert blobs["11"] == blobs["12345"]
 
     def test_underflowing_noise_power_rejected(self, tmp_path, capsys):
-        # 4000 dB is a noise power of 10**-400, which underflows to 0
+        # 4000 dB is a noise power of 10**-400, which underflows to 0; on
+        # the way there, at 10**-308, the quadrature's D**2 / sigma2
+        # overflowed with a RuntimeWarning, which the CLI's own warning
+        # filter printed instead of failing
         bad = tmp_path / "bad.ini"
         bad.write_text(BASE_CONFIG.replace("snr_db_max = 20",
                                            "snr_db_max = 4000"))
@@ -331,8 +334,25 @@ class TestExitCodes:
         rc = run_cli("air", "--config", str(bad), "--out", str(out))
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert err.splitlines()[-1] == ("config error: noise_power must be "
-                                        "positive and finite"), err
+        assert err == ("config error: [channel] snr_db ladder must lie "
+                       "within +-3000 dB, got [0, 4000]\n"), err
+        assert not out.exists()
+
+    def test_overflowing_noise_power_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        # -4000 dB is a noise power of 10**400: 10 ** (snr_db / 10) raised
+        # OverflowError with a traceback.  Every point is checked before
+        # any rate is computed
+        monkeypatch.setattr(rates, "rate_curve", None)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("snr_db_min = 0",
+                                           "snr_db_min = -4000"))
+        out = tmp_path / "o"
+        rc = run_cli("air", "--config", str(bad), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == ("config error: [channel] snr_db ladder must lie "
+                       "within +-3000 dB, got [-4000, 20]\n"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("failure", ["vertex", "vanished"])

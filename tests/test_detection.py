@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import integrate, optimize, stats
 
 from ofdmpcs import (
     DetectionScenario,
@@ -24,9 +26,9 @@ from ofdmpcs import (
     detection_probability,
     make_constellation,
     pd_curve,
-    trial_seed,
     wilson_interval,
 )
+from ofdmpcs.detection import DEFAULT_CAL_FACTOR
 from oracles import empirical_false_alarm_rate
 
 
@@ -42,7 +44,8 @@ def noise_only(sc):
 
 def profile(sc, seed):
     """One range profile, drawn and formed as ``detection_probability`` does."""
-    return detection._profiles(*detection._draw_trials(sc, [seed]))[0]
+    rng = np.random.default_rng(seed)
+    return detection._profiles(*detection._draw_rows(sc, rng, 1))[0]
 
 
 def side_means(p, ref, guard):
@@ -257,9 +260,10 @@ class TestPdCurve:
 
 
 # ---------------------------------------------------------------------------
-# per-trial oracle: one trial at a time, two-pass SO-CFAR window means and
-# Generator.choice draws; the batched simulator must match it bit for bit.
-# Both form the matched-filter product as conj(x) * y, at every batch size.
+# block-stream oracle: Generator.choice, uniform and normal draws on one
+# stream, block by block in _draw_rows' order, and two-pass SO-CFAR window
+# means; the simulator must match it bit for bit.  Both form the
+# matched-filter product as conj(x) * y, at every block size.
 
 
 def oracle_probs(sc):
@@ -267,25 +271,29 @@ def oracle_probs(sc):
     return p / p.sum()
 
 
-def oracle_simulate(sc, rng):
+def oracle_rows(sc, rng, rows):
+    """``rows`` range profiles from ``rng``: symbols, SI phases, target
+    phases, real noise, imaginary noise, each one call over the rows."""
     length = sc.cfg.n_subcarriers
     x = sc.constellation.points[rng.choice(sc.constellation.order,
-                                           size=length, p=oracle_probs(sc))]
-    l_idx = np.arange(length)
-    y = np.zeros(length, dtype=complex)
+                                           size=(rows, length),
+                                           p=oracle_probs(sc))]
     si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
-    if si_lin > 0.0:
-        phase = np.exp(2j * np.pi * rng.uniform())
-        y += np.sqrt(si_lin) * phase * x * np.exp(
-            -2j * np.pi * l_idx * sc.si_cell / length)
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
-    if snr_lin > 0.0:
-        phase = np.exp(2j * np.pi * rng.uniform())
-        y += np.sqrt(snr_lin / length) * phase * x * np.exp(
+    si_u = rng.uniform(size=rows) if si_lin > 0.0 else None
+    tg_u = rng.uniform(size=rows) if snr_lin > 0.0 else None
+    y = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
+        + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
+    l_idx = np.arange(length)
+    if si_u is not None:
+        amp = np.sqrt(si_lin) * np.exp(2j * np.pi * si_u)
+        y = y + amp[:, None] * x * np.exp(
+            -2j * np.pi * l_idx * sc.si_cell / length)
+    if tg_u is not None:
+        amp = np.sqrt(snr_lin / length) * np.exp(2j * np.pi * tg_u)
+        y = y + amp[:, None] * x * np.exp(
             -2j * np.pi * l_idx * sc.target_cell / length)
-    y += rng.normal(scale=np.sqrt(0.5), size=length) \
-        + 1j * rng.normal(scale=np.sqrt(0.5), size=length)
-    z = length * np.fft.ifft(np.conj(x) * y)
+    z = length * np.fft.ifft(np.conj(x) * y, axis=1)
     return np.abs(z) ** 2
 
 
@@ -301,32 +309,25 @@ def oracle_side_means(profiles, ref, guard):
     return np.fmin(lead, lagg)
 
 
-def oracle_hits(sc, alpha, seed):
-    hits = 0
-    for t in range(sc.n_trials):
-        prof = oracle_simulate(sc, np.random.default_rng(trial_seed(seed, t)))
-        stat = oracle_side_means(prof[None, :], sc.ref_cells,
-                                 sc.guard_cells)[0]
-        hits += bool((prof > alpha * stat)[sc.target_cell])
-    return hits
+def oracle_blocks(sc, rng, n_rows, chunk):
+    """``(profiles, statistic)`` of n_rows trials, ``chunk`` rows a block."""
+    for start in range(0, n_rows, chunk):
+        power = oracle_rows(sc, rng, min(chunk, n_rows - start))
+        yield power, oracle_side_means(power, sc.ref_cells, sc.guard_cells)
+
+
+def oracle_hits(sc, alpha, seed, chunk):
+    rng = np.random.default_rng(seed)
+    cell = sc.target_cell
+    return sum(int(np.count_nonzero(p[:, cell] > alpha * s[:, cell]))
+               for p, s in oracle_blocks(sc, rng, sc.n_trials, chunk))
 
 
 def oracle_ratios(sc, n_cells, rng, chunk):
     """Every noise-only profile/statistic ratio, in one array."""
-    length = sc.cfg.n_subcarriers
-    n_rows = int(np.ceil(n_cells / length))
-    out = []
-    for start in range(0, n_rows, chunk):
-        rows = min(chunk, n_rows - start)
-        idx = rng.choice(sc.constellation.order, size=(rows, length),
-                         p=oracle_probs(sc))
-        x = sc.constellation.points[idx]
-        noise = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
-            + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
-        power = np.abs(length * np.fft.ifft(np.conj(x) * noise, axis=1)) ** 2
-        stat = oracle_side_means(power, sc.ref_cells, sc.guard_cells)
-        out.append((power / stat).ravel())
-    return np.concatenate(out)
+    n_rows = int(np.ceil(n_cells / sc.cfg.n_subcarriers))
+    return np.concatenate([(p / s).ravel() for p, s in
+                           oracle_blocks(noise_only(sc), rng, n_rows, chunk)])
 
 
 def oracle_alpha(sc, n_cal, seed, chunk):
@@ -335,8 +336,19 @@ def oracle_alpha(sc, n_cal, seed, chunk):
     return float(np.quantile(ratios, 1.0 - sc.p_fa))
 
 
+def block_profiles(sc, seed):
+    """Every profile ``detection_probability(sc, ., seed)`` thresholds."""
+    blocks = detection._blocks(sc, np.random.default_rng(seed), sc.n_trials)
+    return np.concatenate([power for power, _ in blocks])
+
+
+def oracle_profiles(sc, seed, chunk):
+    blocks = oracle_blocks(sc, np.random.default_rng(seed), sc.n_trials, chunk)
+    return np.concatenate([power for power, _ in blocks])
+
+
 class TestBatchedSimulatorOracle:
-    """The batched simulator against the per-trial oracle, bit for bit."""
+    """The block-stream simulator against the oracle, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -354,13 +366,12 @@ class TestBatchedSimulatorOracle:
                                si_to_noise_db=10.0 if si else float("-inf"),
                                p_fa=1e-2, n_trials=40)
         for seed in (0, 5):
-            got = profile(sc, seed=seed)
-            want = oracle_simulate(sc, np.random.default_rng(seed))
-            assert got.tobytes() == want.tobytes()
+            got = block_profiles(sc, seed)
+            assert got.tobytes() == oracle_profiles(sc, seed, 13).tobytes()
         counts = []
         for alpha in (1.5, 4.0, 10.0):
             pd, _, _ = detection_probability(sc, alpha, seed=3)
-            hits = oracle_hits(sc, alpha, seed=3)
+            hits = oracle_hits(sc, alpha, seed=3, chunk=13)
             assert pd * sc.n_trials == hits
             counts.append(hits)
         assert max(counts) > 0       # the comparison saw detections
@@ -402,38 +413,20 @@ class TestWindowSums:
 
 
 class TestProductionBatchOracle:
-    """The per-trial oracle at production batch sizes, ``_BLOCK_ROWS`` as
-    shipped: 300 trials run as one batch, and P_d as a 256-row block and a
-    44-row one; 256 rows is the size from which numpy's temporary elision
-    once swapped the product's operands."""
+    """The oracle at ``_BLOCK_ROWS`` as shipped: 300 trials run as a 256-row
+    block and a 44-row one; 256 rows is the size from which numpy's
+    temporary elision once swapped the product's operands."""
 
     def test_profiles_and_hits(self, qam16, ofdm64):
+        assert detection._BLOCK_ROWS == 256
         d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
         sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, p_fa=1e-2,
                                n_trials=300)
-        seeds = [trial_seed(4, t) for t in range(sc.n_trials)]
-        got = detection._profiles(*detection._draw_trials(sc, seeds))
-        want = np.stack([oracle_simulate(sc, np.random.default_rng(s))
-                         for s in seeds])
-        assert got.tobytes() == want.tobytes()
+        got = block_profiles(sc, 4)
+        assert got.tobytes() == oracle_profiles(sc, 4, 256).tobytes()
         for alpha in (3.0, 8.0):
             pd, _, _ = detection_probability(sc, alpha, seed=4)
-            assert pd == oracle_hits(sc, alpha, seed=4) / sc.n_trials
-
-    def test_rows_do_not_depend_on_batch_size(self, monkeypatch, qam64,
-                                              uniform64, ofdm64):
-        # the profiles are compared, not only P_d, which an ulp rarely moves
-        sc = DetectionScenario(qam64, uniform64, ofdm64, snr_db=10.0,
-                               p_fa=1e-2, n_trials=300)
-        seeds = [trial_seed(1, t) for t in range(sc.n_trials)]
-        whole = detection._profiles(*detection._draw_trials(sc, seeds))
-        pd = detection_probability(sc, 4.0, seed=1)
-        for rows in (1, 13, 255):
-            parts = [detection._profiles(*detection._draw_trials(
-                sc, seeds[i:i + rows])) for i in range(0, len(seeds), rows)]
-            assert np.concatenate(parts).tobytes() == whole.tobytes()
-            monkeypatch.setattr(detection, "_BLOCK_ROWS", rows)
-            assert detection_probability(sc, 4.0, seed=1) == pd
+            assert pd == oracle_hits(sc, alpha, seed=4, chunk=256) / sc.n_trials
 
 
 class TestStreamedCalibration:
@@ -487,6 +480,73 @@ class TestStreamedCalibration:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# closed forms on a constant-modulus input: conj(x) * noise is white again,
+# so the noise-only cells are i.i.d. exponential of mean L, and an echo
+# leaks into no other cell.  Seeds and 4-SE bounds were fixed before the
+# first run.
+
+
+def so_cfar_pfa(alpha, n):
+    """P_fa of an interior cell: both windows, smallest of (Weiss 1982)."""
+    b = 2.0 + alpha / n
+    return 2.0 * b ** -n * sum(comb(n - 1 + k, k) * b ** -k for k in range(n))
+
+
+def pooled_pfa(alpha, sc):
+    """P_fa averaged over every cell of the profile: edge cells have one
+    complete window, a cell-averaging one of n cells."""
+    n, length = sc.ref_cells, sc.cfg.n_subcarriers
+    interior = length - 2 * (n + sc.guard_cells)
+    edge = (1.0 + alpha / n) ** -n
+    return (interior * so_cfar_pfa(alpha, n)
+            + (length - interior) * edge) / length
+
+
+def pd_closed_form(alpha, sc):
+    """E_G[ncx2.sf(2 alpha G / n; 2, 2 snr)], G ~ Gamma(n, 1): the target
+    cell against its one complete window of n noise cells."""
+    n, snr = sc.ref_cells, 10.0 ** (sc.snr_db / 10.0)
+    return integrate.quad(
+        lambda g: stats.ncx2.sf(2.0 * alpha * g / n, 2, 2.0 * snr)
+        * stats.gamma.pdf(g, n), 0.0, np.inf)[0]
+
+
+class TestConstantModulusClosedForms:
+    @pytest.fixture
+    def scenario(self, psk8, ofdm64):
+        return DetectionScenario(psk8, Distribution.uniform(psk8), ofdm64,
+                                 p_fa=1e-3, n_trials=2000)
+
+    def alpha_star(self, sc):
+        return optimize.brentq(lambda a: pooled_pfa(a, sc) - sc.p_fa,
+                               1.0, 100.0, xtol=1e-12)
+
+    def test_false_alarm_rate(self, scenario):
+        sc = scenario
+        alpha = self.alpha_star(sc)
+        length = sc.cfg.n_subcarriers
+        n_cal = int(np.ceil(DEFAULT_CAL_FACTOR / sc.p_fa / length)) * length
+        calibrated = calibrate_so_cfar(sc, seed=0)
+        se = np.sqrt(sc.p_fa * (1.0 - sc.p_fa) / n_cal)
+        assert abs(pooled_pfa(calibrated, sc) - sc.p_fa) <= 4.0 * se
+        n_cells = 1_000_000
+        rate = empirical_false_alarm_rate(sc, alpha, n_cells, seed=1)
+        se = np.sqrt(sc.p_fa * (1.0 - sc.p_fa) / n_cells)
+        assert abs(rate - sc.p_fa) <= 4.0 * se
+
+    def test_detection_probability(self, scenario):
+        sc = scenario            # the target cell has no complete lead window
+        assert sc.target_cell < sc.guard_cells + sc.ref_cells
+        alpha = self.alpha_star(sc)
+        for seed, snr_db in enumerate((6.0, 10.0, 14.0)):
+            sc = replace(scenario, snr_db=snr_db)
+            want = pd_closed_form(alpha, sc)
+            pd, _, _ = detection_probability(sc, alpha, seed=seed)
+            se = np.sqrt(want * (1.0 - want) / sc.n_trials)
+            assert abs(pd - want) <= 4.0 * se, (snr_db, pd, want)
 
 
 class TestWilson:

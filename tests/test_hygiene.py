@@ -9,9 +9,10 @@ every public method of a public class, has a caller in the package or in
 of another class, where an attribute read could not tell which one it
 calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 ``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
-no module references ``linalg``; and neither shaper, nor the rate
-quadrature function by function, references a random generator or a
-seed.  A deleted code path leaves no orphaned helper,
+no module references ``linalg`` or sets a warning filter; detection makes
+its generators only where calibration and P_d open their streams; and
+neither shaper, nor the rate quadrature function by function, references a
+random generator or a seed.  A deleted code path leaves no orphaned helper,
 dangling import or uncalled public function behind, no two code paths share
 a random stream by accident, artifacts have one writer, the shapers'
 closed-form solves stay off LAPACK, and a shaped input and its rate are
@@ -207,6 +208,33 @@ def test_no_linalg(path):
     # the moment matcher's 2 x 2 Newton step and 3-ring vertex are closed
     # forms: a LAPACK call there touches ~1 MB of library pages per process
     assert "linalg" not in path.read_text(), f"{path.name} references linalg"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_warning_filters(path):
+    # a filter set by the package outlives the call that sets it and sits
+    # ahead of the suite's error::RuntimeWarning, so a numpy warning in
+    # every later test would print instead of failing
+    calls = [node.lineno for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and {getattr(node.func, "id", None),
+                  getattr(node.func, "attr", None)}
+             & {"filterwarnings", "simplefilter"}]
+    assert not calls, f"{path.name} sets a warning filter at lines {calls}"
+
+
+def test_detection_opens_one_stream_per_purpose():
+    # calibration reads one stream and each P_d point one stream, block by
+    # block; a generator made anywhere else (one per trial) is a second
+    # draw discipline
+    owners = set()
+    for node in parse(SRC / "detection.py").body:
+        for sub in ast.walk(node):
+            if "default_rng" in (getattr(sub, "id", None),
+                                 getattr(sub, "attr", None),
+                                 getattr(sub, "name", None)):
+                owners.add(getattr(node, "name", f"line {node.lineno}"))
+    assert owners == {"calibrate_so_cfar", "detection_probability"}, owners
 
 
 def function_closure(tree: ast.Module, name: str) -> list[ast.AST]:
