@@ -69,8 +69,8 @@ EXIT_NONCONVERGED = 3
 EXIT_INTERNAL = 4
 
 MAX_LADDER_POINTS = 10**6       # a ladder or AF grid of 8 MB per float array
-# noise powers 1e-300 to 1e300: below them the rate quadrature's
-# D**2 / sigma2 overflows, and past 3080 dB 10 ** (snr_db / 10) does
+# noise powers 1e-300 to 1e300 and dB values (snr_db ladders, [detection]
+# keys): below them D**2 / sigma2 overflows, past 3080 dB 10 ** (db / 10) does
 MAX_ABS_SNR_DB = 3000.0
 
 
@@ -141,7 +141,12 @@ def _ladder(cp, section, prefix) -> np.ndarray:
     if vals[-1] < hi - 1e-9:
         vals = np.append(vals, hi)
     # kill arange accumulation drift so sweep values match flag values
-    return np.round(vals, 10)
+    vals = np.round(vals, 10)
+    if prefix == "snr_db" and max(-vals[0], vals[-1]) > MAX_ABS_SNR_DB:
+        raise ConfigError(f"[{section}] snr_db ladder must lie within "
+                          f"+-{MAX_ABS_SNR_DB:g} dB, got [{vals[0]:.9g}, "
+                          f"{vals[-1]:.9g}]")
+    return vals
 
 
 def _build_constellation(cp) -> Constellation:
@@ -287,10 +292,6 @@ def cmd_air(cp, args) -> int:
 
     c = _build_constellation(cp)
     snrs = _ladder(cp, "channel", "snr_db")
-    if max(-snrs[0], snrs[-1]) > MAX_ABS_SNR_DB:
-        raise ConfigError(f"[channel] snr_db ladder must lie within "
-                          f"+-{MAX_ABS_SNR_DB:g} dB, got [{snrs[0]:.9g}, "
-                          f"{snrs[-1]:.9g}]")
     d = _shaped_distribution(c, cp, args)
     rates = rate_curve(c, d, snrs)
     # a quadrature has no standard error; the column stays for readers
@@ -341,32 +342,39 @@ def cmd_af(cp, args) -> int:
     return EXIT_OK
 
 
-def _scenario(cp, c, d, cfg) -> DetectionScenario:
+def _scenario(cp, c, cfg) -> DetectionScenario:
+    from .constellation import Distribution
     from .detection import DetectionScenario
 
     fields = _given(cp, "detection", {
         "sensing_snr_db": float, "target_cell": int, "si_cell": int,
         "si_to_noise_db": float, "p_fa": float, "n_trials": int,
         "ref_cells": int, "guard_cells": int})
+    for key in ("sensing_snr_db", "si_to_noise_db"):
+        if abs(fields.get(key, 0.0)) > MAX_ABS_SNR_DB:
+            raise ConfigError(f"[detection] {key} must lie within "
+                              f"+-{MAX_ABS_SNR_DB:g} dB, got {fields[key]:.9g}")
     if "sensing_snr_db" in fields:
         fields["snr_db"] = fields.pop("sensing_snr_db")
     try:
-        return DetectionScenario(constellation=c, distribution=d, cfg=cfg,
-                                 **fields)
+        return DetectionScenario(constellation=c, cfg=cfg,
+                                 distribution=Distribution.uniform(c), **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_detect(cp, args) -> int:
+    from dataclasses import replace
+
     from .detection import pd_curve
     from .seeds import derive_seed
 
     c = _build_constellation(cp)
     cfg = _build_ofdm(cp)
     seed = _master_seed(cp, args)
-    d = _shaped_distribution(c, cp, args)
-    sc = _scenario(cp, c, d, cfg)
+    sc = _scenario(cp, c, cfg)          # uniform input: checked before solving
     snrs = _ladder(cp, "detection", "snr_db")
+    sc = replace(sc, distribution=_shaped_distribution(c, cp, args))
     curve = pd_curve(sc, snrs, seed=derive_seed(seed, "detect"))
     _write(_out_dir(cp, args), "pd_curve.csv",
            _csv("snr_db,pd,ci_lo,ci_hi",
@@ -403,6 +411,8 @@ def _c0_sweep(cp, c: Constellation) -> np.ndarray:
 
 
 def cmd_tradeoff(cp, args) -> int:
+    from dataclasses import replace
+
     from .detection import pd_curve
     from .seeds import derive_seed
 
@@ -411,6 +421,7 @@ def cmd_tradeoff(cp, args) -> int:
     sigma2 = _sigma2(cp)
     seed = _master_seed(cp, args)
     sweep = _c0_sweep(cp, c)
+    sc = _scenario(cp, c, cfg)          # uniform input: checked before solving
     out_dir = _out_dir(cp, args)
 
     all_converged = True
@@ -421,10 +432,9 @@ def cmd_tradeoff(cp, args) -> int:
         heur = _solve_one(c, cp, "heuristic", float(c0), sigma2)
         all_converged = all_converged and opt.converged and heur.converged
 
-        sc = _scenario(cp, c, opt.distribution, cfg)
-        curve = pd_curve(sc, [sc.snr_db],
-                         seed=derive_seed(seed, f"pd[{float(c0):.9g}]"))
-        rows.append((opt.c0, opt.air_bits, heur.air_bits, curve.pd[0],
+        pd = pd_curve(replace(sc, distribution=opt.distribution), [sc.snr_db],
+                      seed=derive_seed(seed, f"pd[{float(c0):.9g}]")).pd[0]
+        rows.append((opt.c0, opt.air_bits, heur.air_bits, pd,
                      *opt.ring_mass))
         lut.append(_lut_entry(opt, sigma2))
 

@@ -108,10 +108,12 @@ class Constellation:
         """Per-point amplitudes; exactly ``ring_amps[ring_index]``."""
         return self.ring_amps[self.ring_index]
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        """Complex point array (Q,)."""
-        return self.amplitudes * np.exp(1j * self.phases)
+        """Complex point array (Q,); built once, read-only."""
+        points = self.amplitudes * np.exp(1j * self.phases)
+        points.flags.writeable = False
+        return points
 
 
 def sorted_unique(a) -> np.ndarray:

@@ -26,7 +26,7 @@ calibrated empirically on noise-only profiles; the ratio statistic is
 scale-free, so the calibration transfers across noise levels.
 
 One simulator serves both: :func:`_blocks` draws the rows of one stream
-block by block, ``_BLOCK_ROWS`` profiles at a time, in the order of
+in cache-sized blocks of ``_BLOCK_CELLS`` cells, in the order of
 :func:`_draw_rows`.  Calibration reads it with both echoes off on the
 "cfar-calibration" stream; each P_d point reads it on a stream of its own.
 So alpha's and P_d's bytes are tied to the block size: a new block size
@@ -47,7 +47,9 @@ from .seeds import derive_seed
 WILSON_Z95 = 1.959963984540054
 MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
-_BLOCK_ROWS = 256           # rows per block of drawn profiles
+_BLOCK_CELLS = 2048         # cells per block: 32 KiB per complex array,
+                            # under malloc's 128 KiB mmap threshold
+MAX_ABS_DB = 3000.0         # echo powers 10 ** (dB / 10) far from overflow
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,11 @@ class DetectionScenario:
                              "every cell needs one complete reference side")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
+        for name in ("snr_db", "si_to_noise_db"):    # -inf: that echo is off
+            db = getattr(self, name)
+            if db != -math.inf and not abs(db) <= MAX_ABS_DB:
+                raise ValueError(f"{name} must be -inf or lie within "
+                                 f"+-{MAX_ABS_DB:g} dB, got {db!r}")
 
 
 def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
@@ -89,9 +96,9 @@ def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
 
     Every draw is one call over all the rows, in a fixed order: the symbols
     (:meth:`.Distribution.draw`), the SI phases (if SI is on), the target
-    phases (if the target is on), the real noise, then the imaginary
-    noise.  ``y`` starts as the noise and the echoes are added to it, so
-    with both echoes off a row is its noise alone.
+    phases (if the target is on), then the noise as (real, imaginary)
+    standard normal pairs.  ``y`` starts as the noise and the echoes are
+    added to it, so with both echoes off a row is its noise alone.
     """
     length = sc.cfg.n_subcarriers
     x = sc.constellation.points[sc.distribution.draw(rng, (rows, length))]
@@ -101,9 +108,9 @@ def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
         if power > 0.0:
             phase = np.exp(2j * np.pi * rng.uniform(size=rows))
             echoes.append((np.sqrt(power) * phase, cell))
-    scale = np.sqrt(0.5)
-    y = rng.normal(scale=scale, size=(rows, length)) \
-        + 1j * rng.normal(scale=scale, size=(rows, length))
+    y = rng.standard_normal((rows, 2 * length))
+    y *= math.sqrt(0.5)
+    y = y.view(complex)
     l_idx = np.arange(length)
     for amplitude, cell in echoes:
         y += amplitude[:, None] * x * np.exp(-2j * np.pi * l_idx * cell
@@ -114,15 +121,16 @@ def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
 def _profiles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matched-filter powers ``|L * ifft(conj(x) * y)|^2``, row by row.
 
-    Complex products round differently with their operands swapped, so the
-    order is fixed: ``conj(x) * y``, formed in place in the ``conj``
-    temporary, at every batch size.  A row's power therefore does not
-    depend on the batch it runs in.
+    The product is formed as ``conj(x) * y`` in place, at every batch size
+    (swapped operands round differently), so a row's power does not depend
+    on its batch.  The power is re^2 + im^2 of the unscaled inverse FFT
+    (``norm="forward"``), on its float view.
     """
     prod = np.conj(x)
     np.multiply(prod, y, out=prod)
-    z = x.shape[1] * np.fft.ifft(prod, axis=1)
-    return np.abs(z) ** 2
+    z = np.fft.ifft(prod, axis=1, norm="forward").view(float)
+    np.multiply(z, z, out=z)
+    return z[:, 0::2] + z[:, 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +204,15 @@ def _side_means(profiles: np.ndarray, ref: int, guard: int) -> np.ndarray:
 def _blocks(sc: DetectionScenario, rng: np.random.Generator, n_rows: int):
     """``(profiles, statistic)`` of ``n_rows`` trials, one block at a time.
 
-    Each block of at most ``_BLOCK_ROWS`` rows is drawn by
+    Each block of at most ``max(1, _BLOCK_CELLS // L)`` rows is drawn by
     :func:`_draw_rows` and reduced before the next one draws, so one block
     of draws is all that is held.  The stream of ``rng`` is read block by
-    block, so the results depend on ``_BLOCK_ROWS``; a row's profile does
+    block, so the results depend on ``_BLOCK_CELLS``; a row's profile does
     not depend on the other rows of its block (see :func:`_profiles`).
     """
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        power = _profiles(*_draw_rows(sc, rng, min(_BLOCK_ROWS,
-                                                   n_rows - start)))
+    step = max(1, _BLOCK_CELLS // sc.cfg.n_subcarriers)
+    for start in range(0, n_rows, step):
+        power = _profiles(*_draw_rows(sc, rng, min(step, n_rows - start)))
         yield power, _side_means(power, sc.ref_cells, sc.guard_cells)
 
 
@@ -298,15 +306,14 @@ def detection_probability(sc: DetectionScenario, alpha: float,
     """P_d with Wilson bounds at the scenario's own SNR, n_trials trials.
 
     The trials are the rows of :func:`_blocks` on one stream,
-    ``default_rng(seed)``, so P_d's bytes depend on ``_BLOCK_ROWS``, as
+    ``default_rng(seed)``, so P_d's bytes depend on ``_BLOCK_CELLS``, as
     alpha's do.
     """
     cell = sc.target_cell
     rng = np.random.default_rng(seed)
     hits = sum(int(np.count_nonzero(power[:, cell] > alpha * stat[:, cell]))
                for power, stat in _blocks(sc, rng, sc.n_trials))
-    lo, hi = wilson_interval(hits, sc.n_trials)
-    return hits / sc.n_trials, lo, hi
+    return (hits / sc.n_trials, *wilson_interval(hits, sc.n_trials))
 
 
 def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
@@ -321,13 +328,9 @@ def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
     if snrs.size == 0:
         raise ValueError("need at least one SNR point")
     alpha = calibrate_so_cfar(sc, seed=seed)
-    pd = np.empty(snrs.size)
-    lo = np.empty(snrs.size)
-    hi = np.empty(snrs.size)
-    for i, snr in enumerate(snrs):
-        point_seed = derive_seed(seed, f"pd-point-{i}")
-        p, l, h = detection_probability(replace(sc, snr_db=float(snr)),
-                                        alpha, seed=point_seed)
-        pd[i], lo[i], hi[i] = p, l, h
+    pd, lo, hi = np.array([
+        detection_probability(replace(sc, snr_db=float(snr)), alpha,
+                              seed=derive_seed(seed, f"pd-point-{i}"))
+        for i, snr in enumerate(snrs)]).T
     return PdCurve(snr_db=snrs, pd=pd, ci_lo=lo, ci_hi=hi,
                    alpha=float(alpha), n_trials=sc.n_trials)

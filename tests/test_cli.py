@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ofdmpcs import cli, rates, shaping, shaping_ba
+from ofdmpcs import cli, detection, rates, shaping, shaping_ba
 from ofdmpcs.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NONCONVERGED,
                          EXIT_OK, main)
 
@@ -353,6 +353,34 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert err == ("config error: [channel] snr_db ladder must lie "
                        "within +-3000 dB, got [-4000, 20]\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,old,new,err", [
+        ("detect", "snr_db_max = 14", "snr_db_max = 4000",
+         "[detection] snr_db ladder must lie within +-3000 dB, "
+         "got [10, 4000]"),
+        ("tradeoff", "sensing_snr_db = 13", "sensing_snr_db = 4000",
+         "[detection] sensing_snr_db must lie within +-3000 dB, got 4000"),
+        ("tradeoff", "guard_cells = 2", "guard_cells = 2\nsi_to_noise_db = 4000",
+         "[detection] si_to_noise_db must lie within +-3000 dB, got 4000"),
+    ])
+    def test_overflowing_sensing_power_rejected(self, tmp_path, capsys,
+                                                monkeypatch, command, old,
+                                                new, err):
+        # 10 ** (4000 / 10) raised OverflowError with a traceback in the
+        # detection draws.  Every dB value is checked before anything is
+        # solved or drawn
+        for module, name in ((shaping_ba, "run_mba"),
+                             (shaping, "solve_heuristic"),
+                             (detection, "pd_curve")):
+            monkeypatch.setattr(module, name, None)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = run_cli(command, "--config", str(bad), "--out", str(out),
+                     *(("--c0", "1.2") if command == "detect" else ()))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {err}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("failure", ["vertex", "vanished"])

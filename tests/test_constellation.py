@@ -63,6 +63,16 @@ class TestQamGeometry:
         for a2, n in zip(qam64.ring_amps[order] ** 2, qam64.ring_counts[order]):
             assert want_counts[int(round(a2 * 42))] == n
 
+    def test_points_built_once_and_read_only(self):
+        # detection indexes the points once per block: one shared array
+        c = make_constellation("qam", 16)
+        pts = c.points
+        assert c.points is pts
+        assert pts.tobytes() == (c.amplitudes * np.exp(1j * c.phases)).tobytes()
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0] = 0.0
+
     def test_ring_index_consistent(self, qam64):
         amps = np.abs(qam64.points)
         np.testing.assert_allclose(amps, qam64.ring_amps[qam64.ring_index], atol=1e-12)

@@ -74,6 +74,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="window larger"):
             DetectionScenario(qam64, uniform64, ofdm64, ref_cells=30, guard_cells=3)
 
+    @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
+    @pytest.mark.parametrize("db", [float("nan"), float("inf"), 3000.5,
+                                    -3000.5, 4000.0])
+    def test_db_values_bounded(self, qam64, uniform64, ofdm64, field, db):
+        # 10 ** (4000 / 10) raised OverflowError in the draws
+        with pytest.raises(ValueError, match=f"{field} must be -inf or lie"):
+            DetectionScenario(qam64, uniform64, ofdm64, **{field: db})
+
+    @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
+    def test_minus_inf_and_in_range_db_accepted(self, qam64, uniform64,
+                                                ofdm64, field):
+        for db in (float("-inf"), -3000.0, 3000.0):
+            DetectionScenario(qam64, uniform64, ofdm64, **{field: db})
+
 
 class TestRangeProfile:
     def test_shape_and_nonnegativity(self, uniform_scenario):
@@ -223,7 +237,7 @@ class TestDetectionProbability:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 5e5, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestPdCurve:
@@ -260,9 +274,9 @@ class TestPdCurve:
 
 
 # ---------------------------------------------------------------------------
-# block-stream oracle: Generator.choice, uniform and normal draws on one
-# stream, block by block in _draw_rows' order, and two-pass SO-CFAR window
-# means; the simulator must match it bit for bit.  Both form the
+# block-stream oracle: Generator.choice, uniform and standard-normal draws
+# on one stream, block by block in _draw_rows' order, and two-pass SO-CFAR
+# window means; the simulator must match it bit for bit.  Both form the
 # matched-filter product as conj(x) * y, at every block size.
 
 
@@ -273,7 +287,8 @@ def oracle_probs(sc):
 
 def oracle_rows(sc, rng, rows):
     """``rows`` range profiles from ``rng``: symbols, SI phases, target
-    phases, real noise, imaginary noise, each one call over the rows."""
+    phases and the noise, each one call over the rows; the noise is one
+    (real, imaginary) standard-normal pair per cell."""
     length = sc.cfg.n_subcarriers
     x = sc.constellation.points[rng.choice(sc.constellation.order,
                                            size=(rows, length),
@@ -282,8 +297,7 @@ def oracle_rows(sc, rng, rows):
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
     si_u = rng.uniform(size=rows) if si_lin > 0.0 else None
     tg_u = rng.uniform(size=rows) if snr_lin > 0.0 else None
-    y = rng.normal(scale=np.sqrt(0.5), size=(rows, length)) \
-        + 1j * rng.normal(scale=np.sqrt(0.5), size=(rows, length))
+    y = (rng.standard_normal((rows, 2 * length)) * np.sqrt(0.5)).view(complex)
     l_idx = np.arange(length)
     if si_u is not None:
         amp = np.sqrt(si_lin) * np.exp(2j * np.pi * si_u)
@@ -293,8 +307,8 @@ def oracle_rows(sc, rng, rows):
         amp = np.sqrt(snr_lin / length) * np.exp(2j * np.pi * tg_u)
         y = y + amp[:, None] * x * np.exp(
             -2j * np.pi * l_idx * sc.target_cell / length)
-    z = length * np.fft.ifft(np.conj(x) * y, axis=1)
-    return np.abs(z) ** 2
+    z = np.fft.ifft(np.conj(x) * y, axis=1, norm="forward")
+    return z.real ** 2 + z.imag ** 2
 
 
 def oracle_side_means(profiles, ref, guard):
@@ -336,6 +350,11 @@ def oracle_alpha(sc, n_cal, seed, chunk):
     return float(np.quantile(ratios, 1.0 - sc.p_fa))
 
 
+def rows_per_block(sc):
+    """Rows per block of ``detection._blocks`` on ``sc``."""
+    return max(1, detection._BLOCK_CELLS // sc.cfg.n_subcarriers)
+
+
 def block_profiles(sc, seed):
     """Every profile ``detection_probability(sc, ., seed)`` thresholds."""
     blocks = detection._blocks(sc, np.random.default_rng(seed), sc.n_trials)
@@ -353,7 +372,7 @@ class TestBatchedSimulatorOracle:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         # 13-row blocks put block boundaries inside every trial count below
-        monkeypatch.setattr(detection, "_BLOCK_ROWS", 13)
+        monkeypatch.setattr(detection, "_BLOCK_CELLS", 13 * 64)
 
     @pytest.mark.parametrize("family,order", [("qam", 16), ("qam", 64),
                                               ("psk", 64)])
@@ -413,20 +432,20 @@ class TestWindowSums:
 
 
 class TestProductionBatchOracle:
-    """The oracle at ``_BLOCK_ROWS`` as shipped: 300 trials run as a 256-row
-    block and a 44-row one; 256 rows is the size from which numpy's
-    temporary elision once swapped the product's operands."""
+    """The oracle at ``_BLOCK_CELLS`` as shipped: at L = 64, 300 trials run
+    as nine 32-row blocks and a 12-row one."""
 
     def test_profiles_and_hits(self, qam16, ofdm64):
-        assert detection._BLOCK_ROWS == 256
+        assert detection._BLOCK_CELLS == 2048
         d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
         sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, p_fa=1e-2,
                                n_trials=300)
+        assert rows_per_block(sc) == 32
         got = block_profiles(sc, 4)
-        assert got.tobytes() == oracle_profiles(sc, 4, 256).tobytes()
+        assert got.tobytes() == oracle_profiles(sc, 4, 32).tobytes()
         for alpha in (3.0, 8.0):
             pd, _, _ = detection_probability(sc, alpha, seed=4)
-            assert pd == oracle_hits(sc, alpha, seed=4, chunk=256) / sc.n_trials
+            assert pd == oracle_hits(sc, alpha, seed=4, chunk=32) / sc.n_trials
 
 
 class TestStreamedCalibration:
@@ -438,16 +457,16 @@ class TestStreamedCalibration:
         (1e-2, 3_000, 64, (0, 53)),
         # t = 0.05; at seed 24 the two forms differ
         (0.05, 2_000, 40, (3, 24)),
-        (1e-3, 300_000, 64, (0,)),       # 19 blocks of up to 256 rows
+        (1e-3, 300_000, 64, (0,)),       # 147 blocks of up to 32 rows
         (1e-4, 100_000, 48, (0, 3)),
         (0.25, 185, 37, (0, 3)),         # (n - 1) q = 138 exactly
-        (0.5, 37 * 4097, 37, (0,)),      # (n - 1) q = 75794, 1-row last block
+        (0.5, 37 * 4097, 37, (0,)),      # (n - 1) q = 75794; shipped: 55 rows
     ])
     def test_alpha_bitwise_equal_to_full_quantile(self, monkeypatch, qam16,
                                                   p_fa, n_cal, length, seeds,
                                                   block_rows):
         if block_rows is not None:
-            monkeypatch.setattr(detection, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(detection, "_BLOCK_CELLS", block_rows * length)
         sc = DetectionScenario(qam16, Distribution.uniform(qam16),
                                OFDMConfig(length), p_fa=p_fa)
         n = int(np.ceil(n_cal / length)) * length
@@ -455,18 +474,18 @@ class TestStreamedCalibration:
             assert ((n - 1) * (1.0 - p_fa)).is_integer()
         for seed in seeds:
             got = calibrate_so_cfar(sc, n_cal=n_cal, seed=seed)
-            want = oracle_alpha(sc, n_cal, seed, chunk=detection._BLOCK_ROWS)
+            want = oracle_alpha(sc, n_cal, seed, chunk=rows_per_block(sc))
             assert got == want
 
     def test_false_alarm_rate_bitwise_equal_to_full_count(self, monkeypatch,
                                                           qam64, uniform64,
                                                           ofdm64):
-        monkeypatch.setattr(detection, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(detection, "_BLOCK_CELLS", 100 * 64)
         sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
         for alpha, n_cells in [(3.0, 300_000), (8.0, 50_000), (0.5, 1_000)]:
             got = empirical_false_alarm_rate(sc, alpha, n_cells, seed=2)
             rng = np.random.default_rng(derive_seed(2, "cfar-evaluation"))
-            ratios = oracle_ratios(sc, n_cells, rng, detection._BLOCK_ROWS)
+            ratios = oracle_ratios(sc, n_cells, rng, rows_per_block(sc))
             assert got == float(np.mean(ratios > alpha))
 
     def test_bounded_memory(self, qam16):
@@ -479,7 +498,7 @@ class TestStreamedCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 5e5, f"traced peak {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
