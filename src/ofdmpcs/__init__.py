@@ -25,7 +25,7 @@ _EXPORTS = {
     "shaping": (
         "ShapingResult", "feasible_c0_range", "solve_heuristic",
     ),
-    "shaping_ba": ("MBAConfig", "run_mba"),
+    "shaping_ba": ("run_mba",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AFGrid", "AFMoments", "Constellation", "DetectionScenario",
-    "Distribution", "MBAConfig", "OFDMConfig", "PdCurve", "ShapingResult",
+    "Distribution", "OFDMConfig", "PdCurve", "ShapingResult",
     "analytic_moments", "calibrate_so_cfar", "derive_seed",
     "detection_probability", "exact_af", "feasible_c0_range",
     "make_constellation", "moment", "pd_curve", "rate_bits", "rate_curve",

@@ -61,7 +61,6 @@ if TYPE_CHECKING:
     from .constellation import Constellation, Distribution
     from .detection import DetectionScenario
     from .shaping import ShapingResult
-    from .shaping_ba import MBAConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,11 +132,13 @@ def _ladder(cp, section, prefix) -> np.ndarray:
     step = _get(cp, section, f"{prefix}_step", float)
     if step <= 0 or hi < lo:
         raise ConfigError(f"empty {prefix} ladder in [{section}]")
-    # np.arange's length is this, rounded up: check it before allocating
-    if (hi + 0.5 * step - lo) / step > MAX_LADDER_POINTS:
+    # the steps that fit in [lo, hi], counted before anything is allocated;
+    # hi is appended if the last falls short
+    fit = (hi - lo) / step + 1e-9
+    if fit >= MAX_LADDER_POINTS:
         raise ConfigError(f"{prefix} ladder in [{section}] has more than "
                           f"{MAX_LADDER_POINTS} points")
-    vals = np.arange(lo, hi + 0.5 * step, step)
+    vals = np.arange(lo, hi + 0.5 * step, step)[:math.floor(fit) + 1]
     if vals[-1] < hi - 1e-9:
         vals = np.append(vals, hi)
     # kill arange accumulation drift so sweep values match flag values
@@ -224,42 +225,39 @@ def _shaped_distribution(c, cp, args) -> Distribution:
 
     if args.c0 is None:
         return Distribution.uniform(c)
-    # unscored, the heuristic uses no noise power: only run_mba does
-    sigma2 = None if args.method == "heuristic" else _sigma2(cp)
-    res = _solve_one(c, cp, args.method, float(args.c0), sigma2,
-                     with_air=False)
-    return res.distribution
+    return _solve_one(c, cp, args.method, float(args.c0)).distribution
 
 
-def _mba_config(cp, c0, sigma2) -> MBAConfig:
-    from .shaping_ba import MBAConfig
-
-    return MBAConfig(
-        c0=c0, noise_power=sigma2,
-        **_given(cp, "shaping", {"outer_tol": float, "max_outer": int}))
-
-
-def _solve_one(c, cp, method, c0, sigma2, with_air=True) -> ShapingResult:
-    """One shaping solve at c0.
-
-    c0 is clamped here; ``with_air`` scores the input by its rate,
-    :func:`.rates.rate_bits` for either method.  ``sigma2`` may be ``None``
-    for an unscored heuristic solve, the one that uses no noise power.
-    """
-    c0 = _clamp_c0(c, c0)
+def _solve_one(c, cp, method, c0) -> ShapingResult:
+    """One shaping solve at c0, clamped first.  Only ``run_mba`` reads
+    ``[channel] sigma2`` (before the clamp); the heuristic loads no rates."""
     if method == "heuristic":
         from .shaping import solve_heuristic
 
-        res = solve_heuristic(c, c0)
-    else:
-        from .shaping_ba import run_mba
+        return solve_heuristic(c, _clamp_c0(c, c0))
+    from .shaping_ba import run_mba
 
-        res = run_mba(c, _mba_config(cp, c0, sigma2))
-    if with_air:
-        from .rates import rate_bits
+    sigma2 = _sigma2(cp)
+    return run_mba(c, _clamp_c0(c, c0), sigma2,
+                   **_given(cp, "shaping",
+                            {"outer_tol": float, "max_outer": int}))
 
-        res.air_bits = rate_bits(c, res.distribution, sigma2)
-    return res
+
+def _scored(c, cp, method, c0s, sigma2) -> list:
+    """``(result, rate_bits)`` for each c0 of ``c0s``: one solve, scored
+    by :func:`.rates.rate_bits` whatever the method."""
+    from .rates import rate_bits
+
+    solved = (_solve_one(c, cp, method, float(c0)) for c0 in c0s)
+    return [(res, rate_bits(c, res.distribution, sigma2)) for res in solved]
+
+
+def _lut_json(scored, sigma2) -> str:
+    """The look-up table: one entry per ``(result, rate_bits)``."""
+    return json.dumps([{"c0": res.c0, "sigma2": sigma2,
+                        "ring_mass": res.distribution.ring_mass.tolist(),
+                        "air_bits": air, "method": res.method}
+                       for res, air in scored], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +268,12 @@ def cmd_shape(cp, args) -> int:
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
-    res = _solve_one(c, cp, args.method, float(c0), sigma2)
+    [(res, air)] = _scored(c, cp, args.method, [c0], sigma2)
     payload = {
         "c0": res.c0,
         "lambda": None if res.multipliers is None else list(res.multipliers),
-        "ring_mass": [float(v) for v in res.ring_mass],
-        "air_bits": res.air_bits,
+        "ring_mass": res.distribution.ring_mass.tolist(),
+        "air_bits": air,
         "converged": bool(res.converged),
         "iters": int(res.iterations),
         "trace": [float(v) for v in res.trace]}
@@ -382,16 +380,6 @@ def cmd_detect(cp, args) -> int:
     return EXIT_OK
 
 
-def _lut_entry(res: ShapingResult, sigma2: float) -> dict:
-    return {
-        "c0": float(res.c0),
-        "sigma2": float(sigma2),
-        "ring_mass": [float(m) for m in res.ring_mass],
-        "air_bits": None if res.air_bits is None else float(res.air_bits),
-        "method": res.method,
-    }
-
-
 def _c0_sweep(cp, c: Constellation) -> np.ndarray:
     import numpy as np
 
@@ -424,40 +412,30 @@ def cmd_tradeoff(cp, args) -> int:
     sc = _scenario(cp, c, cfg)          # uniform input: checked before solving
     out_dir = _out_dir(cp, args)
 
-    all_converged = True
+    opt = _scored(c, cp, "optimal", sweep, sigma2)
+    heur = _scored(c, cp, "heuristic", sweep, sigma2)
     rows = []
-    lut = []
-    for c0 in sweep:
-        opt = _solve_one(c, cp, "optimal", float(c0), sigma2)
-        heur = _solve_one(c, cp, "heuristic", float(c0), sigma2)
-        all_converged = all_converged and opt.converged and heur.converged
-
-        pd = pd_curve(replace(sc, distribution=opt.distribution), [sc.snr_db],
-                      seed=derive_seed(seed, f"pd[{float(c0):.9g}]")).pd[0]
-        rows.append((opt.c0, opt.air_bits, heur.air_bits, pd,
-                     *opt.ring_mass))
-        lut.append(_lut_entry(opt, sigma2))
+    for (res, air), (_, air_heur) in zip(opt, heur):
+        pd = pd_curve(replace(sc, distribution=res.distribution), [sc.snr_db],
+                      seed=derive_seed(seed, f"pd[{res.c0:.9g}]")).pd[0]
+        rows.append((res.c0, air, air_heur, pd, *res.distribution.ring_mass))
 
     mass_cols = ",".join(f"mass_{w}" for w in range(c.n_rings))
     _write(out_dir, "tradeoff.csv",
            _csv(f"c0,air_optimal,air_heuristic,pd,{mass_cols}", rows))
-    _write(out_dir, "lut.json", json.dumps(lut, indent=2) + "\n")
-    return EXIT_OK if all_converged else EXIT_NONCONVERGED
+    _write(out_dir, "lut.json", _lut_json(opt, sigma2))
+    converged = all(res.converged for res, _ in opt + heur)
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 def cmd_lut_export(cp, args) -> int:
     out_dir = _out_dir(cp, args)
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
-    sweep = _c0_sweep(cp, c)
-    entries = []
-    all_converged = True
-    for c0 in sweep:
-        res = _solve_one(c, cp, args.method, float(c0), sigma2)
-        all_converged = all_converged and res.converged
-        entries.append(_lut_entry(res, sigma2))
-    _write(out_dir, "lut.json", json.dumps(entries, indent=2) + "\n")
-    return EXIT_OK if all_converged else EXIT_NONCONVERGED
+    scored = _scored(c, cp, args.method, _c0_sweep(cp, c), sigma2)
+    _write(out_dir, "lut.json", _lut_json(scored, sigma2))
+    converged = all(res.converged for res, _ in scored)
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 # ---------------------------------------------------------------------------

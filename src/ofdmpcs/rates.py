@@ -66,6 +66,15 @@ def log_probs(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
 
 
+def check_noise_power(noise_power: float) -> None:
+    """``ValueError`` unless ``noise_power`` lies in [1e-300, 1e300], the
+    command line's ``[channel] sigma2`` range; below it D**2 / sigma2
+    overflows."""
+    if not 1e-300 <= noise_power <= 1e300:          # NaN fails too
+        raise ValueError("noise_power must be positive and finite, within "
+                         f"[1e-300, 1e300], got {noise_power!r}")
+
+
 # ---------------------------------------------------------------------------
 # the rate: a quadrature over the noise
 
@@ -165,13 +174,12 @@ def rate_bits(c: Constellation, d: Distribution, noise_power: float) -> float:
     total variance ``noise_power``: ``sum_w m_w Dbar_w / ln 2``.
 
     ``c`` is a square QAM lattice or one ring (PSK, 4-QAM); any other
-    constellation raises ``ValueError``, and so does a noise power that is
-    not positive and finite.
+    constellation raises ``ValueError``, and so does a noise power that
+    :func:`check_noise_power` rejects.  A rate of zero is +0.0.
     """
-    if not (noise_power > 0 and math.isfinite(noise_power)):
-        raise ValueError("noise_power must be positive and finite")
-    if c.n_rings == 1:
-        return _orbit_rate(c, noise_power) / LN2
+    check_noise_power(noise_power)
+    if c.n_rings == 1:                  # -0.0 + 0.0 is +0.0
+        return _orbit_rate(c, noise_power) / LN2 + 0.0
     mass = d.ring_mass
     rates = _ring_rates(_lattice(c, noise_power), mass / c.ring_counts)
     return float(mass @ rates) / LN2

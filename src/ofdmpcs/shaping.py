@@ -47,27 +47,25 @@ MASS_SLACK = 1e-12
 C0_SLACK = 1e-9      # how far outside the feasible range a target may stray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapingResult:
     """Outcome of a shaping solve (heuristic or rate-optimal).
 
-    ``ring_mass`` comes from :func:`match_ring_masses`, so it meets the
-    three moment rows to ``RESIDUAL_TOL`` whatever ``converged`` says.
-    ``converged`` is the matcher's guarantee for the heuristic, one match,
-    and the outer stop rule for the optimal method.  ``multipliers`` and a
-    meaningful ``trace`` exist only for the optimal method, and
-    ``multipliers`` is ``None`` at an endpoint of the feasible range, where
-    they diverge.  The solvers leave ``air_bits`` ``None``: scoring an
-    input by its rate is the caller's decision.
+    The ring masses of ``distribution`` come from
+    :func:`match_ring_masses`, so they meet the three moment rows to
+    ``RESIDUAL_TOL`` whatever ``converged`` says.  ``converged`` is the
+    matcher's guarantee for the heuristic, one match, and the outer stop
+    rule for the optimal method.  ``multipliers`` and a meaningful
+    ``trace`` exist only for the optimal method, and ``multipliers`` is
+    ``None`` at an endpoint of the feasible range, where they diverge.  No
+    rate is carried: scoring an input by its rate is the caller's decision.
     """
 
     c0: float
     method: str                    # "heuristic" | "optimal"
-    ring_mass: np.ndarray
     distribution: Distribution
     converged: bool
     iterations: int
-    air_bits: float | None = None
     multipliers: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
 
@@ -337,6 +335,6 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
                                     snap_c0(c, c0))
     if lam is None:                     # the vertex: its loads sum to 1 +- ulp
         masses = masses / masses.sum()
-    return ShapingResult(c0=float(c0), method="heuristic", ring_mass=masses,
+    return ShapingResult(c0=float(c0), method="heuristic",
                          distribution=Distribution.from_ring_mass(c, masses),
                          converged=True, iterations=0)

@@ -11,7 +11,9 @@ where ``u(x) = integral p(y|x) log q(x|y) dy`` under the current input and
 the multipliers ``(lam1, lam2)`` are chosen so the moment constraints hold
 exactly.  That step is :func:`.shaping.match_ring_masses`, the matcher the
 maximum-entropy heuristic runs with ``u(x) = 0``; this module keeps the
-outer loop.
+outer loop.  :func:`run_mba` takes plain arguments, as
+:func:`.shaping.solve_heuristic` does, and returns the same frozen
+:class:`.shaping.ShapingResult`.
 
 The channel integrals are the rate's own quadrature (:mod:`.rates`);
 nothing is drawn.  With ``u(x) = log p(x) + D_x``, the solver runs on W
@@ -23,73 +25,47 @@ previous iteration's multipliers (the first from zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import Constellation, Distribution
-from .rates import _lattice, _ring_rates, log_probs
+from .rates import _lattice, _ring_rates, check_noise_power, log_probs
 from .shaping import ShapingResult, match_ring_masses, snap_c0
 
 
-@dataclass(frozen=True)
-class MBAConfig:
-    """Settings for :func:`run_mba`.
-
-    ``outer_tol`` stops the outer loop on the squared change of the
-    per-point probability vector, written on ring masses as
-    ``sum_w (delta m_w)**2 / count_w``; that is the only stop rule.  The
-    channel integrals take no setting: their node grid is fixed, and the
-    multipliers pass from one match to the next inside :func:`run_mba`.
-    Nothing here sizes a rate: the solver returns ring masses, which
-    :func:`.rates.rate_bits` scores on the quadrature the solver runs.
-    """
-
-    c0: float
-    noise_power: float
-    outer_tol: float = 1e-5
-    max_outer: int = 300
-
-    def __post_init__(self):
-        if not self.noise_power > 0:        # NaN fails too
-            raise ValueError("noise_power must be positive")
-        if self.max_outer < 1:
-            raise ValueError(
-                f"max_outer must be at least 1, got {self.max_outer}")
-        if not self.outer_tol >= 0:
-            raise ValueError(
-                f"outer_tol must be nonnegative, got {self.outer_tol!r}")
-
-
-def run_mba(c: Constellation, cfg: MBAConfig) -> ShapingResult:
-    """Alternating maximization of the constrained rate.
+def run_mba(c: Constellation, c0: float, noise_power: float,
+            outer_tol: float = 1e-5, max_outer: int = 300) -> ShapingResult:
+    """Alternating maximization of the constrained rate at fourth moment
+    ``c0`` on AWGN of total variance ``noise_power``.
 
     Starts from the uniform input, alternates the Bayes posterior update
     with the multiplier-matched exponential input update, and stops when the
-    squared change of the probability vector is at most ``cfg.outer_tol``
-    or after ``cfg.max_outer`` updates.  ``converged`` means the first.
-    Every iterate comes from :func:`.shaping.match_ring_masses`, so it
-    meets the moment rows to ``RESIDUAL_TOL`` either way.  The recorded
-    trace holds the mutual information (nats) after each input update.  The
-    exact iteration never lowers it; the quadrature's trace is not
-    non-decreasing by construction, and acceptance criterion 07 holds it
-    to within 1e-9.  The result carries no rate in bits
-    (``air_bits`` is ``None``), and no multipliers when the last match
-    ended on the endpoint vertex.
+    squared change of the per-point probability vector, on ring masses
+    ``sum_w (delta m_w)**2 / count_w``, is at most ``outer_tol`` or after
+    ``max_outer`` updates.  ``converged`` means the first.  Every iterate
+    comes from :func:`.shaping.match_ring_masses`, so it meets the moment
+    rows to ``RESIDUAL_TOL`` either way.  The trace holds the mutual
+    information (nats) after each update; acceptance criterion 07 holds it
+    non-decreasing to within 1e-9.  The result carries no rate in bits, and
+    no multipliers when the last match ended on the endpoint vertex.
 
-    ``cfg.c0`` goes through :func:`.shaping.snap_c0`: a target outside the
-    feasible moment range raises ``ValueError``.  A one-ring input has one
-    feasible point and is returned with no iteration; any other input must
-    be a square QAM lattice, else ``ValueError``.
+    A noise power :func:`.rates.check_noise_power` rejects, a negative or
+    NaN ``outer_tol``, a ``max_outer`` below 1, or a ``c0`` outside the
+    feasible range (:func:`.shaping.snap_c0`) raises ``ValueError``.  A
+    one-ring input has one feasible point and is returned with no
+    iteration; any other input must be a square QAM lattice, else
+    ``ValueError``.
     """
-    c0 = snap_c0(c, cfg.c0)
+    check_noise_power(noise_power)
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    if not outer_tol >= 0:                  # NaN fails too
+        raise ValueError(f"outer_tol must be nonnegative, got {outer_tol!r}")
+    target = snap_c0(c, c0)
     if c.n_rings == 1:
-        mass = np.ones(1)
-        return ShapingResult(c0=float(cfg.c0), method="optimal",
-                             ring_mass=mass,
-                             distribution=Distribution.from_ring_mass(c, mass),
+        return ShapingResult(c0=float(c0), method="optimal",
+                             distribution=Distribution.uniform(c),
                              converged=True, iterations=0)
-    lat = _lattice(c, cfg.noise_power)
+    lat = _lattice(c, noise_power)
 
     counts = c.ring_counts.astype(float)
     log_counts = np.log(counts)
@@ -99,10 +75,11 @@ def run_mba(c: Constellation, cfg: MBAConfig) -> ShapingResult:
     trace: list[float] = []
     converged = False
     lam = None
-    for _ in range(cfg.max_outer):
+    for _ in range(max_outer):
         # ring counts folded into the exponents; the last multipliers seed
         # the match (None, after an endpoint vertex, starts it from zero)
-        mass_new, lam = match_ring_masses(c, u_ring + log_counts, c0, lam)
+        mass_new, lam = match_ring_masses(c, u_ring + log_counts, target,
+                                          lam)
 
         # the integrals under the new iterate score it and feed the next
         # update; a ring whose point probability is 0 gets -inf
@@ -113,13 +90,13 @@ def run_mba(c: Constellation, cfg: MBAConfig) -> ShapingResult:
 
         delta = mass_new - mass
         mass = mass_new
-        if float(delta @ (delta / counts)) <= cfg.outer_tol:
+        if float(delta @ (delta / counts)) <= outer_tol:
             converged = True
             break
 
     mass = mass / mass.sum()
     return ShapingResult(
-        c0=float(cfg.c0), method="optimal", ring_mass=mass,
+        c0=float(c0), method="optimal",
         distribution=Distribution.from_ring_mass(c, mass),
         converged=converged, iterations=len(trace),
         multipliers=None if lam is None else (float(lam[0]), float(lam[1])),

@@ -21,7 +21,7 @@ from ofdmpcs.rates import (ChannelSpec, _lattice, _ring_rates,
 from ofdmpcs.seeds import derive_seed
 from ofdmpcs.shaping import (_moment_dual, feasible_c0_range,
                              match_ring_masses, solve_heuristic)
-from ofdmpcs.shaping_ba import MBAConfig, run_mba
+from ofdmpcs.shaping_ba import run_mba
 from oracles import af_realizations
 
 QAM16 = make_constellation("qam", 16)
@@ -79,35 +79,35 @@ def _vertex_fourth_moments(c):
 def test_criterion_02_feasible_range_lower_endpoint(announce):
     lo, hi = feasible_c0_range(QAM64)
     oracle = _vertex_fourth_moments(QAM64)
-    minimizer = solve_heuristic(QAM64, lo)
-    loaded = np.flatnonzero(minimizer.ring_mass > 1e-9)
+    mass = solve_heuristic(QAM64, lo).distribution.ring_mass
+    loaded = np.flatnonzero(mass > 1e-9)
     # 64-QAM squared ring amplitudes are integers over the power scale 42
     ring_ids = np.sort(QAM64.ring_amps[loaded] ** 2 * 42.0)
     ok = (abs(lo - 1.0363) <= 1e-4
           and abs(lo - oracle.min()) <= 1e-10
           and abs(hi - oracle.max()) <= 1e-10
           and loaded.size == 2
-          and np.allclose(minimizer.ring_mass[loaded], 0.5, atol=1e-9)
+          and np.allclose(mass[loaded], 0.5, atol=1e-9)
           and np.allclose(ring_ids, [34.0, 50.0], atol=1e-9))
     announce(2, ok,
              f"64-QAM lower endpoint {lo:.6f} (1.0363 ± 1e-4; vertex oracle "
              f"{oracle.min():.6f}), minimizer mass "
-             f"{np.round(minimizer.ring_mass[loaded], 9).tolist()} on rings "
+             f"{np.round(mass[loaded], 9).tolist()} on rings "
              f"42*A^2 = {np.round(ring_ids, 6).tolist()}")
     assert lo == pytest.approx(1.0363, abs=1e-4)
     assert lo == pytest.approx(oracle.min(), abs=1e-10)
     assert hi == pytest.approx(oracle.max(), abs=1e-10)
     assert loaded.size == 2
-    assert minimizer.ring_mass[loaded] == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert mass[loaded] == pytest.approx([0.5, 0.5], abs=1e-9)
     assert ring_ids == pytest.approx([34.0, 50.0], abs=1e-9)
 
 
 def test_criterion_03_pseudo_8psk(announce):
     heur = solve_heuristic(QAM16, 1.0)
-    opt = run_mba(QAM16, MBAConfig(c0=1.0, noise_power=0.01))
+    opt = run_mba(QAM16, c0=1.0, noise_power=0.01)
     target = np.array([0.0, 1.0, 0.0])
-    off_h = float(np.max(np.abs(heur.ring_mass - target)))
-    off_o = float(np.max(np.abs(opt.ring_mass - target)))
+    off_h = float(np.max(np.abs(heur.distribution.ring_mass - target)))
+    off_o = float(np.max(np.abs(opt.distribution.ring_mass - target)))
     ok = off_h <= 1e-10 and off_o <= 1e-3 and opt.converged
     announce(3, ok,
              f"unit fourth moment loads only the middle 16-QAM ring: "
@@ -235,7 +235,7 @@ def test_criterion_07_ascent_and_feasibility(announce):
         lo, hi = feasible_c0_range(c)
         c0 = lo + (0.02 + 0.96 * rng.random()) * (hi - lo)
         sigma2 = 10.0 ** rng.uniform(-3, 0)
-        res = run_mba(c, MBAConfig(c0=c0, noise_power=sigma2))
+        res = run_mba(c, c0=c0, noise_power=sigma2)
         converged += res.converged
         trace = np.asarray(res.trace)
         if trace.size > 1:
@@ -318,8 +318,7 @@ def test_criterion_09_detection_ordering(announce):
     cfg = OFDMConfig(n_subcarriers=64)
     u64 = Distribution.uniform(QAM64)
     upsk = Distribution.uniform(PSK64)
-    shaped = Distribution.from_ring_mass(QAM64,
-                                         solve_heuristic(QAM64, 1.2).ring_mass)
+    shaped = solve_heuristic(QAM64, 1.2).distribution
     # 18 dB puts the uniform-QAM detection probability near 0.5 at this
     # false-alarm target, which is where the curves separate most
     base = DetectionScenario(constellation=QAM64, distribution=u64, cfg=cfg,
@@ -353,15 +352,13 @@ def test_criterion_10_tradeoff_dominance(announce):
     seed = derive_seed(2024, "c10")
     opt_col, heur_col, margins = [], [], []
     for i, c0 in enumerate(c0s):
-        opt = run_mba(QAM64, MBAConfig(c0=float(c0), noise_power=0.01))
+        opt = run_mba(QAM64, c0=float(c0), noise_power=0.01)
         assert opt.converged, f"shaper diverged at c0={c0}"
         heur = solve_heuristic(QAM64, float(c0))
-        mi_o = mutual_information(QAM64, Distribution.from_ring_mass(
-                                      QAM64, opt.ring_mass),
+        mi_o = mutual_information(QAM64, opt.distribution,
                                   spec, n_mc=20_000,
                                   seed=derive_seed(seed, f"air-opt-{i}"))
-        mi_h = mutual_information(QAM64, Distribution.from_ring_mass(
-                                      QAM64, heur.ring_mass),
+        mi_h = mutual_information(QAM64, heur.distribution,
                                   spec, n_mc=20_000,
                                   seed=derive_seed(seed, f"air-heur-{i}"))
         opt_col.append(mi_o.mi_bits)

@@ -250,14 +250,14 @@ class TestExitCodes:
         # the CLI passes a key only when the config sets it
         seen = {}
 
-        def record_mba(c, cfg):
-            seen["mba"] = cfg
-            return shaping.solve_heuristic(c, cfg.c0)
+        def record_mba(c, c0, noise_power, **stop):
+            seen["mba"] = (c0, noise_power, stop)
+            return shaping.solve_heuristic(c, c0)
 
         monkeypatch.setattr(shaping_ba, "run_mba", record_mba)
         assert run_cli("shape", "--config", str(config),
                        "--out", str(tmp_path / "o")) == EXIT_OK
-        assert seen["mba"] == shaping_ba.MBAConfig(c0=1.2, noise_power=0.01)
+        assert seen["mba"] == (1.2, 0.01, {})
 
     @pytest.mark.parametrize("key,line,value", [
         ("n_tau", "n_tau = 3", "-1"), ("n_nu", "n_nu = 2", "-2"),
@@ -338,6 +338,57 @@ class TestExitCodes:
                        "within +-3000 dB, got [0, 4000]\n"), err
         assert not out.exists()
 
+    def test_overshooting_ladder_rejected_at_its_maximum(self, tmp_path,
+                                                          capsys):
+        # 10..4000 by 1000 ended at 4010, so the message named a point past
+        # the configured maximum
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("snr_db_min = 0", "snr_db_min = 10")
+                       .replace("snr_db_max = 20", "snr_db_max = 4000")
+                       .replace("snr_db_step = 10", "snr_db_step = 1000"))
+        rc = run_cli("air", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [channel] snr_db ladder must lie within +-3000 "
+            "dB, got [10, 4000]\n")
+
+    @pytest.mark.parametrize("command,old,new,artifact,want", [
+        ("air", "snr_db_max = 20", "snr_db_max = 26", "air_curve.csv",
+         ["0", "10", "20", "26"]),
+        ("lut-export", "c0_max = 1.32\nc0_step = 0.16",
+         "c0_max = 1.1\nc0_step = 0.06", "lut.json", [1.0, 1.06, 1.1]),
+    ], ids=["snr_db", "c0"])
+    def test_ladder_ends_at_its_maximum(self, tmp_path, command, old, new,
+                                        artifact, want):
+        # np.arange(lo, hi + step / 2, step) kept a last step up to half a
+        # step past hi: 0..26 by 10 gave 0, 10, 20, 30 and 1.0..1.1 by 0.06
+        # gave 1.0, 1.06, 1.12
+        path = tmp_path / "exp.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        flags = ("--method", "heuristic") if command == "lut-export" else ()
+        assert run_cli(command, "--config", str(path), *flags,
+                       "--out", str(out)) == EXIT_OK
+        text = (out / artifact).read_text()
+        if command == "air":
+            got = [row.split(",")[0] for row in text.splitlines()[1:]]
+        else:
+            got = [entry["c0"] for entry in json.loads(text)]
+        assert got == want
+
+    def test_zero_rate_written_as_zero(self, tmp_path):
+        # 8-PSK at -3000 dB has rate -0.0 from the one-ring path, which the
+        # CSV writer wrote as "-0"
+        path = tmp_path / "exp.ini"
+        path.write_text(BASE_CONFIG.replace("family = qam", "family = psk")
+                        .replace("order = 16", "order = 8")
+                        .replace("snr_db_min = 0", "snr_db_min = -3000")
+                        .replace("snr_db_max = 20", "snr_db_max = -3000"))
+        out = tmp_path / "o"
+        assert run_cli("air", "--config", str(path), "--out", str(out)) == EXIT_OK
+        assert (out / "air_curve.csv").read_text() == (
+            "snr_db,mi_bits,std_err\n-3000,0,0\n")
+
     def test_overflowing_noise_power_rejected(self, tmp_path, capsys,
                                               monkeypatch):
         # -4000 dB is a noise power of 10**400: 10 ** (snr_db / 10) raised
@@ -389,7 +440,7 @@ class TestExitCodes:
         # a RuntimeError of the matcher escaped as a traceback, and "all
         # update weights vanished" exited 2 as a config error
         if failure == "vertex":
-            def solver(c, cfg):
+            def solver(c, c0, noise_power, **stop):
                 raise RuntimeError("no nonnegative ring loading meets fourth "
                                    "moment 1.2 under unit power")
 

@@ -8,11 +8,11 @@ every public method of a public class, has a caller in the package or in
 ``tests/oracles.py``), and no public method shares its name with a member
 of another class, where an attribute read could not tell which one it
 calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
-``derive_seed`` purpose has one call site; only ``cli.py`` opens a file;
-no module references ``linalg`` or sets a warning filter; detection makes
-its generators only where calibration and P_d open their streams; and
-neither shaper, nor the rate quadrature function by function, references a
-random generator or a seed.  A deleted code path leaves no orphaned helper,
+dataclass is frozen; every ``derive_seed`` purpose has one call site; only
+``cli.py`` opens a file; no module references ``linalg`` or sets a warning
+filter; detection makes its generators only where calibration and P_d open
+their streams; and neither shaper, nor the rate quadrature function by
+function, references a random generator or a seed.  A deleted code path leaves no orphaned helper,
 dangling import or uncalled public function behind, no two code paths share
 a random stream by accident, artifacts have one writer, the shapers'
 closed-form solves stay off LAPACK, and a shaped input and its rate are
@@ -201,6 +201,29 @@ def test_only_the_cli_opens_files(path):
              and (getattr(node.func, "id", None) == "open"
                   or getattr(node.func, "attr", None) == "open")]
     assert not opens, f"{path.name} calls open at lines {opens}"
+
+
+def is_frozen_dataclass(decorator: ast.expr) -> bool | None:
+    """``None`` unless ``decorator`` is ``dataclass``, bare or called; else
+    whether it passes ``frozen=True``."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    if "dataclass" not in (getattr(func, "id", None),
+                           getattr(func, "attr", None)):
+        return None
+    return any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+               and kw.value.value is True
+               for kw in getattr(decorator, "keywords", ()))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclasses_are_frozen(path):
+    # a solved input, a scenario or a config is built once and then only
+    # read: a mutable one invites a slot some caller fills in afterwards
+    mutable = [node.name for node in ast.walk(parse(path))
+               if isinstance(node, ast.ClassDef)
+               and any(is_frozen_dataclass(d) is False
+                       for d in node.decorator_list)]
+    assert not mutable, f"{path.name}: mutable dataclasses {mutable}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

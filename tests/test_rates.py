@@ -302,11 +302,22 @@ class TestRateQuadrature:
         assert rate_bits(c, d, sigma2) == pytest.approx(
             gh_mutual_information(c, d, sigma2), abs=5e-6)
 
-    @pytest.mark.parametrize("noise_power", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("noise_power",
+                             [0.0, -1.0, np.inf, np.nan, 1e-320, 1e301])
     def test_rejects_bad_noise(self, qam16, psk8, noise_power):
+        # 1e-320 overflowed D**2 / sigma2 with a RuntimeWarning: the range
+        # is the command line's, [1e-300, 1e300]
         for c in (qam16, psk8):
             with pytest.raises(ValueError, match="positive and finite"):
                 rate_bits(c, Distribution.uniform(c), noise_power)
+
+    @pytest.mark.parametrize("family,order", [("psk", 8), ("qam", 4)])
+    def test_a_zero_rate_is_positive_zero(self, family, order):
+        # the one-ring path negated a zero integral to -0.0, which air
+        # wrote as "-0" at a -3000 dB ladder point
+        c = make_constellation(family, order)
+        rate = rate_bits(c, Distribution.uniform(c), 1e300)
+        assert rate == 0.0 and not np.signbit(rate)
 
     def test_one_ring_off_its_rotation_orbit_rejected(self):
         # one ring of 4 points whose phases are not equally spaced: its

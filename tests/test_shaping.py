@@ -8,6 +8,7 @@ endpoints.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from ofdmpcs import (
     Constellation,
     Distribution,
-    MBAConfig,
     feasible_c0_range,
     make_constellation,
     moment,
@@ -32,7 +32,7 @@ from oracles import entropy_bits
 
 
 def _optimal(c, c0):
-    return run_mba(c, MBAConfig(c0=c0, noise_power=0.01))
+    return run_mba(c, c0=c0, noise_power=0.01)
 
 
 SOLVERS = [pytest.param(solve_heuristic, id="heuristic"),
@@ -103,17 +103,18 @@ class TestFeasibleRange:
 class TestHeuristic:
     def test_16qam_interior_solution_exact(self, qam16):
         r = solve_heuristic(qam16, 1.2)
-        np.testing.assert_allclose(r.ring_mass, [0.15625, 0.6875, 0.15625], atol=1e-12)
+        np.testing.assert_allclose(r.distribution.ring_mass,
+                                   [0.15625, 0.6875, 0.15625], atol=1e-12)
         assert moment(qam16, r.distribution, 4) == pytest.approx(1.2, abs=1e-12)
         assert r.converged
 
     def test_16qam_lower_endpoint(self, qam16):
         r = solve_heuristic(qam16, 1.0)
-        np.testing.assert_allclose(r.ring_mass, [0.0, 1.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(r.distribution.ring_mass, [0.0, 1.0, 0.0], atol=1e-10)
 
     def test_uniform_recovered_at_uniform_moment(self, qam16, uniform16):
         r = solve_heuristic(qam16, 1.32)
-        np.testing.assert_allclose(r.ring_mass, uniform16.ring_mass, atol=1e-10)
+        np.testing.assert_allclose(r.distribution.ring_mass, uniform16.ring_mass, atol=1e-10)
 
     @pytest.mark.parametrize("order", [16, 64, 256])
     def test_moment_matched_on_grid(self, order):
@@ -132,9 +133,9 @@ class TestHeuristic:
         lo, _ = feasible_c0_range(qam64)
         r = solve_heuristic(qam64, lo)
         a2 = qam64.ring_amps**2
-        keep = r.ring_mass > 1e-6
+        keep = r.distribution.ring_mass > 1e-6
         np.testing.assert_allclose(sorted(a2[keep] * 42), [34.0, 50.0], atol=1e-9)
-        np.testing.assert_allclose(r.ring_mass[keep], [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(r.distribution.ring_mass[keep], [0.5, 0.5], atol=1e-6)
 
     # clamping external input is the CLI's decision; both solvers reject a
     # target more than C0_SLACK outside the range and snap one within it
@@ -148,7 +149,7 @@ class TestHeuristic:
         r = solve(qam16, hi + 0.5 * C0_SLACK)
         assert moment(qam16, r.distribution, 4) == pytest.approx(1.64,
                                                                  abs=1e-12)
-        np.testing.assert_array_equal(r.ring_mass > 0, [True, False, True])
+        np.testing.assert_array_equal(r.distribution.ring_mass > 0, [True, False, True])
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_rejects_below(self, qam16, solve):
@@ -160,7 +161,7 @@ class TestHeuristic:
         r = solve(qam16, lo - 0.5 * C0_SLACK)
         assert moment(qam16, r.distribution, 4) == pytest.approx(1.0,
                                                                  abs=1e-12)
-        np.testing.assert_array_equal(r.ring_mass > 0, [False, True, False])
+        np.testing.assert_array_equal(r.distribution.ring_mass > 0, [False, True, False])
 
     @given(c0=st.floats(1.0, 1.64))
     @settings(max_examples=25, deadline=None)
@@ -168,7 +169,7 @@ class TestHeuristic:
         c = make_constellation("qam", 16)
         r = solve_heuristic(c, c0)
         assert abs(moment(c, r.distribution, 4) - c0) <= 1e-8
-        assert np.all(r.ring_mass >= -1e-12)
+        assert np.all(r.distribution.ring_mass >= -1e-12)
 
 
 class TestMaxEntropy:
@@ -186,9 +187,9 @@ class TestMaxEntropy:
         a2 = c.ring_amps**2
         for c0 in np.linspace(lo, hi, 7)[1:-1]:
             r = solve_heuristic(c, float(c0))
-            keep = r.ring_mass > 0
+            keep = r.distribution.ring_mass > 0
             assert np.count_nonzero(keep) >= 3
-            log_pt = np.log(r.ring_mass[keep] / c.ring_counts[keep])
+            log_pt = np.log(r.distribution.ring_mass[keep] / c.ring_counts[keep])
             basis = np.column_stack([a2[keep]**2, a2[keep], np.ones(keep.sum())])
             coef = np.linalg.lstsq(basis, log_pt, rcond=None)[0]
             assert np.max(np.abs(basis @ coef - log_pt)) <= 1e-9
@@ -206,18 +207,19 @@ class TestEndpoints:
         pick = min if end == "lower" else max
         value, oracle = pick(vertex_values(c), key=lambda t: t[0])
         assert value == pytest.approx(c0, abs=1e-12)
-        cfg = MBAConfig(c0=c0, noise_power=0.01)
-        results = (solve_heuristic(c, c0), run_mba(c, cfg))
+        cfg = dict(c0=c0, noise_power=0.01)
+        results = (solve_heuristic(c, c0), run_mba(c, **cfg))
         for r in results:
             assert r.converged, r.method
             assert abs(moment(c, r.distribution, 4) - c0) <= 1e-10, r.method
-            np.testing.assert_allclose(r.ring_mass, oracle, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(r.distribution.ring_mass, oracle, rtol=0, atol=1e-10)
             # rings the vertex does not load carry no rounding residue
-            assert np.all(r.ring_mass[oracle == 0] == 0.0), r.method
+            assert np.all(r.distribution.ring_mass[oracle == 0] == 0.0), r.method
         # both renormalise the vertex the same way: the 16-QAM lower
         # endpoint's ring 1 reads 1.0 in both, not 1 - 2**-52 in one
         heuristic, optimal = results
-        assert heuristic.ring_mass.tobytes() == optimal.ring_mass.tobytes()
+        assert (heuristic.distribution.ring_mass.tobytes()
+                == optimal.distribution.ring_mass.tobytes())
 
 
 class TestNearEndpoint:
@@ -236,19 +238,19 @@ class TestNearEndpoint:
         r = solve_heuristic(c, c0)
         mass, lam = match_ring_masses(c, np.log(c.ring_counts.astype(float)),
                                       c0)
-        np.testing.assert_array_equal(r.ring_mass, mass)
+        np.testing.assert_array_equal(r.distribution.ring_mass, mass)
         assert lam is not None and np.all(np.isfinite(lam))
         assert r.converged
-        assert np.count_nonzero(r.ring_mass) > 3
+        assert np.count_nonzero(r.distribution.ring_mass) > 3
         assert entropy_bits(r.distribution) > entropy_bits(
             Distribution.from_ring_mass(c, vertex)) + 0.1
 
     def test_optimal_rate_beats_the_vertex(self, case):
         c, c0, vertex = case
-        cfg = MBAConfig(c0=c0, noise_power=0.01)
-        r = run_mba(c, cfg)
+        cfg = dict(c0=c0, noise_power=0.01)
+        r = run_mba(c, **cfg)
         assert r.converged and r.multipliers is not None
-        assert np.count_nonzero(r.ring_mass) > 3
+        assert np.count_nonzero(r.distribution.ring_mass) > 3
         # both inputs scored by one estimate, on the same draw
         spec = ChannelSpec(0.01)
         optimal = mutual_information(c, r.distribution, spec, n_mc=2000,
@@ -392,7 +394,7 @@ class TestClosedForms:
         masses = _lp_match(a2, 1.5)
         np.testing.assert_allclose(masses, want, rtol=1e-14)
         np.testing.assert_allclose(masses, [2 / 3, 1 / 3], rtol=1e-15)
-        np.testing.assert_array_equal(solve_heuristic(c, 1.5).ring_mass,
+        np.testing.assert_array_equal(solve_heuristic(c, 1.5).distribution.ring_mass,
                                       masses / masses.sum())
         with pytest.raises(RuntimeError, match="no nonnegative ring loading"):
             _lp_match(a2, 1.6)
@@ -447,6 +449,10 @@ class TestResultSerialization:
         np.testing.assert_allclose(parsed["ring_mass"], [0.15625, 0.6875, 0.15625])
 
     def test_distribution_attached(self, qam16):
+        # the distribution is the result's one copy of its ring masses, and
+        # the result is frozen: no caller swaps it or adds to it afterwards
         r = solve_heuristic(qam16, 1.3)
         assert isinstance(r.distribution, Distribution)
-        np.testing.assert_allclose(r.distribution.ring_mass, r.ring_mass, atol=1e-12)
+        assert moment(qam16, r.distribution, 4) == pytest.approx(1.3, abs=1e-10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.distribution = Distribution.uniform(qam16)

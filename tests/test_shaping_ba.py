@@ -24,7 +24,6 @@ from ofdmpcs import shaping_ba
 from ofdmpcs import (
     Constellation,
     Distribution,
-    MBAConfig,
     feasible_c0_range,
     make_constellation,
     moment,
@@ -91,7 +90,7 @@ class TestRingTables:
         # uniform, shaped and dead-ring masses they must give the oracle's
         # integrals
         c = make_constellation("qam", order)
-        shaped = solve_heuristic(c, 1.15).ring_mass
+        shaped = solve_heuristic(c, 1.15).distribution.ring_mass
         dead = shaped.copy()
         dead[[0, c.n_rings - 1]] = 0.0
         dead /= dead.sum()
@@ -134,11 +133,11 @@ class TestRingTables:
         # the shaper benchmark's 256-QAM solve; the sample-set engine it
         # replaced peaked at 1.31 MB here
         c = make_constellation("qam", 256)
-        cfg = MBAConfig(c0=1.2, noise_power=0.01, outer_tol=1e-9)
-        run_mba(c, cfg)                                  # warm the imports
+        cfg = dict(c0=1.2, noise_power=0.01, outer_tol=1e-9)
+        run_mba(c, **cfg)                                # warm the imports
         tracemalloc.start()
         try:
-            run_mba(c, cfg)
+            run_mba(c, **cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,9 +152,9 @@ class TestRingTables:
         # first three updates, where the masses move the most, of two
         # shaper benchmark solves (the oracle takes ~0.1 s a call there)
         c = make_constellation("qam", order)
-        cfg = MBAConfig(c0=c0, noise_power=sigma2, outer_tol=1e-9,
-                        max_outer=max_outer)
-        shipped = run_mba(c, cfg)
+        cfg = dict(c0=c0, noise_power=sigma2, outer_tol=1e-9,
+                   max_outer=max_outer)
+        shipped = run_mba(c, **cfg)
 
         def oracle_rates(lat, point_prob):
             u = trapezoid_ring_integrals(c, point_prob * c.ring_counts, sigma2)
@@ -163,10 +162,11 @@ class TestRingTables:
             return np.where(live, u - log_probs(point_prob), 0.0)
 
         monkeypatch.setattr(shaping_ba, "_ring_rates", oracle_rates)
-        oracle = run_mba(c, cfg)
+        oracle = run_mba(c, **cfg)
         assert shipped.iterations == oracle.iterations
         assert shipped.converged == oracle.converged
-        np.testing.assert_allclose(shipped.ring_mass, oracle.ring_mass,
+        np.testing.assert_allclose(shipped.distribution.ring_mass,
+                                   oracle.distribution.ring_mass,
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("order", [16, 64, 256])
@@ -189,7 +189,7 @@ class TestRingTables:
                           ring_index=np.array([0, 1, 1, 1, 1]),
                           phases=np.r_[0.0, 0.5 * np.pi * np.arange(4)])
         with pytest.raises(ValueError, match="square QAM lattice"):
-            run_mba(c, MBAConfig(c0=1.25, noise_power=0.1))
+            run_mba(c, c0=1.25, noise_power=0.1)
         # 16 points on two rings, rotated off the lattice
         phases = np.r_[np.arange(8), np.arange(8) + 0.5] * np.pi / 4
         ring = np.repeat([0, 1], 8)
@@ -198,16 +198,16 @@ class TestRingTables:
                           ring_counts=np.array([8, 8]), ring_index=ring,
                           phases=phases)
         with pytest.raises(ValueError, match="square QAM lattice"):
-            run_mba(c, MBAConfig(c0=1.25, noise_power=0.1))
+            run_mba(c, c0=1.25, noise_power=0.1)
 
     @pytest.mark.parametrize("family,order", [("psk", 8), ("qam", 4)])
     def test_one_ring_input_needs_no_integrals(self, monkeypatch, family,
                                                order):
         monkeypatch.setattr(shaping_ba, "_lattice", None)    # never called
         c = make_constellation(family, order)
-        res = run_mba(c, MBAConfig(c0=1.0, noise_power=0.1))
+        res = run_mba(c, c0=1.0, noise_power=0.1)
         assert res.converged and res.iterations == 0 and res.trace == []
-        np.testing.assert_array_equal(res.ring_mass, [1.0])
+        np.testing.assert_array_equal(res.distribution.ring_mass, [1.0])
         assert res.multipliers is None
 
 
@@ -341,8 +341,8 @@ class TestWarmStart:
         lp_match = shaping._lp_match
         monkeypatch.setattr(shaping, "_lp_match",
                             lambda *a: vertices.append(a) or lp_match(*a))
-        cfg = MBAConfig(c0=1.2, noise_power=0.05, outer_tol=1e-9)
-        res = run_mba(qam64, cfg)
+        cfg = dict(c0=1.2, noise_power=0.05, outer_tol=1e-9)
+        res = run_mba(qam64, **cfg)
         assert res.converged and res.iterations > 10
         assert res.multipliers is not None and not vertices
 
@@ -354,7 +354,7 @@ class TestEndpointMultipliers:
         # match stopped at (a grid corner on 256-QAM) is not reported
         c = make_constellation("qam", order)
         lo, _ = feasible_c0_range(c)
-        res = run_mba(c, MBAConfig(c0=lo, noise_power=0.01))
+        res = run_mba(c, c0=lo, noise_power=0.01)
         assert res.converged
         assert res.multipliers is None
 
@@ -369,7 +369,7 @@ class TestEndpointMultipliers:
     @pytest.mark.parametrize("order,c0", [(16, 1.2), (64, 1.3), (256, 1.2)])
     def test_interior_solves_report_two_finite_multipliers(self, order, c0):
         c = make_constellation("qam", order)
-        res = run_mba(c, MBAConfig(c0=c0, noise_power=0.02))
+        res = run_mba(c, c0=c0, noise_power=0.02)
         lam = res.multipliers
         assert len(lam) == 2 and np.all(np.isfinite(lam))
 
@@ -384,8 +384,7 @@ class TestRunMba:
         # the 96-node Gauss-Hermite rate; the maximum-entropy input at the
         # same c0 is feasible, so it cannot score higher
         c = make_constellation("qam", order)
-        res = run_mba(c, MBAConfig(c0=c0, noise_power=sigma2,
-                                   outer_tol=1e-9))
+        res = run_mba(c, c0=c0, noise_power=sigma2, outer_tol=1e-9)
         assert res.converged
         got = gh_mutual_information(c, res.distribution, sigma2)
         assert got == pytest.approx(optimum, abs=1e-5)
@@ -394,33 +393,33 @@ class TestRunMba:
         assert got >= heur
 
     def test_trace_is_the_rate(self, qam64):
-        res = run_mba(qam64, MBAConfig(c0=1.3, noise_power=0.02))
+        res = run_mba(qam64, c0=1.3, noise_power=0.02)
         assert res.trace[-1] / LN2 == pytest.approx(
             gh_mutual_information(qam64, res.distribution, 0.02), abs=1e-6)
 
     def test_uniform_moment_recovers_uniform(self, qam16, uniform16):
-        cfg = MBAConfig(c0=1.32, noise_power=0.01)
-        res = run_mba(qam16, cfg)
+        cfg = dict(c0=1.32, noise_power=0.01)
+        res = run_mba(qam16, **cfg)
         assert res.converged
-        np.testing.assert_allclose(res.ring_mass, uniform16.ring_mass, atol=2e-3)
+        np.testing.assert_allclose(res.distribution.ring_mass, uniform16.ring_mass, atol=2e-3)
         assert moment(qam16, res.distribution, 4) == pytest.approx(1.32,
                                                                    abs=1e-3)
 
     def test_lower_endpoint_collapses_inner_rings(self, qam16):
-        cfg = MBAConfig(c0=1.0, noise_power=0.01)
-        res = run_mba(qam16, cfg)
-        np.testing.assert_allclose(res.ring_mass, [0.0, 1.0, 0.0], atol=1e-3)
+        cfg = dict(c0=1.0, noise_power=0.01)
+        res = run_mba(qam16, **cfg)
+        np.testing.assert_allclose(res.distribution.ring_mass, [0.0, 1.0, 0.0], atol=1e-3)
 
     def test_trace_is_monotone(self, qam16):
-        cfg = MBAConfig(c0=1.15, noise_power=0.05)
-        res = run_mba(qam16, cfg)
+        cfg = dict(c0=1.15, noise_power=0.05)
+        res = run_mba(qam16, **cfg)
         trace = np.asarray(res.trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_exit_residuals_within_tolerance(self, qam64):
-        cfg = MBAConfig(c0=1.2, noise_power=0.02)
-        res = run_mba(qam64, cfg)
+        cfg = dict(c0=1.2, noise_power=0.02)
+        res = run_mba(qam64, **cfg)
         assert res.converged
         d = res.distribution
         assert abs(np.sum(d.ring_mass) - 1.0) <= 1e-4
@@ -428,8 +427,8 @@ class TestRunMba:
         assert abs(moment(qam64, d, 4) - 1.2) <= 1e-4
 
     def test_ring_symmetry_of_solution(self, qam16):
-        cfg = MBAConfig(c0=1.25, noise_power=0.05)
-        res = run_mba(qam16, cfg)
+        cfg = dict(c0=1.25, noise_power=0.05)
+        res = run_mba(qam16, **cfg)
         per_point = res.distribution.per_point
         for w in range(3):
             ring = per_point[qam16.ring_index == w]
@@ -441,10 +440,10 @@ class TestRunMba:
         # integrals must agree that they are dead
         c = make_constellation("qam", 256)
         lo, _ = feasible_c0_range(c)
-        cfg = MBAConfig(c0=lo + 1e-6, noise_power=0.01)
+        cfg = dict(c0=lo + 1e-6, noise_power=0.01)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_mba(c, cfg)
+            res = run_mba(c, **cfg)
         trace = np.asarray(res.trace)
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= -1e-9)
@@ -465,7 +464,7 @@ class TestRunMba:
         lo, _ = feasible_c0_range(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_mba(c, MBAConfig(c0=lo + 1e-6, noise_power=0.01))
+            res = run_mba(c, c0=lo + 1e-6, noise_power=0.01)
         tiny = np.finfo(float).tiny
         subnormal = [(p, r) for p, r in seen
                      if np.any((p > 0) & (p < tiny))]
@@ -476,16 +475,16 @@ class TestRunMba:
 
     def test_infeasible_target_rejected(self, qam16):
         with pytest.raises(ValueError, match="feasible"):
-            run_mba(qam16, MBAConfig(c0=3.0, noise_power=0.01))
+            run_mba(qam16, c0=3.0, noise_power=0.01)
         with pytest.raises(ValueError, match="feasible"):
-            run_mba(qam16, MBAConfig(c0=0.5, noise_power=0.01))
+            run_mba(qam16, c0=0.5, noise_power=0.01)
 
     def test_deterministic(self, qam16):
         # nothing is drawn: two runs are bitwise the same
-        cfg = MBAConfig(c0=1.18, noise_power=0.05)
-        a = run_mba(qam16, cfg)
-        b = run_mba(qam16, cfg)
-        np.testing.assert_array_equal(a.ring_mass, b.ring_mass)
+        cfg = dict(c0=1.18, noise_power=0.05)
+        a = run_mba(qam16, **cfg)
+        b = run_mba(qam16, **cfg)
+        np.testing.assert_array_equal(a.distribution.ring_mass, b.distribution.ring_mass)
         np.testing.assert_array_equal(a.distribution.per_point,
                                       b.distribution.per_point)
         assert a.trace == b.trace
@@ -494,13 +493,14 @@ class TestRunMba:
         # three rings and two moment constraints leave no slack: the
         # rate-optimal and moment-matching answers must coincide
         for c0 in (1.05, 1.2, 1.32):
-            opt = run_mba(qam16, MBAConfig(c0=c0, noise_power=0.01))
+            opt = run_mba(qam16, c0=c0, noise_power=0.01)
             heur = solve_heuristic(qam16, c0)
-            np.testing.assert_allclose(opt.ring_mass, heur.ring_mass, atol=1e-3)
+            np.testing.assert_allclose(opt.distribution.ring_mass,
+                                       heur.distribution.ring_mass, atol=1e-3)
 
     def test_rate_dominates_heuristic(self, qam64):
         c0 = 1.2
-        opt = run_mba(qam64, MBAConfig(c0=c0, noise_power=0.01))
+        opt = run_mba(qam64, c0=c0, noise_power=0.01)
         heur = solve_heuristic(qam64, c0)
         assert (gh_mutual_information(qam64, opt.distribution, 0.01)
                 >= gh_mutual_information(qam64, heur.distribution, 0.01))
@@ -525,18 +525,31 @@ class TestRunMba:
 
 
 class TestConfigValidation:
-    def test_bad_noise(self):
-        with pytest.raises(ValueError):
-            MBAConfig(c0=1.2, noise_power=0.0)
+    # run_mba checks its arguments before it solves, the one-ring shortcut
+    # included
+    def test_bad_noise(self, qam16, psk8):
+        # 1e-320 overflowed D**2 / sigma2 and inf gave 0 * inf, each a
+        # RuntimeWarning and, without a warning filter, garbage masses
+        for c, c0 in ((qam16, 1.2), (psk8, 1.0)):
+            for noise_power in (0.0, -1.0, 1e-320, 1e301, np.inf):
+                with pytest.raises(ValueError, match="noise_power"):
+                    run_mba(c, c0, noise_power)
 
-    def test_no_sample_count(self):
+    def test_no_sample_count(self, qam16):
         # the integrals are a fixed quadrature: there is no sample count
         with pytest.raises(TypeError):
-            MBAConfig(c0=1.2, noise_power=0.1, n_mc=1000)
+            run_mba(qam16, 1.2, 0.1, n_mc=1000)
 
     @pytest.mark.parametrize("field", ["noise_power", "outer_tol"])
-    def test_nan_rejected(self, field):
+    def test_nan_rejected(self, qam16, field):
         # a NaN passed the old `<= 0` / `< 0` checks; a NaN outer_tol then
         # never stopped the loop
         with pytest.raises(ValueError, match=field):
-            MBAConfig(**{"c0": 1.2, "noise_power": 0.1, field: float("nan")})
+            run_mba(qam16, **{"c0": 1.2, "noise_power": 0.1,
+                              field: float("nan")})
+
+    @pytest.mark.parametrize("field,value", [("max_outer", 0),
+                                             ("outer_tol", -1e-5)])
+    def test_bad_stop_rule_rejected(self, qam16, field, value):
+        with pytest.raises(ValueError, match=field):
+            run_mba(qam16, 1.2, 0.1, **{field: value})
