@@ -11,7 +11,7 @@ import importlib
 
 _EXPORTS = {
     "ambiguity": (
-        "AFGrid", "AFMoments", "OFDMConfig", "analytic_moments", "exact_af",
+        "AFMoments", "OFDMConfig", "analytic_moments", "exact_af",
     ),
     "constellation": (
         "Constellation", "Distribution", "make_constellation", "moment",
@@ -33,12 +33,12 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid", "AFMoments", "Constellation", "DetectionScenario",
-    "Distribution", "OFDMConfig", "PdCurve", "ShapingResult",
-    "analytic_moments", "calibrate_so_cfar", "derive_seed",
-    "detection_probability", "exact_af", "feasible_c0_range",
-    "make_constellation", "moment", "pd_curve", "rate_bits", "rate_curve",
-    "run_mba", "solve_heuristic", "trial_seed", "wilson_interval",
+    "AFMoments", "Constellation", "DetectionScenario", "Distribution",
+    "OFDMConfig", "PdCurve", "ShapingResult", "analytic_moments",
+    "calibrate_so_cfar", "derive_seed", "detection_probability", "exact_af",
+    "feasible_c0_range", "make_constellation", "moment", "pd_curve",
+    "rate_bits", "rate_curve", "run_mba", "solve_heuristic", "trial_seed",
+    "wilson_interval",
 ]
 
 

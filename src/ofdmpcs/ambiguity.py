@@ -2,10 +2,11 @@
 
 Closed-form moments (mean of the self term, variances of the self and
 cross terms), the exact average surface E|AF|^2 built from them, and the
-Monte-Carlo average of the kernel's quadratic form, its oracle.  Delays
-are in units of the symbol duration T_p and Dopplers in units of the
-subcarrier spacing, which orthogonal subcarriers make 1/T_p: so
-T_p = spacing = 1, and the arguments are the CLI's normalized axes.
+Monte-Carlo average of the kernel's quadratic form, its oracle, both as
+plain dB arrays.  Delays are in units of the symbol duration T_p and
+Dopplers in units of the subcarrier spacing, which orthogonal subcarriers
+make 1/T_p: so T_p = spacing = 1, and the arguments are the CLI's
+normalized axes.
 
 The delay-Doppler response of one OFDM symbol splits into a "self" part
 (subcarrier paired with itself, carrying only symbol energies ``A**2``) and a
@@ -53,24 +54,6 @@ class OFDMConfig:
             raise ValueError("need at least one subcarrier")
         if self.n_symbols < 1:
             raise ValueError("need at least one symbol")
-
-
-@dataclass(frozen=True)
-class AFGrid:
-    """Sampled delay-Doppler surface.
-
-    Delays are in units of the symbol duration, Dopplers in units of the
-    subcarrier spacing.  ``values[i, j]`` belongs to
-    ``(tau_axis[i], nu_axis[j])``, in dB.
-    """
-
-    tau_axis: np.ndarray
-    nu_axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.tau_axis), len(self.nu_axis)):
-            raise ValueError("values shape does not match the axes")
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +120,25 @@ def _grid_axes(tau_axis, nu_axis) -> tuple[np.ndarray, np.ndarray]:
     return tau_axis, nu_axis
 
 
-def _db_grid(tau_axis, nu_axis, mean_pow: np.ndarray,
-             normalize: bool) -> AFGrid:
-    """AFGrid in dB of a linear power surface, peak at 0 dB if ``normalize``."""
+def _db(mean_pow: np.ndarray, normalize: bool) -> np.ndarray:
+    """A linear power surface in dB, peak at 0 dB if ``normalize``."""
     if normalize:
         peak = mean_pow.max()
         if peak <= 0:
             raise ValueError("grid contains no energy; cannot normalize")
         mean_pow = mean_pow / peak
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(mean_pow)
-    return AFGrid(tau_axis=tau_axis, nu_axis=nu_axis, values=db)
+        return 10.0 * np.log10(mean_pow)
 
 
 def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
                tau_axis, nu_axis, n_mc: int, seed: int,
-               normalize: bool = True) -> AFGrid:
+               normalize: bool = True) -> np.ndarray:
     """Monte-Carlo mean squared-magnitude AF over the data distribution, in dB.
 
-    One set of n_mc symbol draws is shared across the whole grid; trial m
-    is seeded with ``seed XOR m``.  With ``normalize`` the surface peak is
+    Entry ``[i, j]`` is the value at ``(tau_axis[i], nu_axis[j])``.  One
+    set of n_mc symbol draws is shared across the whole grid; trial m is
+    seeded with ``seed XOR m``.  With ``normalize`` the surface peak is
     shifted to 0 dB.  The oracle of :func:`exact_af`, which gives the same
     surface without sampling error; no command runs it.
     """
@@ -173,7 +155,7 @@ def average_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
             K = _kernel(cfg, tau, nu)
             lam = np.sum(X * (Xc @ K.T), axis=1)
             mean_pow[i, j] = float(np.mean(np.abs(lam) ** 2))
-    return _db_grid(tau_axis, nu_axis, mean_pow, normalize)
+    return _db(mean_pow, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +256,17 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
 
 
 def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
-             tau_axis, nu_axis,
-             normalize: bool = True) -> tuple[AFGrid, list[list[AFMoments]]]:
+             tau_axis, nu_axis, normalize: bool = True
+             ) -> tuple[np.ndarray, list[list[AFMoments]]]:
     """Exact mean squared-magnitude AF over the data distribution, in dB.
 
-    Each cell is :attr:`AFMoments.mean_power` of :func:`analytic_moments`;
-    the moments come back too, ``moments[i][j]`` for
-    ``(tau_axis[i], nu_axis[j])``.  It is :func:`average_af`'s Monte-Carlo
-    surface without sampling error.  No draws, so no seed.
+    ``(values_db, moments)``: ``moments[i][j]`` is :func:`analytic_moments`
+    at ``(tau_axis[i], nu_axis[j])`` and ``values_db[i, j]`` its
+    :attr:`AFMoments.mean_power` in dB.  It is :func:`average_af`'s surface
+    without sampling error.  No draws, so no seed.
     """
     tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
     moments = [[analytic_moments(c, d, cfg, float(tau), float(nu))
                 for nu in nu_axis] for tau in tau_axis]
     mean_pow = np.array([[m.mean_power for m in row] for row in moments])
-    return _db_grid(tau_axis, nu_axis, mean_pow, normalize), moments
+    return _db(mean_pow, normalize), moments

@@ -68,9 +68,6 @@ EXIT_NONCONVERGED = 3
 EXIT_INTERNAL = 4
 
 MAX_LADDER_POINTS = 10**6       # a ladder or AF grid of 8 MB per float array
-# noise powers 1e-300 to 1e300 and dB values (snr_db ladders, [detection]
-# keys): below them D**2 / sigma2 overflows, past 3080 dB 10 ** (db / 10) does
-MAX_ABS_SNR_DB = 3000.0
 
 
 class ConfigError(Exception):
@@ -116,8 +113,10 @@ def _given(cp, section, keys) -> dict:
 
 
 def _sigma2(cp) -> float:
+    from .rates import NOISE_POWER_RANGE
+
     sigma2 = _get(cp, "channel", "sigma2", float)
-    lo, hi = 10.0 ** (-MAX_ABS_SNR_DB / 10.0), 10.0 ** (MAX_ABS_SNR_DB / 10.0)
+    lo, hi = NOISE_POWER_RANGE
     if not lo <= sigma2 <= hi:
         raise ConfigError(f"[channel] sigma2 must lie in [{lo:g}, {hi:g}], "
                           f"got {sigma2!r}")
@@ -127,25 +126,28 @@ def _sigma2(cp) -> float:
 def _ladder(cp, section, prefix) -> np.ndarray:
     import numpy as np
 
+    from .constellation import MAX_ABS_DB
+
     lo = _get(cp, section, f"{prefix}_min", float)
     hi = _get(cp, section, f"{prefix}_max", float)
     step = _get(cp, section, f"{prefix}_step", float)
     if step <= 0 or hi < lo:
         raise ConfigError(f"empty {prefix} ladder in [{section}]")
-    # the steps that fit in [lo, hi], counted before anything is allocated;
-    # hi is appended if the last falls short
-    fit = (hi - lo) / step + 1e-9
-    if fit >= MAX_LADDER_POINTS:
+    # the steps that fit in [lo, hi], and hi if the last falls short, all
+    # counted before anything is allocated
+    n = math.floor(min((hi - lo) / step + 1e-9, MAX_LADDER_POINTS)) + 1
+    short = lo + (n - 1) * step < hi - 1e-9
+    if n + short > MAX_LADDER_POINTS:
         raise ConfigError(f"{prefix} ladder in [{section}] has more than "
                           f"{MAX_LADDER_POINTS} points")
-    vals = np.arange(lo, hi + 0.5 * step, step)[:math.floor(fit) + 1]
-    if vals[-1] < hi - 1e-9:
+    vals = np.arange(lo, hi + 0.5 * step, step)[:n]
+    if short:
         vals = np.append(vals, hi)
     # kill arange accumulation drift so sweep values match flag values
     vals = np.round(vals, 10)
-    if prefix == "snr_db" and max(-vals[0], vals[-1]) > MAX_ABS_SNR_DB:
+    if prefix == "snr_db" and max(-vals[0], vals[-1]) > MAX_ABS_DB:
         raise ConfigError(f"[{section}] snr_db ladder must lie within "
-                          f"+-{MAX_ABS_SNR_DB:g} dB, got [{vals[0]:.9g}, "
+                          f"+-{MAX_ABS_DB:g} dB, got [{vals[0]:.9g}, "
                           f"{vals[-1]:.9g}]")
     return vals
 
@@ -329,19 +331,19 @@ def cmd_af(cp, args) -> int:
     grid, _ = exact_af(c, d, cfg, tau, nu)
     _write(out_dir, "af_grid.csv",
            _csv("tau,nu,value_db",
-                ((t, v, grid.values[i, j]) for i, t in enumerate(tau)
+                ((t, v, grid[i, j]) for i, t in enumerate(tau)
                  for j, v in enumerate(nu))))
 
     zero, moments = exact_af(c, d, cfg, tau, [0.0])
     _write(out_dir, "af_slice.csv",
            _csv("tau,value_db,var_self,var_cross",
-                ((t, zero.values[i, 0], moments[i][0].var_self,
+                ((t, zero[i, 0], moments[i][0].var_self,
                   moments[i][0].var_cross) for i, t in enumerate(tau))))
     return EXIT_OK
 
 
 def _scenario(cp, c, cfg) -> DetectionScenario:
-    from .constellation import Distribution
+    from .constellation import MAX_ABS_DB, Distribution
     from .detection import DetectionScenario
 
     fields = _given(cp, "detection", {
@@ -349,9 +351,9 @@ def _scenario(cp, c, cfg) -> DetectionScenario:
         "si_to_noise_db": float, "p_fa": float, "n_trials": int,
         "ref_cells": int, "guard_cells": int})
     for key in ("sensing_snr_db", "si_to_noise_db"):
-        if abs(fields.get(key, 0.0)) > MAX_ABS_SNR_DB:
+        if abs(fields.get(key, 0.0)) > MAX_ABS_DB:
             raise ConfigError(f"[detection] {key} must lie within "
-                              f"+-{MAX_ABS_SNR_DB:g} dB, got {fields[key]:.9g}")
+                              f"+-{MAX_ABS_DB:g} dB, got {fields[key]:.9g}")
     if "sensing_snr_db" in fields:
         fields["snr_db"] = fields.pop("sensing_snr_db")
     try:
@@ -376,7 +378,7 @@ def cmd_detect(cp, args) -> int:
     curve = pd_curve(sc, snrs, seed=derive_seed(seed, "detect"))
     _write(_out_dir(cp, args), "pd_curve.csv",
            _csv("snr_db,pd,ci_lo,ci_hi",
-                zip(curve.snr_db, curve.pd, curve.ci_lo, curve.ci_hi)))
+                zip(snrs, curve.pd, curve.ci_lo, curve.ci_hi)))
     return EXIT_OK
 
 

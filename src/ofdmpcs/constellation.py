@@ -10,8 +10,7 @@ Conventions:
 * ``ring_mass[w]`` is the aggregate probability of ring ``w`` (all of its
   points together), not the per-point value.
 * every point of ring ``w`` has amplitude exactly ``ring_amps[w]`` (the
-  stored per-point amplitude array is built by indexing, so the equality is
-  bitwise).
+  per-point amplitudes are built by indexing, so the equality is bitwise).
 * distributions are "ring-uniform": points within one ring share the same
   probability.  :meth:`Distribution.uniform` and
   :meth:`Distribution.from_ring_mass` build only such distributions.
@@ -27,6 +26,9 @@ import numpy as np
 
 CONSTRUCTION_TOL = 1e-12
 VALIDATION_TOL = 1e-9
+# bounds every dB value read (SNRs, echo powers) and, as 10 ** (+-dB / 10),
+# every noise power: 10 ** (dB / 10) overflows past ~3080 dB
+MAX_ABS_DB = 3000.0
 
 
 # ---------------------------------------------------------------------------
@@ -40,43 +42,40 @@ class Constellation:
     Build one with :func:`make_constellation`, which establishes the
     invariants: unit mean power under the uniform distribution, zero mean
     per ring, strictly increasing ring amplitudes.  The constructor checks
-    all of them, each to ``CONSTRUCTION_TOL``, and that ``ring_index`` puts
-    ``ring_counts[w]`` of the ``order`` points on ring ``w``.
+    all of them, each to ``CONSTRUCTION_TOL``, and that every point names a
+    ring and every ring holds a point.  ``order`` and ``ring_counts`` are
+    read off ``ring_index``, not stored.
     """
 
     family: str
-    order: int
     ring_amps: np.ndarray      # (W,) strictly increasing, >= 0
-    ring_counts: np.ndarray    # (W,) positive ints summing to order
     ring_index: np.ndarray     # (Q,) ring of each point
     phases: np.ndarray         # (Q,) point phases in radians
 
     def __post_init__(self):
         amps = np.asarray(self.ring_amps, dtype=float)
-        counts = np.asarray(self.ring_counts, dtype=int)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("ring_amps must be a nonempty 1-D array")
         if np.any(np.diff(amps) <= 0):
             raise ValueError("ring amplitudes must be strictly increasing")
         if np.any(amps < 0):
             raise ValueError("ring amplitudes must be nonnegative")
-        if counts.shape != amps.shape or np.any(counts <= 0):
-            raise ValueError("ring_counts must be positive and match ring_amps")
-        if int(counts.sum()) != self.order:
-            raise ValueError("ring counts must sum to the constellation order")
         index = np.asarray(self.ring_index, dtype=int)
         phases = np.asarray(self.phases, dtype=float)
-        if index.shape != (self.order,) or phases.shape != (self.order,):
-            raise ValueError(f"ring_index and phases must each hold order="
-                             f"{self.order} entries, got {index.size} and "
-                             f"{phases.size}")
+        if index.ndim != 1 or index.shape != phases.shape:
+            raise ValueError(f"ring_index and phases must be 1-D and of one "
+                             f"length, got shapes {index.shape} and "
+                             f"{phases.shape}")
         if np.any((index < 0) | (index >= amps.size)):
             raise ValueError(f"ring_index entries must name one of the "
                              f"{amps.size} rings, got {index.min()} to "
                              f"{index.max()}")
-        if np.any(np.bincount(index, minlength=amps.size) != counts):
-            raise ValueError("ring_index must put ring_counts[w] points on "
-                             "each ring w")
+        object.__setattr__(self, "ring_amps", amps)
+        object.__setattr__(self, "ring_index", index)
+        object.__setattr__(self, "phases", phases)
+        counts = self.ring_counts
+        if not counts.all():
+            raise ValueError(f"ring {counts.argmin()} holds no point")
         # the AF moments assume a zero-mean symbol, ring by ring
         ring_sum = (np.bincount(index, weights=np.cos(phases),
                                 minlength=amps.size)
@@ -92,16 +91,23 @@ class Constellation:
         if abs(power - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"mean power {power!r} deviates from 1 beyond "
                              f"{CONSTRUCTION_TOL}")
-        object.__setattr__(self, "ring_amps", amps)
-        object.__setattr__(self, "ring_counts", counts)
-        object.__setattr__(self, "ring_index", index)
-        object.__setattr__(self, "phases", phases)
 
     # -- derived views ------------------------------------------------------
 
     @property
+    def order(self) -> int:
+        return self.ring_index.size
+
+    @property
     def n_rings(self) -> int:
         return self.ring_amps.size
+
+    @cached_property
+    def ring_counts(self) -> np.ndarray:
+        """Points per ring, ``bincount(ring_index)``; built once, read-only."""
+        counts = np.bincount(self.ring_index, minlength=self.n_rings)
+        counts.flags.writeable = False
+        return counts
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -142,9 +148,7 @@ def make_constellation(family: str, order: int) -> Constellation:
         if order < 2:
             raise ValueError("psk order must be >= 2")
         phases = 2.0 * np.pi * np.arange(order) / order
-        return Constellation(family="psk", order=order,
-                             ring_amps=np.array([1.0]),
-                             ring_counts=np.array([order]),
+        return Constellation(family="psk", ring_amps=np.array([1.0]),
                              ring_index=np.zeros(order, dtype=int),
                              phases=phases)
     if family == "qam":
@@ -160,12 +164,9 @@ def make_constellation(family: str, order: int) -> Constellation:
         ring_of = {int(v): w for w, v in enumerate(uniq)}
         ring_index = np.array([ring_of[int(v)] for v in r2])
         ring_amps = np.sqrt(uniq / norm2)
-        ring_counts = np.bincount(ring_index, minlength=uniq.size)
         phases = np.arctan2(qq, ii)
         order_key = np.lexsort((phases, ring_index))  # group points by ring
-        return Constellation(family="qam", order=order,
-                             ring_amps=ring_amps,
-                             ring_counts=ring_counts,
+        return Constellation(family="qam", ring_amps=ring_amps,
                              ring_index=ring_index[order_key],
                              phases=phases[order_key])
     raise ValueError(f"unknown constellation family {family!r}")

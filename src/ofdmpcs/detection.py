@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import OFDMConfig
-from .constellation import Constellation, Distribution
+from .constellation import MAX_ABS_DB, Constellation, Distribution
 from .seeds import derive_seed
 
 WILSON_Z95 = 1.959963984540054
@@ -49,12 +49,16 @@ MIN_CAL_FACTOR = 10.0          # required noise-only cells: 10 / P_fa
 DEFAULT_CAL_FACTOR = 100.0     # default calibration size: 100 / P_fa
 _BLOCK_CELLS = 2048         # cells per block: 32 KiB per complex array,
                             # under malloc's 128 KiB mmap threshold
-MAX_ABS_DB = 3000.0         # echo powers 10 ** (dB / 10) far from overflow
 
 
 @dataclass(frozen=True)
 class DetectionScenario:
-    """One sensing experiment: constellation, geometry, CFAR window."""
+    """One sensing experiment: constellation, geometry, CFAR window.
+
+    ``distribution`` needs one probability per point and one mass per ring
+    of ``constellation``: only sizes are checked, so 16-QAM's input passes
+    on any 16-point, 3-ring constellation, and 16-PSK's fails on 16-QAM.
+    """
 
     constellation: Constellation
     distribution: Distribution
@@ -69,6 +73,10 @@ class DetectionScenario:
     guard_cells: int = 2
 
     def __post_init__(self):
+        c, d = self.constellation, self.distribution
+        if (d.per_point.size, d.ring_mass.size) != (c.order, c.n_rings):
+            raise ValueError(f"the distribution does not fit a {c.order}-"
+                             f"point, {c.n_rings}-ring constellation")
         length = self.cfg.n_subcarriers
         if self.target_cell == self.si_cell:
             raise ValueError("target and self-interference cells coincide")
@@ -293,12 +301,10 @@ def wilson_interval(hits: int, n: int, z: float = WILSON_Z95):
 
 @dataclass(frozen=True)
 class PdCurve:
-    snr_db: np.ndarray
     pd: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     alpha: float
-    n_trials: int
 
 
 def detection_probability(sc: DetectionScenario, alpha: float,
@@ -317,7 +323,7 @@ def detection_probability(sc: DetectionScenario, alpha: float,
 
 
 def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
-    """Detection probability versus sensing SNR.
+    """P_d versus sensing SNR: entry i of each array at ``snr_db_values[i]``.
 
     Calibrates alpha from the same master seed; curve point i runs
     ``sc.n_trials`` trials on its own stream, seeded by
@@ -332,5 +338,4 @@ def pd_curve(sc: DetectionScenario, snr_db_values, seed: int = 0) -> PdCurve:
         detection_probability(replace(sc, snr_db=float(snr)), alpha,
                               seed=derive_seed(seed, f"pd-point-{i}"))
         for i, snr in enumerate(snrs)]).T
-    return PdCurve(snr_db=snrs, pd=pd, ci_lo=lo, ci_hi=hi,
-                   alpha=float(alpha), n_trials=sc.n_trials)
+    return PdCurve(pd=pd, ci_lo=lo, ci_hi=hi, alpha=float(alpha))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, Distribution
+from .constellation import MAX_ABS_DB, Constellation, Distribution
 
 LN2 = float(np.log(2.0))
 MIN_MI_SAMPLES = 1000       # smallest n_mc with a usable standard error
@@ -54,6 +54,8 @@ _NODES = np.arange(-26, 27) / 4.0            # s = j / 4, |s| <= 6.5
 _WEIGHTS = np.exp(-_NODES ** 2)
 _WEIGHTS /= _WEIGHTS.sum()
 _LATTICE_TOL = 1e-9     # how far a point may sit from its lattice site
+NOISE_POWER_RANGE = (10.0 ** (-MAX_ABS_DB / 10.0),
+                     10.0 ** (MAX_ABS_DB / 10.0))
 
 
 def log_probs(p: np.ndarray) -> np.ndarray:
@@ -67,12 +69,13 @@ def log_probs(p: np.ndarray) -> np.ndarray:
 
 
 def check_noise_power(noise_power: float) -> None:
-    """``ValueError`` unless ``noise_power`` lies in [1e-300, 1e300], the
-    command line's ``[channel] sigma2`` range; below it D**2 / sigma2
-    overflows."""
-    if not 1e-300 <= noise_power <= 1e300:          # NaN fails too
+    """``ValueError`` unless ``noise_power`` lies in ``NOISE_POWER_RANGE``,
+    [1e-300, 1e+300], +-``MAX_ABS_DB`` from 1 and the command line's
+    ``[channel] sigma2`` range; below it D**2 / sigma2 overflows."""
+    lo, hi = NOISE_POWER_RANGE
+    if not lo <= noise_power <= hi:                 # NaN fails too
         raise ValueError("noise_power must be positive and finite, within "
-                         f"[1e-300, 1e300], got {noise_power!r}")
+                         f"[{lo:g}, {hi:g}], got {noise_power!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +206,7 @@ class ChannelSpec:
     noise_power: float
 
     def __post_init__(self):
-        if not (self.noise_power > 0 and np.isfinite(self.noise_power)):
-            raise ValueError("noise_power must be positive and finite")
+        check_noise_power(self.noise_power)
 
 
 @dataclass(frozen=True)
@@ -213,8 +215,6 @@ class MIEstimate:
 
     mi_bits: float
     std_error: float
-    n_mc: int
-    noise_power: float
 
 
 def gm_log_pdf(y, c: Constellation, d: Distribution,
@@ -299,5 +299,4 @@ def mutual_information(c: Constellation, d: Distribution, spec: ChannelSpec,
     mi_nats = float(np.mean(terms))
     se_nats = float(np.std(terms, ddof=1) / np.sqrt(n_mc))
     return MIEstimate(mi_bits=max(0.0, mi_nats / LN2),
-                      std_error=se_nats / LN2,
-                      n_mc=n_mc, noise_power=spec.noise_power)
+                      std_error=se_nats / LN2)

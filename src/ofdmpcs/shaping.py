@@ -59,15 +59,19 @@ class ShapingResult:
     ``trace`` exist only for the optimal method, and ``multipliers`` is
     ``None`` at an endpoint of the feasible range, where they diverge.  No
     rate is carried: scoring an input by its rate is the caller's decision.
+    ``iterations`` is ``len(trace)``: 0 for the heuristic and one ring.
     """
 
     c0: float
     method: str                    # "heuristic" | "optimal"
     distribution: Distribution
     converged: bool
-    iterations: int
     multipliers: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def feasible_c0_range(c: Constellation) -> tuple[float, float]:
@@ -335,6 +339,5 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
                                     snap_c0(c, c0))
     if lam is None:                     # the vertex: its loads sum to 1 +- ulp
         masses = masses / masses.sum()
-    return ShapingResult(c0=float(c0), method="heuristic",
-                         distribution=Distribution.from_ring_mass(c, masses),
-                         converged=True, iterations=0)
+    return ShapingResult(c0=float(c0), method="heuristic", converged=True,
+                         distribution=Distribution.from_ring_mass(c, masses))

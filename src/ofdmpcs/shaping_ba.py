@@ -62,9 +62,8 @@ def run_mba(c: Constellation, c0: float, noise_power: float,
         raise ValueError(f"outer_tol must be nonnegative, got {outer_tol!r}")
     target = snap_c0(c, c0)
     if c.n_rings == 1:
-        return ShapingResult(c0=float(c0), method="optimal",
-                             distribution=Distribution.uniform(c),
-                             converged=True, iterations=0)
+        return ShapingResult(c0=float(c0), method="optimal", converged=True,
+                             distribution=Distribution.uniform(c))
     lat = _lattice(c, noise_power)
 
     counts = c.ring_counts.astype(float)
@@ -96,8 +95,7 @@ def run_mba(c: Constellation, c0: float, noise_power: float,
 
     mass = mass / mass.sum()
     return ShapingResult(
-        c0=float(c0), method="optimal",
+        c0=float(c0), method="optimal", converged=converged,
         distribution=Distribution.from_ring_mass(c, mass),
-        converged=converged, iterations=len(trace),
         multipliers=None if lam is None else (float(lam[0]), float(lam[1])),
         trace=trace)

@@ -163,7 +163,7 @@ def test_criterion_05_sidelobe_gap(announce):
     surf_psk = average_af(PSK64, Distribution.uniform(PSK64), cfg,
                           taus, [0.0], 5000, derive_seed(2024, "c5-psk"))
     # cell 0 is the mainlobe; every later delay cell is a sidelobe
-    gap = surf_qam.values[1:, 0] - surf_psk.values[1:, 0]
+    gap = surf_qam[1:, 0] - surf_psk[1:, 0]
     worst = float(np.max(gap))
     at = float(taus[1:][int(np.argmax(gap))])
     ok = 10.0 <= worst <= 16.0

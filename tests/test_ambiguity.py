@@ -318,8 +318,8 @@ class TestExactSurface:
                 power = np.abs(af_realizations(c, d, cfg, tau, nu, n,
                                                seed)) ** 2
                 se = np.std(power) / np.sqrt(n)
-                got = 10.0 ** (exact.values[i, j] / 10.0)
-                want = 10.0 ** (mc.values[i, j] / 10.0)
+                got = 10.0 ** (exact[i, j] / 10.0)
+                want = 10.0 ** (mc[i, j] / 10.0)
                 assert want == pytest.approx(np.mean(power), rel=1e-9)
                 assert abs(got - want) <= 4 * se, (tau, nu, got, want, se)
 
@@ -332,17 +332,27 @@ class TestExactSurface:
                 mom = analytic_moments(qam16, uniform16, ofdm8, tau, nu)
                 assert moments[i][j] == mom
                 with np.errstate(divide="ignore"):
-                    assert grid.values[i, j] == 10.0 * np.log10(mom.mean_power)
-        assert grid.values[2, 0] == -np.inf      # no overlap at one T_p
+                    assert grid[i, j] == 10.0 * np.log10(mom.mean_power)
+        assert grid[2, 0] == -np.inf      # no overlap at one T_p
 
     def test_peak_normalized_at_origin(self, qam16, uniform16, ofdm8):
         g, _ = exact_af(qam16, uniform16, ofdm8, [0.0, 0.1, 0.2], [0.0, 0.5])
-        assert g.values[0, 0] == 0.0
-        assert g.values.max() == 0.0
+        assert g[0, 0] == 0.0
+        assert g.max() == 0.0
 
     def test_empty_axes_rejected(self, qam16, uniform16, ofdm8):
         with pytest.raises(ValueError):
             exact_af(qam16, uniform16, ofdm8, [0.0], [])
+
+    def test_surfaces_are_plain_arrays(self, qam16, uniform16, ofdm8):
+        # values_db[i, j] belongs to (tau[i], nu[j]); the axes are the
+        # caller's and are not handed back
+        taus, nus = [0.0, 0.1, 0.2], [0.0, 0.5]
+        values, moments = exact_af(qam16, uniform16, ofdm8, taus, nus)
+        assert type(values) is np.ndarray and values.shape == (3, 2)
+        assert len(moments) == 3 and all(len(row) == 2 for row in moments)
+        mc = average_af(qam16, uniform16, ofdm8, taus, nus, n_mc=8, seed=1)
+        assert type(mc) is np.ndarray and mc.shape == (3, 2)
 
 
 def _split_samples(c, d, cfg, tau, nu, n_mc, seed):
@@ -386,8 +396,8 @@ class TestAverageGrid:
     def test_peak_normalized_at_origin(self, qam16, uniform16, ofdm8):
         g = average_af(qam16, uniform16, ofdm8, [0.0, 0.1, 0.2], [0.0, 0.5],
                        n_mc=64, seed=5)
-        assert g.values.max() == pytest.approx(0.0, abs=1e-12)
-        assert g.values[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert g.max() == pytest.approx(0.0, abs=1e-12)
+        assert g[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_csv_round_trip(self, qam16, uniform16, ofdm8, cli_artifacts):
         # the CLI's af_grid.csv holds exact_af's surface, tau-major, {:.9g}
@@ -402,7 +412,7 @@ class TestAverageGrid:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
         assert [row[:2] for row in rows] == [[0.0, 0.0], [0.0, 1.0],
                                              [0.25, 0.0], [0.25, 1.0]]
-        np.testing.assert_allclose([row[2] for row in rows], g.values.ravel(),
+        np.testing.assert_allclose([row[2] for row in rows], g.ravel(),
                                    rtol=1e-8, atol=1e-12)
 
     def test_empty_axes_rejected(self, qam16, uniform16, ofdm8):

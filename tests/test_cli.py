@@ -6,6 +6,7 @@ entry point itself.
 """
 from __future__ import annotations
 
+import configparser
 import json
 import re
 import subprocess
@@ -337,6 +338,20 @@ class TestExitCodes:
         assert err == ("config error: [channel] snr_db ladder must lie "
                        "within +-3000 dB, got [0, 4000]\n"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("c0_max,size", [(999999.5, None),
+                                             (999999.0, 10**6)])
+    def test_ladder_bound_counts_its_maximum(self, c0_max, size):
+        # 0..999999.5 by 1 is 10**6 steps and then the maximum appended:
+        # 1000001 points passed a bound of 10**6
+        cp = configparser.ConfigParser()
+        cp.read_dict({"shaping": {"c0_min": "0", "c0_max": str(c0_max),
+                                  "c0_step": "1"}})
+        if size is None:
+            with pytest.raises(cli.ConfigError, match="more than 1000000"):
+                cli._ladder(cp, "shaping", "c0")
+        else:
+            assert cli._ladder(cp, "shaping", "c0").size == size
 
     def test_overshooting_ladder_rejected_at_its_maximum(self, tmp_path,
                                                           capsys):

@@ -98,19 +98,19 @@ class TestConstructor:
     def test_ring_with_nonzero_mean_rejected(self, phases):
         # two points on one ring that do not cancel: mean 1 and (1 + j) / 2
         with pytest.raises(ValueError, match="ring 0 has mean amplitude"):
-            Constellation(family="x", order=2, ring_amps=[1.0],
-                          ring_counts=[2], ring_index=[0, 0], phases=phases)
+            Constellation(family="x", ring_amps=[1.0], ring_index=[0, 0],
+                          phases=phases)
 
     def test_single_point_off_the_origin_rejected(self):
         with pytest.raises(ValueError, match="ring 1 has mean amplitude"):
-            Constellation(family="x", order=3,
+            Constellation(family="x",
                           ring_amps=[np.sqrt(0.5), np.sqrt(2.0)],
-                          ring_counts=[2, 1], ring_index=[0, 0, 1],
+                          ring_index=[0, 0, 1],
                           phases=[0.0, np.pi, 0.0])
 
     @pytest.mark.parametrize("ring_index,phases,message", [
-        ([0, 0, 0], [0.0, np.pi], "order=2 entries, got 3 and 2"),
-        ([0, 0], [0.0, np.pi, 0.0], "order=2 entries, got 2 and 3"),
+        ([0, 0, 0], [0.0, np.pi], r"got shapes \(3,\) and \(2,\)"),
+        ([0, 0], [0.0, np.pi, 0.0], r"got shapes \(2,\) and \(3,\)"),
         ([0, 1], [0.0, np.pi], "one of the 1 rings, got 0 to 1"),
         ([0, -1], [0.0, np.pi], "one of the 1 rings, got -1 to 0"),
     ], ids=["long-index", "long-phases", "ring-past-the-last", "negative"])
@@ -119,22 +119,36 @@ class TestConstructor:
         # each used to surface as numpy's bincount length error or as a
         # false nonzero ring mean
         with pytest.raises(ValueError, match=message):
-            Constellation(family="x", order=2, ring_amps=[1.0],
-                          ring_counts=[2], ring_index=ring_index,
-                          phases=phases)
+            Constellation(family="x", ring_amps=[1.0],
+                          ring_index=ring_index, phases=phases)
 
-    def test_index_that_disagrees_with_counts_rejected(self):
-        # three points on the inner ring where ring_counts says two
-        with pytest.raises(ValueError, match=r"ring_counts\[w\] points"):
-            Constellation(family="x", order=4,
-                          ring_amps=[np.sqrt(0.5), np.sqrt(1.5)],
-                          ring_counts=[2, 2], ring_index=[0, 0, 0, 1],
+    @pytest.mark.parametrize("family,order", [
+        ("psk", 2), ("psk", 3), ("psk", 8), ("psk", 64), ("qam", 4),
+        ("qam", 16), ("qam", 64), ("qam", 256), ("qam", 1024)])
+    def test_sizes_are_read_off_the_index(self, family, order):
+        # order and ring_counts are not stored, so they cannot disagree
+        # with ring_index
+        c = make_constellation(family, order)
+        assert c.order == order == len(c.phases)
+        np.testing.assert_array_equal(
+            c.ring_counts, np.bincount(c.ring_index, minlength=c.n_rings))
+        assert c.ring_counts is c.ring_counts
+        assert not c.ring_counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.ring_counts[0] = 0
+        with pytest.raises(AttributeError):
+            c.order = order + 1
+
+    def test_ring_without_a_point_rejected(self):
+        # ring 1 of three is named by no point
+        with pytest.raises(ValueError, match="ring 1 holds no point"):
+            Constellation(family="x", ring_amps=[0.5, 1.0, np.sqrt(1.75)],
+                          ring_index=[0, 0, 2, 2],
                           phases=[0.0, np.pi, 0.0, np.pi])
 
     def test_origin_ring_accepted(self):
-        c = Constellation(family="x", order=5,
-                          ring_amps=[0.0, np.sqrt(1.25)],
-                          ring_counts=[1, 4], ring_index=[0, 1, 1, 1, 1],
+        c = Constellation(family="x", ring_amps=[0.0, np.sqrt(1.25)],
+                          ring_index=[0, 1, 1, 1, 1],
                           phases=np.r_[0.0, 0.5 * np.pi * np.arange(4)])
         assert c.n_rings == 2
 

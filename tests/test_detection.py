@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, optimize, stats
 
 from ofdmpcs import (
+    Constellation,
     DetectionScenario,
     Distribution,
     OFDMConfig,
@@ -73,6 +74,29 @@ class TestScenarioValidation:
     def test_window_must_fit_profile(self, qam64, uniform64, ofdm64):
         with pytest.raises(ValueError, match="window larger"):
             DetectionScenario(qam64, uniform64, ofdm64, ref_cells=30, guard_cells=3)
+
+    @pytest.mark.parametrize("other", [("qam", 16), ("psk", 64)])
+    def test_distribution_of_another_constellation_rejected(
+            self, qam64, ofdm64, other):
+        # 16-QAM's input on 64-QAM drew only the first 16 points, at mean
+        # power 0.238, and gave P_d 0; 64-PSK's has 64 points but one ring
+        d = Distribution.uniform(make_constellation(*other))
+        with pytest.raises(ValueError, match="does not fit a 64-point, "
+                                             "9-ring constellation"):
+            DetectionScenario(qam64, d, ofdm64, n_trials=200)
+
+    def test_only_the_sizes_are_checked(self, qam16, ofdm64):
+        # 16-PSK's input (one ring) fails on 16-QAM (three rings); 16-QAM's
+        # passes on another 16-point constellation of three rings
+        d = Distribution.uniform(make_constellation("psk", 16))
+        with pytest.raises(ValueError, match="16-point, 3-ring"):
+            DetectionScenario(qam16, d, ofdm64)
+        apsk = Constellation(
+            family="apsk", ring_amps=np.sqrt([0.5, 1.0, 1.5]),
+            ring_index=np.repeat([0, 1, 2], [4, 8, 4]),
+            phases=np.r_[np.arange(4) / 4, np.arange(8) / 8,
+                         np.arange(4) / 4 + 0.125] * 2 * np.pi)
+        DetectionScenario(apsk, Distribution.uniform(qam16), ofdm64)
 
     @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
     @pytest.mark.parametrize("db", [float("nan"), float("inf"), 3000.5,
@@ -269,7 +293,7 @@ class TestPdCurve:
         curve = pd_curve(sc, [12.0, 14.0], seed=derive_seed(13, "detect"))
         want = ["snr_db,pd,ci_lo,ci_hi"] + [
             f"{s:.9g},{p:.9g},{lo:.9g},{hi:.9g}" for s, p, lo, hi in
-            zip(curve.snr_db, curve.pd, curve.ci_lo, curve.ci_hi)]
+            zip([12.0, 14.0], curve.pd, curve.ci_lo, curve.ci_hi)]
         assert (out / "pd_curve.csv").read_text() == "\n".join(want) + "\n"
 
 

@@ -11,8 +11,9 @@ calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 dataclass is frozen; every ``derive_seed`` purpose has one call site; only
 ``cli.py`` opens a file; no module references ``linalg`` or sets a warning
 filter; detection makes its generators only where calibration and P_d open
-their streams; and neither shaper, nor the rate quadrature function by
-function, references a random generator or a seed.  A deleted code path leaves no orphaned helper,
+their streams; neither shaper, nor the rate quadrature function by
+function, references a random generator or a seed; and the dB limit is one
+literal, ``constellation.MAX_ABS_DB``.  A deleted code path leaves no orphaned helper,
 dangling import or uncalled public function behind, no two code paths share
 a random stream by accident, artifacts have one writer, the shapers'
 closed-form solves stay off LAPACK, and a shaped input and its rate are
@@ -146,6 +147,20 @@ def test_public_definitions_have_a_caller():
     ]
     assert not shared, ("public methods named like a member of another "
                         f"class: {shared}")
+
+
+def test_one_statement_of_the_db_limit():
+    # every dB bound, and the noise powers 10 ** (+-dB / 10) it implies, is
+    # derived from constellation.MAX_ABS_DB; a second literal could drift
+    found = []
+    for path in MODULES:
+        lines = path.read_text().splitlines()
+        found += [(path.name, lines[node.lineno - 1])
+                  for node in ast.walk(parse(path))
+                  if isinstance(node, ast.Constant)
+                  and type(node.value) in (int, float)
+                  and node.value in (3000, 1e300, 1e-300)]
+    assert found == [("constellation.py", "MAX_ABS_DB = 3000.0")], found
 
 
 def test_all_entries_resolve():

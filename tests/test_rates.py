@@ -323,9 +323,7 @@ class TestRateQuadrature:
         # one ring of 4 points whose phases are not equally spaced: its
         # points do not share one D_x, so one point cannot stand for all
         phases = np.array([0.0, 0.5, np.pi, np.pi + 0.5])
-        c = Constellation(family="custom", order=4,
-                          ring_amps=np.array([1.0]),
-                          ring_counts=np.array([4]),
+        c = Constellation(family="custom", ring_amps=np.array([1.0]),
                           ring_index=np.zeros(4, dtype=int), phases=phases)
         with pytest.raises(ValueError, match="rotation orbit"):
             rate_bits(c, Distribution.uniform(c), 0.1)

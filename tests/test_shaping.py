@@ -350,9 +350,7 @@ class TestMatcherGuarantee:
 def two_ring_constellation():
     """Four points at A**2 = 1/2 and two at A**2 = 2: unit power, zero mean
     on each ring.  No named family has two rings."""
-    return Constellation(family="custom", order=6,
-                         ring_amps=np.sqrt([0.5, 2.0]),
-                         ring_counts=np.array([4, 2]),
+    return Constellation(family="custom", ring_amps=np.sqrt([0.5, 2.0]),
                          ring_index=np.array([0, 0, 0, 0, 1, 1]),
                          phases=np.r_[0.5 * np.pi * np.arange(4), 0.0, np.pi])
 

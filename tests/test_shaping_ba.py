@@ -24,6 +24,7 @@ from ofdmpcs import shaping_ba
 from ofdmpcs import (
     Constellation,
     Distribution,
+    ShapingResult,
     feasible_c0_range,
     make_constellation,
     moment,
@@ -183,9 +184,8 @@ class TestRingTables:
     def test_non_square_lattice_rejected(self):
         # a centre point and four at unit-power-ish radius: two rings, no
         # square lattice
-        c = Constellation(family="custom", order=5,
+        c = Constellation(family="custom",
                           ring_amps=np.array([0.0, np.sqrt(1.25)]),
-                          ring_counts=np.array([1, 4]),
                           ring_index=np.array([0, 1, 1, 1, 1]),
                           phases=np.r_[0.0, 0.5 * np.pi * np.arange(4)])
         with pytest.raises(ValueError, match="square QAM lattice"):
@@ -193,12 +193,23 @@ class TestRingTables:
         # 16 points on two rings, rotated off the lattice
         phases = np.r_[np.arange(8), np.arange(8) + 0.5] * np.pi / 4
         ring = np.repeat([0, 1], 8)
-        c = Constellation(family="apsk", order=16,
-                          ring_amps=np.sqrt([0.5, 1.5]),
-                          ring_counts=np.array([8, 8]), ring_index=ring,
-                          phases=phases)
+        c = Constellation(family="apsk", ring_amps=np.sqrt([0.5, 1.5]),
+                          ring_index=ring, phases=phases)
         with pytest.raises(ValueError, match="square QAM lattice"):
             run_mba(c, c0=1.25, noise_power=0.1)
+
+    @pytest.mark.parametrize("solve", ["optimal", "heuristic", "one-ring"])
+    def test_iterations_are_the_trace_length(self, qam16, psk8, solve):
+        # the count is read off the trace, so the two cannot disagree
+        res = {"optimal": lambda: run_mba(qam16, 1.2, 0.05),
+               "heuristic": lambda: solve_heuristic(qam16, 1.2),
+               "one-ring": lambda: run_mba(psk8, 1.0, 0.05)}[solve]()
+        assert res.iterations == len(res.trace)
+        assert (res.iterations > 0) == (solve == "optimal")
+        with pytest.raises(TypeError):
+            ShapingResult(c0=1.2, method="heuristic",
+                          distribution=res.distribution, converged=True,
+                          iterations=0)
 
     @pytest.mark.parametrize("family,order", [("psk", 8), ("qam", 4)])
     def test_one_ring_input_needs_no_integrals(self, monkeypatch, family,
