@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, Distribution, moment
+from .constellation import Constellation, Distribution, _check_ints, moment
 from .seeds import trial_seed
 
 
@@ -50,6 +50,7 @@ class OFDMConfig:
     n_symbols: int = 1
 
     def __post_init__(self):
+        _check_ints(self)
         if self.n_subcarriers < 1:
             raise ValueError("need at least one subcarrier")
         if self.n_symbols < 1:
@@ -256,17 +257,16 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
 
 
 def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
-             tau_axis, nu_axis, normalize: bool = True
-             ) -> tuple[np.ndarray, list[list[AFMoments]]]:
+             tau_axis, nu_axis) -> tuple[np.ndarray, list[list[AFMoments]]]:
     """Exact mean squared-magnitude AF over the data distribution, in dB.
 
     ``(values_db, moments)``: ``moments[i][j]`` is :func:`analytic_moments`
     at ``(tau_axis[i], nu_axis[j])`` and ``values_db[i, j]`` its
-    :attr:`AFMoments.mean_power` in dB.  It is :func:`average_af`'s surface
-    without sampling error.  No draws, so no seed.
+    :attr:`AFMoments.mean_power` in dB, the grid's peak at 0 dB.  It is
+    :func:`average_af`'s surface without sampling error.  No draws, no seed.
     """
     tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
     moments = [[analytic_moments(c, d, cfg, float(tau), float(nu))
                 for nu in nu_axis] for tau in tau_axis]
     mean_pow = np.array([[m.mean_power for m in row] for row in moments])
-    return _db(mean_pow, normalize), moments
+    return _db(mean_pow, True), moments

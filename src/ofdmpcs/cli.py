@@ -34,10 +34,10 @@ This module is the package's one boundary.  It alone turns INI keys into
 library objects, and it passes a key only when the config sets it, so a
 key left out takes the library's own default.  It alone writes artifacts,
 through one writer: every CSV value is ``{:.9g}``.  And it owns three
-decisions the library leaves to its caller.  It clamps out-of-range
-moment targets to the feasible range and says so on stderr (the solvers
-reject them).  It scores both solvers' inputs with one rate,
-:func:`.rates.rate_bits`.  And it builds the look-up table.
+decisions the library leaves to its caller.  It clamps every moment
+target into the feasible range, so an artifact's c0 is its solver's, and
+warns on stderr beyond rounding.  It scores both solvers' inputs with one
+rate, :func:`.rates.rate_bits`.  And it builds the look-up table.
 
 This module imports only the standard library; each command imports the
 layers it runs when it runs, so ``af`` or ``detect`` never loads the
@@ -209,16 +209,17 @@ def _csv(header: str, rows) -> str:
 
 
 def _clamp_c0(c: Constellation, c0: float) -> float:
-    from .shaping import feasible_c0_range
+    """``c0`` clamped into the feasible range, always, so the solver meets
+    it; stderr names a c0 more than ``C0_SLACK`` (rounding) outside."""
+    from .shaping import C0_SLACK, feasible_c0_range
 
     lo, hi = feasible_c0_range(c)
-    if c0 < lo - 1e-12 or c0 > hi + 1e-12:
-        clamped = float(min(max(c0, lo), hi))
+    clamped = float(min(max(c0, lo), hi))
+    if not lo - C0_SLACK <= c0 <= hi + C0_SLACK:
         print(f"warning: c0={c0:.9g} outside feasible range "
               f"[{lo:.9g}, {hi:.9g}]; clamped to {clamped:.9g}",
               file=sys.stderr)
-        return clamped
-    return float(c0)
+    return clamped
 
 
 def _shaped_distribution(c, cp, args) -> Distribution:
@@ -227,39 +228,40 @@ def _shaped_distribution(c, cp, args) -> Distribution:
 
     if args.c0 is None:
         return Distribution.uniform(c)
-    return _solve_one(c, cp, args.method, float(args.c0)).distribution
+    return _solve_one(c, cp, args.method, float(args.c0))[1].distribution
 
 
-def _solve_one(c, cp, method, c0) -> ShapingResult:
-    """One shaping solve at c0, clamped first.  Only ``run_mba`` reads
+def _solve_one(c, cp, method, c0) -> tuple[float, ShapingResult]:
+    """``(c0, result)``: one solve at c0 clamped.  Only ``run_mba`` reads
     ``[channel] sigma2`` (before the clamp); the heuristic loads no rates."""
     if method == "heuristic":
         from .shaping import solve_heuristic
 
-        return solve_heuristic(c, _clamp_c0(c, c0))
+        c0 = _clamp_c0(c, c0)
+        return c0, solve_heuristic(c, c0)
     from .shaping_ba import run_mba
 
     sigma2 = _sigma2(cp)
-    return run_mba(c, _clamp_c0(c, c0), sigma2,
-                   **_given(cp, "shaping",
-                            {"outer_tol": float, "max_outer": int}))
+    c0 = _clamp_c0(c, c0)
+    return c0, run_mba(c, c0, sigma2, **_given(
+        cp, "shaping", {"outer_tol": float, "max_outer": int}))
 
 
 def _scored(c, cp, method, c0s, sigma2) -> list:
-    """``(result, rate_bits)`` for each c0 of ``c0s``: one solve, scored
-    by :func:`.rates.rate_bits` whatever the method."""
+    """``(c0, result, rate_bits)`` for each c0 of ``c0s``: one solve at c0
+    clamped, scored by :func:`.rates.rate_bits` whatever the method."""
     from .rates import rate_bits
 
     solved = (_solve_one(c, cp, method, float(c0)) for c0 in c0s)
-    return [(res, rate_bits(c, res.distribution, sigma2)) for res in solved]
+    return [(c0, r, rate_bits(c, r.distribution, sigma2)) for c0, r in solved]
 
 
-def _lut_json(scored, sigma2) -> str:
-    """The look-up table: one entry per ``(result, rate_bits)``."""
-    return json.dumps([{"c0": res.c0, "sigma2": sigma2,
+def _lut_json(scored, sigma2, method) -> str:
+    """The look-up table: one entry per ``(c0, result, rate_bits)``."""
+    return json.dumps([{"c0": c0, "sigma2": sigma2,
                         "ring_mass": res.distribution.ring_mass.tolist(),
-                        "air_bits": air, "method": res.method}
-                       for res, air in scored], indent=2) + "\n"
+                        "air_bits": air, "method": method}
+                       for c0, res, air in scored], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +272,18 @@ def cmd_shape(cp, args) -> int:
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     c0 = args.c0 if args.c0 is not None else _get(cp, "shaping", "c0", float)
-    [(res, air)] = _scored(c, cp, args.method, [c0], sigma2)
+    [(c0, res, air)] = _scored(c, cp, args.method, [c0], sigma2)
     payload = {
-        "c0": res.c0,
+        "c0": c0,
         "lambda": None if res.multipliers is None else list(res.multipliers),
         "ring_mass": res.distribution.ring_mass.tolist(),
         "air_bits": air,
         "converged": bool(res.converged),
         "iters": int(res.iterations),
         "trace": [float(v) for v in res.trace]}
-    if res.method != "optimal":         # no multipliers; tagged instead
+    if args.method != "optimal":        # no multipliers; tagged instead
         del payload["lambda"]
-        payload["method"] = res.method
+        payload["method"] = args.method
     _write(_out_dir(cp, args), f"shape_{args.method}.json",
            json.dumps(payload, separators=(", ", ": ")) + "\n")
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
@@ -385,19 +387,18 @@ def cmd_detect(cp, args) -> int:
 def _c0_sweep(cp, c: Constellation) -> np.ndarray:
     import numpy as np
 
-    from .constellation import sorted_unique
-    from .shaping import feasible_c0_range
+    from .shaping import C0_SLACK, feasible_c0_range
 
     sweep = _ladder(cp, "shaping", "c0")
     lo, hi = feasible_c0_range(c)
-    if sweep[-1] < lo - 1e-9 or sweep[0] > hi + 1e-9:
+    if sweep[-1] < lo - C0_SLACK or sweep[0] > hi + C0_SLACK:
         raise ConfigError(f"c0 sweep [{sweep[0]:.9g}, {sweep[-1]:.9g}] has no "
                           f"overlap with the feasible range [{lo:.9g}, {hi:.9g}]")
     clamped = np.clip(sweep, lo, hi)
     if not np.array_equal(clamped, sweep):
         print(f"warning: c0 sweep clamped to feasible range [{lo:.9g}, {hi:.9g}]",
               file=sys.stderr)
-    return sorted_unique(clamped)
+    return clamped[np.append(True, np.diff(clamped) > 0)]    # it ascends
 
 
 def cmd_tradeoff(cp, args) -> int:
@@ -417,16 +418,16 @@ def cmd_tradeoff(cp, args) -> int:
     opt = _scored(c, cp, "optimal", sweep, sigma2)
     heur = _scored(c, cp, "heuristic", sweep, sigma2)
     rows = []
-    for (res, air), (_, air_heur) in zip(opt, heur):
+    for (c0, res, air), (_, _, air_heur) in zip(opt, heur):
         pd = pd_curve(replace(sc, distribution=res.distribution), [sc.snr_db],
-                      seed=derive_seed(seed, f"pd[{res.c0:.9g}]")).pd[0]
-        rows.append((res.c0, air, air_heur, pd, *res.distribution.ring_mass))
+                      seed=derive_seed(seed, f"pd[{c0:.9g}]")).pd[0]
+        rows.append((c0, air, air_heur, pd, *res.distribution.ring_mass))
 
     mass_cols = ",".join(f"mass_{w}" for w in range(c.n_rings))
     _write(out_dir, "tradeoff.csv",
            _csv(f"c0,air_optimal,air_heuristic,pd,{mass_cols}", rows))
-    _write(out_dir, "lut.json", _lut_json(opt, sigma2))
-    converged = all(res.converged for res, _ in opt + heur)
+    _write(out_dir, "lut.json", _lut_json(opt, sigma2, "optimal"))
+    converged = all(res.converged for _, res, _ in opt + heur)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
@@ -435,8 +436,8 @@ def cmd_lut_export(cp, args) -> int:
     c = _build_constellation(cp)
     sigma2 = _sigma2(cp)
     scored = _scored(c, cp, args.method, _c0_sweep(cp, c), sigma2)
-    _write(out_dir, "lut.json", _lut_json(scored, sigma2))
-    converged = all(res.converged for res, _ in scored)
+    _write(out_dir, "lut.json", _lut_json(scored, sigma2, args.method))
+    converged = all(res.converged for _, res, _ in scored)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 

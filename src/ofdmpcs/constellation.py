@@ -12,23 +12,33 @@ Conventions:
 * every point of ring ``w`` has amplitude exactly ``ring_amps[w]`` (the
   per-point amplitudes are built by indexing, so the equality is bitwise).
 * distributions are "ring-uniform": points within one ring share the same
-  probability.  :meth:`Distribution.uniform` and
-  :meth:`Distribution.from_ring_mass` build only such distributions.
+  probability.  :meth:`Distribution.from_ring_mass` builds every one of
+  them, the uniform input included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 CONSTRUCTION_TOL = 1e-12
 VALIDATION_TOL = 1e-9
+MASS_SLACK = 1e-12      # how far below zero a mass or probability may round
 # bounds every dB value read (SNRs, echo powers) and, as 10 ** (+-dB / 10),
 # every noise power: 10 ** (dB / 10) overflows past ~3080 dB
 MAX_ABS_DB = 3000.0
+
+
+def _check_ints(obj) -> None:
+    """``ValueError`` naming a dataclass field annotated ``int`` that holds
+    no integer: a float, even a whole one, is refused, not cut."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +70,9 @@ class Constellation:
             raise ValueError("ring amplitudes must be strictly increasing")
         if np.any(amps < 0):
             raise ValueError("ring amplitudes must be nonnegative")
-        index = np.asarray(self.ring_index, dtype=int)
+        index = np.asarray(self.ring_index)
+        if index.dtype.kind not in "iu":    # a float index is not cut
+            raise ValueError(f"ring_index must be integers, not {index.dtype}")
         phases = np.asarray(self.phases, dtype=float)
         if index.ndim != 1 or index.shape != phases.shape:
             raise ValueError(f"ring_index and phases must be 1-D and of one "
@@ -71,7 +83,7 @@ class Constellation:
                              f"{amps.size} rings, got {index.min()} to "
                              f"{index.max()}")
         object.__setattr__(self, "ring_amps", amps)
-        object.__setattr__(self, "ring_index", index)
+        object.__setattr__(self, "ring_index", index.astype(int))
         object.__setattr__(self, "phases", phases)
         counts = self.ring_counts
         if not counts.all():
@@ -122,26 +134,14 @@ class Constellation:
         return points
 
 
-def sorted_unique(a) -> np.ndarray:
-    """The sorted distinct values of ``a`` (no NaNs): ``np.unique``'s bytes.
-
-    Sort, then keep each value that differs from its predecessor.  numpy 2's
-    ``np.unique`` imports ``numpy.ma`` on its first call, which costs a
-    process ~20 ms and ~1 MB for a module nothing else here uses.
-    """
-    s = np.sort(np.ravel(a))
-    keep = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
 def make_constellation(family: str, order: int) -> Constellation:
     """Build a named constellation.
 
     ``psk``: any order >= 2, all points on the unit circle.
     ``qam``: perfect-square order >= 4, square I/Q lattice on odd integers,
     scaled to unit mean power.  Points are grouped into rings by squared
-    lattice radius (an exact integer), so ring membership is exact.
+    lattice radius (an exact integer), so ring membership is exact; the
+    rings are ``np.bincount``'s nonzero bins (``np.unique`` loads numpy.ma).
     """
     family = family.lower()
     if family == "psk":
@@ -160,10 +160,9 @@ def make_constellation(family: str, order: int) -> Constellation:
         ii, qq = ii.ravel(), qq.ravel()
         r2 = ii * ii + qq * qq                        # exact integer radii
         norm2 = int(r2.sum()) / order                 # mean squared radius
-        uniq = sorted_unique(r2)
-        ring_of = {int(v): w for w, v in enumerate(uniq)}
-        ring_index = np.array([ring_of[int(v)] for v in r2])
-        ring_amps = np.sqrt(uniq / norm2)
+        held = np.bincount(r2) > 0
+        ring_index = (np.cumsum(held) - 1)[r2]   # how many smaller radii occur
+        ring_amps = np.sqrt(np.flatnonzero(held) / norm2)
         phases = np.arctan2(qq, ii)
         order_key = np.lexsort((phases, ring_index))  # group points by ring
         return Constellation(family="qam", ring_amps=ring_amps,
@@ -190,9 +189,8 @@ class Distribution:
 
     @classmethod
     def uniform(cls, c: Constellation) -> "Distribution":
-        per_point = np.full(c.order, 1.0 / c.order)
-        return cls(per_point=per_point,
-                   ring_mass=c.ring_counts / float(c.order))
+        """Every point equally likely: ring masses ``count_w / Q``."""
+        return cls.from_ring_mass(c, c.ring_counts / float(c.order))
 
     @classmethod
     def from_ring_mass(cls, c: Constellation, masses) -> "Distribution":
@@ -201,7 +199,7 @@ class Distribution:
         if masses.shape != (c.n_rings,):
             raise ValueError(f"expected {c.n_rings} ring masses, "
                              f"got shape {masses.shape}")
-        if np.any(masses < -1e-12):
+        if np.any(masses < -MASS_SLACK):
             raise ValueError("ring masses must be nonnegative")
         total = float(masses.sum())
         if not abs(total - 1.0) <= VALIDATION_TOL:     # NaN fails too
@@ -214,7 +212,7 @@ class Distribution:
     def cdf(self) -> np.ndarray:
         """Cumulative per-point probabilities, the table :meth:`draw` searches.
 
-        Clips the -1e-12 negative slack that construction tolerates and
+        Clips the ``MASS_SLACK`` below zero that construction tolerates and
         renormalizes, then accumulates exactly as ``Generator.choice(p=...)``
         does.  Built once per distribution.  A non-finite entry, a negative
         one beyond the slack, or an all-zero vector raises ``ValueError``,
@@ -222,7 +220,7 @@ class Distribution:
         """
         p = np.asarray(self.per_point, dtype=float)
         total = p.sum()
-        if not (np.isfinite(total) and total > 0) or np.any(p < -1e-12):
+        if not (np.isfinite(total) and total > 0) or np.any(p < -MASS_SLACK):
             raise ValueError("symbol probabilities must be finite and "
                              "nonnegative with a positive sum")
         p = np.maximum(p, 0.0)

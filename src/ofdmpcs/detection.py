@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import OFDMConfig
-from .constellation import MAX_ABS_DB, Constellation, Distribution
+from .constellation import MAX_ABS_DB, Constellation, Distribution, _check_ints
 from .seeds import derive_seed
 
 WILSON_Z95 = 1.959963984540054
@@ -73,6 +73,7 @@ class DetectionScenario:
     guard_cells: int = 2
 
     def __post_init__(self):
+        _check_ints(self)
         c, d = self.constellation, self.distribution
         if (d.per_point.size, d.ring_mass.size) != (c.order, c.n_rings):
             raise ValueError(f"the distribution does not fit a {c.order}-"
@@ -286,8 +287,9 @@ def calibrate_so_cfar(sc: DetectionScenario, n_cal: int | None = None,
 # detection-probability curves
 
 
-def wilson_interval(hits: int, n: int, z: float = WILSON_Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int):
+    """95 % Wilson score interval (``WILSON_Z95``) for ``hits`` of ``n``."""
+    z = WILSON_Z95
     p_hat = hits / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import CONSTRUCTION_TOL, Constellation, Distribution
+from .constellation import (CONSTRUCTION_TOL, MASS_SLACK, Constellation,
+                            Distribution)
 
 RESIDUAL_TOL = 1e-10
-MASS_SLACK = 1e-12
 C0_SLACK = 1e-9      # how far outside the feasible range a target may stray
 
 
@@ -52,18 +52,17 @@ class ShapingResult:
     """Outcome of a shaping solve (heuristic or rate-optimal).
 
     The ring masses of ``distribution`` come from
-    :func:`match_ring_masses`, so they meet the three moment rows to
-    ``RESIDUAL_TOL`` whatever ``converged`` says.  ``converged`` is the
-    matcher's guarantee for the heuristic, one match, and the outer stop
-    rule for the optimal method.  ``multipliers`` and a meaningful
-    ``trace`` exist only for the optimal method, and ``multipliers`` is
-    ``None`` at an endpoint of the feasible range, where they diverge.  No
-    rate is carried: scoring an input by its rate is the caller's decision.
+    :func:`match_ring_masses`, so they meet the three moment rows at
+    ``snap_c0(c, c0)`` to ``RESIDUAL_TOL`` whatever ``converged`` says.
+    ``converged`` is the matcher's guarantee for the heuristic, one match,
+    and the outer stop rule for the optimal method.  ``multipliers`` and a
+    meaningful ``trace`` exist only for the optimal method, and
+    ``multipliers`` is ``None`` at an endpoint of the feasible range, where
+    they diverge.  Only what the solver computed is kept: the c0 and the
+    method are the caller's arguments, and the rate its decision.
     ``iterations`` is ``len(trace)``: 0 for the heuristic and one ring.
     """
 
-    c0: float
-    method: str                    # "heuristic" | "optimal"
     distribution: Distribution
     converged: bool
     multipliers: tuple[float, float] | None = None
@@ -339,5 +338,5 @@ def solve_heuristic(c: Constellation, c0: float) -> ShapingResult:
                                     snap_c0(c, c0))
     if lam is None:                     # the vertex: its loads sum to 1 +- ulp
         masses = masses / masses.sum()
-    return ShapingResult(c0=float(c0), method="heuristic", converged=True,
+    return ShapingResult(converged=True,
                          distribution=Distribution.from_ring_mass(c, masses))

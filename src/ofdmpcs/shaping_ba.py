@@ -62,7 +62,7 @@ def run_mba(c: Constellation, c0: float, noise_power: float,
         raise ValueError(f"outer_tol must be nonnegative, got {outer_tol!r}")
     target = snap_c0(c, c0)
     if c.n_rings == 1:
-        return ShapingResult(c0=float(c0), method="optimal", converged=True,
+        return ShapingResult(converged=True,
                              distribution=Distribution.uniform(c))
     lat = _lattice(c, noise_power)
 
@@ -95,7 +95,6 @@ def run_mba(c: Constellation, c0: float, noise_power: float,
 
     mass = mass / mass.sum()
     return ShapingResult(
-        c0=float(c0), method="optimal", converged=converged,
-        distribution=Distribution.from_ring_mass(c, mass),
+        converged=converged, distribution=Distribution.from_ring_mass(c, mass),
         multipliers=None if lam is None else (float(lam[0]), float(lam[1])),
         trace=trace)

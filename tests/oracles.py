@@ -5,7 +5,10 @@ Imported as ``oracles``: pytest puts ``tests/`` (no ``__init__.py``) on
 the one ``ambiguity.average_af`` averages, in the same units (T_p = 1).
 The mutual information is a Gauss-Hermite product rule over the complex
 noise, and the shaper's channel integrals are evaluated point by point on
-the shaper's own trapezoidal nodes, with direct distances.
+the shaper's own trapezoidal nodes, with direct distances.  The feasible
+fourth moments are enumerated vertex by vertex, and a draw is checked
+against ``Generator.choice`` on the probabilities it used to be handed.
+Each reference is written here once, and every test file imports it.
 """
 from __future__ import annotations
 
@@ -48,6 +51,48 @@ def af_realizations(c, d, cfg, tau: float, nu: float, n_mc: int,
     return np.sum(X * (np.conj(X) @ K.T), axis=1)
 
 
+def choice_probs(d) -> np.ndarray:
+    """The probabilities the draw sites handed to ``Generator.choice``
+    before ``Distribution.draw``: ``per_point`` clipped at 0, renormalized."""
+    p = np.maximum(np.asarray(d.per_point, dtype=float), 0.0)
+    return p / p.sum()
+
+
+def vertex_values(c) -> list[tuple[float, np.ndarray]]:
+    """``(fourth moment, ring masses)`` at every vertex of {m >= 0,
+    sum m = 1, sum m A^2 = 1}.
+
+    With two equality constraints a vertex has at most two positive ring
+    masses: either one ring of exactly unit power, or a pair bracketing it
+    with the unique convex weights solving the power constraint.  The min
+    and max over vertices bound the feasible fourth-moment interval, an
+    enumeration wholly independent of the production solves.
+    """
+    a2 = c.ring_amps ** 2
+    a4 = a2 ** 2
+    out = []
+    for i in range(a2.size):
+        if abs(a2[i] - 1.0) <= 1e-12:
+            m = np.zeros(a2.size)
+            m[i] = 1.0
+            out.append((float(a4[i]), m))
+        for j in range(i + 1, a2.size):
+            den = a2[i] - a2[j]
+            if den == 0.0:
+                continue
+            pi = (1.0 - a2[j]) / den
+            if -1e-12 <= pi <= 1.0 + 1e-12:
+                m = np.zeros(a2.size)
+                m[i], m[j] = pi, 1.0 - pi
+                out.append((float(pi * a4[i] + (1.0 - pi) * a4[j]), m))
+    return out
+
+
+def noise_only(sc):
+    """``sc`` with both echoes off, as calibration draws it: noise alone."""
+    return replace(sc, snr_db=-math.inf, si_to_noise_db=-math.inf)
+
+
 def entropy_bits(d) -> float:
     """Shannon entropy of the per-point distribution, in bits."""
     p = np.asarray(d.per_point, dtype=float)
@@ -60,10 +105,9 @@ def empirical_false_alarm_rate(sc, alpha: float, n_cells: int,
     """Fresh noise-only run: fraction of cells crossing alpha * statistic."""
     length = sc.cfg.n_subcarriers
     n_rows = int(np.ceil(n_cells / length))
-    noise_only = replace(sc, snr_db=-math.inf, si_to_noise_db=-math.inf)
     rng = np.random.default_rng(derive_seed(seed, "cfar-evaluation"))
     crossings = sum(int(np.count_nonzero(power / stat > alpha))
-                    for power, stat in _blocks(noise_only, rng, n_rows))
+                    for power, stat in _blocks(noise_only(sc), rng, n_rows))
     return crossings / (n_rows * length)
 
 

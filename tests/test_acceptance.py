@@ -22,7 +22,7 @@ from ofdmpcs.seeds import derive_seed
 from ofdmpcs.shaping import (_moment_dual, feasible_c0_range,
                              match_ring_masses, solve_heuristic)
 from ofdmpcs.shaping_ba import run_mba
-from oracles import af_realizations
+from oracles import af_realizations, vertex_values
 
 QAM16 = make_constellation("qam", 16)
 QAM64 = make_constellation("qam", 64)
@@ -51,34 +51,9 @@ def test_criterion_01_fourth_moment_endpoints(announce):
     assert m64 == pytest.approx(1.3805, abs=1e-3)
 
 
-def _vertex_fourth_moments(c):
-    """Fourth moments at every vertex of {p >= 0, sum p = 1, sum p A^2 = 1}.
-
-    With two equality constraints a vertex has at most two positive ring
-    masses: either one ring of exactly unit power, or a pair bracketing it
-    with the unique convex weights solving the power constraint.  The min
-    and max over vertices bound the feasible fourth-moment interval — an
-    enumeration wholly independent of the production linear programs.
-    """
-    a2 = c.ring_amps ** 2
-    a4 = a2 ** 2
-    values = []
-    for i in range(a2.size):
-        if abs(a2[i] - 1.0) <= 1e-12:
-            values.append(float(a4[i]))
-        for j in range(i + 1, a2.size):
-            den = a2[i] - a2[j]
-            if den == 0.0:
-                continue
-            pi = (1.0 - a2[j]) / den
-            if -1e-12 <= pi <= 1.0 + 1e-12:
-                values.append(float(pi * a4[i] + (1.0 - pi) * a4[j]))
-    return np.asarray(values)
-
-
 def test_criterion_02_feasible_range_lower_endpoint(announce):
     lo, hi = feasible_c0_range(QAM64)
-    oracle = _vertex_fourth_moments(QAM64)
+    oracle = np.array([value for value, _ in vertex_values(QAM64)])
     mass = solve_heuristic(QAM64, lo).distribution.ring_mass
     loaded = np.flatnonzero(mass > 1e-9)
     # 64-QAM squared ring amplitudes are integers over the power scale 42

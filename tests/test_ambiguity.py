@@ -310,7 +310,7 @@ class TestExactSurface:
         taus = [0.05, 0.2, 0.45] + ([1.3] if n_symbols == 2 else [])
         nus = [0.0, 0.3]
         n, seed = 2000, 606
-        exact, _ = exact_af(c, d, cfg, taus, nus, normalize=False)
+        _, moments = exact_af(c, d, cfg, taus, nus)
         mc = average_af(c, d, cfg, taus, nus, n_mc=n, seed=seed,
                         normalize=False)
         for i, tau in enumerate(taus):
@@ -318,21 +318,23 @@ class TestExactSurface:
                 power = np.abs(af_realizations(c, d, cfg, tau, nu, n,
                                                seed)) ** 2
                 se = np.std(power) / np.sqrt(n)
-                got = 10.0 ** (exact[i, j] / 10.0)
+                got = moments[i][j].mean_power
                 want = 10.0 ** (mc[i, j] / 10.0)
                 assert want == pytest.approx(np.mean(power), rel=1e-9)
                 assert abs(got - want) <= 4 * se, (tau, nu, got, want, se)
 
     def test_grid_cells_are_moment_mean_power(self, qam16, uniform16, ofdm8):
+        # in dB relative to the grid's largest mean power, bit for bit
         taus, nus = [0.0, 0.25, 1.0], [0.0, 0.5]
-        grid, moments = exact_af(qam16, uniform16, ofdm8, taus, nus,
-                                 normalize=False)
+        grid, moments = exact_af(qam16, uniform16, ofdm8, taus, nus)
+        peak = max(m.mean_power for row in moments for m in row)
         for i, tau in enumerate(taus):
             for j, nu in enumerate(nus):
                 mom = analytic_moments(qam16, uniform16, ofdm8, tau, nu)
                 assert moments[i][j] == mom
                 with np.errstate(divide="ignore"):
-                    assert grid[i, j] == 10.0 * np.log10(mom.mean_power)
+                    assert grid[i, j] == 10.0 * np.log10(mom.mean_power
+                                                         / peak)
         assert grid[2, 0] == -np.inf      # no overlap at one T_p
 
     def test_peak_normalized_at_origin(self, qam16, uniform16, ofdm8):
@@ -426,3 +428,16 @@ class TestConfigValidation:
             OFDMConfig(n_subcarriers=0)
         with pytest.raises(ValueError):
             OFDMConfig(n_subcarriers=4, n_symbols=0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"n_subcarriers": 16.5}, "n_subcarriers"),
+        ({"n_subcarriers": 16.0}, "n_subcarriers"),
+        ({"n_subcarriers": 16, "n_symbols": 2.0}, "n_symbols")])
+    def test_non_integer_counts_rejected(self, kwargs, field):
+        # 16.5 subcarriers used to be accepted and fail later in an index
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OFDMConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = OFDMConfig(n_subcarriers=np.int64(16), n_symbols=np.uint8(2))
+        assert cfg.n_subcarriers == 16 and cfg.n_symbols == 2

@@ -587,6 +587,26 @@ class TestShape:
         parsed = json.loads((out / "shape_heuristic.json").read_text())
         np.testing.assert_allclose(parsed["ring_mass"], [0.5, 0.0, 0.5], atol=1e-8)
 
+    @pytest.mark.parametrize("method", ["heuristic", "optimal"])
+    @pytest.mark.parametrize("end,offset", [("hi", 5e-13), ("hi", 5e-10),
+                                            ("lo", -5e-10)])
+    def test_c0_within_rounding_is_clamped_silently(self, config, tmp_path,
+                                                    capsys, method, end,
+                                                    offset):
+        # the artifact names the c0 the solver met: a c0 at most 1e-12
+        # outside used to be written as given, unclamped, and one between
+        # 1e-12 and C0_SLACK outside printed a warning
+        lo, hi = shaping.feasible_c0_range(cli._build_constellation(
+            cli._load_config(str(config))))
+        edge = {"lo": lo, "hi": hi}[end]
+        out = tmp_path / "c"
+        assert run_cli("shape", "--config", str(config), "--method", method,
+                       "--c0", repr(edge + offset), "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        parsed = json.loads((out / f"shape_{method}.json").read_text())
+        assert parsed["c0"] == edge
+        assert parsed.get("method", "optimal") == method
+
 
 class TestAir:
     def test_rate_curve_artifact(self, config, tmp_path):
@@ -719,6 +739,27 @@ class TestTradeoff:
         assert len(lut) == 1
         assert lut[0]["ring_mass"] == shape["ring_mass"]
         assert lut[0]["air_bits"] == shape["air_bits"]
+
+    def test_clipped_sweep_repeats_no_c0(self, config, tmp_path, capsys):
+        # clipping piles the ends onto the range's endpoints; each c0 is
+        # solved and written once, in ascending order
+        wide = tmp_path / "wide.ini"
+        wide.write_text(BASE_CONFIG
+                        .replace("c0_min = 1.0", "c0_min = 0.6")
+                        .replace("c0_max = 1.32", "c0_max = 2.0")
+                        .replace("c0_step = 0.16", "c0_step = 0.2"))
+        out = tmp_path / "w"
+        assert run_cli("lut-export", "--config", str(wide), "--method",
+                       "heuristic", "--out", str(out)) == EXIT_OK
+        assert "clamped" in capsys.readouterr().err
+        lut = json.loads((out / "lut.json").read_text())
+        lo, hi = shaping.feasible_c0_range(cli._build_constellation(
+            cli._load_config(str(wide))))
+        want = np.unique(np.clip(np.round(np.arange(0.6, 2.1, 0.2), 10),
+                                 lo, hi))
+        assert [e["c0"] for e in lut] == want.tolist()
+        assert [e["c0"] for e in lut] == [lo, 1.2, 1.4, 1.6, hi]
+        assert all(e["method"] == "heuristic" for e in lut)
 
     def test_overlapping_sweep_is_clipped_with_warning(self, config, tmp_path, capsys):
         wide = tmp_path / "wide.ini"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmpcs import Constellation, Distribution, make_constellation, moment
+from oracles import choice_probs
 
 
 def per_point_distribution(c, p) -> Distribution:
@@ -84,6 +85,19 @@ class TestQamGeometry:
         assert moment(c, d, 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [4, 16, 36, 64, 100, 144, 256, 1024])
+def test_qam_rings_are_the_distinct_squared_radii(order):
+    # the rings come from bincount's nonzero bins; np.unique of the integer
+    # squared radii is the reference, in the points' own order
+    c = make_constellation("qam", order)
+    norm2 = 2.0 * (order - 1) / 3.0       # mean squared odd-integer radius
+    r2 = np.rint(np.abs(c.points) ** 2 * norm2).astype(int)
+    radii, inverse = np.unique(r2, return_inverse=True)
+    np.testing.assert_array_equal(c.ring_index, inverse)
+    np.testing.assert_allclose(c.ring_amps ** 2, radii / norm2, rtol=1e-14)
+    assert np.all(np.diff(c.ring_index) >= 0)        # grouped by ring
+
+
 class TestConstructor:
     @pytest.mark.parametrize("family,order", [
         ("psk", 2), ("psk", 3), ("psk", 8), ("psk", 64), ("qam", 4),
@@ -138,6 +152,21 @@ class TestConstructor:
             c.ring_counts[0] = 0
         with pytest.raises(AttributeError):
             c.order = order + 1
+
+    @pytest.mark.parametrize("ring_index", [[0.9, 0.2], [0.0, 0.0],
+                                            [True, False]],
+                             ids=["fractional", "whole-floats", "booleans"])
+    def test_non_integer_index_rejected(self, ring_index):
+        # a float index used to be cut to [0, 0] and accepted
+        with pytest.raises(ValueError, match="ring_index must be integers"):
+            Constellation(family="x", ring_amps=[1.0], ring_index=ring_index,
+                          phases=[0.0, np.pi])
+
+    def test_unsigned_index_accepted(self):
+        c = Constellation(family="x", ring_amps=[1.0],
+                          ring_index=np.zeros(2, dtype=np.uint8),
+                          phases=[0.0, np.pi])
+        assert c.ring_index.dtype == int and c.ring_counts.tolist() == [2]
 
     def test_ring_without_a_point_rejected(self):
         # ring 1 of three is named by no point
@@ -196,6 +225,17 @@ class TestDistribution:
         np.testing.assert_allclose(uniform16.ring_mass, qam16.ring_counts / 16)
         np.testing.assert_allclose(uniform16.per_point, np.full(16, 1 / 16))
 
+    @pytest.mark.parametrize("family,orders", [
+        ("psk", range(2, 70)), ("qam", [4, 16, 36, 64, 100, 144, 256, 1024])])
+    def test_uniform_is_exactly_one_over_q(self, family, orders):
+        # built by from_ring_mass as count_w / Q spread over count_w points,
+        # which rounds to 1 / Q bit for bit
+        for order in orders:
+            c = make_constellation(family, order)
+            d = Distribution.uniform(c)
+            assert d.per_point.tobytes() == np.full(order, 1.0 / order).tobytes()
+            assert d.ring_mass.tobytes() == (c.ring_counts / float(order)).tobytes()
+
     def test_expand_ring_mass_splits_equally(self, qam16):
         d = Distribution.from_ring_mass(qam16, [0.5, 0.25, 0.25])
         for w, amp in enumerate(qam16.ring_amps):
@@ -212,12 +252,6 @@ class TestDistribution:
             Distribution.from_ring_mass(qam16, [1.2, -0.2, 0.0])
         with pytest.raises(ValueError):     # NaN compared false with the tol
             Distribution.from_ring_mass(qam16, [np.nan, 0.5, 0.5])
-
-
-def choice_probs(d):
-    """What the draw sites handed to ``Generator.choice`` before ``draw``."""
-    p = np.maximum(np.asarray(d.per_point, dtype=float), 0.0)
-    return p / p.sum()
 
 
 class TestDraw:

@@ -21,26 +21,25 @@ from ofdmpcs import (
     DetectionScenario,
     Distribution,
     OFDMConfig,
+    analytic_moments,
     calibrate_so_cfar,
     derive_seed,
     detection,
     detection_probability,
     make_constellation,
+    moment,
     pd_curve,
+    solve_heuristic,
     wilson_interval,
 )
 from ofdmpcs.detection import DEFAULT_CAL_FACTOR
-from oracles import empirical_false_alarm_rate
+from oracles import choice_probs, empirical_false_alarm_rate, noise_only
 
 
 @pytest.fixture
 def uniform_scenario(qam64, uniform64, ofdm64):
     return DetectionScenario(qam64, uniform64, ofdm64, snr_db=14.0, p_fa=1e-2,
                              n_trials=400)
-
-
-def noise_only(sc):
-    return replace(sc, snr_db=float("-inf"), si_to_noise_db=float("-inf"))
 
 
 def profile(sc, seed):
@@ -98,6 +97,20 @@ class TestScenarioValidation:
                          np.arange(4) / 4 + 0.125] * 2 * np.pi)
         DetectionScenario(apsk, Distribution.uniform(qam16), ofdm64)
 
+    @pytest.mark.parametrize("field,value", [
+        ("target_cell", 8.5), ("si_cell", 0.0), ("n_trials", 100.5),
+        ("ref_cells", 16.0), ("guard_cells", 2.0)])
+    def test_non_integer_counts_rejected(self, qam64, uniform64, ofdm64,
+                                         field, value):
+        # each used to be accepted and fail later, in an index or a range
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DetectionScenario(qam64, uniform64, ofdm64, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self, qam64, uniform64, ofdm64):
+        sc = DetectionScenario(qam64, uniform64, ofdm64,
+                               target_cell=np.int64(8), n_trials=np.int32(50))
+        assert sc.target_cell == 8 and sc.n_trials == 50
+
     @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
     @pytest.mark.parametrize("db", [float("nan"), float("inf"), 3000.5,
                                     -3000.5, 4000.0])
@@ -154,6 +167,44 @@ class TestRangeProfile:
                              for t in range(300)])
         assert qam_level > 2.0 * psk_level
         assert psk_level == pytest.approx(64.0, rel=0.1)
+
+
+class TestSidelobeLaw:
+    """The paper's mechanism inside the simulator: with the target on and
+    SI off, an off-target cell's mean power is L + SNR (E|x|^4 - 1) and the
+    target cell's SNR L + SNR (E|x|^4 - 1) + L.  The fourth-moment term is
+    SNR / L times the self-term variance of :func:`analytic_moments` at zero
+    delay and Doppler, so it ties detection to the AF theory."""
+
+    L, SNR_DB, ROWS, BLOCK, CELL = 64, 20.0, 20_000, 2_000, 8
+
+    @pytest.mark.parametrize("case", ["16qam-uniform", "64qam-uniform",
+                                      "16qam-heuristic-1.2", "8psk"])
+    def test_mean_powers_follow_the_fourth_moment(self, case, qam16, qam64,
+                                                  psk8, ofdm64):
+        c = {"16qam": qam16, "64qam": qam64, "8psk": psk8}[case.split("-")[0]]
+        d = (solve_heuristic(c, 1.2).distribution if "heuristic" in case
+             else Distribution.uniform(c))
+        sc = DetectionScenario(c, d, ofdm64, snr_db=self.SNR_DB,
+                               si_to_noise_db=float("-inf"),
+                               target_cell=self.CELL)
+        snr, L = 10.0 ** (self.SNR_DB / 10.0), self.L
+        floor = snr * (moment(c, d, 4) - 1.0)
+        var_self = analytic_moments(c, d, ofdm64, 0.0, 0.0).var_self
+        assert floor == pytest.approx(snr / L * var_self, rel=1e-12, abs=1e-9)
+
+        rng = np.random.default_rng(5)
+        on, off = [], []
+        for _ in range(self.ROWS // self.BLOCK):
+            p = detection._profiles(*detection._draw_rows(sc, rng, self.BLOCK))
+            on.append(p[:, self.CELL])
+            off.append((p.sum(axis=1) - p[:, self.CELL]) / (L - 1))
+        # one value per row: the rows are independent, the cells of a row
+        # are not
+        for rows, want in ((np.concatenate(off), L + floor),
+                           (np.concatenate(on), snr * L + floor + L)):
+            se = np.std(rows, ddof=1) / np.sqrt(rows.size)
+            assert abs(np.mean(rows) - want) <= 4.0 * se, (case, want, se)
 
 
 class TestSoCfar:
@@ -304,11 +355,6 @@ class TestPdCurve:
 # matched-filter product as conj(x) * y, at every block size.
 
 
-def oracle_probs(sc):
-    p = np.maximum(np.asarray(sc.distribution.per_point, dtype=float), 0.0)
-    return p / p.sum()
-
-
 def oracle_rows(sc, rng, rows):
     """``rows`` range profiles from ``rng``: symbols, SI phases, target
     phases and the noise, each one call over the rows; the noise is one
@@ -316,7 +362,7 @@ def oracle_rows(sc, rng, rows):
     length = sc.cfg.n_subcarriers
     x = sc.constellation.points[rng.choice(sc.constellation.order,
                                            size=(rows, length),
-                                           p=oracle_probs(sc))]
+                                           p=choice_probs(sc.distribution))]
     si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
     si_u = rng.uniform(size=rows) if si_lin > 0.0 else None

@@ -10,14 +10,17 @@ of another class, where an attribute read could not tell which one it
 calls; ``ofdmpcs.__all__`` is exactly the lazy names, each resolving; every
 dataclass is frozen; every ``derive_seed`` purpose has one call site; only
 ``cli.py`` opens a file; no module references ``linalg`` or sets a warning
-filter; detection makes its generators only where calibration and P_d open
-their streams; neither shaper, nor the rate quadrature function by
+filter; no result dataclass (``ShapingResult``, ``PdCurve``,
+``MIEstimate``, ``AFMoments``) has a field named like a parameter of a
+function annotated to return it; detection makes its generators only where
+calibration and P_d open their streams; neither shaper, nor the rate quadrature function by
 function, references a random generator or a seed; and the dB limit is one
 literal, ``constellation.MAX_ABS_DB``.  A deleted code path leaves no orphaned helper,
 dangling import or uncalled public function behind, no two code paths share
 a random stream by accident, artifacts have one writer, the shapers'
 closed-form solves stay off LAPACK, and a shaped input and its rate are
-functions of the config alone.
+functions of the config alone, and a result holds what was computed,
+never a copy of its caller's input that could disagree with it.
 """
 from __future__ import annotations
 
@@ -259,6 +262,45 @@ def test_no_warning_filters(path):
                   getattr(node.func, "attr", None)}
              & {"filterwarnings", "simplefilter"}]
     assert not calls, f"{path.name} sets a warning filter at lines {calls}"
+
+
+def annotation_names(expr: ast.expr | None) -> set[str]:
+    """The names an annotation mentions, bare, dotted or quoted."""
+    if expr is None:
+        return set()
+    return referenced_names(expr) | {
+        node.value for node in ast.walk(expr)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def parameter_names(func: ast.FunctionDef) -> set[str]:
+    args = func.args
+    return {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                *args.kwonlyargs, args.vararg, args.kwarg)
+            if arg is not None}
+
+
+@pytest.mark.parametrize("result", ["ShapingResult", "PdCurve", "MIEstimate",
+                                    "AFMoments"])
+def test_results_store_no_argument_of_their_producer(result):
+    # a result keeps what its producer computed; the producer's arguments
+    # stay with the caller, where a stored copy cannot disagree with the
+    # result (ShapingResult.c0 held the c0 asked for, not the snapped c0
+    # its masses meet)
+    fields, producers = set(), {}
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ClassDef) and node.name == result:
+                fields = {sub.target.id for sub in node.body
+                          if isinstance(sub, ast.AnnAssign)
+                          and isinstance(sub.target, ast.Name)}
+            elif (isinstance(node, ast.FunctionDef)
+                  and result in annotation_names(node.returns)):
+                producers[f"{path.name}:{node.name}"] = parameter_names(node)
+    assert fields and producers, f"{result}: no fields or no producer found"
+    shared = {name: sorted(params & fields)
+              for name, params in producers.items() if params & fields}
+    assert not shared, f"{result} fields copy producer arguments: {shared}"
 
 
 def test_detection_opens_one_stream_per_purpose():

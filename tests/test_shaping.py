@@ -28,7 +28,7 @@ from ofdmpcs import (
 from ofdmpcs.rates import ChannelSpec, mutual_information
 from ofdmpcs.shaping import (C0_SLACK, RESIDUAL_TOL, _lp_match,
                               _newton_step, _support_loads, match_ring_masses)
-from oracles import entropy_bits
+from oracles import entropy_bits, vertex_values
 
 
 def _optimal(c, c0):
@@ -44,29 +44,6 @@ def moment_rows(c, c0):
     masses: (A**4, A**2, 1) against (c0, 1, 1)."""
     a2 = c.ring_amps ** 2
     return np.vstack([a2 ** 2, a2, np.ones_like(a2)]), np.array([c0, 1.0, 1.0])
-
-
-def vertex_values(c):
-    """All (value, masses) of extreme points of the power-constrained simplex."""
-    a2 = c.ring_amps**2
-    a4 = c.ring_amps**4
-    w = len(a2)
-    out = []
-    for i in range(w):
-        if abs(a2[i] - 1.0) < 1e-12:
-            m = np.zeros(w)
-            m[i] = 1.0
-            out.append((a4[i], m))
-    for i in range(w):
-        for j in range(i + 1, w):
-            if abs(a2[i] - a2[j]) < 1e-15:
-                continue
-            pi = (1.0 - a2[j]) / (a2[i] - a2[j])
-            if -1e-12 <= pi <= 1 + 1e-12:
-                m = np.zeros(w)
-                m[i], m[j] = pi, 1.0 - pi
-                out.append((float(a4[i] * pi + a4[j] * (1 - pi)), m))
-    return out
 
 
 class TestFeasibleRange:
@@ -209,12 +186,12 @@ class TestEndpoints:
         assert value == pytest.approx(c0, abs=1e-12)
         cfg = dict(c0=c0, noise_power=0.01)
         results = (solve_heuristic(c, c0), run_mba(c, **cfg))
-        for r in results:
-            assert r.converged, r.method
-            assert abs(moment(c, r.distribution, 4) - c0) <= 1e-10, r.method
+        for method, r in zip(("heuristic", "optimal"), results):
+            assert r.converged, method
+            assert abs(moment(c, r.distribution, 4) - c0) <= 1e-10, method
             np.testing.assert_allclose(r.distribution.ring_mass, oracle, rtol=0, atol=1e-10)
             # rings the vertex does not load carry no rounding residue
-            assert np.all(r.distribution.ring_mass[oracle == 0] == 0.0), r.method
+            assert np.all(r.distribution.ring_mass[oracle == 0] == 0.0), method
         # both renormalise the vertex the same way: the 16-QAM lower
         # endpoint's ring 1 reads 1.0 in both, not 1 - 2**-52 in one
         heuristic, optimal = results

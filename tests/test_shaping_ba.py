@@ -206,10 +206,21 @@ class TestRingTables:
                "one-ring": lambda: run_mba(psk8, 1.0, 0.05)}[solve]()
         assert res.iterations == len(res.trace)
         assert (res.iterations > 0) == (solve == "optimal")
-        with pytest.raises(TypeError):
-            ShapingResult(c0=1.2, method="heuristic",
-                          distribution=res.distribution, converged=True,
+        with pytest.raises(TypeError, match="iterations"):
+            ShapingResult(distribution=res.distribution, converged=True,
                           iterations=0)
+
+    @pytest.mark.parametrize("solve", ["optimal", "heuristic"])
+    @pytest.mark.parametrize("arg", ["c0", "method"])
+    def test_result_stores_no_argument_of_the_caller(self, qam16, solve, arg):
+        # the c0 and the method are the caller's: a stored copy of the c0
+        # asked for used to disagree with the snapped c0 the masses meet
+        res = {"optimal": lambda: run_mba(qam16, 1.2, 0.05),
+               "heuristic": lambda: solve_heuristic(qam16, 1.2)}[solve]()
+        assert not hasattr(res, arg)
+        with pytest.raises(TypeError, match=arg):
+            ShapingResult(distribution=res.distribution, converged=True,
+                          **{arg: 1.2})
 
     @pytest.mark.parametrize("family,order", [("psk", 8), ("qam", 4)])
     def test_one_ring_input_needs_no_integrals(self, monkeypatch, family,
