@@ -32,14 +32,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFMoments", "Constellation", "DetectionScenario", "Distribution",
-    "OFDMConfig", "PdCurve", "ShapingResult", "analytic_moments",
-    "calibrate_so_cfar", "derive_seed", "detection_probability", "exact_af",
-    "feasible_c0_range", "make_constellation", "moment", "pd_curve",
-    "rate_bits", "rate_curve", "run_mba", "solve_heuristic", "trial_seed",
-    "wilson_interval",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -198,9 +198,10 @@ def _pair_sincs(L: int, nu: float,
     return L - np.abs(d), np.sinc((d - nu) * t_diff)
 
 
-def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
+def analytic_moments(d: Distribution, cfg: OFDMConfig,
                      tau: float, nu: float) -> AFMoments:
-    """Exact mean and variances of the AF at (tau, nu).
+    """Exact mean and variances of the AF at (tau, nu) for data drawn from
+    ``d`` on its own constellation.
 
     Holds for any zero-mean i.i.d. data of unit power.  The self-term
     variance depends on the distribution through the fourth moment E[A^4].
@@ -215,8 +216,8 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
     if not (np.isfinite(tau) and np.isfinite(nu)):
         raise ValueError("tau and nu must be finite")
     L, N = cfg.n_subcarriers, cfg.n_symbols
-    m4 = moment(c, d, 4)
-    pseudo = abs(np.dot(d.per_point, c.points ** 2)) ** 2
+    m4 = moment(d, 4)
+    pseudo = abs(np.dot(d.per_point, d.constellation.points ** 2)) ** 2
 
     t_diff, t_avg = _window(tau, 0)
     if t_diff <= 0.0:
@@ -256,7 +257,7 @@ def analytic_moments(c: Constellation, d: Distribution, cfg: OFDMConfig,
                      var_cross_train=float(var_cross_train))
 
 
-def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
+def exact_af(d: Distribution, cfg: OFDMConfig,
              tau_axis, nu_axis) -> tuple[np.ndarray, list[list[AFMoments]]]:
     """Exact mean squared-magnitude AF over the data distribution, in dB.
 
@@ -266,7 +267,7 @@ def exact_af(c: Constellation, d: Distribution, cfg: OFDMConfig,
     :func:`average_af`'s surface without sampling error.  No draws, no seed.
     """
     tau_axis, nu_axis = _grid_axes(tau_axis, nu_axis)
-    moments = [[analytic_moments(c, d, cfg, float(tau), float(nu))
+    moments = [[analytic_moments(d, cfg, float(tau), float(nu))
                 for nu in nu_axis] for tau in tau_axis]
     mean_pow = np.array([[m.mean_power for m in row] for row in moments])
     return _db(mean_pow, True), moments

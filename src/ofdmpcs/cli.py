@@ -253,7 +253,7 @@ def _scored(c, cp, method, c0s, sigma2) -> list:
     from .rates import rate_bits
 
     solved = (_solve_one(c, cp, method, float(c0)) for c0 in c0s)
-    return [(c0, r, rate_bits(c, r.distribution, sigma2)) for c0, r in solved]
+    return [(c0, r, rate_bits(r.distribution, sigma2)) for c0, r in solved]
 
 
 def _lut_json(scored, sigma2, method) -> str:
@@ -295,7 +295,7 @@ def cmd_air(cp, args) -> int:
     c = _build_constellation(cp)
     snrs = _ladder(cp, "channel", "snr_db")
     d = _shaped_distribution(c, cp, args)
-    rates = rate_curve(c, d, snrs)
+    rates = rate_curve(d, snrs)
     # a quadrature has no standard error; the column stays for readers
     # that parse it
     _write(_out_dir(cp, args), "air_curve.csv",
@@ -330,13 +330,13 @@ def cmd_af(cp, args) -> int:
                      sizes["n_nu"])
     out_dir = _out_dir(cp, args)
 
-    grid, _ = exact_af(c, d, cfg, tau, nu)
+    grid, _ = exact_af(d, cfg, tau, nu)
     _write(out_dir, "af_grid.csv",
            _csv("tau,nu,value_db",
                 ((t, v, grid[i, j]) for i, t in enumerate(tau)
                  for j, v in enumerate(nu))))
 
-    zero, moments = exact_af(c, d, cfg, tau, [0.0])
+    zero, moments = exact_af(d, cfg, tau, [0.0])
     _write(out_dir, "af_slice.csv",
            _csv("tau,value_db,var_self,var_cross",
                 ((t, zero[i, 0], moments[i][0].var_self,
@@ -359,8 +359,8 @@ def _scenario(cp, c, cfg) -> DetectionScenario:
     if "sensing_snr_db" in fields:
         fields["snr_db"] = fields.pop("sensing_snr_db")
     try:
-        return DetectionScenario(constellation=c, cfg=cfg,
-                                 distribution=Distribution.uniform(c), **fields)
+        return DetectionScenario(distribution=Distribution.uniform(c),
+                                 cfg=cfg, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

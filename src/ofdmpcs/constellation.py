@@ -14,6 +14,10 @@ Conventions:
 * distributions are "ring-uniform": points within one ring share the same
   probability.  :meth:`Distribution.from_ring_mass` builds every one of
   them, the uniform input included.
+* a distribution carries the constellation it was built on
+  (``Distribution.constellation``), and every metric downstream (the
+  moments, the rate, the AF statistics, a detection scenario) takes the
+  distribution alone.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ class Constellation:
     Build one with :func:`make_constellation`, which establishes the
     invariants: unit mean power under the uniform distribution, zero mean
     per ring, strictly increasing ring amplitudes.  The constructor checks
-    all of them, each to ``CONSTRUCTION_TOL``, and that every point names a
-    ring and every ring holds a point.  ``order`` and ``ring_counts`` are
-    read off ``ring_index``, not stored.
+    all of them, each to ``CONSTRUCTION_TOL``, that every amplitude and
+    phase is finite, and that every point names a ring and every ring holds
+    a point.  ``order`` and ``ring_counts`` are read off ``ring_index``,
+    not stored.
     """
 
     family: str
@@ -74,6 +79,9 @@ class Constellation:
         if index.dtype.kind not in "iu":    # a float index is not cut
             raise ValueError(f"ring_index must be integers, not {index.dtype}")
         phases = np.asarray(self.phases, dtype=float)
+        # NaN passes every comparison check here without a word
+        if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
+            raise ValueError("ring_amps and phases must be finite")
         if index.ndim != 1 or index.shape != phases.shape:
             raise ValueError(f"ring_index and phases must be 1-D and of one "
                              f"length, got shapes {index.shape} and "
@@ -177,15 +185,29 @@ def make_constellation(family: str, order: int) -> Constellation:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Input distribution over a constellation.
+    """Input distribution over a constellation, which it carries.
 
-    Stores both views: ``per_point`` (length Q) and ``ring_mass`` (length W,
-    aggregate mass per ring).  The classmethod constructors keep the two
-    consistent.
+    The shaped input is one object: its ``constellation`` and both views of
+    its probabilities, ``per_point`` (length Q) and ``ring_mass`` (length
+    W, aggregate mass per ring).  Every rate, AF moment and detection
+    scenario reads the constellation from here, so no caller can pair an
+    input with a constellation it was not built on.  The constructor
+    checks the two lengths; the classmethod constructors also keep the two
+    views consistent.
     """
 
+    constellation: Constellation
     per_point: np.ndarray
     ring_mass: np.ndarray
+
+    def __post_init__(self):
+        c = self.constellation
+        shapes = (np.shape(self.per_point), np.shape(self.ring_mass))
+        if shapes != ((c.order,), (c.n_rings,)):
+            raise ValueError(f"per_point and ring_mass must have shapes "
+                             f"({c.order},) and ({c.n_rings},) on this "
+                             f"constellation, got {shapes[0]} and "
+                             f"{shapes[1]}")
 
     @classmethod
     def uniform(cls, c: Constellation) -> "Distribution":
@@ -206,7 +228,7 @@ class Distribution:
             raise ValueError(f"ring masses sum to {total!r}, not 1")
         masses = np.maximum(masses, 0.0)
         per_point = masses[c.ring_index] / c.ring_counts[c.ring_index]
-        return cls(per_point=per_point, ring_mass=masses)
+        return cls(constellation=c, per_point=per_point, ring_mass=masses)
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -229,51 +251,19 @@ class Distribution:
         cdf.flags.writeable = False     # shared by every later draw
         return cdf
 
-    @cached_property
-    def _guide(self) -> tuple[int, np.ndarray, int]:
-        """Guide table over :attr:`cdf` (Chen & Asau 1974; Devroye 1986,
-        §III.2.4): ``(K, start, steps)``.
-
-        K is the smallest power of two >= 4Q, so ``u * K`` and ``j / K`` are
-        exact.  ``start[j]`` counts the CDF values <= j/K; a uniform in
-        [j/K, (j+1)/K) has its answer between ``start[j]`` and
-        ``start[j + 1]``, at most ``steps`` above ``start[j]``.
-        """
-        cdf = self.cdf
-        k = 1 << (4 * cdf.size - 1).bit_length()
-        bounds = cdf.searchsorted(np.arange(k + 1) / k, side="right")
-        return k, bounds[:-1], int(np.diff(bounds).max())
-
-    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """Symbol index of each uniform in ``u``: bitwise
-        ``cdf.searchsorted(u, side="right")``.
-
-        Starts each index at its guide-table bucket and steps it up while
-        the CDF value there is <= u.  The index never passes the answer, so
-        it stays inside the table.  When one bucket holds more CDF values
-        than a binary search takes steps (tiny masses crowd together),
-        the binary search is the cheaper of the two and runs instead.
-        """
-        k, start, steps = self._guide
-        if steps > self.cdf.size.bit_length():
-            return self.cdf.searchsorted(u, side="right")
-        idx = start[(u * k).astype(np.intp)]
-        for _ in range(steps):
-            idx += self.cdf[idx] <= u
-        return idx
-
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Symbol indices of shape ``size`` by inverse CDF.
 
         Bitwise what ``rng.choice(Q, size, p=...)`` returns, and it leaves
-        ``rng`` in the same state, at a fraction of the per-call cost: one
-        ``rng.random(size)`` read through :meth:`inverse_cdf`.
+        ``rng`` in the same state: one ``rng.random(size)`` searched in
+        :attr:`cdf`, as ``choice`` searches it.
         """
-        return self.inverse_cdf(rng.random(size))
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
 
-def moment(c: Constellation, d: Distribution, order: int) -> float:
-    """Amplitude moment sum(p_q * A_q**order); order 2 or 4."""
+def moment(d: Distribution, order: int) -> float:
+    """Amplitude moment sum(p_q * A_q**order) of ``d`` on its own
+    constellation; order 2 or 4."""
     if order not in (2, 4):
         raise ValueError("moment order must be 2 or 4")
-    return float(np.dot(d.per_point, c.amplitudes ** order))
+    return float(np.dot(d.per_point, d.constellation.amplitudes ** order))

@@ -1,7 +1,7 @@
 """Weak-target detection next to a strong self-interferer.
 
 Single-symbol, zero-Doppler sensing chain: one OFDM symbol is drawn from the
-configured constellation/distribution, the receiver sees the self-interference
+configured input on its constellation, the receiver sees the self-interference
 echo (delay cell 0), the target echo (cell 8 by default), and white noise, and
 forms the matched-filter range profile
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import OFDMConfig
-from .constellation import MAX_ABS_DB, Constellation, Distribution, _check_ints
+from .constellation import MAX_ABS_DB, Distribution, _check_ints
 from .seeds import derive_seed
 
 WILSON_Z95 = 1.959963984540054
@@ -53,14 +53,11 @@ _BLOCK_CELLS = 2048         # cells per block: 32 KiB per complex array,
 
 @dataclass(frozen=True)
 class DetectionScenario:
-    """One sensing experiment: constellation, geometry, CFAR window.
+    """One sensing experiment: input, geometry, CFAR window.
 
-    ``distribution`` needs one probability per point and one mass per ring
-    of ``constellation``: only sizes are checked, so 16-QAM's input passes
-    on any 16-point, 3-ring constellation, and 16-PSK's fails on 16-QAM.
+    The symbols are drawn from ``distribution`` on its own constellation.
     """
 
-    constellation: Constellation
     distribution: Distribution
     cfg: OFDMConfig
     snr_db: float = 10.0
@@ -74,10 +71,6 @@ class DetectionScenario:
 
     def __post_init__(self):
         _check_ints(self)
-        c, d = self.constellation, self.distribution
-        if (d.per_point.size, d.ring_mass.size) != (c.order, c.n_rings):
-            raise ValueError(f"the distribution does not fit a {c.order}-"
-                             f"point, {c.n_rings}-ring constellation")
         length = self.cfg.n_subcarriers
         if self.target_cell == self.si_cell:
             raise ValueError("target and self-interference cells coincide")
@@ -110,7 +103,8 @@ def _draw_rows(sc: DetectionScenario, rng: np.random.Generator,
     added to it, so with both echoes off a row is its noise alone.
     """
     length = sc.cfg.n_subcarriers
-    x = sc.constellation.points[sc.distribution.draw(rng, (rows, length))]
+    d = sc.distribution
+    x = d.constellation.points[d.draw(rng, (rows, length))]
     echoes = []             # the target's SNR is per cell: L times its power
     for power, cell in ((10.0 ** (sc.si_to_noise_db / 10.0), sc.si_cell),
                         (10.0 ** (sc.snr_db / 10.0) / length, sc.target_cell)):

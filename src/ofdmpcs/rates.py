@@ -172,15 +172,17 @@ def _orbit_rate(c: Constellation, sigma2: float) -> float:
     return float(-(_WEIGHTS @ np.log((re / c.order) @ im.T) @ _WEIGHTS))
 
 
-def rate_bits(c: Constellation, d: Distribution, noise_power: float) -> float:
+def rate_bits(d: Distribution, noise_power: float) -> float:
     """I(X; Y) in bits of the ring-uniform input ``d`` on complex AWGN of
     total variance ``noise_power``: ``sum_w m_w Dbar_w / ln 2``.
 
-    ``c`` is a square QAM lattice or one ring (PSK, 4-QAM); any other
-    constellation raises ``ValueError``, and so does a noise power that
-    :func:`check_noise_power` rejects.  A rate of zero is +0.0.
+    ``d``'s constellation is a square QAM lattice or one ring (PSK,
+    4-QAM); any other constellation raises ``ValueError``, and so does a
+    noise power that :func:`check_noise_power` rejects.  A rate of zero is
+    +0.0.
     """
     check_noise_power(noise_power)
+    c = d.constellation
     if c.n_rings == 1:                  # -0.0 + 0.0 is +0.0
         return _orbit_rate(c, noise_power) / LN2 + 0.0
     mass = d.ring_mass
@@ -188,10 +190,9 @@ def rate_bits(c: Constellation, d: Distribution, noise_power: float) -> float:
     return float(mass @ rates) / LN2
 
 
-def rate_curve(c: Constellation, d: Distribution,
-               snr_db_values) -> list[float]:
+def rate_curve(d: Distribution, snr_db_values) -> list[float]:
     """:func:`rate_bits` over an SNR ladder (signal power is 1)."""
-    return [rate_bits(c, d, 10.0 ** (-float(snr_db) / 10.0))
+    return [rate_bits(d, 10.0 ** (-float(snr_db) / 10.0))
             for snr_db in snr_db_values]
 
 

@@ -118,7 +118,7 @@ def naive_log_mix(y, c, d, sigma2):
     return np.log(dens)
 
 
-def gh_mutual_information(c, d, sigma2, n_nodes=96):
+def gh_mutual_information(d, sigma2, n_nodes=96):
     """Exact MI in bits via Gauss-Hermite quadrature of h(Y).
 
     The complex Gaussian is the product of its real and imaginary parts, so
@@ -128,7 +128,7 @@ def gh_mutual_information(c, d, sigma2, n_nodes=96):
     z, w = np.polynomial.hermite_e.hermegauss(n_nodes)
     w = w / np.sqrt(2.0 * np.pi)  # E over N(0, 1)
     s = np.sqrt(sigma2 / 2.0)
-    x = c.points
+    x = d.constellation.points
     h_y = 0.0
     for q in np.flatnonzero(d.per_point):
         re = np.exp(-(x[q].real + s * z[:, None] - x.real) ** 2 / sigma2)

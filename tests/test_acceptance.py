@@ -41,8 +41,8 @@ def announce(capsys):
 
 
 def test_criterion_01_fourth_moment_endpoints(announce):
-    m16 = moment(QAM16, Distribution.uniform(QAM16), 4)
-    m64 = moment(QAM64, Distribution.uniform(QAM64), 4)
+    m16 = moment(Distribution.uniform(QAM16), 4)
+    m64 = moment(Distribution.uniform(QAM64), 4)
     ok = m16 == 1.32 and abs(m64 - 1.3805) <= 1e-3
     announce(1, ok,
              f"uniform fourth moments: 16-QAM {m16!r} (exactly 1.32), "
@@ -104,7 +104,7 @@ def test_criterion_04_af_moment_agreement(announce):
     for i, (tau, nu) in enumerate(points):
         lam = af_realizations(QAM16, u16, cfg, tau, nu, n,
                               derive_seed(2024, f"c4-{i}"))
-        an = analytic_moments(QAM16, u16, cfg, tau, nu)
+        an = analytic_moments(u16, cfg, tau, nu)
         var_total = an.var_self + an.var_cross
         z_mean = abs(lam.mean() - an.mean_self) / np.sqrt(var_total / n)
         dev = lam - lam.mean()
@@ -115,7 +115,7 @@ def test_criterion_04_af_moment_agreement(announce):
 
         lam_p = af_realizations(PSK64, upsk, cfg, tau, nu, n,
                                 derive_seed(2024, f"c4p-{i}"))
-        an_p = analytic_moments(PSK64, upsk, cfg, tau, nu)
+        an_p = analytic_moments(upsk, cfg, tau, nu)
         psk_self.append(an_p.var_self)
         dev_p = lam_p - lam_p.mean()
         mc_var_p = float(np.mean(np.abs(dev_p) ** 2))
@@ -188,7 +188,7 @@ def test_criterion_06_rate_endpoints(announce):
     ok = True
     for name, c, d, want in cases:
         gap = _fano_gap_bound(c, d, sigma2)
-        got = rate_bits(c, d, sigma2)
+        got = rate_bits(d, sigma2)
         measured.append((name, gap, got, want))
         ok = ok and gap <= 1e-3 and abs(got - want) <= 0.05
     announce(6, ok, f"noise power {sigma2:g}: " + "; ".join(
@@ -218,8 +218,8 @@ def test_criterion_07_ascent_and_feasibility(announce):
         d = res.distribution
         worst_residual = max(worst_residual,
                              abs(float(np.sum(d.per_point)) - 1.0),
-                             abs(moment(c, d, 2) - 1.0),
-                             abs(moment(c, d, 4) - c0))
+                             abs(moment(d, 2) - 1.0),
+                             abs(moment(d, 4) - c0))
     ok = worst_drop <= 1e-9 and worst_residual <= 1e-4 and converged == 20
     announce(7, ok,
              f"20 random (c0, sigma2) instances: {converged}/20 converged, "
@@ -296,14 +296,13 @@ def test_criterion_09_detection_ordering(announce):
     shaped = solve_heuristic(QAM64, 1.2).distribution
     # 18 dB puts the uniform-QAM detection probability near 0.5 at this
     # false-alarm target, which is where the curves separate most
-    base = DetectionScenario(constellation=QAM64, distribution=u64, cfg=cfg,
+    base = DetectionScenario(distribution=u64, cfg=cfg,
                              snr_db=18.0, target_cell=8, si_cell=0,
                              si_to_noise_db=10.0, p_fa=1e-4, n_trials=5000)
     alpha = calibrate_so_cfar(base, seed=derive_seed(2024, "c9-cal"))
     results = {}
-    for name, c, d in (("uniform", QAM64, u64), ("shaped", QAM64, shaped),
-                       ("psk", PSK64, upsk)):
-        sc = replace(base, constellation=c, distribution=d)
+    for name, d in (("uniform", u64), ("shaped", shaped), ("psk", upsk)):
+        sc = replace(base, distribution=d)
         results[name] = detection_probability(sc, alpha,
                                               seed=derive_seed(2024,
                                                                f"c9-{name}"))

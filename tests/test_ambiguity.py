@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import simpson
 
 from ofdmpcs import (
+    Constellation,
     Distribution,
     OFDMConfig,
     analytic_moments,
@@ -184,17 +185,31 @@ class TestSampling:
 
 
 class TestAnalyticMoments:
-    def test_frozen_self_variance_at_origin(self, qam16, uniform16):
+    def test_frozen_self_variance_at_origin(self, uniform16):
         # T_diff = 1, sinc(0) = 1: var = L * (E[A^4] - 1) = 64 * 0.32
-        mom = analytic_moments(qam16, uniform16, OFDMConfig(64), 0.0, 0.0)
+        mom = analytic_moments(uniform16, OFDMConfig(64), 0.0, 0.0)
         assert mom.var_self == pytest.approx(20.48, abs=1e-12)
         assert mom.var_cross == pytest.approx(0.0, abs=1e-12)
         assert mom.mean_self == pytest.approx(64.0, abs=1e-12)
 
+    def test_moments_read_the_inputs_own_constellation(self):
+        # a 16-point, 3-ring APSK input, ring masses 0.3/0.4/0.3: E[A^4] is
+        # 0.3 * 0.25 + 0.4 * 1 + 0.3 * 2.25 = 1.15 on its own rings, so
+        # var_self = 64 * 0.15.  Read on 16-QAM's amplitudes, as a (c, d)
+        # pair allowed, the same masses gave 24.58
+        apsk = Constellation(
+            family="apsk", ring_amps=np.sqrt([0.5, 1.0, 1.5]),
+            ring_index=np.repeat([0, 1, 2], [4, 8, 4]),
+            phases=np.r_[np.arange(4) / 4, np.arange(8) / 8,
+                         np.arange(4) / 4 + 0.125] * 2 * np.pi)
+        d = Distribution.from_ring_mass(apsk, [0.3, 0.4, 0.3])
+        mom = analytic_moments(d, OFDMConfig(64), 0.0, 0.0)
+        assert mom.var_self == pytest.approx(9.6, abs=1e-12)
+
     def test_constant_modulus_kills_self_variance(self, psk64, ofdm64):
         d = Distribution.uniform(psk64)
         for tau, nu in [(0.0, 0.0), (0.1, 0.0), (0.25, 0.5)]:
-            mom = analytic_moments(psk64, d, ofdm64, tau, nu)
+            mom = analytic_moments(d, ofdm64, tau, nu)
             assert mom.var_self == pytest.approx(0.0, abs=1e-12)
             assert mom.var_self_train == pytest.approx(0.0, abs=1e-12)
 
@@ -206,21 +221,21 @@ class TestAnalyticMoments:
         )
         psk = make_constellation("psk", 64)
         for tau, nu in [(0.1, 0.0), (0.31, 0.47)]:
-            a = analytic_moments(qam64, uni, ofdm64, tau, nu).var_cross
-            b = analytic_moments(qam64, shaped, ofdm64, tau, nu).var_cross
-            c = analytic_moments(psk, Distribution.uniform(psk), ofdm64, tau, nu).var_cross
+            a = analytic_moments(uni, ofdm64, tau, nu).var_cross
+            b = analytic_moments(shaped, ofdm64, tau, nu).var_cross
+            c = analytic_moments(Distribution.uniform(psk), ofdm64, tau, nu).var_cross
             assert a == pytest.approx(b, rel=1e-12)
             assert a == pytest.approx(c, rel=1e-12)
 
-    def test_mean_vanishes_at_grating_nulls(self, qam16, uniform16, ofdm64):
+    def test_mean_vanishes_at_grating_nulls(self, uniform16, ofdm64):
         # delay = k / (L * df): the subcarrier phase sum is a full circle
         for k in (1, 3, 7):
-            mom = analytic_moments(qam16, uniform16, ofdm64, k / 64, 0.0)
+            mom = analytic_moments(uniform16, ofdm64, k / 64, 0.0)
             assert abs(mom.mean_self) < 1e-9
 
-    def test_train_self_variance_scales_with_n(self, qam16, uniform16):
-        one = analytic_moments(qam16, uniform16, OFDMConfig(8, n_symbols=1), 0.12, 0.3)
-        four = analytic_moments(qam16, uniform16, OFDMConfig(8, n_symbols=4), 0.12, 0.3)
+    def test_train_self_variance_scales_with_n(self, uniform16):
+        one = analytic_moments(uniform16, OFDMConfig(8, n_symbols=1), 0.12, 0.3)
+        four = analytic_moments(uniform16, OFDMConfig(8, n_symbols=4), 0.12, 0.3)
         assert four.var_self_train == pytest.approx(4 * one.var_self, rel=1e-12)
         assert one.var_self_train == pytest.approx(one.var_self, rel=1e-12)
 
@@ -239,7 +254,7 @@ def kernel_mean_power(c, d, cfg, tau, nu):
     off = K - np.diag(diag)
     pseudo = abs(np.dot(d.per_point, c.points ** 2)) ** 2
     return float(abs(diag.sum()) ** 2
-                 + (moment(c, d, 4) - 1.0) * np.sum(np.abs(diag) ** 2)
+                 + (moment(d, 4) - 1.0) * np.sum(np.abs(diag) ** 2)
                  + np.sum(np.abs(off) ** 2)
                  + pseudo * np.real(np.sum(off * np.conj(off.T))))
 
@@ -269,7 +284,7 @@ class TestMeanPower:
         cfg = OFDMConfig(6, n_symbols=n_symbols)
         for tau, nu in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.7), (-0.45, 0.2),
                         (1.3, 0.1), (-1.7, -0.6), (0.9, 1.5), (2.4, 0.3)]:
-            got = analytic_moments(c, d, cfg, tau, nu).mean_power
+            got = analytic_moments(d, cfg, tau, nu).mean_power
             want = kernel_mean_power(c, d, cfg, tau, nu)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -286,14 +301,14 @@ class TestMeanPower:
         cfg = OFDMConfig(16, n_symbols=n_symbols)
         n = 3000
         _, v = _split_samples(bpsk, d, cfg, tau, nu, n, seed=4321)
-        mom = analytic_moments(bpsk, d, cfg, tau, nu)
+        mom = analytic_moments(d, cfg, tau, nu)
         want = mom.var_cross if n_symbols == 1 else mom.var_cross_train
         dev = np.abs(v - np.mean(v)) ** 2
         se = np.std(dev) / np.sqrt(n)
         assert abs(np.mean(dev) - want) <= 4 * se
         # the proper-input value (that of QPSK) is rejected by the same draws
         qpsk = make_constellation("psk", 4)
-        proper = analytic_moments(qpsk, Distribution.uniform(qpsk), cfg,
+        proper = analytic_moments(Distribution.uniform(qpsk), cfg,
                                   tau, nu)
         proper = proper.var_cross if n_symbols == 1 else proper.var_cross_train
         assert abs(np.mean(dev) - proper) > 4 * se
@@ -310,7 +325,7 @@ class TestExactSurface:
         taus = [0.05, 0.2, 0.45] + ([1.3] if n_symbols == 2 else [])
         nus = [0.0, 0.3]
         n, seed = 2000, 606
-        _, moments = exact_af(c, d, cfg, taus, nus)
+        _, moments = exact_af(d, cfg, taus, nus)
         mc = average_af(c, d, cfg, taus, nus, n_mc=n, seed=seed,
                         normalize=False)
         for i, tau in enumerate(taus):
@@ -323,34 +338,34 @@ class TestExactSurface:
                 assert want == pytest.approx(np.mean(power), rel=1e-9)
                 assert abs(got - want) <= 4 * se, (tau, nu, got, want, se)
 
-    def test_grid_cells_are_moment_mean_power(self, qam16, uniform16, ofdm8):
+    def test_grid_cells_are_moment_mean_power(self, uniform16, ofdm8):
         # in dB relative to the grid's largest mean power, bit for bit
         taus, nus = [0.0, 0.25, 1.0], [0.0, 0.5]
-        grid, moments = exact_af(qam16, uniform16, ofdm8, taus, nus)
+        grid, moments = exact_af(uniform16, ofdm8, taus, nus)
         peak = max(m.mean_power for row in moments for m in row)
         for i, tau in enumerate(taus):
             for j, nu in enumerate(nus):
-                mom = analytic_moments(qam16, uniform16, ofdm8, tau, nu)
+                mom = analytic_moments(uniform16, ofdm8, tau, nu)
                 assert moments[i][j] == mom
                 with np.errstate(divide="ignore"):
                     assert grid[i, j] == 10.0 * np.log10(mom.mean_power
                                                          / peak)
         assert grid[2, 0] == -np.inf      # no overlap at one T_p
 
-    def test_peak_normalized_at_origin(self, qam16, uniform16, ofdm8):
-        g, _ = exact_af(qam16, uniform16, ofdm8, [0.0, 0.1, 0.2], [0.0, 0.5])
+    def test_peak_normalized_at_origin(self, uniform16, ofdm8):
+        g, _ = exact_af(uniform16, ofdm8, [0.0, 0.1, 0.2], [0.0, 0.5])
         assert g[0, 0] == 0.0
         assert g.max() == 0.0
 
-    def test_empty_axes_rejected(self, qam16, uniform16, ofdm8):
+    def test_empty_axes_rejected(self, uniform16, ofdm8):
         with pytest.raises(ValueError):
-            exact_af(qam16, uniform16, ofdm8, [0.0], [])
+            exact_af(uniform16, ofdm8, [0.0], [])
 
     def test_surfaces_are_plain_arrays(self, qam16, uniform16, ofdm8):
         # values_db[i, j] belongs to (tau[i], nu[j]); the axes are the
         # caller's and are not handed back
         taus, nus = [0.0, 0.1, 0.2], [0.0, 0.5]
-        values, moments = exact_af(qam16, uniform16, ofdm8, taus, nus)
+        values, moments = exact_af(uniform16, ofdm8, taus, nus)
         assert type(values) is np.ndarray and values.shape == (3, 2)
         assert len(moments) == 3 and all(len(row) == 2 for row in moments)
         mc = average_af(qam16, uniform16, ofdm8, taus, nus, n_mc=8, seed=1)
@@ -369,7 +384,7 @@ class TestMonteCarloAgreement:
         cfg = OFDMConfig(16)
         n = 3000
         s, v = _split_samples(qam16, uniform16, cfg, tau, nu, n, seed=1234)
-        mom = analytic_moments(qam16, uniform16, cfg, tau, nu)
+        mom = analytic_moments(uniform16, cfg, tau, nu)
 
         se_mean = np.std(s) / np.sqrt(n)
         assert abs(np.mean(s) - mom.mean_self) <= 4 * se_mean + 1e-12
@@ -385,7 +400,7 @@ class TestMonteCarloAgreement:
         n = 4000
         tau, nu = 0.15, 0.2
         s, v = _split_samples(qam16, uniform16, cfg, tau, nu, n, seed=777)
-        mom = analytic_moments(qam16, uniform16, cfg, tau, nu)
+        mom = analytic_moments(uniform16, cfg, tau, nu)
 
         dev_s = np.abs(s - np.mean(s)) ** 2
         assert abs(np.mean(dev_s) - mom.var_self_train) <= 4 * np.std(dev_s) / np.sqrt(n)
@@ -401,14 +416,14 @@ class TestAverageGrid:
         assert g.max() == pytest.approx(0.0, abs=1e-12)
         assert g[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_csv_round_trip(self, qam16, uniform16, ofdm8, cli_artifacts):
+    def test_csv_round_trip(self, uniform16, ofdm8, cli_artifacts):
         # the CLI's af_grid.csv holds exact_af's surface, tau-major, {:.9g}
         out = cli_artifacts(
             "[constellation]\nfamily = qam\norder = 16\n"
             "[ofdm]\nn_subcarriers = 8\n"
             "[af]\ntau_min_tp = 0.0\ntau_max_tp = 0.25\nn_tau = 2\n"
             "nu_min_df = 0.0\nnu_max_df = 1.0\nn_nu = 2\n", "af")
-        g, _ = exact_af(qam16, uniform16, ofdm8, [0.0, 0.25], [0.0, 1.0])
+        g, _ = exact_af(uniform16, ofdm8, [0.0, 0.25], [0.0, 1.0])
         lines = (out / "af_grid.csv").read_text().split("\n")
         assert lines[0] == "tau,nu,value_db" and lines[-1] == ""
         rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]

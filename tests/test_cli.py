@@ -671,11 +671,11 @@ class TestAf:
         c = make_constellation("qam", 16)
         d = Distribution.uniform(c)
         cfg = OFDMConfig(64)
-        peak = analytic_moments(c, d, cfg, 0.0, 0.0).mean_power
+        peak = analytic_moments(d, cfg, 0.0, 0.0).mean_power
         grid = (out / "af_grid.csv").read_text().strip().split("\n")[1:]
         for line in grid:
             tau, nu, value = map(float, line.split(","))
-            power = analytic_moments(c, d, cfg, tau, nu).mean_power
+            power = analytic_moments(d, cfg, tau, nu).mean_power
             assert value == pytest.approx(10 * np.log10(power / peak),
                                           abs=1e-7)
 

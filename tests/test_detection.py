@@ -38,7 +38,7 @@ from oracles import choice_probs, empirical_false_alarm_rate, noise_only
 
 @pytest.fixture
 def uniform_scenario(qam64, uniform64, ofdm64):
-    return DetectionScenario(qam64, uniform64, ofdm64, snr_db=14.0, p_fa=1e-2,
+    return DetectionScenario(uniform64, ofdm64, snr_db=14.0, p_fa=1e-2,
                              n_trials=400)
 
 
@@ -54,76 +54,53 @@ def side_means(p, ref, guard):
 
 
 class TestScenarioValidation:
-    def test_target_and_si_must_differ(self, qam64, uniform64, ofdm64):
+    def test_target_and_si_must_differ(self, uniform64, ofdm64):
         with pytest.raises(ValueError):
-            DetectionScenario(qam64, uniform64, ofdm64, target_cell=0, si_cell=0)
+            DetectionScenario(uniform64, ofdm64, target_cell=0, si_cell=0)
 
-    def test_cells_in_range(self, qam64, uniform64, ofdm64):
+    def test_cells_in_range(self, uniform64, ofdm64):
         with pytest.raises(ValueError):
-            DetectionScenario(qam64, uniform64, ofdm64, target_cell=64)
+            DetectionScenario(uniform64, ofdm64, target_cell=64)
         with pytest.raises(ValueError):
-            DetectionScenario(qam64, uniform64, ofdm64, si_cell=-1)
+            DetectionScenario(uniform64, ofdm64, si_cell=-1)
 
-    def test_pfa_bounds(self, qam64, uniform64, ofdm64):
+    def test_pfa_bounds(self, uniform64, ofdm64):
         with pytest.raises(ValueError):
-            DetectionScenario(qam64, uniform64, ofdm64, p_fa=0.0)
+            DetectionScenario(uniform64, ofdm64, p_fa=0.0)
         with pytest.raises(ValueError):
-            DetectionScenario(qam64, uniform64, ofdm64, p_fa=1.5)
+            DetectionScenario(uniform64, ofdm64, p_fa=1.5)
 
-    def test_window_must_fit_profile(self, qam64, uniform64, ofdm64):
+    def test_window_must_fit_profile(self, uniform64, ofdm64):
         with pytest.raises(ValueError, match="window larger"):
-            DetectionScenario(qam64, uniform64, ofdm64, ref_cells=30, guard_cells=3)
-
-    @pytest.mark.parametrize("other", [("qam", 16), ("psk", 64)])
-    def test_distribution_of_another_constellation_rejected(
-            self, qam64, ofdm64, other):
-        # 16-QAM's input on 64-QAM drew only the first 16 points, at mean
-        # power 0.238, and gave P_d 0; 64-PSK's has 64 points but one ring
-        d = Distribution.uniform(make_constellation(*other))
-        with pytest.raises(ValueError, match="does not fit a 64-point, "
-                                             "9-ring constellation"):
-            DetectionScenario(qam64, d, ofdm64, n_trials=200)
-
-    def test_only_the_sizes_are_checked(self, qam16, ofdm64):
-        # 16-PSK's input (one ring) fails on 16-QAM (three rings); 16-QAM's
-        # passes on another 16-point constellation of three rings
-        d = Distribution.uniform(make_constellation("psk", 16))
-        with pytest.raises(ValueError, match="16-point, 3-ring"):
-            DetectionScenario(qam16, d, ofdm64)
-        apsk = Constellation(
-            family="apsk", ring_amps=np.sqrt([0.5, 1.0, 1.5]),
-            ring_index=np.repeat([0, 1, 2], [4, 8, 4]),
-            phases=np.r_[np.arange(4) / 4, np.arange(8) / 8,
-                         np.arange(4) / 4 + 0.125] * 2 * np.pi)
-        DetectionScenario(apsk, Distribution.uniform(qam16), ofdm64)
+            DetectionScenario(uniform64, ofdm64, ref_cells=30, guard_cells=3)
 
     @pytest.mark.parametrize("field,value", [
         ("target_cell", 8.5), ("si_cell", 0.0), ("n_trials", 100.5),
         ("ref_cells", 16.0), ("guard_cells", 2.0)])
-    def test_non_integer_counts_rejected(self, qam64, uniform64, ofdm64,
+    def test_non_integer_counts_rejected(self, uniform64, ofdm64,
                                          field, value):
         # each used to be accepted and fail later, in an index or a range
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            DetectionScenario(qam64, uniform64, ofdm64, **{field: value})
+            DetectionScenario(uniform64, ofdm64, **{field: value})
 
-    def test_numpy_integer_counts_accepted(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64,
+    def test_numpy_integer_counts_accepted(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64,
                                target_cell=np.int64(8), n_trials=np.int32(50))
         assert sc.target_cell == 8 and sc.n_trials == 50
 
     @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
     @pytest.mark.parametrize("db", [float("nan"), float("inf"), 3000.5,
                                     -3000.5, 4000.0])
-    def test_db_values_bounded(self, qam64, uniform64, ofdm64, field, db):
+    def test_db_values_bounded(self, uniform64, ofdm64, field, db):
         # 10 ** (4000 / 10) raised OverflowError in the draws
         with pytest.raises(ValueError, match=f"{field} must be -inf or lie"):
-            DetectionScenario(qam64, uniform64, ofdm64, **{field: db})
+            DetectionScenario(uniform64, ofdm64, **{field: db})
 
     @pytest.mark.parametrize("field", ["snr_db", "si_to_noise_db"])
-    def test_minus_inf_and_in_range_db_accepted(self, qam64, uniform64,
+    def test_minus_inf_and_in_range_db_accepted(self, uniform64,
                                                 ofdm64, field):
         for db in (float("-inf"), -3000.0, 3000.0):
-            DetectionScenario(qam64, uniform64, ofdm64, **{field: db})
+            DetectionScenario(uniform64, ofdm64, **{field: db})
 
 
 class TestRangeProfile:
@@ -144,21 +121,21 @@ class TestRangeProfile:
             [profile(sc, seed=t) for t in range(400)])
         assert np.mean(cells) == pytest.approx(64.0, rel=0.05)
 
-    def test_strong_target_peaks_at_target_cell(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, snr_db=40.0,
+    def test_strong_target_peaks_at_target_cell(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, snr_db=40.0,
                                si_to_noise_db=float("-inf"), target_cell=8)
         hits = sum(
             int(np.argmax(profile(sc, seed=t)) == 8)
             for t in range(100))
         assert hits >= 99
 
-    def test_si_pedestal_needs_amplitude_spread(self, qam64, uniform64, ofdm64):
+    def test_si_pedestal_needs_amplitude_spread(self, uniform64, ofdm64):
         # residual self-interference leaks a floor proportional to
         # E[A^4] - 1; constant-modulus data leaves the noise floor alone
         psk = make_constellation("psk", 64)
-        sc_qam = DetectionScenario(qam64, uniform64, ofdm64,
+        sc_qam = DetectionScenario(uniform64, ofdm64,
                                    snr_db=float("-inf"), si_to_noise_db=10.0)
-        sc_psk = DetectionScenario(psk, Distribution.uniform(psk), ofdm64,
+        sc_psk = DetectionScenario(Distribution.uniform(psk), ofdm64,
                                    snr_db=float("-inf"), si_to_noise_db=10.0)
         away = np.r_[4:30]  # cells far from the SI peak at 0
         qam_level = np.mean([profile(sc_qam, seed=t)[away]
@@ -185,12 +162,12 @@ class TestSidelobeLaw:
         c = {"16qam": qam16, "64qam": qam64, "8psk": psk8}[case.split("-")[0]]
         d = (solve_heuristic(c, 1.2).distribution if "heuristic" in case
              else Distribution.uniform(c))
-        sc = DetectionScenario(c, d, ofdm64, snr_db=self.SNR_DB,
+        sc = DetectionScenario(d, ofdm64, snr_db=self.SNR_DB,
                                si_to_noise_db=float("-inf"),
                                target_cell=self.CELL)
         snr, L = 10.0 ** (self.SNR_DB / 10.0), self.L
-        floor = snr * (moment(c, d, 4) - 1.0)
-        var_self = analytic_moments(c, d, ofdm64, 0.0, 0.0).var_self
+        floor = snr * (moment(d, 4) - 1.0)
+        var_self = analytic_moments(d, ofdm64, 0.0, 0.0).var_self
         assert floor == pytest.approx(snr / L * var_self, rel=1e-12, abs=1e-9)
 
         rng = np.random.default_rng(5)
@@ -237,28 +214,28 @@ class TestSoCfar:
 
 
 class TestCalibration:
-    def test_alpha_grows_as_pfa_shrinks(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
+    def test_alpha_grows_as_pfa_shrinks(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-2)
         loose = calibrate_so_cfar(sc, seed=0)
         tight = calibrate_so_cfar(replace(sc, p_fa=1e-3), seed=0)
         assert 1.0 < loose < tight
 
-    def test_alpha_order_unity_at_even_odds(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=0.5)
+    def test_alpha_order_unity_at_even_odds(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=0.5)
         alpha = calibrate_so_cfar(sc, n_cal=100_000, seed=0)
         assert 0.2 < alpha < 2.0
 
-    def test_insufficient_samples_rejected(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-3)
+    def test_insufficient_samples_rejected(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-3)
         with pytest.raises(ValueError, match="calibration"):
             calibrate_so_cfar(sc, n_cal=5_000, seed=0)
 
-    def test_deterministic(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
+    def test_deterministic(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-2)
         assert calibrate_so_cfar(sc, seed=4) == calibrate_so_cfar(sc, seed=4)
 
-    def test_empirical_false_alarm_within_factor_two(self, qam64, uniform64, ofdm64):
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-3)
+    def test_empirical_false_alarm_within_factor_two(self, uniform64, ofdm64):
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-3)
         alpha = calibrate_so_cfar(sc, seed=0)
         rate = empirical_false_alarm_rate(sc, alpha, n_cells=2_000_000, seed=1)
         assert 0.5e-3 <= rate <= 2e-3
@@ -283,7 +260,7 @@ class TestDetectionProbability:
         # the SI pedestal of spread-amplitude data buries a 14 dB target
         # that constant-modulus data detects with certainty
         psk = make_constellation("psk", 64)
-        sc_psk = replace(uniform_scenario, constellation=psk,
+        sc_psk = replace(uniform_scenario,
                          distribution=Distribution.uniform(psk))
         a_u = calibrate_so_cfar(uniform_scenario, seed=5)
         a_p = calibrate_so_cfar(sc_psk, seed=5)
@@ -293,7 +270,7 @@ class TestDetectionProbability:
 
     def test_si_hardly_degrades_constant_modulus(self, ofdm64):
         psk = make_constellation("psk", 64)
-        sc = DetectionScenario(psk, Distribution.uniform(psk), ofdm64,
+        sc = DetectionScenario(Distribution.uniform(psk), ofdm64,
                                snr_db=15.0, p_fa=1e-3, n_trials=800)
         alpha = calibrate_so_cfar(sc, seed=7)
         with_si, _, _ = detection_probability(sc, alpha, seed=3)
@@ -304,7 +281,7 @@ class TestDetectionProbability:
     def test_bounded_memory(self, qam16, ofdm64):
         # one block of trials is held at a time, whatever n_trials is
         d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
-        sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, n_trials=1000)
+        sc = DetectionScenario(d, ofdm64, snr_db=12.0, n_trials=1000)
         detection_probability(sc, 5.0, seed=1)           # warm the imports
         tracemalloc.start()
         try:
@@ -332,14 +309,14 @@ class TestPdCurve:
         for pd, lo, hi in zip(curve.pd, curve.ci_lo, curve.ci_hi):
             assert 0.0 <= lo <= pd <= hi <= 1.0
 
-    def test_csv_format(self, qam64, uniform64, ofdm64, cli_artifacts):
+    def test_csv_format(self, uniform64, ofdm64, cli_artifacts):
         # the CLI's pd_curve.csv holds pd_curve's fields, {:.9g}; the keys
         # the config leaves out take DetectionScenario's defaults
         out = cli_artifacts(
             "[run]\nseed = 13\n[constellation]\nfamily = qam\norder = 64\n"
             "[detection]\np_fa = 1e-2\nn_trials = 100\n"
             "snr_db_min = 12\nsnr_db_max = 14\nsnr_db_step = 2\n", "detect")
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2,
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-2,
                                n_trials=100)
         curve = pd_curve(sc, [12.0, 14.0], seed=derive_seed(13, "detect"))
         want = ["snr_db,pd,ci_lo,ci_hi"] + [
@@ -360,9 +337,9 @@ def oracle_rows(sc, rng, rows):
     phases and the noise, each one call over the rows; the noise is one
     (real, imaginary) standard-normal pair per cell."""
     length = sc.cfg.n_subcarriers
-    x = sc.constellation.points[rng.choice(sc.constellation.order,
-                                           size=(rows, length),
-                                           p=choice_probs(sc.distribution))]
+    c = sc.distribution.constellation
+    x = c.points[rng.choice(c.order, size=(rows, length),
+                            p=choice_probs(sc.distribution))]
     si_lin = 10.0 ** (sc.si_to_noise_db / 10.0)
     snr_lin = 10.0 ** (sc.snr_db / 10.0)
     si_u = rng.uniform(size=rows) if si_lin > 0.0 else None
@@ -450,7 +427,7 @@ class TestBatchedSimulatorOracle:
     @pytest.mark.parametrize("si", [True, False])
     def test_hits_and_profiles(self, ofdm64, family, order, target, si):
         c = make_constellation(family, order)
-        sc = DetectionScenario(c, Distribution.uniform(c), ofdm64,
+        sc = DetectionScenario(Distribution.uniform(c), ofdm64,
                                snr_db=12.0 if target else float("-inf"),
                                si_to_noise_db=10.0 if si else float("-inf"),
                                p_fa=1e-2, n_trials=40)
@@ -468,7 +445,7 @@ class TestBatchedSimulatorOracle:
     def test_calibration_matches_two_pass_means(self, qam64, ofdm64):
         d = Distribution.from_ring_mass(
             qam64, np.r_[0.4, np.zeros(7), 0.6])
-        sc = DetectionScenario(qam64, d, ofdm64, p_fa=1e-2)
+        sc = DetectionScenario(d, ofdm64, p_fa=1e-2)
         for seed in (0, 9):
             got = calibrate_so_cfar(sc, n_cal=3000, seed=seed)
             assert got == oracle_alpha(sc, 3000, seed, chunk=13)
@@ -508,7 +485,7 @@ class TestProductionBatchOracle:
     def test_profiles_and_hits(self, qam16, ofdm64):
         assert detection._BLOCK_CELLS == 2048
         d = Distribution.from_ring_mass(qam16, [0.125, 0.75, 0.125])
-        sc = DetectionScenario(qam16, d, ofdm64, snr_db=12.0, p_fa=1e-2,
+        sc = DetectionScenario(d, ofdm64, snr_db=12.0, p_fa=1e-2,
                                n_trials=300)
         assert rows_per_block(sc) == 32
         got = block_profiles(sc, 4)
@@ -537,7 +514,7 @@ class TestStreamedCalibration:
                                                   block_rows):
         if block_rows is not None:
             monkeypatch.setattr(detection, "_BLOCK_CELLS", block_rows * length)
-        sc = DetectionScenario(qam16, Distribution.uniform(qam16),
+        sc = DetectionScenario(Distribution.uniform(qam16),
                                OFDMConfig(length), p_fa=p_fa)
         n = int(np.ceil(n_cal / length)) * length
         if p_fa >= 0.25:
@@ -547,11 +524,10 @@ class TestStreamedCalibration:
             want = oracle_alpha(sc, n_cal, seed, chunk=rows_per_block(sc))
             assert got == want
 
-    def test_false_alarm_rate_bitwise_equal_to_full_count(self, monkeypatch,
-                                                          qam64, uniform64,
+    def test_false_alarm_rate_bitwise_equal_to_full_count(self, monkeypatch, uniform64,
                                                           ofdm64):
         monkeypatch.setattr(detection, "_BLOCK_CELLS", 100 * 64)
-        sc = DetectionScenario(qam64, uniform64, ofdm64, p_fa=1e-2)
+        sc = DetectionScenario(uniform64, ofdm64, p_fa=1e-2)
         for alpha, n_cells in [(3.0, 300_000), (8.0, 50_000), (0.5, 1_000)]:
             got = empirical_false_alarm_rate(sc, alpha, n_cells, seed=2)
             rng = np.random.default_rng(derive_seed(2, "cfar-evaluation"))
@@ -559,7 +535,7 @@ class TestStreamedCalibration:
             assert got == float(np.mean(ratios > alpha))
 
     def test_bounded_memory(self, qam16):
-        sc = DetectionScenario(qam16, Distribution.uniform(qam16),
+        sc = DetectionScenario(Distribution.uniform(qam16),
                                OFDMConfig(64), p_fa=1e-4)
         calibrate_so_cfar(sc, n_cal=100_000, seed=0)     # warm the imports
         tracemalloc.start()
@@ -606,7 +582,7 @@ def pd_closed_form(alpha, sc):
 class TestConstantModulusClosedForms:
     @pytest.fixture
     def scenario(self, psk8, ofdm64):
-        return DetectionScenario(psk8, Distribution.uniform(psk8), ofdm64,
+        return DetectionScenario(Distribution.uniform(psk8), ofdm64,
                                  p_fa=1e-3, n_trials=2000)
 
     def alpha_star(self, sc):

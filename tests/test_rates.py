@@ -193,14 +193,14 @@ class TestEstimator:
 
     def test_matches_quadrature(self, qam16, uniform16):
         sigma2 = 0.1
-        want = gh_mutual_information(qam16, uniform16, sigma2)
+        want = gh_mutual_information(uniform16, sigma2)
         est = mutual_information(qam16, uniform16, ChannelSpec(sigma2), n_mc=40_000, seed=3)
         assert abs(est.mi_bits - want) <= 4 * est.std_error
 
     def test_shaped_matches_quadrature(self, qam16):
         d = Distribution.from_ring_mass(qam16, [0.15625, 0.6875, 0.15625])
         sigma2 = 0.05
-        want = gh_mutual_information(qam16, d, sigma2)
+        want = gh_mutual_information(d, sigma2)
         est = mutual_information(qam16, d, ChannelSpec(sigma2), n_mc=40_000, seed=4)
         assert abs(est.mi_bits - want) <= 4 * est.std_error
 
@@ -208,7 +208,7 @@ class TestEstimator:
         # 20 dB is short of saturation for 64-QAM: the rate is 5.80 bits,
         # not log2 64 = 6
         sigma2 = 0.01
-        want = gh_mutual_information(qam64, uniform64, sigma2)
+        want = gh_mutual_information(uniform64, sigma2)
         est = mutual_information(qam64, uniform64, ChannelSpec(sigma2), n_mc=100_000, seed=15)
         assert want == pytest.approx(5.80, abs=0.01)
         assert abs(est.mi_bits - want) <= 4 * est.std_error
@@ -263,24 +263,24 @@ class TestHeuristicRate:
         # here; other loadings with the same moments fall short (5.5723 for
         # one reached by projected descent from the uniform loading)
         d = solve_heuristic(qam64, 1.191).distribution
-        assert gh_mutual_information(qam64, d, 0.01, n_nodes=32) >= 5.61
+        assert gh_mutual_information(d, 0.01, n_nodes=32) >= 5.61
 
 
 class TestAirAndCurves:
-    def test_rate_curve_monotone_in_snr(self, qam16, uniform16):
-        vals = rate_curve(qam16, uniform16, [0.0, 10.0, 20.0])
+    def test_rate_curve_monotone_in_snr(self, uniform16):
+        vals = rate_curve(uniform16, [0.0, 10.0, 20.0])
         assert vals[0] < vals[1] < vals[2]
-        assert vals == [rate_bits(qam16, uniform16, s2)
+        assert vals == [rate_bits(uniform16, s2)
                         for s2 in (1.0, 0.1, 0.01)]
 
-    def test_rate_curve_csv_format(self, qam16, uniform16, cli_artifacts):
+    def test_rate_curve_csv_format(self, uniform16, cli_artifacts):
         # the CLI's air_curve.csv holds rate_curve's rates, {:.9g}, and a
         # standard error of 0; the uniform input needs no [channel] sigma2
         out = cli_artifacts(
             "[run]\nseed = 14\n[constellation]\nfamily = qam\norder = 16\n"
             "[channel]\nsnr_db_min = 0\nsnr_db_max = 12.5\n"
             "snr_db_step = 12.5\n", "air")
-        vals = rate_curve(qam16, uniform16, [0.0, 12.5])
+        vals = rate_curve(uniform16, [0.0, 12.5])
         assert (out / "air_curve.csv").read_text() == (
             "snr_db,mi_bits,std_err\n"
             + "".join(f"{s:.9g},{v:.9g},0\n"
@@ -299,8 +299,8 @@ class TestRateQuadrature:
         c = make_constellation(family, order)
         d = Distribution.uniform(c)
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        assert rate_bits(c, d, sigma2) == pytest.approx(
-            gh_mutual_information(c, d, sigma2), abs=5e-6)
+        assert rate_bits(d, sigma2) == pytest.approx(
+            gh_mutual_information(d, sigma2), abs=5e-6)
 
     @pytest.mark.parametrize("noise_power",
                              [0.0, -1.0, np.inf, np.nan, 1e-320, 1e301])
@@ -309,14 +309,14 @@ class TestRateQuadrature:
         # is the command line's, [1e-300, 1e300]
         for c in (qam16, psk8):
             with pytest.raises(ValueError, match="positive and finite"):
-                rate_bits(c, Distribution.uniform(c), noise_power)
+                rate_bits(Distribution.uniform(c), noise_power)
 
     @pytest.mark.parametrize("family,order", [("psk", 8), ("qam", 4)])
     def test_a_zero_rate_is_positive_zero(self, family, order):
         # the one-ring path negated a zero integral to -0.0, which air
         # wrote as "-0" at a -3000 dB ladder point
         c = make_constellation(family, order)
-        rate = rate_bits(c, Distribution.uniform(c), 1e300)
+        rate = rate_bits(Distribution.uniform(c), 1e300)
         assert rate == 0.0 and not np.signbit(rate)
 
     def test_one_ring_off_its_rotation_orbit_rejected(self):
@@ -326,7 +326,7 @@ class TestRateQuadrature:
         c = Constellation(family="custom", ring_amps=np.array([1.0]),
                           ring_index=np.zeros(4, dtype=int), phases=phases)
         with pytest.raises(ValueError, match="rotation orbit"):
-            rate_bits(c, Distribution.uniform(c), 0.1)
+            rate_bits(Distribution.uniform(c), 0.1)
 
 
 class TestChannelSpec:
